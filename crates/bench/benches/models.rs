@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lh_graph::{ChannelMode, FeatureSet, LhGraph, LhGraphConfig, Targets};
-use lhnn::{AblationSpec, GraphOps, Lhnn, LhnnConfig, Sample, TrainConfig};
+use lhnn::{AblationSpec, CongestionModel, GraphOps, Lhnn, LhnnConfig, Sample, TrainConfig};
 use lhnn_baselines::{BaselineTrainConfig, ImageModel, ImageSample, MlpBaseline, UNetModel};
 use vlsi_netlist::synth::{generate, SynthConfig};
 use vlsi_place::GlobalPlacer;

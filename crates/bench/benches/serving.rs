@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lh_graph::FeatureSet;
-use lhnn::{GraphOps, Lhnn, LhnnConfig};
+use lhnn::{CongestionModel, GraphOps, Lhnn, LhnnConfig};
 use lhnn_serve::{EngineConfig, ModelRegistry, PredictRequest, ServeEngine};
 
 fn inputs(grid: u32) -> (Arc<GraphOps>, Arc<FeatureSet>) {

@@ -24,7 +24,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use lh_graph::{FeatureSet, LhGraph, LhGraphConfig, Targets};
-use lhnn::{AblationSpec, Lhnn, LhnnConfig, Sample, TrainConfig};
+use lhnn::{AblationSpec, CongestionModel, Lhnn, LhnnConfig, ModelScratch, Sample, TrainConfig};
 use lhnn_bench::HarnessArgs;
 use lhnn_data::{write_bench_json, BenchRecord, TextTable};
 use neurograd::{pool, simd, CsrMatrix, Matrix, Tape};
@@ -227,7 +227,7 @@ fn main() {
     // bookkeeping and the value round-trips)
     let (ops, feats) = lhnn_data::serving_inputs(7, 6000, 48).expect("serving design");
     let model = Lhnn::new(LhnnConfig::default(), 0);
-    let mut scratch = lhnn::InferenceScratch::new();
+    let mut scratch = ModelScratch::new();
     pool::configure_threads(threads);
     let taped_ms = time_ms(|| {
         let mut tape = Tape::new();
@@ -236,7 +236,7 @@ fn main() {
         std::hint::black_box((tape.value(prob).clone(), tape.value(out.reg).clone()));
     });
     let fused_ms = time_ms(|| {
-        std::hint::black_box(model.predict_into(&ops, &feats, &mut scratch));
+        std::hint::black_box(model.predict_with(&ops, &feats, &mut scratch));
     });
     records.push(
         BenchRecord::labeled(

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lh_graph::{ChannelMode, FeatureSet, LhGraph, LhGraphConfig, Targets};
-use lhnn::{train, AblationSpec, GraphOps, Lhnn, LhnnConfig, Sample, TrainConfig};
+use lhnn::{train, AblationSpec, CongestionModel, GraphOps, Lhnn, LhnnConfig, Sample, TrainConfig};
 use lhnn_baselines::{ImageModel, ImageSample, UNetModel};
 use lhnn_bench::HarnessArgs;
 use lhnn_data::TextTable;

@@ -2,55 +2,38 @@
 //! serving stack (registry, worker pool, prediction cache, sessions,
 //! incremental forward) is written against.
 //!
-//! Everything above `lhnn-core` used to be [`crate::Lhnn`]-typed; this
-//! module is the seam that de-couples it. A congestion predictor is
-//! anything that can
-//!
-//! * run a **taped forward** (for the data-parallel trainer),
-//! * run a **fused, tape-free forward** through model-owned scratch
-//!   buffers ([`CongestionModel::predict_with`] — the serving hot path),
-//! * produce an **activation cache** for the bounded-radius incremental
-//!   forward ([`crate::IncrementalForward`]): per-layer full-size
-//!   activations plus masked row-subset refresh paths,
-//! * fingerprint its weights (the registry's cache-coherent *version*),
-//! * and serialise itself under a kind tag (`.lhnn` v2).
+//! A congestion predictor declares its forward once, as a block
+//! [`Program`] over its parameter store; the trait's provided methods run
+//! that program through the taped interpreter (for the data-parallel
+//! trainer) and the tape-free one ([`CongestionModel::predict_with`] —
+//! the serving hot path), and [`crate::IncrementalForward`] splices it.
+//! Beyond the program, a model fingerprints its weights (the registry's
+//! cache-coherent *version*) and serialises itself under a kind tag
+//! (`.lhnn` v2).
 //!
 //! Two architectures implement it today: [`crate::Lhnn`] (kind `lhnn`)
 //! and [`crate::HybridNet`] (kind `hybridnet`). Sibling models (VeriHGN,
-//! DE-HNN, …) plug in by implementing this trait — the engine, sessions,
-//! CLI and benches ride along unchanged.
+//! DE-HNN, …) plug in with one program — the engine, sessions, CLI and
+//! benches ride along unchanged.
 //!
 //! # Bitwise contract
 //!
-//! Implementations must keep the three forward paths — taped
-//! ([`CongestionModel::forward`] + sigmoid), fused
-//! ([`CongestionModel::predict_with`]) and masked row-subset (the
-//! [`ActivationCache`] refreshes) — **bitwise identical** on the same
-//! inputs at any thread count. Every serving parity proptest (served ==
-//! direct, spliced == full) rests on that invariant.
+//! The taped ([`CongestionModel::forward`] + sigmoid), stateless
+//! ([`CongestionModel::predict_with`]) and spliced forwards interpret the
+//! same program with the same per-element float sequences, so they agree
+//! **bitwise** on the same inputs at any thread count. Every serving
+//! parity proptest (served == direct, spliced == full) rests on that
+//! invariant.
 
-use std::any::Any;
 use std::io::Write;
 
 use lh_graph::{ChannelMode, FeatureSet};
 use neurograd::{ParamStore, Tape};
 
-use crate::incremental::ActivationCache;
 use crate::model::{LhnnOutput, Prediction};
 use crate::ops::GraphOps;
+use crate::program::{ModelScratch, Program};
 use crate::serialize::ModelIoError;
-
-/// Model-owned scratch state for the fused (tape-free) forward.
-///
-/// Each architecture defines its own buffer layout (e.g.
-/// [`crate::InferenceScratch`] for [`crate::Lhnn`]); the serving workers
-/// hold them behind this trait in a [`ScratchSet`] so one long-lived
-/// worker thread can serve a mixed model zoo with zero steady-state
-/// allocation per kind.
-pub trait ModelScratch: Send + std::fmt::Debug {
-    /// Downcast access for the owning model's `predict_with`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
 
 /// The congestion-prediction model contract (see the module docs).
 ///
@@ -61,10 +44,6 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
     /// serialization kind, the scratch-slot key and the `kind=` metrics
     /// label. Must be unique per architecture.
     fn kind(&self) -> &'static str;
-
-    /// Downcast access (activation caches use it to reach their own
-    /// model's concrete layers).
-    fn as_any(&self) -> &dyn Any;
 
     /// Expected G-cell input feature width.
     fn gcell_in_dim(&self) -> usize;
@@ -93,36 +72,8 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
     /// must never collide across kinds (hash the kind into it).
     fn weights_fingerprint(&self) -> u64;
 
-    /// Runs the forward pass on a tape (the training path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if feature dimensions disagree with the configuration.
-    fn forward(&self, tape: &mut Tape, ops: &GraphOps, features: &FeatureSet) -> LhnnOutput;
-
-    /// A fresh scratch for [`CongestionModel::predict_with`].
-    fn new_scratch(&self) -> Box<dyn ModelScratch>;
-
-    /// The fused, tape-free forward through caller-owned scratch — the
-    /// serving hot path. `scratch` should come from this model's
-    /// [`CongestionModel::new_scratch`] (a [`ScratchSet`] guarantees
-    /// that); on a foreign scratch the model must still answer correctly
-    /// (falling back to a fresh local scratch).
-    fn predict_with(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut dyn ModelScratch,
-    ) -> Prediction;
-
-    /// A zeroed full-size activation cache for the incremental forward,
-    /// shaped to `(n_c, n_n)` and stamped with `weights_version`.
-    fn new_activation_cache(
-        &self,
-        weights_version: u64,
-        n_c: usize,
-        n_n: usize,
-    ) -> Box<dyn ActivationCache>;
+    /// The model's forward, declared once (see [`crate::program`]).
+    fn program(&self) -> &Program;
 
     /// Writes the model (kind tag + architecture + weights) in the
     /// `.lhnn` v2 format; [`crate::load_model`] restores it.
@@ -142,21 +93,51 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
         self.store().num_scalars()
     }
 
+    /// Runs the forward pass on a tape (the training path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if feature dimensions disagree with the configuration.
+    fn forward(&self, tape: &mut Tape, ops: &GraphOps, features: &FeatureSet) -> LhnnOutput {
+        self.program().tape_forward(tape, self.store(), ops, features)
+    }
+
+    /// A fresh scratch for [`CongestionModel::predict_with`].
+    fn new_scratch(&self) -> Box<ModelScratch> {
+        Box::default()
+    }
+
+    /// The tape-free forward through caller-owned scratch — the serving
+    /// hot path. Any scratch works; reusing one per model kind (a
+    /// [`ScratchSet`]) keeps its buffers shaped, so steady-state requests
+    /// allocate nothing but the returned prediction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if feature dimensions disagree with the configuration.
+    fn predict_with(
+        &self,
+        ops: &GraphOps,
+        features: &FeatureSet,
+        scratch: &mut ModelScratch,
+    ) -> Prediction {
+        self.program().predict(self.store(), ops, features, scratch)
+    }
+
     /// One-shot inference through a fresh scratch (convenience; hot paths
     /// should reuse a [`ScratchSet`]).
     fn predict(&self, ops: &GraphOps, features: &FeatureSet) -> Prediction {
-        let mut scratch = self.new_scratch();
-        self.predict_with(ops, features, scratch.as_mut())
+        self.predict_with(ops, features, &mut ModelScratch::new())
     }
 }
 
 /// A worker's per-kind scratch pool: one [`ModelScratch`] per model kind,
 /// created lazily on first use and reused for every later request of that
-/// kind — so a single long-lived worker serves a mixed zoo with the same
-/// zero-steady-state-allocation property the `Lhnn`-only scratch had.
+/// kind — so a single long-lived worker serves a mixed zoo without
+/// reshaping buffers on every kind switch.
 #[derive(Debug, Default)]
 pub struct ScratchSet {
-    slots: Vec<(&'static str, Box<dyn ModelScratch>)>,
+    slots: Vec<(&'static str, ModelScratch)>,
 }
 
 impl ScratchSet {
@@ -166,19 +147,19 @@ impl ScratchSet {
     }
 
     /// The scratch slot for `model`'s kind, created on first use.
-    pub fn for_model(&mut self, model: &dyn CongestionModel) -> &mut dyn ModelScratch {
+    pub fn for_model(&mut self, model: &dyn CongestionModel) -> &mut ModelScratch {
         let kind = model.kind();
         let idx = match self.slots.iter().position(|(k, _)| *k == kind) {
             Some(i) => i,
             None => {
-                self.slots.push((kind, model.new_scratch()));
+                self.slots.push((kind, ModelScratch::new()));
                 self.slots.len() - 1
             }
         };
-        self.slots[idx].1.as_mut()
+        &mut self.slots[idx].1
     }
 
-    /// Fused inference through the model's own pooled scratch.
+    /// Tape-free inference through the model's own pooled scratch.
     pub fn predict(
         &mut self,
         model: &dyn CongestionModel,

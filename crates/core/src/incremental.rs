@@ -1,20 +1,18 @@
 //! The bounded-radius incremental forward (ROADMAP item 1).
 //!
 //! [`crate::LatticePipeline`] made graph/feature updates O(dirty rows),
-//! but a [`crate::Lhnn`] forward still recomputed every G-cell. The LHNN
-//! architecture has a *fixed receptive field*: information travels one
-//! hop per sparse aggregation — one `H` hop in FeatureGen, two hops
-//! (`B⁻¹Hᵀ` then `D⁻¹H`) per HyperMP block and one `P⁻¹A` hop per
-//! LatticeMP block — so a change confined to a dirty set of G-cells and
-//! G-nets can only influence rows inside a ≤5-hop halo of that set (with
-//! the default 2 HyperMP + 3 LatticeMP stack).
+//! but a full forward still recomputes every G-cell. A model's forward
+//! has a *fixed receptive field*: information travels one hop per sparse
+//! aggregation of its [`crate::program::Program`] — for the default LHNN
+//! one `H` hop in FeatureGen, two hops (`B⁻¹Hᵀ` then `D⁻¹H`) per HyperMP
+//! block and one `P⁻¹A` hop per LatticeMP block — so a change confined to
+//! a dirty set of G-cells and G-nets can only influence rows inside a
+//! bounded halo of that set.
 //!
-//! [`IncrementalForward`] exploits this: it caches every intermediate
-//! activation of the last forward, dilates the pipeline's dirty sets
-//! through the operators' sparsity patterns layer by layer
-//! ([`lh_graph::halo`]), recomputes only halo rows with the masked
-//! row-subset kernels in [`neurograd::kernels`], and splices the result
-//! into the cached state.
+//! [`IncrementalForward`] exploits this: it caches every tensor of the
+//! last forward, and a splice re-runs the program over the dirty rows
+//! only, widening them at each aggregation through the operator's
+//! sparsity ([`lh_graph::halo`]) and leaving every other row cached.
 //!
 //! # Bitwise guarantee
 //!
@@ -35,7 +33,7 @@
 //!   columns ride the dirty sets; appends grow the cached G-net tensors
 //!   in place instead of dropping them).
 //! * [`IncrementalForward::note_structural`] (full rebuilds, failed
-//!   rebuilds, panics) drops the activation cache completely: columns may
+//!   rebuilds, panics) drops the cached forward completely: columns may
 //!   have renumbered, so no splice can be trusted. Each note carries an
 //!   [`InvalidationCause`] so stats can split cache drops by origin —
 //!   with stable columns, compaction should be the dominant cause.
@@ -46,88 +44,20 @@
 //!
 //! A forward that observes unknown provenance (no cached state, a
 //! structural note, a weights hot-swap, or dimension changes) falls back
-//! to a full refresh through the same row-subset kernels — which is
-//! itself bitwise identical to the tape forward in [`crate::Lhnn`].
+//! to a full refresh through the same executor — which is itself bitwise
+//! identical to the model's stateless predict.
 
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::Duration;
 
-use lh_graph::halo::{dilate, union_sorted};
+use lh_graph::halo::union_sorted;
 use lh_graph::{halo, FeatureSet};
 use lhnn_obs::{Counter, Histogram, Registry};
-use neurograd::{kernels, stable_sigmoid, Matrix};
 
 use crate::congestion::CongestionModel;
-use crate::model::{LatticeMpBlock, Lhnn, Prediction};
+use crate::model::Prediction;
 use crate::ops::GraphOps;
-
-/// The per-model activation cache behind [`IncrementalForward`]: every
-/// intermediate tensor of the last forward, full-size, plus masked
-/// row-subset refresh paths over them.
-///
-/// Implementations are produced by their own architecture's
-/// [`CongestionModel::new_activation_cache`] and are only ever refreshed
-/// by a model whose `kind()` and `weights_fingerprint()` match the cache
-/// (the [`IncrementalForward`] paths guard this), so they may downcast
-/// the model they are handed.
-///
-/// Invariant every implementation must keep: after each refresh (full or
-/// spliced), every cached tensor equals its full-forward value at
-/// **every** row — refreshes recompute a superset of the truly-dirty
-/// rows and leave the rest untouched, and each output row is an
-/// independent fixed float sequence, so splices stay bitwise identical
-/// to full forwards.
-pub trait ActivationCache: Send {
-    /// The owning architecture's kind tag (matches
-    /// [`CongestionModel::kind`]).
-    fn kind(&self) -> &'static str;
-
-    /// The weights fingerprint this cache was refreshed under.
-    fn weights_version(&self) -> u64;
-
-    /// `(ops fingerprint, features fingerprint)` of the cached forward.
-    fn fingerprints(&self) -> (u64, u64);
-
-    /// Stamps the input fingerprints after a successful refresh.
-    fn set_fingerprints(&mut self, ops_fp: u64, features_fp: u64);
-
-    /// Cached G-cell row count.
-    fn n_c(&self) -> usize;
-
-    /// Cached G-net row count.
-    fn n_n(&self) -> usize;
-
-    /// The cached prediction (clones the output tensors).
-    fn cached_prediction(&self) -> Prediction;
-
-    /// Widens every G-net-dimensioned tensor to `n_n` rows in place
-    /// (stable columns only ever append at the end, so existing rows
-    /// keep their cached values row-for-row; new rows are zeroed and
-    /// must be unioned into the dirty set by the caller).
-    fn grow_gnet_rows(&mut self, n_n: usize);
-
-    /// Recomputes every row through the masked row-subset kernels.
-    fn refresh_full(
-        &mut self,
-        model: &dyn CongestionModel,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        timer: &mut DilateTimer,
-    );
-
-    /// Recomputes the dirty rows, dilating them through each
-    /// aggregation's receptive field, and splices the result into the
-    /// cached state. Returns the final `(gcell, gnet)` halo sizes.
-    fn refresh_splice(
-        &mut self,
-        model: &dyn CongestionModel,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        dirty_gcells: Vec<usize>,
-        dirty_gnets: Vec<usize>,
-        timer: &mut DilateTimer,
-    ) -> (usize, usize);
-}
+use crate::program::{Halo, ModelScratch};
 
 /// Sorted, duplicate-free dirty index sets accumulated from one or more
 /// incremental pipeline updates: the G-cell rows and G-net rows whose
@@ -283,366 +213,16 @@ impl IncrObs {
     }
 }
 
-/// Accumulates nanoseconds spent in the dilation sites of one refresh.
-/// Timing-only: wraps each site in a clock read when armed and is a plain
-/// passthrough when not, so the float work is identical either way.
-/// Handed to [`ActivationCache`] refreshes so per-model splice code can
-/// attribute its dilation time without owning any metric handles.
-#[derive(Debug)]
-pub struct DilateTimer {
-    armed: bool,
-    ns: u128,
-}
-
-impl DilateTimer {
-    pub(crate) fn new(armed: bool) -> Self {
-        Self { armed, ns: 0 }
-    }
-
-    /// Runs `f`, attributing its wall time to halo dilation when armed.
-    #[inline]
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        if self.armed {
-            let t0 = Instant::now();
-            let out = f();
-            self.ns += t0.elapsed().as_nanos();
-            out
-        } else {
-            f()
-        }
-    }
-
-    fn us(&self) -> u64 {
-        u64::try_from(self.ns / 1_000).unwrap_or(u64::MAX)
-    }
-}
-
-/// Per-HyperMP-block cached activations (one tensor per forward step).
-struct HyperActs {
-    hc: Matrix,
-    msg_n: Matrix,
-    cat_n: Matrix,
-    fused_n: Matrix,
-    prev_n: Matrix,
-    v_n: Matrix,
-    hn: Matrix,
-    msg_c: Matrix,
-    cat_c: Matrix,
-    fused_c: Matrix,
-    prev_c: Matrix,
-    v_c: Matrix,
-}
-
-/// Per-LatticeMP-block cached activations.
-struct LatticeActs {
-    h: Matrix,
-    msg: Matrix,
-    lin_out: Matrix,
-    v_c: Matrix,
-}
-
-/// Every intermediate tensor of one LHNN forward, cached full-size.
-///
-/// Invariant: after each refresh (full or spliced), every tensor equals
-/// its full-forward value at **every** row — refreshes recompute a
-/// superset of the truly-dirty rows and leave the rest untouched. The
-/// `sc_*`/`sy_*` matrices are ResBlock-internal scratch, wholly written
-/// and read at identical row lists within one block call, so they carry
-/// no cross-forward state.
-pub(crate) struct ActivationState {
+/// The cached forward of one design: every tensor of the model's program
+/// at every row, and what it was computed from.
+struct Cached {
+    kind: &'static str,
     weights_version: u64,
-    ops_fp: u64,
-    features_fp: u64,
+    /// `(ops, features)` fingerprints of the cached forward.
+    fingerprints: (u64, u64),
     n_c: usize,
     n_n: usize,
-    hidden: usize,
-    // FeatureGen
-    fc: Matrix,
-    fn_: Matrix,
-    agg: Matrix,
-    cat: Matrix,
-    v_c1: Matrix,
-    v_n1: Matrix,
-    hyper: Vec<HyperActs>,
-    /// Encode layers followed by joint layers.
-    lattice: Vec<LatticeActs>,
-    cls_logits: Matrix,
-    cls_prob: Matrix,
-    reg: Matrix,
-    // ResBlock scratch
-    sc_c: Matrix,
-    sy_c: Matrix,
-    sc_n: Matrix,
-    sy_n: Matrix,
-    // Full row lists for the refresh path (kept allocated).
-    all_c: Vec<usize>,
-    all_n: Vec<usize>,
-}
-
-impl ActivationState {
-    pub(crate) fn new(model: &Lhnn, weights_version: u64, n_c: usize, n_n: usize) -> Self {
-        let h = model.cfg.hidden;
-        let ch = model.cfg.channel_mode.channels();
-        let zc = || Matrix::zeros(n_c, h);
-        let zn = || Matrix::zeros(n_n, h);
-        Self {
-            weights_version,
-            ops_fp: 0,
-            features_fp: 0,
-            n_c,
-            n_n,
-            hidden: h,
-            fc: zc(),
-            fn_: zn(),
-            agg: zc(),
-            cat: Matrix::zeros(n_c, 2 * h),
-            v_c1: zc(),
-            v_n1: zn(),
-            hyper: (0..model.hypermp.len())
-                .map(|_| HyperActs {
-                    hc: zc(),
-                    msg_n: zn(),
-                    cat_n: Matrix::zeros(n_n, 2 * h),
-                    fused_n: zn(),
-                    prev_n: zn(),
-                    v_n: zn(),
-                    hn: zn(),
-                    msg_c: zc(),
-                    cat_c: Matrix::zeros(n_c, 2 * h),
-                    fused_c: zc(),
-                    prev_c: zc(),
-                    v_c: zc(),
-                })
-                .collect(),
-            lattice: (0..model.lattice_encode.len() + model.lattice_joint.len())
-                .map(|_| LatticeActs { h: zc(), msg: zc(), lin_out: zc(), v_c: zc() })
-                .collect(),
-            cls_logits: Matrix::zeros(n_c, ch),
-            cls_prob: Matrix::zeros(n_c, ch),
-            reg: Matrix::zeros(n_c, ch),
-            sc_c: zc(),
-            sy_c: zc(),
-            sc_n: zn(),
-            sy_n: zn(),
-            all_c: (0..n_c).collect(),
-            all_n: (0..n_n).collect(),
-        }
-    }
-}
-
-/// Recomputes the forward over the given row lists, growing them through
-/// each aggregation's receptive field when `grow` is set (the splice
-/// path). With `grow` unset and full row lists this is a full refresh.
-/// Returns the final (possibly grown) row lists.
-fn refresh(
-    st: &mut ActivationState,
-    model: &Lhnn,
-    ops: &GraphOps,
-    features: &FeatureSet,
-    mut dc: Vec<usize>,
-    mut dn: Vec<usize>,
-    grow: bool,
-    dilate_t: &mut DilateTimer,
-) -> (Vec<usize>, Vec<usize>) {
-    let h = model.cfg.hidden;
-    let ch = model.cfg.channel_mode.channels();
-    let store = &model.store;
-    let ActivationState {
-        fc,
-        fn_,
-        agg,
-        cat,
-        v_c1,
-        v_n1,
-        hyper,
-        lattice,
-        cls_logits,
-        cls_prob,
-        reg,
-        sc_c,
-        sy_c,
-        sc_n,
-        sy_n,
-        ..
-    } = st;
-
-    // ---- FeatureGen (Eq. 1–2): one H hop from G-nets onto G-cells ----
-    if grow {
-        dc = dilate_t.time(|| union_sorted(&dc, &dilate(ops.gnc_sum.transpose_cached(), &dn)));
-    }
-    model.featuregen.f_n.forward_rows_into(store, &features.gnet, &dn, sc_n, sy_n, fn_);
-    model.featuregen.f_c.forward_rows_into(store, &features.gcell, &dc, sc_c, sy_c, fc);
-    kernels::spmm_rows_into(&ops.gnc_sum, fn_, &dc, agg.as_mut_slice());
-    kernels::concat_rows_into(fc, agg, &dc, cat.as_mut_slice());
-    model.featuregen.phi_c.forward_rows_into(store, cat, &dc, v_c1);
-    model.featuregen.phi_n.forward_rows_into(store, fn_, &dn, v_n1);
-
-    // ---- HyperMP: a B⁻¹Hᵀ hop then a D⁻¹H hop per block ----
-    for (i, block) in model.hypermp.iter().enumerate() {
-        let (done, rest) = hyper.split_at_mut(i);
-        let la = &mut rest[0];
-        let (pc, pn): (&Matrix, &Matrix) =
-            if i == 0 { (v_c1, v_n1) } else { (&done[i - 1].v_c, &done[i - 1].v_n) };
-        block.res_c_in.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.hc);
-        if grow {
-            dn = dilate_t.time(|| union_sorted(&dn, &dilate(ops.gcn_mean.transpose_cached(), &dc)));
-        }
-        kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, la.msg_n.as_mut_slice());
-        kernels::concat_rows_into(&la.msg_n, v_n1, &dn, la.cat_n.as_mut_slice());
-        block.fuse_n.forward_rows_into(store, &la.cat_n, &dn, &mut la.fused_n);
-        block.res_n_prev.forward_rows_into(store, pn, &dn, sc_n, sy_n, &mut la.prev_n);
-        kernels::zip_rows_into(
-            la.fused_n.as_slice(),
-            la.prev_n.as_slice(),
-            &dn,
-            h,
-            la.v_n.as_mut_slice(),
-            |x, y| x + y,
-        );
-        block.res_n_in.forward_rows_into(store, &la.v_n, &dn, sc_n, sy_n, &mut la.hn);
-        if grow {
-            dc = dilate_t.time(|| union_sorted(&dc, &dilate(ops.gnc_mean.transpose_cached(), &dn)));
-        }
-        kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, la.msg_c.as_mut_slice());
-        kernels::concat_rows_into(&la.msg_c, v_c1, &dc, la.cat_c.as_mut_slice());
-        block.fuse_c.forward_rows_into(store, &la.cat_c, &dc, &mut la.fused_c);
-        block.res_c_prev.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.prev_c);
-        kernels::zip_rows_into(
-            la.fused_c.as_slice(),
-            la.prev_c.as_slice(),
-            &dc,
-            h,
-            la.v_c.as_mut_slice(),
-            |x, y| x + y,
-        );
-    }
-    let last_hyper_c: &Matrix = if let Some(l) = hyper.last() { &l.v_c } else { v_c1 };
-
-    // ---- LatticeMP: one P⁻¹A hop per block (encode then joint) ----
-    let blocks: Vec<&LatticeMpBlock> =
-        model.lattice_encode.iter().chain(model.lattice_joint.iter()).collect();
-    debug_assert_eq!(blocks.len(), lattice.len());
-    for (i, block) in blocks.into_iter().enumerate() {
-        let (done, rest) = lattice.split_at_mut(i);
-        let la = &mut rest[0];
-        let pc: &Matrix = if i == 0 { last_hyper_c } else { &done[i - 1].v_c };
-        block.res.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.h);
-        if grow {
-            dc = dilate_t
-                .time(|| union_sorted(&dc, &dilate(ops.lattice_mean.transpose_cached(), &dc)));
-        }
-        kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, la.msg.as_mut_slice());
-        block.lin.forward_rows_into(store, &la.msg, &dc, &mut la.lin_out);
-        kernels::zip_rows_into(
-            la.lin_out.as_slice(),
-            pc.as_slice(),
-            &dc,
-            h,
-            la.v_c.as_mut_slice(),
-            |x, y| x + y,
-        );
-    }
-    let final_c: &Matrix = if let Some(l) = lattice.last() { &l.v_c } else { last_hyper_c };
-
-    // ---- Heads (row-local) ----
-    model.cls_head.forward_rows_into(store, final_c, &dc, cls_logits);
-    kernels::map_rows_into(cls_logits.as_slice(), &dc, ch, cls_prob.as_mut_slice(), stable_sigmoid);
-    model.reg_head.forward_rows_into(store, final_c, &dc, reg);
-    (dc, dn)
-}
-
-/// Widens a cached tensor to `rows`, keeping existing rows row-for-row.
-/// Appended G-net columns always land at the *end* of the stable column
-/// space, so the zeroed new rows are recomputed by the splice that
-/// unions them into the dirty set.
-pub(crate) fn widen_rows(m: &mut Matrix, rows: usize, cols: usize) {
-    let mut g = Matrix::zeros(rows, cols);
-    g.as_mut_slice()[..m.as_slice().len()].copy_from_slice(m.as_slice());
-    *m = g;
-}
-
-impl ActivationCache for ActivationState {
-    fn kind(&self) -> &'static str {
-        "lhnn"
-    }
-
-    fn weights_version(&self) -> u64 {
-        self.weights_version
-    }
-
-    fn fingerprints(&self) -> (u64, u64) {
-        (self.ops_fp, self.features_fp)
-    }
-
-    fn set_fingerprints(&mut self, ops_fp: u64, features_fp: u64) {
-        self.ops_fp = ops_fp;
-        self.features_fp = features_fp;
-    }
-
-    fn n_c(&self) -> usize {
-        self.n_c
-    }
-
-    fn n_n(&self) -> usize {
-        self.n_n
-    }
-
-    fn cached_prediction(&self) -> Prediction {
-        Prediction { cls_prob: self.cls_prob.clone(), reg: self.reg.clone() }
-    }
-
-    fn grow_gnet_rows(&mut self, n_n: usize) {
-        let h = self.hidden;
-        widen_rows(&mut self.fn_, n_n, h);
-        widen_rows(&mut self.v_n1, n_n, h);
-        widen_rows(&mut self.sc_n, n_n, h);
-        widen_rows(&mut self.sy_n, n_n, h);
-        for la in &mut self.hyper {
-            widen_rows(&mut la.msg_n, n_n, h);
-            widen_rows(&mut la.cat_n, n_n, 2 * h);
-            widen_rows(&mut la.fused_n, n_n, h);
-            widen_rows(&mut la.prev_n, n_n, h);
-            widen_rows(&mut la.v_n, n_n, h);
-            widen_rows(&mut la.hn, n_n, h);
-        }
-        self.all_n.extend(self.n_n..n_n);
-        self.n_n = n_n;
-    }
-
-    fn refresh_full(
-        &mut self,
-        model: &dyn CongestionModel,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        timer: &mut DilateTimer,
-    ) {
-        let model = model
-            .as_any()
-            .downcast_ref::<Lhnn>()
-            .expect("lhnn activation cache refreshed by a non-lhnn model");
-        let dc = std::mem::take(&mut self.all_c);
-        let dn = std::mem::take(&mut self.all_n);
-        let (dc, dn) = refresh(self, model, ops, features, dc, dn, false, timer);
-        self.all_c = dc;
-        self.all_n = dn;
-    }
-
-    fn refresh_splice(
-        &mut self,
-        model: &dyn CongestionModel,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        dirty_gcells: Vec<usize>,
-        dirty_gnets: Vec<usize>,
-        timer: &mut DilateTimer,
-    ) -> (usize, usize) {
-        let model = model
-            .as_any()
-            .downcast_ref::<Lhnn>()
-            .expect("lhnn activation cache spliced by a non-lhnn model");
-        let (dc, dn) = refresh(self, model, ops, features, dirty_gcells, dirty_gnets, true, timer);
-        (dc.len(), dn.len())
-    }
+    state: ModelScratch,
 }
 
 /// Pending dirt plus the note sequence counter, shared between update
@@ -664,7 +244,7 @@ struct Notes {
 /// entry), so the next predict falls back to a full refresh.
 pub struct IncrementalForward {
     notes: Mutex<Notes>,
-    act: Mutex<Option<Box<dyn ActivationCache>>>,
+    act: Mutex<Option<Cached>>,
     obs: Option<IncrObs>,
 }
 
@@ -796,17 +376,18 @@ impl IncrementalForward {
         let n_n = features.gnet.rows();
 
         let mut taken = act.take();
+        let program = model.program();
 
         // Path 1: fingerprints match the cached state — the cached
         // prediction IS the full-forward answer for these inputs.
-        let reusable = taken.as_ref().map_or(false, |st| {
-            st.weights_version() == model_version && st.fingerprints() == (ops_fp, features_fp)
+        let reusable = taken.as_ref().map_or(false, |c| {
+            c.weights_version == model_version && c.fingerprints == (ops_fp, features_fp)
         });
         if reusable {
-            let st = taken.expect("checked above");
+            let c = taken.expect("checked above");
             let t_splice = self.obs.as_ref().and_then(|o| o.splice.start());
-            let pred = st.cached_prediction();
-            *act = Some(st);
+            let pred = program.state_prediction(&c.state);
+            *act = Some(c);
             drop(act);
             if let Some(o) = &self.obs {
                 o.splice.stop_us(t_splice);
@@ -820,12 +401,12 @@ impl IncrementalForward {
         // compactions, so a cached state with fewer G-net rows is still
         // spliceable: its tensors are grown in place and the appended
         // rows join the dirty set below.
+        let compatible = |c: &Cached| c.kind == model.kind() && c.weights_version == model_version;
         let splice_ok = match (&taken, &dirt) {
-            (Some(st), Some(d)) => {
-                st.kind() == model.kind()
-                    && st.weights_version() == model_version
-                    && st.n_c() == n_c
-                    && st.n_n() <= n_n
+            (Some(c), Some(d)) => {
+                compatible(c)
+                    && c.n_c == n_c
+                    && c.n_n <= n_n
                     && ops.num_gcells == n_c
                     && d.gcells.last().map_or(true, |&r| r < n_c)
                     && d.gnets.last().map_or(true, |&r| r < n_n)
@@ -833,42 +414,44 @@ impl IncrementalForward {
             _ => false,
         };
         let t_refresh = self.obs.as_ref().and_then(|o| o.forward.start());
-        let mut dilate_t = DilateTimer::new(t_refresh.is_some());
-        let (mut st, outcome) = if splice_ok {
-            let mut st = taken.take().expect("checked above");
+        let store = model.store();
+        let (mut c, outcome, dilate) = if splice_ok {
+            let mut c = taken.take().expect("checked above");
             let d = dirt.as_ref().expect("checked above");
-            let mut dn0 = d.gnets.clone();
-            if st.n_n() < n_n {
-                let appended: Vec<usize> = (st.n_n()..n_n).collect();
-                st.grow_gnet_rows(n_n);
-                dn0 = union_sorted(&dn0, &appended);
+            let mut nets = d.gnets.clone();
+            if c.n_n < n_n {
+                program.grow_state_nets(&mut c.state, n_n);
+                nets = union_sorted(&nets, &(c.n_n..n_n).collect::<Vec<_>>());
+                c.n_n = n_n;
             }
-            let (gcell_rows, gnet_rows) =
-                st.refresh_splice(model, ops, features, d.gcells.clone(), dn0, &mut dilate_t);
-            let outcome = SpliceOutcome::Spliced { gcell_rows, gnet_rows };
-            (st, outcome)
+            let dilate = t_refresh.map(|_| Duration::ZERO);
+            let mut halo = Halo { cells: d.gcells.clone(), nets, dilate };
+            program.refresh(store, ops, features, &mut c.state, Some(&mut halo));
+            let outcome =
+                SpliceOutcome::Spliced { gcell_rows: halo.cells.len(), gnet_rows: halo.nets.len() };
+            (c, outcome, halo.dilate)
         } else {
             // Path 3: full refresh, reusing allocations when the kind
             // and shapes allow.
-            let mut st = match taken.take() {
-                Some(st)
-                    if st.kind() == model.kind()
-                        && st.weights_version() == model_version
-                        && st.n_c() == n_c
-                        && st.n_n() == n_n =>
-                {
-                    st
-                }
-                _ => model.new_activation_cache(model_version, n_c, n_n),
+            let mut c = match taken.take() {
+                Some(c) if compatible(&c) && c.n_c == n_c && c.n_n == n_n => c,
+                _ => Cached {
+                    kind: model.kind(),
+                    weights_version: model_version,
+                    fingerprints: (0, 0),
+                    n_c,
+                    n_n,
+                    state: program.new_state(n_c, n_n),
+                },
             };
-            st.refresh_full(model, ops, features, &mut dilate_t);
-            (st, SpliceOutcome::Full)
+            program.refresh(store, ops, features, &mut c.state, None);
+            (c, SpliceOutcome::Full, None)
         };
         if let (Some(o), Some(t0)) = (&self.obs, t_refresh) {
             // The refresh span splits into halo dilation (accumulated at
-            // the dilation sites) and the masked row-subset forward.
+            // each aggregation) and the row-subset forward.
             let total_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let dilate_us = dilate_t.us();
+            let dilate_us = dilate.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
             o.dilate.observe(dilate_us);
             o.forward.observe(total_us.saturating_sub(dilate_us));
             if let SpliceOutcome::Spliced { gcell_rows, gnet_rows } = outcome {
@@ -876,10 +459,10 @@ impl IncrementalForward {
                 o.halo_gnets.observe(gnet_rows as u64);
             }
         }
-        st.set_fingerprints(ops_fp, features_fp);
+        c.fingerprints = (ops_fp, features_fp);
         let t_splice = self.obs.as_ref().and_then(|o| o.splice.start());
-        let pred = st.cached_prediction();
-        *act = Some(st);
+        let pred = program.state_prediction(&c.state);
+        *act = Some(c);
         drop(act);
         if let Some(o) = &self.obs {
             o.splice.stop_us(t_splice);
@@ -937,23 +520,11 @@ impl IncrementalForward {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AblationSpec, LhnnConfig};
-    use lh_graph::{LhGraph, LhGraphConfig};
-    use vlsi_netlist::synth::{generate, SynthConfig};
-    use vlsi_place::GlobalPlacer;
+    use crate::config::LhnnConfig;
+    use crate::model::Lhnn;
 
     fn sample() -> (GraphOps, FeatureSet) {
-        let cfg = SynthConfig { n_cells: 150, grid_nx: 8, grid_ny: 8, ..SynthConfig::default() };
-        let synth = generate(&cfg).unwrap();
-        let grid = cfg.grid();
-        let placed = GlobalPlacer::default().place_synth(&synth, &grid).unwrap();
-        let graph =
-            LhGraph::build(&synth.circuit, &placed.placement, &grid, &LhGraphConfig::default())
-                .unwrap();
-        let feats = lh_graph::FeatureSet::build(&graph, &synth.circuit, &placed.placement, &grid)
-            .unwrap()
-            .normalized();
-        (GraphOps::from_graph(&graph, &AblationSpec::full()), feats)
+        crate::program::test_design(150, 8)
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! [`lh_graph`] formulation:
 //!
 //! * [`Lhnn`] — FeatureGen + stacked HyperMP + LatticeMP blocks with joint
-//!   congestion-classification and demand-regression heads,
+//!   congestion-classification and demand-regression heads, declared once
+//!   as a block [`Program`] that the taped, stateless and spliced
+//!   forwards all interpret,
 //! * [`loss`] — the joint objective of Eq. 3–5 with the γ label-balance
 //!   weighting,
 //! * [`train`] / [`evaluate`] — the paper's training protocol and
@@ -30,19 +32,20 @@ pub mod loss;
 pub mod model;
 pub mod ops;
 pub mod pipeline;
+pub mod program;
 pub mod serialize;
 pub mod trainer;
 
 pub use config::{AblationSpec, LhnnConfig, TrainConfig};
-pub use congestion::{CongestionModel, ModelScratch, ScratchSet};
-pub use hybrid::{HybridNet, HybridNetConfig, HybridScratch};
+pub use congestion::{CongestionModel, ScratchSet};
+pub use hybrid::{HybridNet, HybridNetConfig};
 pub use incremental::{
-    ActivationCache, ForwardDirty, IncrementalForward, IncrementalStats, InvalidationCause,
-    SpliceOutcome,
+    ForwardDirty, IncrementalForward, IncrementalStats, InvalidationCause, SpliceOutcome,
 };
-pub use model::{InferenceScratch, Lhnn, LhnnOutput, Prediction};
+pub use model::{Lhnn, LhnnOutput, Prediction};
 pub use ops::GraphOps;
 pub use pipeline::{LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause, StalePipeline};
+pub use program::{ModelScratch, Program};
 pub use serialize::{load_model, ModelIoError};
 pub use trainer::{
     evaluate, evaluate_regression, predict_map, train, train_observed, DesignEval, EvalResult,

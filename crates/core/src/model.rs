@@ -17,189 +17,16 @@
 //! more LatticeMP blocks and ends in two heads: congestion classification
 //! (logits; trained with the γ-weighted BCE of Eq. 5) and routing-demand
 //! regression (Eq. 4).
+//!
+//! [`Lhnn::new`] declares that stack once, as a block [`Program`]; the
+//! taped training forward, the stateless predict and the incremental
+//! splice all interpret it.
 
-use lh_graph::FeatureSet;
-use neurograd::{Activation, Linear, Matrix, ParamStore, ResBlock, Tape, Var};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use neurograd::{Activation, Matrix, ParamStore, Var};
 
 use crate::config::LhnnConfig;
-use crate::congestion::{CongestionModel, ModelScratch};
-use crate::incremental::{ActivationCache, ActivationState};
-use crate::ops::GraphOps;
-
-/// FeatureGen block (Eq. 1–2).
-#[derive(Debug, Clone)]
-pub(crate) struct FeatureGenBlock {
-    pub(crate) f_c: ResBlock,
-    pub(crate) f_n: ResBlock,
-    pub(crate) phi_c: Linear,
-    pub(crate) phi_n: Linear,
-}
-
-impl FeatureGenBlock {
-    fn new(store: &mut ParamStore, cfg: &LhnnConfig, rng: &mut StdRng) -> Self {
-        let h = cfg.hidden;
-        Self {
-            f_c: ResBlock::new(
-                store,
-                "featuregen.f_c",
-                cfg.gcell_in_dim,
-                h,
-                h,
-                Activation::Relu,
-                rng,
-            ),
-            f_n: ResBlock::new(
-                store,
-                "featuregen.f_n",
-                cfg.gnet_in_dim,
-                h,
-                h,
-                Activation::Relu,
-                rng,
-            ),
-            phi_c: Linear::new(store, "featuregen.phi_c", 2 * h, h, Activation::Relu, rng),
-            phi_n: Linear::new(store, "featuregen.phi_n", h, h, Activation::Relu, rng),
-        }
-    }
-
-    /// Returns `(V_c¹, V_n¹)`.
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        ops: &GraphOps,
-        v_c0: Var,
-        v_n0: Var,
-    ) -> (Var, Var) {
-        let fc = self.f_c.forward(tape, store, v_c0);
-        let fn_ = self.f_n.forward(tape, store, v_n0);
-        // Eq. 1: V_c1 = φ_c( f_c(V_c0) ∥ G_nc f_n(V_n0) ), G_nc = H (sum)
-        let agg = tape.spmm(std::sync::Arc::clone(&ops.gnc_sum), fn_);
-        let cat = tape.concat_cols(fc, agg);
-        let v_c1 = self.phi_c.forward(tape, store, cat);
-        // Eq. 2: V_n1 = φ_n( f_n(V_n0) )
-        let v_n1 = self.phi_n.forward(tape, store, fn_);
-        (v_c1, v_n1)
-    }
-}
-
-/// HyperMP block: one G-cell → G-net and one G-net → G-cell half-step.
-#[derive(Debug, Clone)]
-pub(crate) struct HyperMpBlock {
-    pub(crate) res_c_in: ResBlock,
-    pub(crate) res_n_prev: ResBlock,
-    pub(crate) fuse_n: Linear,
-    pub(crate) res_n_in: ResBlock,
-    pub(crate) res_c_prev: ResBlock,
-    pub(crate) fuse_c: Linear,
-}
-
-impl HyperMpBlock {
-    fn new(store: &mut ParamStore, name: &str, hidden: usize, rng: &mut StdRng) -> Self {
-        let h = hidden;
-        Self {
-            res_c_in: ResBlock::new(
-                store,
-                &format!("{name}.res_c_in"),
-                h,
-                h,
-                h,
-                Activation::Relu,
-                rng,
-            ),
-            res_n_prev: ResBlock::new(
-                store,
-                &format!("{name}.res_n_prev"),
-                h,
-                h,
-                h,
-                Activation::Relu,
-                rng,
-            ),
-            fuse_n: Linear::new(store, &format!("{name}.fuse_n"), 2 * h, h, Activation::Relu, rng),
-            res_n_in: ResBlock::new(
-                store,
-                &format!("{name}.res_n_in"),
-                h,
-                h,
-                h,
-                Activation::Relu,
-                rng,
-            ),
-            res_c_prev: ResBlock::new(
-                store,
-                &format!("{name}.res_c_prev"),
-                h,
-                h,
-                h,
-                Activation::Relu,
-                rng,
-            ),
-            fuse_c: Linear::new(store, &format!("{name}.fuse_c"), 2 * h, h, Activation::Relu, rng),
-        }
-    }
-
-    /// Returns `(V_c^L, V_n^L)` from `(V_c^{L-1}, V_n^{L-1}, V_c¹, V_n¹)`.
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        ops: &GraphOps,
-        v_c: Var,
-        v_n: Var,
-        v_c1: Var,
-        v_n1: Var,
-    ) -> (Var, Var) {
-        // --- G-cell to G-net ---
-        let hc = self.res_c_in.forward(tape, store, v_c);
-        let msg_n = tape.spmm(std::sync::Arc::clone(&ops.gcn_mean), hc); // B⁻¹Hᵀ
-        let cat_n = tape.concat_cols(msg_n, v_n1);
-        let fused_n = self.fuse_n.forward(tape, store, cat_n);
-        let prev_n = self.res_n_prev.forward(tape, store, v_n);
-        let v_n_next = tape.add(fused_n, prev_n);
-        // --- G-net to G-cell (symmetric, using the updated G-net state) ---
-        let hn = self.res_n_in.forward(tape, store, v_n_next);
-        let msg_c = tape.spmm(std::sync::Arc::clone(&ops.gnc_mean), hn); // D⁻¹H
-        let cat_c = tape.concat_cols(msg_c, v_c1);
-        let fused_c = self.fuse_c.forward(tape, store, cat_c);
-        let prev_c = self.res_c_prev.forward(tape, store, v_c);
-        let v_c_next = tape.add(fused_c, prev_c);
-        (v_c_next, v_n_next)
-    }
-}
-
-/// LatticeMP block: lattice mean aggregation with a skip connection.
-#[derive(Debug, Clone)]
-pub(crate) struct LatticeMpBlock {
-    pub(crate) res: ResBlock,
-    pub(crate) lin: Linear,
-}
-
-impl LatticeMpBlock {
-    fn new(store: &mut ParamStore, name: &str, hidden: usize, rng: &mut StdRng) -> Self {
-        Self {
-            res: ResBlock::new(
-                store,
-                &format!("{name}.res"),
-                hidden,
-                hidden,
-                hidden,
-                Activation::Relu,
-                rng,
-            ),
-            lin: Linear::new(store, &format!("{name}.lin"), hidden, hidden, Activation::Relu, rng),
-        }
-    }
-
-    fn forward(&self, tape: &mut Tape, store: &ParamStore, ops: &GraphOps, v_c: Var) -> Var {
-        let h = self.res.forward(tape, store, v_c);
-        let msg = tape.spmm(std::sync::Arc::clone(&ops.lattice_mean), h); // P⁻¹A
-        let out = self.lin.forward(tape, store, msg);
-        tape.add(out, v_c) // skip connection
-    }
-}
+use crate::congestion::CongestionModel;
+use crate::program::{Agg, Layers, Program};
 
 /// Model outputs for one graph.
 #[derive(Debug, Clone)]
@@ -220,180 +47,81 @@ pub struct Prediction {
     pub reg: Matrix,
 }
 
-/// Persistent full-size intermediate buffers for the fused (tape-free)
-/// inference path, sized to one `(n_c, n_n, hidden, channels)` shape.
-///
-/// The fused forward ping-pongs through these instead of allocating tape
-/// nodes: every matrix is wholly overwritten by the kernel that produces
-/// it before anything reads it, so stale contents from the previous
-/// request are never observable.
-#[derive(Debug)]
-struct InferenceBuffers {
-    n_c: usize,
-    n_n: usize,
-    hidden: usize,
-    channels: usize,
-    // FeatureGen outputs (live across the whole forward).
-    fc: Matrix,
-    fn_: Matrix,
-    v_c1: Matrix,
-    v_n1: Matrix,
-    // G-cell-side ping-pong.
-    v_c: Matrix,
-    tmp_c: Matrix,
-    msg_c: Matrix,
-    prev_c: Matrix,
-    cat_c: Matrix,
-    sc_c: Matrix,
-    sy_c: Matrix,
-    // G-net-side ping-pong.
-    v_n: Matrix,
-    tmp_n: Matrix,
-    msg_n: Matrix,
-    prev_n: Matrix,
-    cat_n: Matrix,
-    sc_n: Matrix,
-    sy_n: Matrix,
-    // Heads.
-    cls: Matrix,
-    reg: Matrix,
-}
-
-impl InferenceBuffers {
-    fn new(n_c: usize, n_n: usize, hidden: usize, channels: usize) -> Self {
-        let zc = || Matrix::zeros(n_c, hidden);
-        let zn = || Matrix::zeros(n_n, hidden);
-        Self {
-            n_c,
-            n_n,
-            hidden,
-            channels,
-            fc: zc(),
-            fn_: zn(),
-            v_c1: zc(),
-            v_n1: zn(),
-            v_c: zc(),
-            tmp_c: zc(),
-            msg_c: zc(),
-            prev_c: zc(),
-            cat_c: Matrix::zeros(n_c, 2 * hidden),
-            sc_c: zc(),
-            sy_c: zc(),
-            v_n: zn(),
-            tmp_n: zn(),
-            msg_n: zn(),
-            prev_n: zn(),
-            cat_n: Matrix::zeros(n_n, 2 * hidden),
-            sc_n: zn(),
-            sy_n: zn(),
-            cls: Matrix::zeros(n_c, channels),
-            reg: Matrix::zeros(n_c, channels),
-        }
-    }
-
-    fn elems(&self) -> usize {
-        let m = |x: &Matrix| x.rows() * x.cols();
-        m(&self.fc)
-            + m(&self.fn_)
-            + m(&self.v_c1)
-            + m(&self.v_n1)
-            + m(&self.v_c)
-            + m(&self.tmp_c)
-            + m(&self.msg_c)
-            + m(&self.prev_c)
-            + m(&self.cat_c)
-            + m(&self.sc_c)
-            + m(&self.sy_c)
-            + m(&self.v_n)
-            + m(&self.tmp_n)
-            + m(&self.msg_n)
-            + m(&self.prev_n)
-            + m(&self.cat_n)
-            + m(&self.sc_n)
-            + m(&self.sy_n)
-            + m(&self.cls)
-            + m(&self.reg)
-    }
-}
-
-/// Reusable per-thread scratch state for tape-free inference.
-///
-/// [`Lhnn::predict_into`] runs the fused forward through this scratch's
-/// persistent intermediate buffers, so a long-lived worker thread serves
-/// steady-state requests with **zero** heap allocation (buffers are
-/// rebuilt only when the request shape or model dimensions change). One
-/// scratch belongs to one thread at a time; it is `Send`, so a pool can
-/// move it between workers.
-#[derive(Debug, Default)]
-pub struct InferenceScratch {
-    buffers: Option<InferenceBuffers>,
-}
-
-impl InferenceScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total `f32` elements held by the persistent inference buffers
-    /// (0 before the first forward; capacity diagnostics).
-    pub fn buffer_elems(&self) -> usize {
-        self.buffers.as_ref().map_or(0, InferenceBuffers::elems)
-    }
-
-    /// Returns buffers matching the given shape, rebuilding on mismatch.
-    fn buffers_for(&mut self, model: &Lhnn, n_c: usize, n_n: usize) -> &mut InferenceBuffers {
-        let h = model.cfg.hidden;
-        let ch = model.cfg.channel_mode.channels();
-        let ok = self
-            .buffers
-            .as_ref()
-            .is_some_and(|b| b.n_c == n_c && b.n_n == n_n && b.hidden == h && b.channels == ch);
-        if !ok {
-            self.buffers = Some(InferenceBuffers::new(n_c, n_n, h, ch));
-        }
-        self.buffers.as_mut().expect("buffers just ensured")
-    }
-}
-
-/// The LHNN model: parameters plus architecture.
+/// The LHNN model: parameters plus its block program.
 #[derive(Debug)]
 pub struct Lhnn {
     pub(crate) cfg: LhnnConfig,
     pub(crate) store: ParamStore,
-    pub(crate) featuregen: FeatureGenBlock,
-    pub(crate) hypermp: Vec<HyperMpBlock>,
-    pub(crate) lattice_encode: Vec<LatticeMpBlock>,
-    pub(crate) lattice_joint: Vec<LatticeMpBlock>,
-    pub(crate) cls_head: Linear,
-    pub(crate) reg_head: Linear,
+    program: Program,
 }
 
 impl Lhnn {
     /// Creates a model with seeded initialisation.
     pub fn new(cfg: LhnnConfig, seed: u64) -> Self {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let featuregen = FeatureGenBlock::new(&mut store, &cfg, &mut rng);
-        let hypermp = (0..cfg.hypermp_layers)
-            .map(|i| HyperMpBlock::new(&mut store, &format!("hypermp{i}"), cfg.hidden, &mut rng))
-            .collect();
-        let lattice_encode = (0..cfg.latticemp_encode_layers)
-            .map(|i| {
-                LatticeMpBlock::new(&mut store, &format!("lattice_enc{i}"), cfg.hidden, &mut rng)
-            })
-            .collect();
-        let lattice_joint = (0..cfg.latticemp_joint_layers)
-            .map(|i| {
-                LatticeMpBlock::new(&mut store, &format!("lattice_joint{i}"), cfg.hidden, &mut rng)
-            })
-            .collect();
+        let h = cfg.hidden;
+        let relu = Activation::Relu;
+        let mut l = Layers::new(seed, h);
+        let (mut p, x_c, x_n) = Program::new(cfg.gcell_in_dim, cfg.gnet_in_dim);
+
+        // FeatureGen (Eq. 1–2).
+        let f_c = l.res("featuregen.f_c", cfg.gcell_in_dim);
+        let f_n = l.res("featuregen.f_n", cfg.gnet_in_dim);
+        let phi_c = l.lin("featuregen.phi_c", 2 * h, h, relu);
+        let phi_n = l.lin("featuregen.phi_n", h, h, relu);
+        let fc = p.res(f_c, x_c);
+        let fn_ = p.res(f_n, x_n);
+        // V_c1 = φ_c( f_c(V_c0) ∥ G_nc f_n(V_n0) ), G_nc = H (sum)
+        let agg = p.spmm(Agg::GncSum, fn_);
+        let cat = p.concat(fc, agg);
+        let v_c1 = p.linear(phi_c, cat);
+        // V_n1 = φ_n( f_n(V_n0) )
+        let v_n1 = p.linear(phi_n, fn_);
+
+        // HyperMP: one G-cell → G-net and one G-net → G-cell half-step,
+        // each fused with the FeatureGen embeddings.
+        let (mut v_c, mut v_n) = (v_c1, v_n1);
+        for i in 0..cfg.hypermp_layers {
+            let name = |part: &str| format!("hypermp{i}.{part}");
+            let res_c_in = l.res(&name("res_c_in"), h);
+            let res_n_prev = l.res(&name("res_n_prev"), h);
+            let fuse_n = l.lin(&name("fuse_n"), 2 * h, h, relu);
+            let res_n_in = l.res(&name("res_n_in"), h);
+            let res_c_prev = l.res(&name("res_c_prev"), h);
+            let fuse_c = l.lin(&name("fuse_c"), 2 * h, h, relu);
+            let hc = p.res(res_c_in, v_c);
+            let msg_n = p.spmm(Agg::GcnMean, hc); // B⁻¹Hᵀ
+            let cat_n = p.concat(msg_n, v_n1);
+            let fused_n = p.linear(fuse_n, cat_n);
+            let prev_n = p.res(res_n_prev, v_n);
+            v_n = p.add(fused_n, prev_n);
+            // Symmetric, using the updated G-net state.
+            let hn = p.res(res_n_in, v_n);
+            let msg_c = p.spmm(Agg::GncMean, hn); // D⁻¹H
+            let cat_c = p.concat(msg_c, v_c1);
+            let fused_c = p.linear(fuse_c, cat_c);
+            let prev_c = p.res(res_c_prev, v_c);
+            v_c = p.add(fused_c, prev_c);
+        }
+
+        // LatticeMP (encode, then joint): lattice mean aggregation with a
+        // skip connection.
+        let lattice = (0..cfg.latticemp_encode_layers)
+            .map(|i| format!("lattice_enc{i}"))
+            .chain((0..cfg.latticemp_joint_layers).map(|i| format!("lattice_joint{i}")));
+        for name in lattice {
+            let res = l.res(&format!("{name}.res"), h);
+            let lin = l.lin(&format!("{name}.lin"), h, h, relu);
+            let hh = p.res(res, v_c);
+            let msg = p.spmm(Agg::LatticeMean, hh); // P⁻¹A
+            let out = p.linear(lin, msg);
+            v_c = p.add(out, v_c);
+        }
+
+        // Heads: congestion logits and demand regression.
         let out = cfg.channel_mode.channels();
-        let cls_head =
-            Linear::new(&mut store, "head.cls", cfg.hidden, out, Activation::Identity, &mut rng);
-        let reg_head =
-            Linear::new(&mut store, "head.reg", cfg.hidden, out, Activation::Identity, &mut rng);
-        Self { cfg, store, featuregen, hypermp, lattice_encode, lattice_joint, cls_head, reg_head }
+        let cls = p.linear(l.lin("head.cls", h, out, Activation::Identity), v_c);
+        let reg = p.linear(l.lin("head.reg", h, out, Activation::Identity), v_c);
+        Self { cfg, store: l.store, program: p.finish(cls, reg) }
     }
 
     /// The model configuration.
@@ -426,132 +154,6 @@ impl Lhnn {
         }
     }
 
-    /// Runs the forward pass on a tape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if feature dimensions disagree with the configuration.
-    pub fn forward(&self, tape: &mut Tape, ops: &GraphOps, features: &FeatureSet) -> LhnnOutput {
-        assert_eq!(features.gcell.cols(), self.cfg.gcell_in_dim, "g-cell feature dim mismatch");
-        assert_eq!(features.gnet.cols(), self.cfg.gnet_in_dim, "g-net feature dim mismatch");
-        let v_c0 = tape.leaf(features.gcell.clone());
-        let v_n0 = tape.leaf(features.gnet.clone());
-
-        // Encoding phase.
-        let (v_c1, v_n1) = self.featuregen.forward(tape, &self.store, ops, v_c0, v_n0);
-        let (mut v_c, mut v_n) = (v_c1, v_n1);
-        for block in &self.hypermp {
-            let (c, n) = block.forward(tape, &self.store, ops, v_c, v_n, v_c1, v_n1);
-            v_c = c;
-            v_n = n;
-        }
-        for block in &self.lattice_encode {
-            v_c = block.forward(tape, &self.store, ops, v_c);
-        }
-        // Joint learning phase.
-        for block in &self.lattice_joint {
-            v_c = block.forward(tape, &self.store, ops, v_c);
-        }
-        let cls_logits = self.cls_head.forward(tape, &self.store, v_c);
-        let reg = self.reg_head.forward(tape, &self.store, v_c);
-        LhnnOutput { cls_logits, reg }
-    }
-
-    /// Inference: returns dense probability and regression maps.
-    pub fn predict(&self, ops: &GraphOps, features: &FeatureSet) -> Prediction {
-        self.predict_into(ops, features, &mut InferenceScratch::new())
-    }
-
-    /// Inference re-using a caller-owned [`InferenceScratch`]: the fused,
-    /// tape-free forward. This is the hot path of the serving worker pool.
-    ///
-    /// Instead of recording tape nodes, each layer runs one fused
-    /// matmul→bias→activation kernel ([`neurograd::kernels::linear_act_into`])
-    /// into persistent scratch buffers. Bitwise identical to running
-    /// [`Lhnn::forward`] on a tape plus a sigmoid: every fused step
-    /// preserves the per-element operation sequence of its taped
-    /// counterpart (accumulate in `k` order, add bias, apply
-    /// [`Activation::eval`] — the exact float expressions of the tape
-    /// ops), as the `fused_predict_matches_taped_forward` test pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if feature dimensions disagree with the configuration.
-    pub fn predict_into(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut InferenceScratch,
-    ) -> Prediction {
-        use neurograd::kernels;
-
-        assert_eq!(features.gcell.cols(), self.cfg.gcell_in_dim, "g-cell feature dim mismatch");
-        assert_eq!(features.gnet.cols(), self.cfg.gnet_in_dim, "g-net feature dim mismatch");
-        let n_c = features.gcell.rows();
-        let n_n = features.gnet.rows();
-        let store = &self.store;
-        let b = scratch.buffers_for(self, n_c, n_n);
-
-        // --- FeatureGen (Eq. 1–2) ---
-        let fg = &self.featuregen;
-        fg.f_c.forward_into(store, &features.gcell, &mut b.sc_c, &mut b.sy_c, &mut b.fc);
-        fg.f_n.forward_into(store, &features.gnet, &mut b.sc_n, &mut b.sy_n, &mut b.fn_);
-        // V_c1 = φ_c( f_c(V_c0) ∥ G_nc f_n(V_n0) ), G_nc = H (sum)
-        kernels::spmm_into(&ops.gnc_sum, &b.fn_, b.msg_c.as_mut_slice());
-        kernels::concat_into(&b.fc, &b.msg_c, b.cat_c.as_mut_slice());
-        fg.phi_c.forward_into(store, &b.cat_c, &mut b.v_c1);
-        // V_n1 = φ_n( f_n(V_n0) )
-        fg.phi_n.forward_into(store, &b.fn_, &mut b.v_n1);
-
-        b.v_c.as_mut_slice().copy_from_slice(b.v_c1.as_slice());
-        b.v_n.as_mut_slice().copy_from_slice(b.v_n1.as_slice());
-
-        // --- HyperMP ---
-        for block in &self.hypermp {
-            // G-cell to G-net.
-            block.res_c_in.forward_into(store, &b.v_c, &mut b.sc_c, &mut b.sy_c, &mut b.tmp_c);
-            kernels::spmm_into(&ops.gcn_mean, &b.tmp_c, b.msg_n.as_mut_slice()); // B⁻¹Hᵀ
-            kernels::concat_into(&b.msg_n, &b.v_n1, b.cat_n.as_mut_slice());
-            block.fuse_n.forward_into(store, &b.cat_n, &mut b.tmp_n);
-            block.res_n_prev.forward_into(store, &b.v_n, &mut b.sc_n, &mut b.sy_n, &mut b.prev_n);
-            // v_n ← fused_n + prev_n (operand order of `tape.add`).
-            kernels::zip_into(
-                b.tmp_n.as_slice(),
-                b.prev_n.as_slice(),
-                b.v_n.as_mut_slice(),
-                |h, p| h + p,
-            );
-            // G-net to G-cell (symmetric, using the updated G-net state).
-            block.res_n_in.forward_into(store, &b.v_n, &mut b.sc_n, &mut b.sy_n, &mut b.tmp_n);
-            kernels::spmm_into(&ops.gnc_mean, &b.tmp_n, b.msg_c.as_mut_slice()); // D⁻¹H
-            kernels::concat_into(&b.msg_c, &b.v_c1, b.cat_c.as_mut_slice());
-            block.fuse_c.forward_into(store, &b.cat_c, &mut b.tmp_c);
-            block.res_c_prev.forward_into(store, &b.v_c, &mut b.sc_c, &mut b.sy_c, &mut b.prev_c);
-            kernels::zip_into(
-                b.tmp_c.as_slice(),
-                b.prev_c.as_slice(),
-                b.v_c.as_mut_slice(),
-                |h, p| h + p,
-            );
-        }
-
-        // --- LatticeMP (encode then joint) ---
-        for block in self.lattice_encode.iter().chain(&self.lattice_joint) {
-            block.res.forward_into(store, &b.v_c, &mut b.sc_c, &mut b.sy_c, &mut b.tmp_c);
-            kernels::spmm_into(&ops.lattice_mean, &b.tmp_c, b.msg_c.as_mut_slice()); // P⁻¹A
-            block.lin.forward_into(store, &b.msg_c, &mut b.prev_c);
-            // v_c ← lin_out + v_c (skip connection, `tape.add(out, v_c)`).
-            kernels::zip_inplace(b.prev_c.as_slice(), b.v_c.as_mut_slice(), |o, v| o + v);
-        }
-
-        // --- Heads ---
-        self.cls_head.forward_into(store, &b.v_c, &mut b.cls);
-        kernels::map_inplace(b.cls.as_mut_slice(), neurograd::stable_sigmoid);
-        self.reg_head.forward_into(store, &b.v_c, &mut b.reg);
-
-        Prediction { cls_prob: b.cls.clone(), reg: b.reg.clone() }
-    }
-
     /// A content fingerprint over the architecture and every weight tensor.
     ///
     /// Serving registries use this as the model *version*: retraining,
@@ -574,19 +176,9 @@ impl Lhnn {
     }
 }
 
-impl ModelScratch for InferenceScratch {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 impl CongestionModel for Lhnn {
     fn kind(&self) -> &'static str {
         "lhnn"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 
     fn gcell_in_dim(&self) -> usize {
@@ -621,33 +213,8 @@ impl CongestionModel for Lhnn {
         Lhnn::weights_fingerprint(self)
     }
 
-    fn forward(&self, tape: &mut Tape, ops: &GraphOps, features: &FeatureSet) -> LhnnOutput {
-        Lhnn::forward(self, tape, ops, features)
-    }
-
-    fn new_scratch(&self) -> Box<dyn ModelScratch> {
-        Box::new(InferenceScratch::new())
-    }
-
-    fn predict_with(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut dyn ModelScratch,
-    ) -> Prediction {
-        match scratch.as_any_mut().downcast_mut::<InferenceScratch>() {
-            Some(s) => self.predict_into(ops, features, s),
-            None => self.predict_into(ops, features, &mut InferenceScratch::new()),
-        }
-    }
-
-    fn new_activation_cache(
-        &self,
-        weights_version: u64,
-        n_c: usize,
-        n_n: usize,
-    ) -> Box<dyn ActivationCache> {
-        Box::new(ActivationState::new(self, weights_version, n_c, n_n))
+    fn program(&self) -> &Program {
+        &self.program
     }
 
     fn save_to(&self, w: &mut dyn std::io::Write) -> Result<(), crate::serialize::ModelIoError> {
@@ -659,22 +226,15 @@ impl CongestionModel for Lhnn {
 mod tests {
     use super::*;
     use crate::config::AblationSpec;
-    use lh_graph::{ChannelMode, LhGraph, LhGraphConfig};
+    use crate::ops::GraphOps;
+    use crate::program::ModelScratch;
+    use lh_graph::{ChannelMode, FeatureSet, LhGraph, LhGraphConfig};
+    use neurograd::Tape;
     use vlsi_netlist::synth::{generate, SynthConfig};
     use vlsi_place::GlobalPlacer;
 
     fn sample() -> (GraphOps, FeatureSet) {
-        let cfg = SynthConfig { n_cells: 150, grid_nx: 8, grid_ny: 8, ..SynthConfig::default() };
-        let synth = generate(&cfg).unwrap();
-        let grid = cfg.grid();
-        let placed = GlobalPlacer::default().place_synth(&synth, &grid).unwrap();
-        let graph =
-            LhGraph::build(&synth.circuit, &placed.placement, &grid, &LhGraphConfig::default())
-                .unwrap();
-        let feats = FeatureSet::build(&graph, &synth.circuit, &placed.placement, &grid)
-            .unwrap()
-            .normalized();
-        (GraphOps::from_graph(&graph, &AblationSpec::full()), feats)
+        crate::program::test_design(150, 8)
     }
 
     #[test]
@@ -697,13 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn predict_into_reuses_scratch_and_matches_predict() {
+    fn predict_with_reuses_scratch_and_matches_predict() {
         let (ops, feats) = sample();
         let model = Lhnn::new(LhnnConfig::default(), 3);
         let direct = model.predict(&ops, &feats);
-        let mut scratch = InferenceScratch::new();
+        let mut scratch = ModelScratch::new();
         for _ in 0..3 {
-            let again = model.predict_into(&ops, &feats, &mut scratch);
+            let again = model.predict_with(&ops, &feats, &mut scratch);
             // bitwise equality — tolerance 0.0
             assert!(direct.cls_prob.approx_eq(&again.cls_prob, 0.0));
             assert!(direct.reg.approx_eq(&again.reg, 0.0));

@@ -183,6 +183,9 @@ fn load_params(
             data_line.split_whitespace().map(str::parse::<f32>).collect();
         let values =
             values.map_err(|e| ModelIoError::Format(format!("bad value in `{name}`: {e}")))?;
+        if values.iter().any(|v| !v.is_finite()) {
+            return Err(ModelIoError::Format(format!("non-finite value in `{name}`")));
+        }
         let matrix = Matrix::from_vec(rows, cols, values)
             .map_err(|_| ModelIoError::Format(format!("value count mismatch for `{name}`")))?;
         let id = store.id_at(i);
@@ -453,6 +456,17 @@ mod tests {
         );
         let err = Lhnn::load(tampered.as_bytes()).unwrap_err();
         assert!(matches!(err, ModelIoError::Mismatch(_) | ModelIoError::Format(_)));
+        // a shape whose element count overflows, over an empty payload
+        let header = "param featuregen.f_c.lin1.weight 4 32\n";
+        let start = text.find(header).unwrap() + header.len();
+        let end = text[start..].find('\n').unwrap() + start;
+        let overflow = format!(
+            "{}param featuregen.f_c.lin1.weight 4294967296 4294967296\n{}",
+            &text[..start - header.len()],
+            &text[end..]
+        );
+        let err = Lhnn::load(overflow.as_bytes()).unwrap_err();
+        assert!(matches!(err, ModelIoError::Format(_)), "got {err}");
     }
 
     #[test]
@@ -544,12 +558,15 @@ mod tests {
         let line_start = text.find("param featuregen.f_c.lin1.weight").unwrap();
         let data_start = text[line_start..].find('\n').unwrap() + line_start + 1;
         let data_end = text[data_start..].find(' ').unwrap() + data_start;
-        let mut bad = String::new();
-        bad.push_str(&text[..data_start]);
-        bad.push_str("not_a_float");
-        bad.push_str(&text[data_end..]);
-        let err = Lhnn::load(bad.as_bytes()).unwrap_err();
-        assert!(matches!(err, ModelIoError::Format(_)), "got {err}");
+        // a non-number, and the non-finite values `f32::from_str` accepts
+        for value in ["not_a_float", "NaN", "inf", "-inf"] {
+            let mut bad = String::new();
+            bad.push_str(&text[..data_start]);
+            bad.push_str(value);
+            bad.push_str(&text[data_end..]);
+            let err = Lhnn::load(bad.as_bytes()).unwrap_err();
+            assert!(matches!(err, ModelIoError::Format(_)), "`{value}` gave {err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use lh_graph::{FeatureSet, LhGraph, LhGraphConfig};
-use lhnn::{AblationSpec, GraphOps, LatticePipeline, Lhnn, LhnnConfig};
+use lhnn::{AblationSpec, CongestionModel, GraphOps, LatticePipeline, Lhnn, LhnnConfig};
 use neurograd::pool;
 use proptest::prelude::*;
 use vlsi_netlist::synth::{generate, SynthConfig};

@@ -237,7 +237,9 @@ pub fn read_nets<R: Read>(r: R, cells: &[Cell]) -> Result<Vec<Net>> {
                 tok[0].parse().map_err(|_| lines.err(ln, format!("bad degree `{}`", tok[0])))?;
             let name =
                 tok.get(1).map_or_else(|| format!("net{}", nets.len()), |s| (*s).to_string());
-            pending = Some((Net::new(name, Vec::with_capacity(degree)), degree));
+            // The degree is the file's claim, checked against the pins
+            // that follow; it never sizes an allocation.
+            pending = Some((Net::new(name, Vec::new()), degree));
             continue;
         }
         // pin line: `cellname D : xoff yoff` (offsets optional)
@@ -501,6 +503,14 @@ mod tests {
         let cells = vec![Cell::movable("a", 1.0, 1.0), Cell::movable("b", 1.0, 1.0)];
         let text = "NetDegree : 3 n0\n a I : 0 0\n b I : 0 0\n";
         assert!(read_nets(text.as_bytes(), &cells).is_err());
+    }
+
+    #[test]
+    fn read_nets_rejects_a_huge_declared_degree_without_aborting() {
+        let cells = vec![Cell::movable("a", 1.0, 1.0)];
+        let text = "NetDegree : 999999999999999 n0\n a I : 0 0\n";
+        let err = read_nets(text.as_bytes(), &cells).unwrap_err();
+        assert!(matches!(err, NetlistError::Parse { .. }), "got {err}");
     }
 
     #[test]

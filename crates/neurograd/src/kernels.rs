@@ -205,25 +205,6 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     });
 }
 
-/// Column concatenation `out[r] = [a[r] | b[r]]` over all rows — the
-/// whole-matrix form of [`concat_rows_into`]. Rows of `out` are
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if row counts differ or `out` is missized.
-pub fn concat_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
-    assert_eq!(a.rows(), b.rows(), "concat row mismatch");
-    let (an, bn) = (a.cols(), b.cols());
-    let n = an + bn;
-    assert_eq!(out.len(), a.rows() * n, "concat output buffer mismatch");
-    let (a_data, b_data) = (a.as_slice(), b.as_slice());
-    for_each_row(out, a.rows(), n, n.max(1), |r, out_row| {
-        out_row[..an].copy_from_slice(&a_data[r * an..(r + 1) * an]);
-        out_row[an..].copy_from_slice(&b_data[r * bn..(r + 1) * bn]);
-    });
-}
-
 // ---- sparse kernels ----
 
 /// `out = s · x`, partitioned over the sparse rows. Rows of `out` are
@@ -256,13 +237,37 @@ pub fn spmm_into(s: &CsrMatrix, x: &Matrix, out: &mut [f32]) {
 
 // ---- row-subset kernels ----
 //
-// Masked variants of the dense/sparse kernels above: they recompute only a
-// caller-supplied list of output rows and leave every other row of `out`
-// untouched. Because every kernel in this module partitions *output rows*
-// and computes each row as an independent, fixed sequence of operations,
-// recomputing a row subset with the same per-row loop is bitwise identical
-// to the corresponding rows of the full kernel — the foundation of the
-// bounded-radius incremental forward in `lhnn`.
+// Each `*_rows_into` kernel recomputes the output rows named by a [`Rows`]
+// and leaves every other row of `out` untouched. Because every kernel in
+// this module partitions *output rows* and computes each row as an
+// independent, fixed sequence of operations, a listed row comes out
+// bitwise identical to the same row of the all-rows run — the foundation
+// of the bounded-radius incremental forward in `lhnn`.
+
+/// The output rows a row-subset kernel computes.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// Every row, chunked contiguously over the pool.
+    All,
+    /// The listed rows only; the list must be sorted and duplicate-free.
+    List(&'a [usize]),
+}
+
+/// Runs `per_row(r, out_row)` for every selected row of the `n_rows`-row
+/// buffer `out`, chunked over the pool.
+fn for_rows(
+    out: &mut [f32],
+    rows: Rows<'_>,
+    n_rows: usize,
+    row_len: usize,
+    cost_per_row: usize,
+    per_row: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    match rows {
+        Rows::All => for_each_row(out, n_rows, row_len, cost_per_row, per_row),
+        Rows::List(list) => for_each_listed_row(out, list, row_len, cost_per_row, per_row),
+    }
+}
 
 /// Runs `per_row(r, out_row)` for every row index in `rows`, chunked over
 /// the pool. `rows` must be sorted and duplicate-free so the listed rows
@@ -308,31 +313,31 @@ fn for_each_listed_row(
     });
 }
 
-/// `out[r] = (a · b)[r]` for every listed row; other rows are untouched.
-/// Listed rows are zeroed before accumulation, so `out` may hold stale
-/// data. `rows` must be sorted and duplicate-free.
+/// `out[r] = (a · b)[r]` for every selected row; other rows are
+/// untouched. Selected rows are zeroed before accumulation, so `out` may
+/// hold stale data.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols != b.rows`, `out` is missized, or a row index is out
 /// of bounds.
-pub fn matmul_rows_into(a: &Matrix, b: &Matrix, rows: &[usize], out: &mut [f32]) {
+pub fn matmul_rows_into(a: &Matrix, b: &Matrix, rows: Rows<'_>, out: &mut [f32]) {
     let (m, k) = a.shape();
     let n = b.cols();
     assert_eq!(k, b.rows(), "matmul shape mismatch: {}x{} * {}x{}", m, k, b.rows(), b.cols());
     assert_eq!(out.len(), m * n, "matmul output buffer mismatch");
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
     let eng = simd::active();
-    for_each_listed_row(out, rows, n, k * n, |i, out_row| {
+    for_rows(out, rows, m, n, k * n, |i, out_row| {
         eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], b_data);
     });
 }
 
-/// `out[r] = act((a · w)[r] + bias)` for every listed row — the fused
-/// row-subset form of `Tape::linear` plus an activation map. Bitwise
-/// identical to matmul → add-bias → map on the same rows because each
-/// element sees the same operation sequence (accumulate in `k` order, add
-/// bias, apply `act`). `rows` must be sorted and duplicate-free.
+/// `out[r] = act((a · w)[r] + bias)` for every selected row — the fused
+/// form of `Tape::linear` plus an activation map, and the workhorse of
+/// the tape-free forwards. Bitwise identical to matmul → add-bias → map
+/// because each element sees the same operation sequence (accumulate in
+/// `k` order, add bias, apply `act`).
 ///
 /// # Panics
 ///
@@ -341,7 +346,7 @@ pub fn linear_act_rows_into(
     a: &Matrix,
     w: &Matrix,
     bias: &[f32],
-    rows: &[usize],
+    rows: Rows<'_>,
     out: &mut [f32],
     act: impl Fn(f32) -> f32 + Sync,
 ) {
@@ -352,7 +357,7 @@ pub fn linear_act_rows_into(
     assert_eq!(out.len(), m * n, "linear output buffer mismatch");
     let (a_data, w_data) = (a.as_slice(), w.as_slice());
     let eng = simd::active();
-    for_each_listed_row(out, rows, n, k * n, |i, out_row| {
+    for_rows(out, rows, m, n, k * n, |i, out_row| {
         eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], w_data);
         for (o, &bv) in out_row.iter_mut().zip(bias) {
             *o = act(*o + bv);
@@ -360,46 +365,14 @@ pub fn linear_act_rows_into(
     });
 }
 
-/// Fused `out = act(a · w + bias)` over the full matrix — the whole-matrix
-/// form of [`linear_act_rows_into`], and the workhorse of the tape-free
-/// inference path. Bitwise identical to matmul → add-bias → map because
-/// each element sees the same operation sequence (accumulate in `k`
-/// order, add bias, apply `act`). Rows of `out` are overwritten.
-///
-/// # Panics
-///
-/// Panics if shapes mismatch or `out` is missized.
-pub fn linear_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    bias: &[f32],
-    out: &mut [f32],
-    act: impl Fn(f32) -> f32 + Sync,
-) {
-    let (m, k) = a.shape();
-    let n = w.cols();
-    assert_eq!(k, w.rows(), "linear shape mismatch: {}x{} * {}x{}", m, k, w.rows(), w.cols());
-    assert_eq!(bias.len(), n, "linear bias length mismatch");
-    assert_eq!(out.len(), m * n, "linear output buffer mismatch");
-    let (a_data, w_data) = (a.as_slice(), w.as_slice());
-    let eng = simd::active();
-    for_each_row(out, m, n, k * n, |i, out_row| {
-        eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], w_data);
-        for (o, &bv) in out_row.iter_mut().zip(bias) {
-            *o = act(*o + bv);
-        }
-    });
-}
-
-/// `out[r] = (s · x)[r]` for every listed row; other rows are untouched.
-/// Listed rows are zeroed before accumulation. `rows` must be sorted and
-/// duplicate-free.
+/// `out[r] = (s · x)[r]` for every selected row; other rows are
+/// untouched. Selected rows are zeroed before accumulation.
 ///
 /// # Panics
 ///
 /// Panics if `s.cols != x.rows`, `out` is missized, or a row index is out
 /// of bounds.
-pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: &[usize], out: &mut [f32]) {
+pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: Rows<'_>, out: &mut [f32]) {
     let m = s.rows();
     let n = x.cols();
     assert_eq!(
@@ -415,14 +388,14 @@ pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: &[usize], out: &mut [f32]
     let x_data = x.as_slice();
     let cost = (s.nnz() / m.max(1)).max(1) * n;
     let eng = simd::active();
-    for_each_listed_row(out, rows, n, cost, |r, out_row| {
+    for_rows(out, rows, m, n, cost, |r, out_row| {
         let (cols, vals) = s.row_slices(r);
         eng.spmm_row(out_row, cols, vals, x_data);
     });
 }
 
-/// `out[r][j] = f(a[r][j], b[r][j])` for every listed row; other rows are
-/// untouched. `rows` must be sorted and duplicate-free.
+/// `out[r][j] = f(a[r][j], b[r][j])` for every selected row of
+/// `row_len`-wide buffers; other rows are untouched.
 ///
 /// # Panics
 ///
@@ -430,14 +403,15 @@ pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: &[usize], out: &mut [f32]
 pub fn zip_rows_into(
     a: &[f32],
     b: &[f32],
-    rows: &[usize],
+    rows: Rows<'_>,
     row_len: usize,
     out: &mut [f32],
     f: impl Fn(f32, f32) -> f32 + Sync,
 ) {
     assert_eq!(a.len(), out.len(), "zip length mismatch");
     assert_eq!(b.len(), out.len(), "zip length mismatch");
-    for_each_listed_row(out, rows, row_len, row_len.max(1), |r, out_row| {
+    let n_rows = out.len() / row_len.max(1);
+    for_rows(out, rows, n_rows, row_len, row_len.max(1), |r, out_row| {
         let start = r * row_len;
         let end = start + row_len;
         for ((o, &x), &y) in out_row.iter_mut().zip(&a[start..end]).zip(&b[start..end]) {
@@ -446,22 +420,23 @@ pub fn zip_rows_into(
     });
 }
 
-/// `out[r][j] = f(a[r][j], out[r][j])` for every listed row — the in-place
-/// variant of [`zip_rows_into`] for when one operand is the destination.
-/// `rows` must be sorted and duplicate-free.
+/// `out[r][j] = f(a[r][j], out[r][j])` for every selected row — the
+/// in-place variant of [`zip_rows_into`] for when one operand is the
+/// destination.
 ///
 /// # Panics
 ///
 /// Panics if lengths mismatch or a row index is out of bounds.
 pub fn zip_rows_inplace(
     a: &[f32],
-    rows: &[usize],
+    rows: Rows<'_>,
     row_len: usize,
     out: &mut [f32],
     f: impl Fn(f32, f32) -> f32 + Sync,
 ) {
     assert_eq!(a.len(), out.len(), "zip length mismatch");
-    for_each_listed_row(out, rows, row_len, row_len.max(1), |r, out_row| {
+    let n_rows = out.len() / row_len.max(1);
+    for_rows(out, rows, n_rows, row_len, row_len.max(1), |r, out_row| {
         let start = r * row_len;
         let end = start + row_len;
         for (o, &x) in out_row.iter_mut().zip(&a[start..end]) {
@@ -470,44 +445,40 @@ pub fn zip_rows_inplace(
     });
 }
 
-/// Row-subset column concatenation: `out[r] = [a[r] | b[r]]` for every
-/// listed row; other rows are untouched. `rows` must be sorted and
-/// duplicate-free.
+/// Column concatenation `out[r] = [a[r] | b[r]]` for every selected row;
+/// other rows are untouched.
 ///
 /// # Panics
 ///
 /// Panics if row counts differ or `out` is missized.
-pub fn concat_rows_into(a: &Matrix, b: &Matrix, rows: &[usize], out: &mut [f32]) {
+pub fn concat_rows_into(a: &Matrix, b: &Matrix, rows: Rows<'_>, out: &mut [f32]) {
     assert_eq!(a.rows(), b.rows(), "concat row mismatch");
     let (an, bn) = (a.cols(), b.cols());
     let n = an + bn;
     assert_eq!(out.len(), a.rows() * n, "concat output buffer mismatch");
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
-    for_each_listed_row(out, rows, n, n.max(1), |r, out_row| {
+    for_rows(out, rows, a.rows(), n, n.max(1), |r, out_row| {
         out_row[..an].copy_from_slice(&a_data[r * an..(r + 1) * an]);
         out_row[an..].copy_from_slice(&b_data[r * bn..(r + 1) * bn]);
     });
 }
 
-/// `out[r][j] = f(src[r][j])` for every listed row; other rows are
-/// untouched. `rows` must be sorted and duplicate-free.
+/// `data[r][j] = f(data[r][j])` in place for every selected row of a
+/// `row_len`-wide buffer; other rows are untouched.
 ///
 /// # Panics
 ///
-/// Panics if lengths mismatch or a row index is out of bounds.
-pub fn map_rows_into(
-    src: &[f32],
-    rows: &[usize],
+/// Panics if a row index is out of bounds.
+pub fn map_rows_inplace(
+    data: &mut [f32],
+    rows: Rows<'_>,
     row_len: usize,
-    out: &mut [f32],
     f: impl Fn(f32) -> f32 + Sync,
 ) {
-    assert_eq!(src.len(), out.len(), "map length mismatch");
-    for_each_listed_row(out, rows, row_len, row_len.max(1), |r, out_row| {
-        let start = r * row_len;
-        let end = start + row_len;
-        for (o, &s) in out_row.iter_mut().zip(&src[start..end]) {
-            *o = f(s);
+    let n_rows = data.len() / row_len.max(1);
+    for_rows(data, rows, n_rows, row_len, row_len.max(1), |_, row| {
+        for v in row {
+            *v = f(*v);
         }
     });
 }
@@ -542,20 +513,6 @@ pub fn zip_into(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f
         let end = start + chunk.len();
         for ((o, &x), &y) in chunk.iter_mut().zip(&a[start..end]).zip(&b[start..end]) {
             *o = f(x, y);
-        }
-    });
-}
-
-/// `out[i] = f(a[i], out[i])` in place, chunk-partitioned — the
-/// whole-buffer form of [`zip_rows_inplace`], for chains where one
-/// operand is also the destination (residual skips in the fused
-/// inference path). Lengths must match.
-pub fn zip_inplace(a: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32 + Sync) {
-    assert_eq!(a.len(), out.len(), "zip length mismatch");
-    for_each_range(out, |start, chunk| {
-        let end = start + chunk.len();
-        for (o, &x) in chunk.iter_mut().zip(&a[start..end]) {
-            *o = f(x, *o);
         }
     });
 }

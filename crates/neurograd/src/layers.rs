@@ -8,6 +8,7 @@
 use rand::Rng;
 
 use crate::init::{kaiming_normal, xavier_uniform};
+use crate::kernels::Rows;
 use crate::matrix::Matrix;
 use crate::optim::ParamStore;
 use crate::tape::{ParamId, Tape, Var};
@@ -123,11 +124,11 @@ impl Linear {
         self.activation.apply(tape, y)
     }
 
-    /// Tape-free forward over a sorted, duplicate-free subset of input
-    /// rows: `out[r] = act(x[r] · W + b)` for each listed row, every other
-    /// row of `out` untouched. Bitwise identical to the listed rows of
-    /// [`Linear::forward`] (fused matmul → bias → activation preserves the
-    /// per-element operation sequence).
+    /// Tape-free forward over the selected rows: `out[r] = act(x[r] · W +
+    /// b)` for each, every other row of `out` untouched. Bitwise identical
+    /// to the same rows of [`Linear::forward`] (the fused kernel preserves
+    /// the per-element operation sequence: accumulate in `k` order, add
+    /// bias, apply the activation via [`Activation::eval`]).
     ///
     /// # Panics
     ///
@@ -137,7 +138,7 @@ impl Linear {
         &self,
         store: &ParamStore,
         x: &Matrix,
-        rows: &[usize],
+        rows: Rows<'_>,
         out: &mut Matrix,
     ) {
         assert_eq!(x.cols(), self.in_dim, "linear input dim mismatch");
@@ -148,25 +149,6 @@ impl Linear {
         crate::kernels::linear_act_rows_into(x, w, b, rows, out.as_mut_slice(), move |v| {
             act.eval(v)
         });
-    }
-
-    /// Tape-free fused forward over the whole input: `out = act(x·W + b)`
-    /// in one kernel pass, no tape node, no intermediate buffers. Bitwise
-    /// identical to [`Linear::forward`] (the fused kernel preserves the
-    /// per-element operation sequence: accumulate in `k` order, add bias,
-    /// apply the activation via [`Activation::eval`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not have `in_dim` columns or `out` is not
-    /// `x.rows() × out_dim`.
-    pub fn forward_into(&self, store: &ParamStore, x: &Matrix, out: &mut Matrix) {
-        assert_eq!(x.cols(), self.in_dim, "linear input dim mismatch");
-        assert_eq!(out.shape(), (x.rows(), self.out_dim), "linear output shape mismatch");
-        let w = &store.param(self.weight).value;
-        let b = store.param(self.bias).value.as_slice();
-        let act = self.activation;
-        crate::kernels::linear_act_into(x, w, b, out.as_mut_slice(), move |v| act.eval(v));
     }
 }
 
@@ -275,6 +257,11 @@ impl ResBlock {
         self.lin2.out_dim()
     }
 
+    /// Width of the inner (first-layer) activation.
+    pub fn hidden_dim(&self) -> usize {
+        self.lin1.out_dim()
+    }
+
     /// Runs the block.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         let h = self.lin1.forward(tape, store, x);
@@ -287,13 +274,13 @@ impl ResBlock {
         self.out_activation.apply(tape, y)
     }
 
-    /// Tape-free forward over a sorted, duplicate-free subset of input
-    /// rows; every other row of `out` is untouched. Bitwise identical to
-    /// the listed rows of [`ResBlock::forward`].
+    /// Tape-free forward over the selected rows; every other row of `out`
+    /// is untouched. Bitwise identical to the same rows of
+    /// [`ResBlock::forward`].
     ///
     /// `scratch_h` (`N × hidden`) and `scratch_y` (`N × out_dim`) hold the
-    /// intermediate activations for the listed rows; their other rows are
-    /// never read, so stale contents are fine.
+    /// intermediate activations for the selected rows; their other rows
+    /// are never read, so stale contents are fine.
     ///
     /// # Panics
     ///
@@ -302,13 +289,13 @@ impl ResBlock {
         &self,
         store: &ParamStore,
         x: &Matrix,
-        rows: &[usize],
+        rows: Rows<'_>,
         scratch_h: &mut Matrix,
         scratch_y: &mut Matrix,
         out: &mut Matrix,
     ) {
         let n = self.out_dim();
-        assert_eq!(scratch_h.shape(), (x.rows(), self.lin1.out_dim()), "resblock scratch_h shape");
+        assert_eq!(scratch_h.shape(), (x.rows(), self.hidden_dim()), "resblock scratch_h shape");
         assert_eq!(scratch_y.shape(), (x.rows(), n), "resblock scratch_y shape");
         assert_eq!(out.shape(), (x.rows(), n), "resblock output shape");
         self.lin1.forward_rows_into(store, x, rows, scratch_h);
@@ -334,52 +321,6 @@ impl ResBlock {
                     x.as_slice(),
                     rows,
                     n,
-                    out.as_mut_slice(),
-                    move |h, skip| act.eval(h + skip),
-                );
-            }
-        }
-    }
-
-    /// Tape-free fused forward over the whole input — the whole-matrix
-    /// form of [`ResBlock::forward_rows_into`], bitwise identical to
-    /// [`ResBlock::forward`]. `scratch_h` (`N × hidden`) and `scratch_y`
-    /// (`N × out_dim`) are overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn forward_into(
-        &self,
-        store: &ParamStore,
-        x: &Matrix,
-        scratch_h: &mut Matrix,
-        scratch_y: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        let n = self.out_dim();
-        assert_eq!(scratch_h.shape(), (x.rows(), self.lin1.out_dim()), "resblock scratch_h shape");
-        assert_eq!(scratch_y.shape(), (x.rows(), n), "resblock scratch_y shape");
-        assert_eq!(out.shape(), (x.rows(), n), "resblock output shape");
-        self.lin1.forward_into(store, x, scratch_h);
-        self.lin2.forward_into(store, scratch_h, scratch_y);
-        let act = self.out_activation;
-        match &self.proj {
-            Some(p) => {
-                // `out` holds the projected skip; fold `h + skip` in place
-                // (same operand order as `tape.add(h, skip)`).
-                p.forward_into(store, x, out);
-                crate::kernels::zip_inplace(
-                    scratch_y.as_slice(),
-                    out.as_mut_slice(),
-                    move |h, skip| act.eval(h + skip),
-                );
-            }
-            None => {
-                assert_eq!(x.cols(), n, "identity skip dim mismatch");
-                crate::kernels::zip_into(
-                    scratch_y.as_slice(),
-                    x.as_slice(),
                     out.as_mut_slice(),
                     move |h, skip| act.eval(h + skip),
                 );

@@ -60,7 +60,7 @@ impl Matrix {
     ///
     /// Returns [`NeuroError::ShapeMismatch`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(NeuroError::ShapeMismatch {
                 expected: (rows, cols),
                 got: (data.len(), 1),

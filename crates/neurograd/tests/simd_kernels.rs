@@ -12,7 +12,7 @@
 //! on it; the one toggle test that does flip it is safe regardless,
 //! because all engines are bitwise equal by construction.
 
-use neurograd::kernels::{self, reference};
+use neurograd::kernels::{self, reference, Rows};
 use neurograd::simd::{self, LaneEngine};
 use neurograd::{pool, CsrMatrix, Matrix};
 use proptest::prelude::*;
@@ -122,7 +122,7 @@ proptest! {
         let mut full = vec![0.0f32; m * n];
         kernels::matmul_into(&a, &w, &mut full);
         let mut masked = vec![-7.0f32; m * n];
-        kernels::matmul_rows_into(&a, &w, &rows, &mut masked);
+        kernels::matmul_rows_into(&a, &w, Rows::List(&rows), &mut masked);
         for r in 0..m {
             let (got, want): (&[f32], Vec<f32>) = if rows.contains(&r) {
                 (&masked[r * n..(r + 1) * n], full[r * n..(r + 1) * n].to_vec())
@@ -133,9 +133,10 @@ proptest! {
         }
 
         let mut fused_full = vec![0.0f32; m * n];
-        kernels::linear_act_into(&a, &w, &bias, &mut fused_full, |v| v.max(0.0));
+        kernels::linear_act_rows_into(&a, &w, &bias, Rows::All, &mut fused_full, |v| v.max(0.0));
         let mut fused_rows = vec![0.0f32; m * n];
-        kernels::linear_act_rows_into(&a, &w, &bias, &rows, &mut fused_rows, |v| v.max(0.0));
+        let listed = Rows::List(&rows);
+        kernels::linear_act_rows_into(&a, &w, &bias, listed, &mut fused_rows, |v| v.max(0.0));
         for &r in &rows {
             prop_assert!(bitwise_eq(
                 &fused_rows[r * n..(r + 1) * n],
@@ -181,7 +182,7 @@ proptest! {
         }
         let mut masked = vec![0.0f32; rows * n];
         let listed: Vec<usize> = (0..rows).step_by(2).collect();
-        kernels::spmm_rows_into(&s, &x, &listed, &mut masked);
+        kernels::spmm_rows_into(&s, &x, Rows::List(&listed), &mut masked);
         for &r in &listed {
             prop_assert!(bitwise_eq(&masked[r * n..(r + 1) * n], &want.as_slice()[r * n..(r + 1) * n]));
         }

@@ -261,7 +261,9 @@ struct Shard {
     not_full: Condvar,
     cache: Mutex<PredictionCache>,
     in_flight: Mutex<HashMap<CacheKey, Arc<InFlight>>>,
-    stats: Mutex<StatsInner>,
+    /// Shared with the shard's sessions, which count their own applied
+    /// updates.
+    stats: Arc<Mutex<StatsInner>>,
 }
 
 impl Shard {
@@ -275,7 +277,7 @@ impl Shard {
             // All shards share one logical clock, so ring entries carry
             // engine-wide recency stamps and the aggregate percentile
             // merge can prefer the newest samples across shards.
-            stats: Mutex::new(StatsInner::with_clock(clock)),
+            stats: Arc::new(Mutex::new(StatsInner::with_clock(clock))),
         }
     }
 }
@@ -671,6 +673,17 @@ impl ServeHandle {
         Ok(entry)
     }
 
+    /// The stats of shard `shard_idx` and the engine's session-update
+    /// counter: where a session pinned to that shard counts each update
+    /// it applies.
+    pub(crate) fn session_update_sinks(
+        &self,
+        shard_idx: usize,
+    ) -> (Arc<Mutex<StatsInner>>, lhnn_obs::Counter) {
+        let shard = &self.shared.shards[shard_idx.min(self.shared.shards.len() - 1)];
+        (Arc::clone(&shard.stats), self.shared.obs.session_updates.clone())
+    }
+
     /// Records a session's incremental-forward state so cross-kind
     /// hot-swaps of its model can invalidate it (weakly held — a closed
     /// session just drops off the list).
@@ -889,26 +902,18 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                     // Non-blocking: parking this worker on one session's
                     // state mutex would head-of-line-block every other
                     // design on the shard (inline drains keep liveness).
-                    match core.service_nonblocking() {
-                        Some(applied) => {
-                            if applied > 0 {
-                                lock::recover(&shard.stats).record_session_updates(applied);
-                                shared.obs.session_updates.add(applied as u64);
-                            }
+                    if !core.service_nonblocking() {
+                        // Lock busy with deltas still pending: the holder
+                        // may not re-drain, so keep the nudge alive (we
+                        // just freed this queue slot, so no backpressure
+                        // wait) and let go of the CPU — the holder likely
+                        // needs it to finish.
+                        let mut q = lock::recover(&shard.queue);
+                        if !q.shutdown {
+                            q.jobs.push_back(Job::Session(core));
                         }
-                        None => {
-                            // Lock busy with deltas still pending: the
-                            // holder may not re-drain, so keep the nudge
-                            // alive (we just freed this queue slot, so no
-                            // backpressure wait) and let go of the CPU —
-                            // the holder likely needs it to finish.
-                            let mut q = lock::recover(&shard.queue);
-                            if !q.shutdown {
-                                q.jobs.push_back(Job::Session(core));
-                            }
-                            drop(q);
-                            std::thread::yield_now();
-                        }
+                        drop(q);
+                        std::thread::yield_now();
                     }
                     continue;
                 }

@@ -35,7 +35,7 @@ pub(crate) struct EngineObs {
     pub(crate) batches: Counter,
     /// Cross-design block-diagonal forwards (one dispatch, many requests).
     pub(crate) batched_forwards: Counter,
-    /// Pipelined session updates applied by workers.
+    /// Session updates applied, whichever thread drained them.
     pub(crate) session_updates: Counter,
     /// End-to-end request latency (submission to reply).
     pub(crate) request_us: Histogram,

@@ -55,11 +55,12 @@ use lhnn::{
     AblationSpec, ForwardDirty, GraphOps, IncrementalForward, IncrementalStats, InvalidationCause,
     LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause,
 };
-use lhnn_obs::{FlightEventKind, FlightRecorder, Histogram};
+use lhnn_obs::{Counter, FlightEventKind, FlightRecorder, Histogram};
 use vlsi_netlist::{Circuit, GcellGrid, Placement, PlacementDelta};
 
 use crate::engine::{PredictRequest, ServeHandle, ServeReply};
 use crate::error::{Result, ServeError};
+use crate::stats::StatsInner;
 
 /// Options for [`ServeHandle::open_session`].
 #[derive(Debug, Clone)]
@@ -196,6 +197,10 @@ pub(crate) struct SessionCore {
     /// Per-design trace handles; `None` when the engine runs without
     /// metrics ([`crate::EngineConfig::metrics`] off).
     obs: Option<SessionObs>,
+    /// The pinned shard's stats and the engine's
+    /// `lhnn_session_updates_total`: every applied update counts once,
+    /// whichever thread drains it.
+    update_sinks: (Arc<Mutex<StatsInner>>, Counter),
 }
 
 /// The session's slice of the engine's observability plane: the flight
@@ -232,45 +237,42 @@ impl SessionCore {
         self.state.lock().unwrap_or_else(Self::wedge_on_poison)
     }
 
-    /// Applies every pending delta in submission order; returns how many
-    /// were applied. Blocking — used by the inline drains
-    /// ([`UpdateTicket::wait`]), which guarantee liveness.
-    pub(crate) fn service(&self) -> usize {
-        self.drain_locked(&mut self.lock_state())
+    /// Applies every pending delta in submission order. Blocking — used
+    /// by the inline drains ([`UpdateTicket::wait`]), which guarantee
+    /// liveness.
+    pub(crate) fn service(&self) {
+        self.drain_locked(&mut self.lock_state());
     }
 
     /// The shard-worker variant of [`SessionCore::service`]: never blocks
     /// on the session state — a worker parked on one session's mutex
     /// would head-of-line-block every other job on its shard.
     ///
-    /// Returns `Some(applied)` when the drain ran (possibly applying
-    /// nothing), and `None` when the state lock was busy while deltas are
-    /// still pending — the current holder may have finished its own drain
+    /// Returns `true` when the drain ran (possibly applying nothing), and
+    /// `false` when the state lock was busy while deltas are still
+    /// pending — the current holder may have finished its own drain
     /// before those deltas arrived, so the caller must re-nudge rather
     /// than drop them on the floor (a lost nudge would silently degrade
     /// pipelining to apply-on-next-inline-drain).
-    pub(crate) fn service_nonblocking(&self) -> Option<usize> {
+    pub(crate) fn service_nonblocking(&self) -> bool {
         let mut state = match self.state.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
-                let drained = crate::lock::recover(&self.pending).is_empty();
-                return if drained { Some(0) } else { None };
+                return crate::lock::recover(&self.pending).is_empty();
             }
             Err(std::sync::TryLockError::Poisoned(poison)) => Self::wedge_on_poison(poison),
         };
-        Some(self.drain_locked(&mut state))
+        self.drain_locked(&mut state);
+        true
     }
 
-    fn drain_locked(&self, state: &mut SessionState) -> usize {
-        let mut applied = 0;
+    fn drain_locked(&self, state: &mut SessionState) {
         loop {
             let next = crate::lock::recover(&self.pending).pop_front();
             let Some(PendingUpdate { delta, reply }) = next else { break };
-            applied += 1;
             // A submitter that dropped its ticket is fine.
             let _ = reply.send(self.apply_locked(state, &delta));
         }
-        applied
     }
 
     /// Applies one delta under the state lock, enforcing the wedge/poison
@@ -280,6 +282,8 @@ impl SessionCore {
         state: &mut SessionState,
         delta: &PlacementDelta,
     ) -> Result<PipelineUpdate> {
+        crate::lock::recover(&self.update_sinks.0).record_session_updates(1);
+        self.update_sinks.1.inc();
         if let Some(why) = &state.wedged {
             return Err(ServeError::Poisoned(format!("session wedged: {why}")));
         }
@@ -437,6 +441,7 @@ impl ServeHandle {
             incr: Arc::new(incr),
             design: design_id,
             obs,
+            update_sinks: self.session_update_sinks(shard),
         });
         // Cross-kind hot-swaps must be able to kill this session's
         // activation cache (weakly held; dropping the session unregisters).
@@ -642,7 +647,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, ServeEngine};
     use crate::registry::ModelRegistry;
-    use lhnn::{Lhnn, LhnnConfig};
+    use lhnn::{CongestionModel, Lhnn, LhnnConfig};
     use vlsi_netlist::synth::{generate, SynthConfig};
     use vlsi_netlist::{CellId, Point};
     use vlsi_place::GlobalPlacer;

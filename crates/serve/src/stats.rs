@@ -222,8 +222,7 @@ pub struct ShardStats {
     pub cache_hits: u64,
     /// Forward passes this shard's workers executed.
     pub computed: u64,
-    /// Pipelined session updates this shard's workers applied
-    /// (inline drains on caller threads are not counted here).
+    /// Session updates applied on this shard's sessions, by any thread.
     pub session_updates: u64,
     /// Median latency over this shard's own ring, microseconds.
     pub p50_us: u64,
@@ -257,7 +256,7 @@ pub struct ServeStats {
     pub batched_forwards: u64,
     /// Requests served by those block-diagonal forwards.
     pub batched_forward_jobs: u64,
-    /// Pipelined session updates applied by engine workers.
+    /// Session updates applied, whichever thread drained them.
     pub session_updates: u64,
     /// Median request latency, microseconds (over the engine's last 4096
     /// requests, whatever their shard mix).

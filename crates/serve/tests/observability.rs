@@ -142,6 +142,38 @@ fn snapshot_under_load_never_deadlocks_or_tears() {
 
 /// The rendered exposition carries the canonical series the CI smoke
 /// greps for, and round-trips through the parser.
+/// Every session update counts exactly once, in the engine stats and in
+/// `lhnn_session_updates_total`, whichever path drains it: an inline
+/// `Session::update`, `UpdateTicket::wait`, the drain inside
+/// `Session::predict`, or a shard worker.
+#[test]
+fn every_session_update_counts_once() {
+    let engine =
+        ServeEngine::new(registry(), EngineConfig { workers: 2, shards: 2, ..Default::default() });
+    let handle = engine.handle();
+    let (circuit, placement, grid) = session_design(3);
+    let die = circuit.die;
+    let mut session = handle
+        .open_session(SessionConfig::new("m"), circuit, placement, grid.clone())
+        .expect("open session");
+    let mut issued = 0u64;
+    for step in 0..12u32 {
+        let id = CellId(step);
+        let p = session.with_pipeline(|pl| pl.placement().position(id));
+        let delta =
+            PlacementDelta::single(id, die.clamp(Point::new(p.x + grid.gcell_width(), p.y)));
+        match step % 3 {
+            0 => drop(session.update(&delta).expect("update")),
+            1 => drop(session.submit_update(&delta).wait().expect("wait")),
+            _ => drop(session.submit_update(&delta)),
+        }
+        issued += 1;
+    }
+    session.predict().expect("predict drains the rest");
+    assert_eq!(handle.stats().session_updates, issued);
+    assert_eq!(handle.metrics_snapshot().counter("lhnn_session_updates_total"), issued);
+}
+
 #[test]
 fn exposition_contains_canonical_series() {
     let engine =
