@@ -21,9 +21,8 @@
 //! truly-changed rows yields a state **bitwise identical** to a full
 //! forward — at any thread count (proptest-enforced in
 //! `tests/incremental_forward.rs`). The halo is dilated through each
-//! operator's own cached transpose rather than a structurally "dual"
-//! sibling, because ablated/sampled operator sets replace matrices
-//! asymmetrically.
+//! operator's own sparsity rather than a structurally "dual" sibling,
+//! because ablated/sampled operator sets replace matrices asymmetrically.
 //!
 //! # Invalidation protocol
 //!
@@ -173,7 +172,7 @@ pub struct IncrementalStats {
 /// which keeps the hot path free of even relaxed loads).
 ///
 /// The stage split follows the predict span hierarchy: `dilate` is the
-/// time spent growing dirty sets through operator transposes, `forward`
+/// time spent growing dirty sets through the operators' sparsity, `forward`
 /// the masked row-subset recompute (total refresh minus dilation), and
 /// `splice` the assembly of the served prediction from the cached state.
 struct IncrObs {

@@ -21,11 +21,13 @@
 //! # Splicing
 //!
 //! A splice starts from the dirty G-cell and G-net rows and recomputes each
-//! op at the current rows of its output side. Before each aggregation it
-//! widens the output side's rows by every row the operator reaches from
-//! the input side's rows — `halo::dilate(opᵀ, input rows)`. Rows only ever
-//! grow, so every tensor is recomputed at a superset of the rows whose
-//! value changed, and rows outside the set keep their cached values.
+//! op at the current rows of its output side. Before each aggregation
+//! `S · x` it widens the output side's rows by every row of `S` that
+//! stores a column among the input side's rows — the set
+//! `halo::dilate(Sᵀ, input rows)` names, found in pull form by one scan of
+//! `S`, so a freshly patched operator never builds its transpose. Rows
+//! only ever grow, so every tensor is recomputed at a superset of the rows
+//! whose value changed, and rows outside the set keep their cached values.
 //!
 //! # Bitwise contract
 //!
@@ -39,7 +41,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lh_graph::halo::{dilate, union_sorted};
 use lh_graph::FeatureSet;
 use neurograd::kernels::{self, Rows};
 use neurograd::{
@@ -250,12 +251,28 @@ impl Halo {
     }
 
     /// Widens `agg`'s output side by every row it reaches from the input
-    /// side's rows.
+    /// side's rows, in pull form on the operator `S` itself: an output row
+    /// joins when it is already in the halo or one of its stored columns
+    /// is a marked input row. `Sᵀ` stores the same entries, so this is
+    /// exactly `dilate(Sᵀ, input rows) ∪ output rows`, for one scan of `S`
+    /// and no transpose.
     fn widen(&mut self, agg: Agg, ops: &GraphOps) {
         let t0 = self.dilate.is_some().then(Instant::now);
         let (from, to) = agg.sides();
-        let reached = dilate(agg.matrix(ops).transpose_cached(), self.rows(from));
-        let grown = union_sorted(self.rows(to), &reached);
+        let m = agg.matrix(ops);
+        let mut marked = vec![false; m.cols()];
+        for &r in self.rows(from) {
+            marked[r] = true;
+        }
+        let held = self.rows(to);
+        let mut grown = Vec::with_capacity(m.rows());
+        let mut next = held.iter().peekable();
+        for r in 0..m.rows() {
+            if next.next_if_eq(&&r).is_some() || m.row_slices(r).0.iter().any(|&c| marked[c]) {
+                grown.push(r);
+            }
+        }
+        grown.extend(next);
         match to {
             Side::Cell => self.cells = grown,
             Side::Net => self.nets = grown,
@@ -593,6 +610,7 @@ mod tests {
     use crate::incremental::{ForwardDirty, IncrementalForward, SpliceOutcome};
     use crate::model::Lhnn;
     use crate::CongestionModel;
+    use lh_graph::halo::{dilate, union_sorted};
 
     #[test]
     fn stateless_scratch_packs_buffers_by_liveness() {
@@ -609,6 +627,54 @@ mod tests {
         let state = program.new_state(ops.num_gcells, ops.num_gnets);
         assert!(state.buffers.len() >= program.ops.len());
         assert!(state.buffer_elems() > scratch.buffer_elems());
+    }
+
+    /// Widening a halo reads each operator's own rows: a splice over
+    /// freshly built operators leaves all four transpose caches cold.
+    #[test]
+    fn splice_builds_no_transpose() {
+        use crate::pipeline::{LatticePipeline, PipelineUpdate};
+        use crate::AblationSpec;
+        use vlsi_netlist::synth::{generate, SynthConfig};
+        use vlsi_netlist::{CellId, PlacementDelta, Point};
+
+        let cfg = SynthConfig {
+            seed: 2,
+            n_cells: 150,
+            grid_nx: 10,
+            grid_ny: 10,
+            ..SynthConfig::default()
+        };
+        let synth = generate(&cfg).unwrap();
+        let grid = cfg.grid();
+        let placed = vlsi_place::GlobalPlacer::default().place_synth(&synth, &grid).unwrap();
+        let mut p =
+            LatticePipeline::for_serving(Arc::new(synth.circuit), placed.placement, grid).unwrap();
+        let model = Lhnn::new(LhnnConfig::default(), 0);
+        let version = model.weights_fingerprint();
+        let inc = IncrementalForward::new();
+        inc.predict(&model, version, &p.ops(), &p.features(), inc.seq());
+
+        let id = CellId(0);
+        let pos = p.placement().position(id);
+        let to = p.circuit().die.clamp(Point::new(pos.x + p.grid().gcell_width() * 1.25, pos.y));
+        let PipelineUpdate::Incremental { dirty_nets, dirty_gcells } =
+            p.apply(&PlacementDelta::single(id, to)).unwrap()
+        else {
+            panic!("the move must patch incrementally");
+        };
+        inc.note_incremental(&ForwardDirty::new(dirty_gcells, dirty_nets));
+        let ops = GraphOps::from_graph(p.graph(), &AblationSpec::full());
+        let operators = [&ops.gnc_sum, &ops.gnc_mean, &ops.gcn_mean, &ops.lattice_mean];
+        assert!(operators.iter().all(|m| !m.transpose_cache_warm()));
+        let (spliced, path) = inc.predict(&model, version, &ops, &p.features(), inc.seq());
+        assert!(matches!(path, SpliceOutcome::Spliced { .. }), "{path:?}");
+        for (i, m) in operators.iter().enumerate() {
+            assert!(!m.transpose_cache_warm(), "operator {i} built its transpose");
+        }
+        let full = model.predict(&ops, &p.features());
+        assert!(spliced.cls_prob.approx_eq(&full.cls_prob, 0.0));
+        assert!(spliced.reg.approx_eq(&full.reg, 0.0));
     }
 
     /// The derived halo equals the dilation chain the architecture's

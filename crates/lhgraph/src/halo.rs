@@ -8,13 +8,16 @@
 //! layers). This module provides the primitive set algebra for tracking
 //! that influence exactly:
 //!
-//! * [`dilate`] — one structural hop: the union of column indices of the
-//!   listed rows of a CSR matrix. For an aggregation `y = S·x`, the rows of
-//!   `y` that can read a dirty row of `x` are `{r : row r of S hits a dirty
-//!   column}` — exactly `dilate(Sᵀ, dirty)`. Callers pass the operator's own
-//!   cached transpose (`CsrMatrix::transpose_cached`) rather than a
-//!   structurally dual sibling, because ablated or sampled operator sets
-//!   replace matrices asymmetrically and the siblings stop matching.
+//! * [`dilate`] — one structural hop in push form: the union of column
+//!   indices of the listed rows of a CSR matrix. For an aggregation
+//!   `y = S·x`, the rows of `y` that can read a dirty row of `x` are
+//!   `{r : row r of S hits a dirty column}` — exactly `dilate(Sᵀ, dirty)`
+//!   over the operator's own transpose, never a structurally dual sibling,
+//!   because ablated or sampled operator sets replace matrices
+//!   asymmetrically and the siblings stop matching. The splice in
+//!   `lhnn::program` finds the same set in pull form, scanning the rows of
+//!   `S` against a bitmap of the dirty columns, so it never builds `Sᵀ`;
+//!   `dilate` stays the reference its tests compare against.
 //! * [`union_sorted`] — merge two sorted dirty sets.
 //!
 //! All row lists are sorted and duplicate-free, the form the masked

@@ -178,6 +178,9 @@ pub fn read_nodes<R: Read>(r: R) -> Result<Vec<Cell>> {
             tok[1].parse().map_err(|_| lines.err(ln, format!("bad width `{}`", tok[1])))?;
         let height: f32 =
             tok[2].parse().map_err(|_| lines.err(ln, format!("bad height `{}`", tok[2])))?;
+        if !(width.is_finite() && height.is_finite()) {
+            return Err(lines.err(ln, format!("non-finite size `{} {}`", tok[1], tok[2])));
+        }
         let kind = if tok.get(3).is_some_and(|t| t.starts_with("terminal")) {
             CellKind::Terminal
         } else {
@@ -488,6 +491,15 @@ mod tests {
     fn read_nodes_rejects_wrong_count() {
         let text = "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n a 1 1\n";
         assert!(read_nodes(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn read_nodes_rejects_non_finite_sizes() {
+        for size in ["NaN 1", "1 nan", "inf 1", "1 -inf", "1e39 2"] {
+            let text = format!("UCLA nodes 1.0\n a {size}\n");
+            let err = read_nodes(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, NetlistError::Parse { line: 2, .. }), "{size}: got {err}");
+        }
     }
 
     #[test]

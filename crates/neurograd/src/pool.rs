@@ -5,7 +5,9 @@
 //! deliberately small and predictable:
 //!
 //! * **Persistent workers** — `threads - 1` long-lived worker threads plus
-//!   the calling thread; no per-call spawn cost.
+//!   the calling thread; no per-call spawn cost. A caller runs any of its
+//!   own chunks still queued once its first chunk is done, so it never
+//!   waits on a worker busy with another caller's chunks.
 //! * **Deterministic chunking** — chunk boundaries depend only on the work
 //!   size and the requested chunk count, never on scheduling, and every
 //!   chunk writes a disjoint slice of the output. Results are therefore
@@ -31,7 +33,7 @@ use std::thread::JoinHandle;
 
 thread_local! {
     /// Whether the current thread is executing a pool task (worker threads
-    /// while running a chunk, and callers while running chunk 0).
+    /// while running a chunk, and callers while running their own chunks).
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -85,6 +87,16 @@ struct Inner {
     not_empty: Condvar,
 }
 
+impl Inner {
+    /// Removes the first queued chunk counted by `latch` and returns its
+    /// index, or `None` once workers hold every chunk of that call.
+    fn take_queued(&self, latch: &Arc<Latch>) -> Option<usize> {
+        let mut q = self.queue.lock().expect("pool queue lock");
+        let at = q.0.iter().position(|t| Arc::ptr_eq(&t.latch, latch))?;
+        q.0.remove(at).map(|t| t.index)
+    }
+}
+
 /// A fixed-size pool of compute threads (see the module docs).
 pub struct ThreadPool {
     inner: Arc<Inner>,
@@ -127,8 +139,11 @@ impl ThreadPool {
     /// Runs `f(0), f(1), …, f(chunks - 1)` exactly once each, possibly in
     /// parallel, and returns when all chunks have finished.
     ///
-    /// Chunk 0 always runs on the calling thread. Calls made from inside a
-    /// pool task run every chunk inline (nested parallelism is serialised).
+    /// Chunk 0 always runs on the calling thread, which then also runs
+    /// every chunk of this call that no worker has taken yet, so it never
+    /// waits behind other callers' queued chunks; it blocks only on chunks
+    /// a worker already holds. Calls made from inside a pool task run
+    /// every chunk inline (nested parallelism is serialised).
     ///
     /// # Panics
     ///
@@ -158,6 +173,11 @@ impl ThreadPool {
         self.inner.not_empty.notify_all();
         IN_TASK.with(|t| t.set(true));
         let own = catch_unwind(AssertUnwindSafe(|| f(0)));
+        // Run this call's chunks no worker has taken yet rather than wait
+        // behind other callers' queued chunks for a worker to free up.
+        while let Some(index) = self.inner.take_queued(&latch) {
+            latch.count_down(catch_unwind(AssertUnwindSafe(|| f(index))).is_ok());
+        }
         IN_TASK.with(|t| t.set(false));
         let poisoned = latch.wait();
         assert!(own.is_ok() && !poisoned, "parallel task panicked");
@@ -277,6 +297,8 @@ pub fn current_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn runs_every_chunk_exactly_once() {
@@ -337,6 +359,77 @@ mod tests {
             pool.run(4, &|i| assert!(i == 0, "boom"));
         }));
         assert!(r.is_err());
+        // workers are still alive and serving
+        let sum = AtomicUsize::new(0);
+        pool.run(4, &|i| {
+            sum.fetch_add(i + 1, Ordering::SeqCst);
+        });
+        assert_eq!(sum.load(Ordering::SeqCst), 10);
+    }
+
+    /// Occupies the single worker of `pool` with chunk 1 of a call made on
+    /// another thread. Returns once the worker holds that chunk, with the
+    /// calling thread and the barrier whose third `wait` releases it.
+    fn hold_the_worker(pool: &Arc<ThreadPool>) -> (JoinHandle<()>, Arc<Barrier>) {
+        let release = Arc::new(Barrier::new(3));
+        let (held_tx, held_rx) = mpsc::channel();
+        let (holder, gate) = (Arc::clone(pool), Arc::clone(&release));
+        let caller = std::thread::spawn(move || {
+            holder.run(2, &|i| {
+                // Chunk 0 keeps the caller busy too, so chunk 1 can only
+                // run on the worker.
+                if i == 1 {
+                    held_tx.send(()).unwrap();
+                }
+                gate.wait();
+            });
+        });
+        held_rx.recv().unwrap();
+        (caller, release)
+    }
+
+    #[test]
+    fn caller_runs_its_own_queued_chunks_while_the_worker_is_busy() {
+        let pool = Arc::new(ThreadPool::new(2));
+        let (caller, release) = hold_the_worker(&pool);
+        let (done_tx, done_rx) = mpsc::channel();
+        let other = Arc::clone(&pool);
+        let second = std::thread::spawn(move || {
+            let hits = AtomicUsize::new(0);
+            other.run(2, &|_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+            done_tx.send(hits.load(Ordering::SeqCst)).unwrap();
+        });
+        let hits = done_rx.recv_timeout(Duration::from_secs(20));
+        release.wait();
+        caller.join().unwrap();
+        second.join().unwrap();
+        assert_eq!(hits, Ok(2), "a second caller must not wait on the held worker");
+    }
+
+    #[test]
+    fn panic_in_a_chunk_the_caller_ran_propagates() {
+        let pool = Arc::new(ThreadPool::new(2));
+        let (caller, release) = hold_the_worker(&pool);
+        let (done_tx, done_rx) = mpsc::channel();
+        let other = Arc::clone(&pool);
+        let second = std::thread::spawn(move || {
+            let me = std::thread::current().id();
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                other.run(2, &|i| {
+                    assert_eq!(std::thread::current().id(), me, "chunk {i} left the caller");
+                    assert!(i != 1, "boom");
+                });
+            }));
+            let msg = r.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            done_tx.send(msg).unwrap();
+        });
+        let msg = done_rx.recv_timeout(Duration::from_secs(20));
+        release.wait();
+        caller.join().unwrap();
+        second.join().unwrap();
+        assert_eq!(msg, Ok(Some("parallel task panicked")));
         // workers are still alive and serving
         let sum = AtomicUsize::new(0);
         pool.run(4, &|i| {

@@ -15,7 +15,8 @@ pub enum ServeError {
     /// A name is already registered (use `replace` to hot-swap).
     AlreadyRegistered(String),
     /// A placement-loop session could not build or rebuild its pipeline
-    /// (e.g. every net filtered out at the current placement).
+    /// (e.g. every net filtered out at the current placement), or refused
+    /// a delta naming a cell outside its circuit or a non-finite position.
     Session(String),
     /// State behind a lock was lost to a panic and cannot be re-derived
     /// (e.g. a session pipeline wedged mid-update). Unlike re-derivable

@@ -34,11 +34,14 @@
 //!
 //! A failed structural fallback rebuild poisons the pipeline: the ticket
 //! that triggered it *and every later call* fail until a delta admits a
-//! successful rebuild — exactly the pre-pipelining behaviour. A *panic*
-//! mid-apply (distinct from a clean error) wedges the session
-//! permanently: the placement may have advanced while graph state did
-//! not, so every later call surfaces [`ServeError::Poisoned`]; the
-//! engine itself keeps serving every other session.
+//! successful rebuild — exactly the pre-pipelining behaviour. A delta
+//! naming a cell outside the circuit or a non-finite position never
+//! reaches the pipeline: it fails with [`ServeError::Session`] and changes
+//! nothing. A *panic* mid-apply or while the session state is held
+//! (distinct from a clean error) wedges the session permanently: the
+//! placement may have advanced while graph state did not, so every later
+//! call surfaces [`ServeError::Poisoned`]; the engine itself keeps serving
+//! every other session.
 //!
 //! Because incremental updates are bitwise identical to full rebuilds,
 //! the engine's fingerprint-keyed prediction cache composes
@@ -218,23 +221,36 @@ impl std::fmt::Debug for SessionCore {
 }
 
 impl SessionCore {
+    /// Wedges the session for good: the cached forward dies with it and
+    /// the flight recorder gets the reason.
+    fn wedge(&self, state: &mut SessionState, why: String) {
+        state.snapshot = None;
+        self.incr.note_structural(InvalidationCause::Poisoned);
+        if let Some(o) = &self.obs {
+            o.flight.record(FlightEventKind::Wedged, &self.design, why.clone());
+        }
+        state.wedged = Some(why);
+    }
+
     /// Recovers a session-state guard from mutex poisoning, recording
     /// that coherence is gone: the holder panicked outside
-    /// `drain_locked`'s catch (e.g. mid-snapshot), so unlike the engine's
-    /// re-derivable locks this state cannot be trusted again.
-    fn wedge_on_poison(
-        poison: std::sync::PoisonError<std::sync::MutexGuard<'_, SessionState>>,
-    ) -> std::sync::MutexGuard<'_, SessionState> {
+    /// `drain_locked`'s catch (e.g. in a [`Session::with_pipeline`]
+    /// closure), so unlike the engine's re-derivable locks this state
+    /// cannot be trusted again.
+    fn wedge_on_poison<'a>(
+        &self,
+        poison: std::sync::PoisonError<std::sync::MutexGuard<'a, SessionState>>,
+    ) -> std::sync::MutexGuard<'a, SessionState> {
         let mut guard = poison.into_inner();
         if guard.wedged.is_none() {
-            guard.wedged = Some("a thread panicked while holding the session state".into());
+            self.wedge(&mut guard, "a thread panicked while holding the session state".into());
         }
         guard
     }
 
     /// Locks the session state, converting poison into a wedge.
     fn lock_state(&self) -> std::sync::MutexGuard<'_, SessionState> {
-        self.state.lock().unwrap_or_else(Self::wedge_on_poison)
+        self.state.lock().unwrap_or_else(|poison| self.wedge_on_poison(poison))
     }
 
     /// Applies every pending delta in submission order. Blocking — used
@@ -260,7 +276,7 @@ impl SessionCore {
             Err(std::sync::TryLockError::WouldBlock) => {
                 return crate::lock::recover(&self.pending).is_empty();
             }
-            Err(std::sync::TryLockError::Poisoned(poison)) => Self::wedge_on_poison(poison),
+            Err(std::sync::TryLockError::Poisoned(poison)) => self.wedge_on_poison(poison),
         };
         self.drain_locked(&mut state);
         true
@@ -286,6 +302,9 @@ impl SessionCore {
         self.update_sinks.1.inc();
         if let Some(why) = &state.wedged {
             return Err(ServeError::Poisoned(format!("session wedged: {why}")));
+        }
+        if let Some(why) = reject_reason(delta, state.pipeline.circuit().num_cells()) {
+            return Err(ServeError::Session(format!("delta rejected: {why}")));
         }
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.pipeline.apply(delta)))
         {
@@ -352,16 +371,28 @@ impl SessionCore {
                     .map(ToString::to_string)
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "panic mid-apply".into());
-                state.snapshot = None;
-                state.wedged = Some(why.clone());
-                self.incr.note_structural(InvalidationCause::Poisoned);
-                if let Some(o) = &self.obs {
-                    o.flight.record(FlightEventKind::Wedged, &self.design, why.clone());
-                }
-                Err(ServeError::Poisoned(format!("session wedged: {why}")))
+                let err = ServeError::Poisoned(format!("session wedged: {why}"));
+                self.wedge(state, why);
+                Err(err)
             }
         }
     }
+}
+
+/// Why `delta` cannot apply to a circuit of `num_cells` cells — a move
+/// names a cell outside it or a non-finite position — or `None` if it can.
+/// Checked before the pipeline runs, so such a delta never wedges the
+/// session.
+fn reject_reason(delta: &PlacementDelta, num_cells: usize) -> Option<String> {
+    delta.moves().iter().find_map(|&(cell, to)| {
+        if cell.index() >= num_cells {
+            Some(format!("cell {} is outside the {num_cells}-cell circuit", cell.index()))
+        } else if !(to.x.is_finite() && to.y.is_finite()) {
+            Some(format!("cell {} moves to non-finite ({}, {})", cell.index(), to.x, to.y))
+        } else {
+            None
+        }
+    })
 }
 
 /// One session's merged observability view ([`Session::observability`]):
@@ -493,9 +524,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Session`] if a structural fallback rebuild fails
-    /// (e.g. the delta pushed every net past the size filter);
-    /// [`ServeError::Poisoned`] if the session wedged.
+    /// [`ServeError::Session`] if the delta names a cell outside the
+    /// circuit or a non-finite position (nothing is applied), or if a
+    /// structural fallback rebuild fails (e.g. the delta pushed every net
+    /// past the size filter); [`ServeError::Poisoned`] if the session
+    /// wedged.
     pub fn update(&mut self, delta: &PlacementDelta) -> Result<PipelineUpdate> {
         // The blocking path skips the ticket/nudge machinery entirely:
         // drain anything still pending (in submission order), then apply
@@ -879,14 +912,16 @@ mod tests {
         let engine = engine();
         let handle = engine.handle();
         let (circuit, placement, grid) = design(11);
-        let n_cells = circuit.num_cells() as u32;
         let mut session =
             handle.open_session(SessionConfig::new("default"), circuit, placement, grid).unwrap();
         assert!(session.predict().is_ok());
-        // a delta referencing a cell outside the circuit panics mid-apply
-        let bogus = PlacementDelta::single(CellId(n_cells + 7), Point::new(1.0, 1.0));
-        let err = session.update(&bogus).unwrap_err();
-        assert!(matches!(err, ServeError::Poisoned(_)), "got {err:?}");
+        // a panic while the session state is held leaves it unknowable
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.with_pipeline(|_| panic!("inspector crashed"))
+        }));
+        assert!(crash.is_err());
+        let err = session.update(&PlacementDelta::single(CellId(1), Point::new(1.0, 1.0)));
+        assert!(matches!(err, Err(ServeError::Poisoned(_))), "got {err:?}");
         // every later call fails the same way — the state is unknowable
         assert!(matches!(session.predict(), Err(ServeError::Poisoned(_))));
         let id = CellId(0);
@@ -897,6 +932,57 @@ mod tests {
         let (c2, p2, g2) = design(12);
         let mut healthy = handle.open_session(SessionConfig::new("default"), c2, p2, g2).unwrap();
         assert!(healthy.predict().is_ok());
+        engine.shutdown();
+    }
+
+    #[test]
+    fn hostile_deltas_are_rejected_and_the_session_keeps_serving() {
+        let engine = engine();
+        let handle = engine.handle();
+        let (circuit, placement, grid) = design(11);
+        let n_cells = circuit.num_cells() as u32;
+        let mut session = handle
+            .open_session(
+                SessionConfig::new("default"),
+                Arc::clone(&circuit),
+                placement.clone(),
+                grid.clone(),
+            )
+            .unwrap();
+        let before = session.predict().unwrap();
+        let fingerprints = session.with_pipeline(|p| p.fingerprints().unwrap());
+        let ok = Point::new(1.0, 1.0);
+        for bogus in [
+            PlacementDelta::single(CellId(n_cells + 7), ok),
+            PlacementDelta::single(CellId(0), Point::new(f32::NAN, 1.0)),
+            PlacementDelta::single(CellId(0), Point::new(1.0, f32::INFINITY)),
+            // one bad move spoils the whole delta: nothing applies
+            PlacementDelta::from_moves(vec![(CellId(2), ok), (CellId(n_cells), ok)]),
+        ] {
+            let err = session.update(&bogus).unwrap_err();
+            assert!(matches!(err, ServeError::Session(_)), "got {err:?}");
+            let err = session.submit_update(&bogus).wait().unwrap_err();
+            assert!(matches!(err, ServeError::Session(_)), "got {err:?}");
+        }
+        assert_eq!(session.with_pipeline(|p| p.fingerprints().unwrap()), fingerprints);
+        let again = session.predict().unwrap();
+        assert!(again.cached, "rejected deltas must leave the cache key alone");
+        assert!(again.prediction.cls_prob.approx_eq(&before.prediction.cls_prob, 0.0));
+
+        // The session still updates and predicts, bitwise.
+        let id = CellId(2);
+        let mut placement = placement;
+        let to = circuit.die.clamp(Point::new(
+            placement.position(id).x + grid.gcell_width() * 1.5,
+            placement.position(id).y,
+        ));
+        placement.set_position(id, to);
+        session.update(&PlacementDelta::single(id, to)).unwrap();
+        let reply = session.predict().unwrap();
+        let (ops, features) = batch_inputs(&circuit, &placement, &grid, session.config());
+        let direct = Lhnn::new(LhnnConfig::default(), 0).predict(&ops, &features);
+        assert!(reply.prediction.cls_prob.approx_eq(&direct.cls_prob, 0.0));
+        assert!(reply.prediction.reg.approx_eq(&direct.reg, 0.0));
         engine.shutdown();
     }
 

@@ -212,7 +212,8 @@ fn flight_recorder_captures_hot_swaps() {
 
 /// A wedging session panic lands in the flight recorder with the design
 /// as scope — and a metrics-off engine records no event for the same
-/// crash.
+/// crash. The panic here is a caller's pipeline closure crashing while it
+/// holds the session state.
 #[test]
 fn flight_recorder_captures_session_wedges() {
     for metrics in [true, false] {
@@ -220,13 +221,15 @@ fn flight_recorder_captures_session_wedges() {
             ServeEngine::new(registry(), EngineConfig { metrics, ..EngineConfig::default() });
         let handle = engine.handle();
         let (circuit, placement, grid) = session_design(21);
-        let n_cells = circuit.num_cells() as u32;
         let mut session = handle
             .open_session(SessionConfig::new("m").with_design("wedge-me"), circuit, placement, grid)
             .expect("open session");
-        // a delta referencing a cell outside the circuit panics mid-apply
-        let bogus = PlacementDelta::single(CellId(n_cells + 7), Point::new(1.0, 1.0));
-        assert!(session.update(&bogus).is_err());
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.with_pipeline(|_| panic!("inspector crashed"))
+        }));
+        assert!(crash.is_err());
+        let delta = PlacementDelta::single(CellId(1), Point::new(1.0, 1.0));
+        assert!(session.update(&delta).is_err());
         let wedges: Vec<_> = handle
             .flight_events()
             .into_iter()
