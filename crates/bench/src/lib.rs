@@ -9,13 +9,11 @@
 //! * `figure4` — prediction-map visualisations for three test designs,
 //! * `gamma_sweep`, `fanout_ablation`, `scaling` — extensions beyond the
 //!   paper (DESIGN.md §7),
-//! * `serving` — throughput/latency/cache sweep of the `lhnn-serve`
-//!   inference engine across worker counts.
+//! * `model_zoo` — LHNN vs HybridNet, in-distribution and cross-family.
 //!
 //! Every binary accepts `--scale`, `--epochs` and `--seeds` to shrink the
 //! protocol for smoke runs, and writes CSV mirrors under `results/`.
-//! Criterion micro-benchmarks for the underlying substrates live in
-//! `benches/`.
+//! Speed is measured by the separate `perfbench` workspace, not here.
 
 #![warn(missing_docs)]
 

@@ -30,6 +30,4 @@ help_smoke! {
     gamma_sweep_prints_help => "CARGO_BIN_EXE_gamma_sweep" / "gamma_sweep";
     fanout_ablation_prints_help => "CARGO_BIN_EXE_fanout_ablation" / "fanout_ablation";
     scaling_prints_help => "CARGO_BIN_EXE_scaling" / "scaling";
-    serving_prints_help => "CARGO_BIN_EXE_serving" / "serving";
-    kernels_prints_help => "CARGO_BIN_EXE_kernels" / "kernels";
 }

@@ -23,8 +23,8 @@ USAGE:
   lhnn stats --dir DIR --design NAME
       netlist statistics (degree histogram, Rent exponent)
   lhnn stats --metrics FILE
-      read back a Prometheus exposition written by a bench's --metrics
-      dump and print every series
+      read back a saved Prometheus exposition (an engine metrics
+      snapshot) and print every series
   lhnn route --dir DIR --design NAME --grid G [--tracks T] [--pgm PREFIX]
       global-route a placed Bookshelf design, print congestion stats
   lhnn train [--model lhnn|hybridnet] [--scale F] [--epochs N] [--seed S]
@@ -40,35 +40,6 @@ USAGE:
       inference engine; the architecture is read from the checkpoint's
       kind tag; --threshold sets the congestion cutoff, default 0.5;
       --threads sets the intra-op compute-pool width)
-  lhnn serve-bench [--model lhnn|hybridnet] [--designs N] [--requests N]
-                   [--workers N] [--clients N] [--cells N] [--grid G]
-                   [--cache N] [--threshold T] [--threads N]
-                   [--metrics [PREFIX]] [--no-metrics]
-      drive synthetic designs through the lhnn-serve engine and report
-      latency percentiles, throughput, parallel speedup, cache hit rate and
-      the shared intra-op compute-pool configuration. Prints the per-stage
-      latency breakdown and flight-recorder events; --metrics also writes
-      PREFIX.prom / PREFIX.json (default results/METRICS_serve_bench);
-      --no-metrics disables instrumentation entirely
-  lhnn loop-bench [--model lhnn|hybridnet] [--cells N] [--grid G] [--seed S]
-                  [--rounds N] [--move-pct P] [--threads N] [--json FILE]
-                  [--designs D] [--shards S] [--workers W]
-                  [--metrics [PREFIX]] [--no-metrics]
-      placement-in-the-loop benchmark: replay the placer's own iteration
-      deltas through a stateful serving session (incremental graph/feature
-      updates), verify bitwise parity against from-scratch rebuilds, and
-      measure the k-cell-move incremental update vs a full rebuild
-      (results also written as BENCH JSON, default
-      results/BENCH_incremental.json). With --designs D (D > 1) it runs
-      the concurrent mode instead: D placement loops drive pipelined
-      sessions (submit_update tickets + predict) over an S-shard engine,
-      measured against serially-driven sessions on one shard, bitwise
-      parity enforced (JSON default results/BENCH_serve_shard.json, now
-      carrying aggregate p50/p95/p99 and per-shard p99 tail latency).
-      Both modes print the per-stage latency breakdown (queue -> cache ->
-      drain -> dilate -> forward -> splice; rebin -> graph_patch ->
-      feature_patch -> rebuild) and the flight recorder; --metrics also
-      writes PREFIX.prom / PREFIX.json (default results/METRICS_loop_bench)
 ";
 
 fn main() {
@@ -80,8 +51,6 @@ fn main() {
         "route" => commands::route(&args),
         "train" => commands::train(&args),
         "predict" => commands::predict(&args),
-        "serve-bench" => commands::serve_bench(&args),
-        "loop-bench" => commands::loop_bench(&args),
         _ => {
             eprint!("{USAGE}");
             std::process::exit(2);

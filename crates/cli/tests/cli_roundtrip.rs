@@ -104,37 +104,26 @@ fn train_then_predict_roundtrip() {
 }
 
 #[test]
-fn loop_bench_smoke() {
-    let dir = temp_dir("loop_bench");
-    let json = dir.join("BENCH_incremental.json");
-    let out = bin()
-        .args(["loop-bench", "--cells", "200", "--grid", "12", "--rounds", "2"])
-        .args(["--json", json.to_str().unwrap()])
-        .output()
-        .expect("loop-bench");
+fn stats_reads_back_a_metrics_exposition() {
+    let dir = temp_dir("stats_metrics");
+    let registry = lhnn_obs::Registry::new();
+    registry.counter("lhnn_requests_total").add(7);
+    registry.counter_with("lhnn_model_registrations_total", &[("kind", "hybridnet")]).inc();
+    let prom = dir.join("metrics.prom");
+    std::fs::write(&prom, registry.snapshot().to_prometheus()).expect("write exposition");
+    let out = bin().args(["stats", "--metrics", prom.to_str().unwrap()]).output().expect("stats");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("bitwise parity after replay: OK"), "{text}");
-    assert!(text.contains("session replay:"), "{text}");
-    assert!(text.contains("micro-bench"), "{text}");
-    let bench = std::fs::read_to_string(&json).expect("bench json written");
-    assert!(bench.contains("\"bench\": \"incremental\""), "{bench}");
-    assert!(bench.contains("update_k1"), "{bench}");
-    std::fs::remove_dir_all(&dir).ok();
-}
+    assert!(text.contains("lhnn_requests_total = 7"), "{text}");
+    assert!(text.contains("lhnn_model_registrations_total{kind=\"hybridnet\"} = 1"), "{text}");
 
-#[test]
-fn serve_bench_smoke() {
-    let out = bin()
-        .args(["serve-bench", "--designs", "2", "--requests", "8", "--workers", "2"])
-        .args(["--clients", "2", "--cells", "80", "--grid", "8"])
-        .output()
-        .expect("serve-bench");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("parallel speedup"), "{text}");
-    assert!(text.contains("cache hit rate"), "{text}");
-    assert!(text.contains("engine stats"), "{text}");
+    let junk = dir.join("junk.prom");
+    std::fs::write(&junk, "# only a comment\nnot a series\n").expect("write junk");
+    let out = bin().args(["stats", "--metrics", junk.to_str().unwrap()]).output().expect("stats");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("contains no readable metric series"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

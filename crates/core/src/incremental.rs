@@ -520,6 +520,7 @@ impl IncrementalForward {
 mod tests {
     use super::*;
     use crate::config::LhnnConfig;
+    use crate::hybrid::{HybridNet, HybridNetConfig};
     use crate::model::Lhnn;
 
     fn sample() -> (GraphOps, FeatureSet) {
@@ -597,16 +598,28 @@ mod tests {
         assert!(a.cls_prob.approx_eq(&b.cls_prob, 0.0), "metrics changed the prediction");
         assert!(a.reg.approx_eq(&b.reg, 0.0));
         observed.predict(&model, version, &ops, &feats, observed.seq());
+        // a second architecture on the same registry: its per-design
+        // series carry its own model label
+        let hybrid = HybridNet::new(HybridNetConfig::default(), 6);
+        let hybrid_observed = IncrementalForward::with_metrics(&registry, "d1", hybrid.kind());
+        let hybrid_version = hybrid.weights_fingerprint();
+        let (h, _) =
+            hybrid_observed.predict(&hybrid, hybrid_version, &ops, &feats, hybrid_observed.seq());
+        assert!(h.cls_prob.approx_eq(&hybrid.predict(&ops, &feats).cls_prob, 0.0));
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("lhnn_full_forwards_total"), 1);
+        assert_eq!(snap.counter("lhnn_full_forwards_total"), 2);
         assert_eq!(snap.counter("lhnn_reused_predictions_total"), 1);
         assert_eq!(
             snap.counter("lhnn_design_full_forwards_total{design=\"d0\",model=\"lhnn\"}"),
             1
         );
-        assert_eq!(snap.histogram("lhnn_stage_us{stage=\"forward\"}").unwrap().count, 1);
-        assert_eq!(snap.histogram("lhnn_stage_us{stage=\"dilate\"}").unwrap().count, 1);
-        assert_eq!(snap.histogram("lhnn_stage_us{stage=\"splice\"}").unwrap().count, 2);
+        assert_eq!(
+            snap.counter("lhnn_design_full_forwards_total{design=\"d1\",model=\"hybridnet\"}"),
+            1
+        );
+        assert_eq!(snap.histogram("lhnn_stage_us{stage=\"forward\"}").unwrap().count, 2);
+        assert_eq!(snap.histogram("lhnn_stage_us{stage=\"dilate\"}").unwrap().count, 2);
+        assert_eq!(snap.histogram("lhnn_stage_us{stage=\"splice\"}").unwrap().count, 3);
     }
 
     #[test]

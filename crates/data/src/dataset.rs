@@ -154,8 +154,8 @@ impl DesignData {
 /// place → LH-graph → fixed-scaled features → full-ablation operators.
 ///
 /// This is the request payload of the serving path (`lhnn-serve`), shared
-/// by the CLI `serve-bench`, the serving harness/benches and the serving
-/// determinism tests — no routing pass, because serving needs no labels.
+/// by the serving engine and determinism tests — no routing pass, because
+/// serving needs no labels.
 ///
 /// # Errors
 ///

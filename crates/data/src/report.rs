@@ -114,26 +114,17 @@ impl TextTable {
     }
 }
 
-/// One baseline-vs-candidate measurement of a bench harness.
-///
-/// Earlier revisions hard-coded the two columns as `ms_1t`/`ms_nt`
-/// ("1 thread" vs "N threads"), and benches that compared anything else —
-/// `loop-bench`'s "full rebuild" vs "incremental update", say — silently
-/// redefined the fields. The record now names its own columns, so every
-/// `BENCH_*.json` is self-describing; the JSON writer still emits the
-/// legacy `ms_1t`/`ms_nt` keys (baseline/candidate respectively) so files
-/// from either era read the same way.
+/// One baseline-vs-candidate measurement of a harness binary. The record
+/// names its own columns, so every `BENCH_*.json` is self-describing.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
-    /// Workload label (e.g. `matmul_4096x64x64`).
+    /// Workload label (e.g. `lhnn_in_dist`).
     pub name: String,
-    /// What the baseline column measures (e.g. `"1 thread"`,
-    /// `"full rebuild"`, `"serial sessions"`).
+    /// What the baseline column measures (e.g. `"full rebuild"`).
     pub baseline_label: String,
     /// Wall-clock milliseconds of the baseline.
     pub baseline_ms: f64,
-    /// What the candidate column measures (e.g. `"4 threads"`,
-    /// `"incremental update"`).
+    /// What the candidate column measures (e.g. `"incremental update"`).
     pub candidate_label: String,
     /// Wall-clock milliseconds of the candidate.
     pub candidate_ms: f64,
@@ -169,12 +160,6 @@ impl BenchRecord {
         self
     }
 
-    /// The classic serial-vs-parallel record: baseline on 1 compute
-    /// thread, candidate on `threads`.
-    pub fn thread_scaling(name: impl Into<String>, ms_1t: f64, threads: usize, ms_nt: f64) -> Self {
-        Self::labeled(name, "1 thread", ms_1t, format!("{threads} threads"), ms_nt)
-    }
-
     /// Speedup of the candidate over the baseline.
     pub fn speedup(&self) -> f64 {
         self.baseline_ms / self.candidate_ms.max(1e-9)
@@ -201,9 +186,6 @@ pub fn write_bench_json(
     let _ = writeln!(out, "  \"results\": [");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
-        // `ms_1t`/`ms_nt` are the legacy key names for baseline/candidate;
-        // keeping them means files written before the columns were labeled
-        // and files written after parse identically.
         let mut extras = String::new();
         for (k, v) in &r.extras {
             let _ = write!(extras, ", \"{}\": {:.4}", escape(k), v);
@@ -211,13 +193,10 @@ pub fn write_bench_json(
         let _ = writeln!(
             out,
             "    {{\"name\": \"{}\", \"baseline\": \"{}\", \"candidate\": \"{}\", \
-             \"ms_baseline\": {:.4}, \"ms_candidate\": {:.4}, \
-             \"ms_1t\": {:.4}, \"ms_nt\": {:.4}, \"speedup\": {:.3}{extras}}}{comma}",
+             \"ms_baseline\": {:.4}, \"ms_candidate\": {:.4}, \"speedup\": {:.3}{extras}}}{comma}",
             escape(&r.name),
             escape(&r.baseline_label),
             escape(&r.candidate_label),
-            r.baseline_ms,
-            r.candidate_ms,
             r.baseline_ms,
             r.candidate_ms,
             r.speedup()
@@ -239,25 +218,24 @@ mod tests {
     #[test]
     fn bench_json_is_well_formed() {
         let dir = std::env::temp_dir().join("lhnn_bench_json_test");
-        let path = dir.join("BENCH_kernels.json");
+        let path = dir.join("BENCH_test.json");
         let records = vec![
-            BenchRecord::thread_scaling("matmul_2x2", 2.0, 4, 1.0),
+            BenchRecord::labeled("matmul_2x2", "1 thread", 2.0, "4 threads", 1.0),
             BenchRecord::labeled("spmm \"odd\"", "full rebuild", 4.0, "incremental", 2.0)
                 .with_extra("full_rebuilds", 3.0)
                 .with_extra("fallback_fraction", 0.25),
         ];
-        write_bench_json(&path, "kernels", 4, &records).unwrap();
+        write_bench_json(&path, "test", 4, &records).unwrap();
         let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\": \"kernels\""));
+        assert!(text.contains("\"bench\": \"test\""));
         assert!(text.contains("\"threads\": 4"));
         assert!(text.contains("\"speedup\": 2.000"));
         assert!(text.contains("spmm \\\"odd\\\""), "quotes must be escaped:\n{text}");
-        // self-describing columns, with the legacy keys still present
+        // self-describing columns
         assert!(text.contains("\"baseline\": \"full rebuild\""));
         assert!(text.contains("\"candidate\": \"incremental\""));
         assert!(text.contains("\"ms_baseline\": 4.0000"));
-        assert!(text.contains("\"ms_1t\": 4.0000"), "legacy key must mirror the baseline");
-        assert!(text.contains("\"ms_nt\": 2.0000"), "legacy key must mirror the candidate");
+        assert!(text.contains("\"ms_candidate\": 2.0000"));
         // extra columns land verbatim on their record only
         assert!(text.contains("\"full_rebuilds\": 3.0000"));
         assert!(text.contains("\"fallback_fraction\": 0.2500"));
@@ -272,10 +250,6 @@ mod tests {
     fn bench_record_speedup() {
         let r = BenchRecord::labeled("x", "serial", 3.0, "pipelined", 1.5);
         assert!((r.speedup() - 2.0).abs() < 1e-9);
-        let t = BenchRecord::thread_scaling("y", 3.0, 4, 1.0);
-        assert_eq!(t.baseline_label, "1 thread");
-        assert_eq!(t.candidate_label, "4 threads");
-        assert!((t.speedup() - 3.0).abs() < 1e-9);
     }
 
     #[test]

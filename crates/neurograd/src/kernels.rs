@@ -313,26 +313,6 @@ fn for_each_listed_row(
     });
 }
 
-/// `out[r] = (a · b)[r]` for every selected row; other rows are
-/// untouched. Selected rows are zeroed before accumulation, so `out` may
-/// hold stale data.
-///
-/// # Panics
-///
-/// Panics if `a.cols != b.rows`, `out` is missized, or a row index is out
-/// of bounds.
-pub fn matmul_rows_into(a: &Matrix, b: &Matrix, rows: Rows<'_>, out: &mut [f32]) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "matmul shape mismatch: {}x{} * {}x{}", m, k, b.rows(), b.cols());
-    assert_eq!(out.len(), m * n, "matmul output buffer mismatch");
-    let (a_data, b_data) = (a.as_slice(), b.as_slice());
-    let eng = simd::active();
-    for_rows(out, rows, m, n, k * n, |i, out_row| {
-        eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], b_data);
-    });
-}
-
 /// `out[r] = act((a · w)[r] + bias)` for every selected row — the fused
 /// form of `Tape::linear` plus an activation map, and the workhorse of
 /// the tape-free forwards. Bitwise identical to matmul → add-bias → map

@@ -10,7 +10,7 @@
 //! the mean, `quantile="..."` label variants carry p50/p95/p99, and
 //! `_count`/`_sum` suffixes carry the totals. That keeps the canonical
 //! series key (e.g. `lhnn_stage_us{stage="splice"}`) present verbatim in
-//! the dump, which the CI smoke step greps for.
+//! the dump.
 
 use std::fmt::Write as _;
 

@@ -446,7 +446,8 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::UnknownModel`] for unregistered names,
-    /// [`ServeError::Incompatible`] when the inputs do not fit the model,
+    /// [`ServeError::Incompatible`] when the inputs do not fit the model
+    /// or a feature is NaN or infinite,
     /// [`ServeError::ShuttingDown`] / [`ServeError::WorkerLost`] around
     /// engine shutdown.
     pub fn predict(&self, request: &PredictRequest) -> Result<ServeReply> {
@@ -793,6 +794,11 @@ impl ServeHandle {
                 request.features.gnet.rows(),
                 request.ops.num_gnets
             )));
+        }
+        // Fingerprints fold every NaN onto one pattern, so a non-finite
+        // request would also alias other garbage states in the cache.
+        if !(request.features.gcell.is_finite() && request.features.gnet.is_finite()) {
+            return Err(ServeError::Incompatible("features contain NaN or infinity".into()));
         }
         let key = CacheKey {
             model: entry.version,
@@ -1361,6 +1367,44 @@ mod tests {
         // the pool is still alive and serves the matching pair
         let ok = handle.predict(&PredictRequest::new("default", ops_a, feats_a)).unwrap();
         assert!(ok.prediction.cls_prob.is_finite());
+    }
+
+    #[test]
+    fn non_finite_features_rejected_at_admission() {
+        let engine = engine_with_default_model(2, 0);
+        let handle = engine.handle();
+        let (ops, feats) = design(8, 80, 6);
+        let poisoned = |block: usize, v: f32| {
+            let mut f = (*feats).clone();
+            let m = if block == 0 { &mut f.gcell } else { &mut f.gnet };
+            m.as_mut_slice()[1] = v;
+            PredictRequest::new("default", Arc::clone(&ops), Arc::new(f))
+        };
+        for (block, v) in [(0, f32::NAN), (0, f32::INFINITY), (1, f32::NEG_INFINITY), (1, f32::NAN)]
+        {
+            let err = handle.predict(&poisoned(block, v)).unwrap_err();
+            assert!(matches!(err, ServeError::Incompatible(_)), "block {block}, {v}: got {err:?}");
+        }
+
+        // one bad request among good ones fails alone; the good replies
+        // equal their direct forwards bitwise
+        let (ops_b, feats_b) = design(9, 90, 6);
+        let good_a = PredictRequest::new("default", Arc::clone(&ops), Arc::clone(&feats));
+        let good_b = PredictRequest::new("default", Arc::clone(&ops_b), Arc::clone(&feats_b));
+        let replies = handle.predict_batch(&[good_a, poisoned(0, f32::NAN), good_b]);
+        assert!(matches!(replies[1], Err(ServeError::Incompatible(_))), "{:?}", replies[1]);
+        let model = Lhnn::new(LhnnConfig::default(), 0);
+        for (reply, (o, f)) in
+            [&replies[0], &replies[2]].into_iter().zip([(&ops, &feats), (&ops_b, &feats_b)])
+        {
+            let got = &reply.as_ref().expect("good request served").prediction;
+            let want = model.predict(o, f);
+            assert!(
+                got.cls_prob.approx_eq(&want.cls_prob, 0.0) && got.reg.approx_eq(&want.reg, 0.0)
+            );
+        }
+        assert_eq!(handle.stats().computed, 2, "rejected requests never reach a worker");
+        engine.shutdown();
     }
 
     #[test]

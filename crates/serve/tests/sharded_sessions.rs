@@ -4,19 +4,24 @@
 //!    `open_session`/`submit_update`/`predict` across D designs and S
 //!    shards, driven by D concurrent client threads, yields predictions
 //!    and final pipeline states bitwise identical to a serial replay on a
-//!    single-shard, single-worker engine.
+//!    single-shard, single-worker engine and to a fresh rebuild at the
+//!    final placement.
 //! 2. **Cache isolation**: a hot design hammering its shard cannot evict
 //!    another design's cached prediction on a different shard.
 
 use std::sync::Arc;
 
-use lhnn::{CongestionModel, HybridNet, HybridNetConfig, Lhnn, LhnnConfig, Prediction};
+use lh_graph::{FeatureSet, LhGraph, LhGraphConfig};
+use lhnn::{
+    AblationSpec, CongestionModel, GraphOps, HybridNet, HybridNetConfig, Lhnn, LhnnConfig,
+    Prediction,
+};
 use lhnn_serve::{EngineConfig, ModelRegistry, ServeEngine, SessionConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vlsi_netlist::synth::{generate, SynthConfig};
-use vlsi_netlist::{CellId, Circuit, GcellGrid, Placement, PlacementDelta, Point};
+use vlsi_netlist::{CellId, Circuit, GcellGrid, NetId, Placement, PlacementDelta, Point};
 use vlsi_place::GlobalPlacer;
 
 struct Design {
@@ -27,6 +32,8 @@ struct Design {
     /// The delta sequence this design's client replays, with a flag for
     /// "predict after this delta" (the final delta always predicts).
     script: Vec<(PlacementDelta, bool)>,
+    /// The placement after the whole script.
+    final_placement: Placement,
 }
 
 /// Builds a design plus a deterministic delta script from one seed.
@@ -64,7 +71,14 @@ fn scripted_design(tag: usize, seed: u64, n_deltas: usize) -> Design {
         let predict_here = i + 1 == n_deltas || rng.gen_range(0u32..3) == 0;
         script.push((delta, predict_here));
     }
-    Design { name: cfg.name, circuit, placement: placed.placement, grid, script }
+    Design {
+        name: cfg.name,
+        circuit,
+        placement: placed.placement,
+        grid,
+        script,
+        final_placement: reference,
+    }
 }
 
 /// A registry serving one model of the chosen architecture (0 = LHNN,
@@ -79,15 +93,14 @@ fn registry(model_kind: usize) -> Arc<ModelRegistry> {
     registry
 }
 
+/// What one replayed session ends with: every prediction, the final
+/// `(ops, features)` fingerprints, and the G-net column layout.
+type Replay = (Vec<Arc<Prediction>>, (u64, u64), Vec<NetId>);
+
 /// Drives one design's script through a session; `pipelined` uses
 /// `submit_update` tickets (waited lazily by the next predict), the
-/// serial mode blocks on every update. Returns every prediction plus the
-/// final `(ops, features)` fingerprints.
-fn drive(
-    engine: &ServeEngine,
-    design: &Design,
-    pipelined: bool,
-) -> (Vec<Arc<Prediction>>, (u64, u64)) {
+/// serial mode blocks on every update.
+fn drive(engine: &ServeEngine, design: &Design, pipelined: bool) -> Replay {
     let handle = engine.handle();
     let mut session = handle
         .open_session(
@@ -109,7 +122,21 @@ fn drive(
             predictions.push(session.predict().expect("predict").prediction);
         }
     }
-    (predictions, session.fingerprints().expect("fingerprints"))
+    let columns = session.with_pipeline(|p| p.graph().kept_nets().to_vec());
+    (predictions, session.fingerprints().expect("fingerprints"), columns)
+}
+
+/// `(ops, features)` fingerprints of a from-scratch build at the design's
+/// final placement. Size-filter crossings tombstone and append G-net
+/// columns in place, so the build is prescribed the session's own column
+/// layout; a canonical build only matches right after a compaction.
+fn fresh_fingerprints(design: &Design, columns: &[NetId]) -> (u64, u64) {
+    let (circuit, placement) = (&design.circuit, &design.final_placement);
+    let cfg = LhGraphConfig::default();
+    let graph = LhGraph::build_with_columns(circuit, placement, &design.grid, &cfg, columns)
+        .expect("fresh graph");
+    let features = FeatureSet::build(&graph, circuit, placement, &design.grid).expect("features");
+    (GraphOps::from_graph(&graph, &AblationSpec::full()).fingerprint(), features.fingerprint())
 }
 
 proptest! {
@@ -133,7 +160,7 @@ proptest! {
             registry(model_kind),
             EngineConfig { workers, shards, ..EngineConfig::default() },
         );
-        let concurrent: Vec<(Vec<Arc<Prediction>>, (u64, u64))> = std::thread::scope(|scope| {
+        let concurrent: Vec<Replay> = std::thread::scope(|scope| {
             let joins: Vec<_> = designs
                 .iter()
                 .map(|design| scope.spawn(|| drive(&engine, design, true)))
@@ -148,9 +175,15 @@ proptest! {
             registry(model_kind),
             EngineConfig { workers: 1, shards: 1, ..EngineConfig::default() },
         );
-        for (design, (got_preds, got_fps)) in designs.iter().zip(&concurrent) {
-            let (want_preds, want_fps) = drive(&serial_engine, design, false);
+        for (design, (got_preds, got_fps, columns)) in designs.iter().zip(&concurrent) {
+            let (want_preds, want_fps, _) = drive(&serial_engine, design, false);
             prop_assert_eq!(got_fps, &want_fps, "final state diverged for {}", design.name);
+            prop_assert_eq!(
+                got_fps,
+                &fresh_fingerprints(design, columns),
+                "final state of {} differs from a fresh rebuild",
+                design.name
+            );
             prop_assert_eq!(
                 got_preds.len(),
                 want_preds.len(),
