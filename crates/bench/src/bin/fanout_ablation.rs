@@ -1,4 +1,4 @@
-//! Extension experiment (DESIGN.md §7): full-graph training vs the
+//! Extension experiment beyond the paper: full-graph training vs the
 //! paper's DGL neighbour-sampling fanouts {6, 3, 2}.
 //!
 //! The paper mini-batches with sampled neighbourhoods to fit 300K-G-cell

@@ -1,4 +1,4 @@
-//! Extension experiment (DESIGN.md §7): sensitivity of LHNN to the label
+//! Extension experiment beyond the paper: sensitivity of LHNN to the label
 //! balance weight γ of Eq. 5. The paper fixes γ = 0.7; this sweep shows
 //! the trade-off it controls — small γ inflates recall at the cost of
 //! precision, γ = 1 disables the re-weighting.

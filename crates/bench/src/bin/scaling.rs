@@ -1,4 +1,4 @@
-//! Extension experiment (DESIGN.md §7): inference cost vs circuit size.
+//! Extension experiment beyond the paper: inference cost vs circuit size.
 //!
 //! The practical promise of learned congestion prediction is replacing the
 //! global router inside the placement loop. This harness measures, per

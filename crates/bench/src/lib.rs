@@ -8,7 +8,7 @@
 //! * `table3` — the uni-channel ablation study,
 //! * `figure4` — prediction-map visualisations for three test designs,
 //! * `gamma_sweep`, `fanout_ablation`, `scaling` — extensions beyond the
-//!   paper (DESIGN.md §7),
+//!   paper,
 //! * `model_zoo` — LHNN vs HybridNet, in-distribution and cross-family.
 //!
 //! Every binary accepts `--scale`, `--epochs` and `--seeds` to shrink the

@@ -142,14 +142,22 @@ impl From<&crate::pipeline::RebuildCause> for InvalidationCause {
     }
 }
 
-/// Lifetime counters of an [`IncrementalForward`].
+/// The `cause` label of each [`InvalidationCause`], in declaration order.
+const CAUSE_LABELS: [&str; 4] = ["filter_crossing", "compaction", "dim_change", "poisoned"];
+
+/// Lifetime counters of an [`IncrementalForward`]: a read of its
+/// registry cells, `lhnn_{full_forwards,spliced_forwards,
+/// reused_predictions}_total{design,model}` and
+/// `lhnn_invalidations_total{design,model,cause}`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Forwards that recomputed every row.
     pub full_forwards: u64,
     /// Forwards served by halo splicing.
     pub spliced_forwards: u64,
-    /// Forwards answered from the cached prediction (fingerprint match).
+    /// Predicts answered without a forward: from the cached activation
+    /// state (fingerprint match), or from an engine's prediction cache
+    /// ([`IncrementalForward::note_cache_hit`]).
     pub reused: u64,
     /// Structural notes that dropped the activation cache (all causes).
     pub invalidations: u64,
@@ -167,9 +175,9 @@ pub struct IncrementalStats {
     pub invalidations_poisoned: u64,
 }
 
-/// Metric handles for one design's incremental forward (resolved once in
-/// [`IncrementalForward::with_metrics`]; absent on the plain constructor,
-/// which keeps the hot path free of even relaxed loads).
+/// Metric handles for one design's incremental forward, resolved once at
+/// construction. They are its only counters: [`IncrementalForward::stats`]
+/// reads them back.
 ///
 /// The stage split follows the predict span hierarchy: `dilate` is the
 /// time spent growing dirty sets through the operators' sparsity, `forward`
@@ -184,11 +192,8 @@ struct IncrObs {
     full: Counter,
     spliced: Counter,
     reused: Counter,
-    invalidations: Counter,
-    design_full: Counter,
-    design_spliced: Counter,
-    design_reused: Counter,
-    design_invalidations: Counter,
+    /// Indexed by [`InvalidationCause`] declaration order.
+    invalidations: [Counter; 4],
 }
 
 impl IncrObs {
@@ -200,14 +205,15 @@ impl IncrObs {
             splice: registry.stage("splice"),
             halo_gcells: registry.histogram("lhnn_halo_gcells"),
             halo_gnets: registry.histogram("lhnn_halo_gnets"),
-            full: registry.counter("lhnn_full_forwards_total"),
-            spliced: registry.counter("lhnn_spliced_forwards_total"),
-            reused: registry.counter("lhnn_reused_predictions_total"),
-            invalidations: registry.counter("lhnn_invalidations_total"),
-            design_full: registry.counter_with("lhnn_design_full_forwards_total", d),
-            design_spliced: registry.counter_with("lhnn_design_spliced_forwards_total", d),
-            design_reused: registry.counter_with("lhnn_design_reused_total", d),
-            design_invalidations: registry.counter_with("lhnn_design_invalidations_total", d),
+            full: registry.counter_with("lhnn_full_forwards_total", d),
+            spliced: registry.counter_with("lhnn_spliced_forwards_total", d),
+            reused: registry.counter_with("lhnn_reused_predictions_total", d),
+            invalidations: CAUSE_LABELS.map(|cause| {
+                registry.counter_with(
+                    "lhnn_invalidations_total",
+                    &[("design", design), ("model", model_kind), ("cause", cause)],
+                )
+            }),
         }
     }
 }
@@ -232,7 +238,6 @@ struct Notes {
     /// event since the last forward): the next forward must be full.
     pending: Option<ForwardDirty>,
     seq: u64,
-    stats: IncrementalStats,
 }
 
 /// Cached-activation incremental inference for one hot design.
@@ -244,7 +249,7 @@ struct Notes {
 pub struct IncrementalForward {
     notes: Mutex<Notes>,
     act: Mutex<Option<Cached>>,
-    obs: Option<IncrObs>,
+    obs: IncrObs,
 }
 
 impl std::fmt::Debug for IncrementalForward {
@@ -253,7 +258,7 @@ impl std::fmt::Debug for IncrementalForward {
         f.debug_struct("IncrementalForward")
             .field("seq", &n.seq)
             .field("pending", &n.pending)
-            .field("stats", &n.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -265,22 +270,25 @@ impl Default for IncrementalForward {
 }
 
 impl IncrementalForward {
-    /// An empty cache: the first forward is always full.
+    /// An empty cache: the first forward is always full. Counts go to a
+    /// private registry whose span timers never read the clock.
     pub fn new() -> Self {
-        Self { notes: Mutex::new(Notes::default()), act: Mutex::new(None), obs: None }
+        Self::with_metrics(&Registry::disabled(), "", "")
     }
 
-    /// Like [`IncrementalForward::new`], with forwards additionally
-    /// reported to `registry`: `dilate`/`forward`/`splice` stage spans,
-    /// halo-size histograms, and path counters (globally and per
-    /// `design`/`model` label pair — `model_kind` should be the served
-    /// model's [`CongestionModel::kind`], so mixed-zoo traffic stays
-    /// attributable). Recording is timing-only — predictions stay
-    /// bitwise identical to the uninstrumented constructor.
+    /// Like [`IncrementalForward::new`], with forwards reported to
+    /// `registry`: `dilate`/`forward`/`splice` stage spans, halo-size
+    /// histograms, and path counters labelled by `design` and `model` —
+    /// `model_kind` should be the served model's
+    /// [`CongestionModel::kind`], so mixed-zoo traffic stays
+    /// attributable. Recording is timing-only — predictions stay bitwise
+    /// identical to the plain constructor.
     pub fn with_metrics(registry: &Registry, design: &str, model_kind: &str) -> Self {
-        let mut inc = Self::new();
-        inc.obs = Some(IncrObs::new(registry, design, model_kind));
-        inc
+        Self {
+            notes: Mutex::new(Notes::default()),
+            act: Mutex::new(None),
+            obs: IncrObs::new(registry, design, model_kind),
+        }
     }
 
     fn notes(&self) -> std::sync::MutexGuard<'_, Notes> {
@@ -309,18 +317,8 @@ impl IncrementalForward {
             let mut n = self.notes();
             n.seq += 1;
             n.pending = None;
-            n.stats.invalidations += 1;
-            match cause {
-                InvalidationCause::FilterCrossing => n.stats.invalidations_filter_crossing += 1,
-                InvalidationCause::Compaction => n.stats.invalidations_compaction += 1,
-                InvalidationCause::DimChange => n.stats.invalidations_dim_change += 1,
-                InvalidationCause::Poisoned => n.stats.invalidations_poisoned += 1,
-            }
         }
-        if let Some(o) = &self.obs {
-            o.invalidations.inc();
-            o.design_invalidations.inc();
-        }
+        self.obs.invalidations[cause as usize].inc();
         // Drop the cached activations now if no forward holds them; an
         // in-flight forward is handled by the pending=None protocol (its
         // successor refreshes in full).
@@ -337,9 +335,27 @@ impl IncrementalForward {
         self.notes().seq
     }
 
-    /// Lifetime counters.
+    /// Counts a predict answered from a cache outside this forward (a
+    /// serving engine's prediction cache) as reused.
+    pub fn note_cache_hit(&self) {
+        self.obs.reused.inc();
+    }
+
+    /// Lifetime counters, read from the registry cells.
     pub fn stats(&self) -> IncrementalStats {
-        self.notes().stats.clone()
+        let o = &self.obs;
+        let [filter_crossing, compaction, dim_change, poisoned] =
+            o.invalidations.each_ref().map(Counter::get);
+        IncrementalStats {
+            full_forwards: o.full.get(),
+            spliced_forwards: o.spliced.get(),
+            reused: o.reused.get(),
+            invalidations: filter_crossing + compaction + dim_change + poisoned,
+            invalidations_filter_crossing: filter_crossing,
+            invalidations_compaction: compaction,
+            invalidations_dim_change: dim_change,
+            invalidations_poisoned: poisoned,
+        }
     }
 
     /// Runs the forward for `(ops, features)`, splicing over the dirty
@@ -384,13 +400,11 @@ impl IncrementalForward {
         });
         if reusable {
             let c = taken.expect("checked above");
-            let t_splice = self.obs.as_ref().and_then(|o| o.splice.start());
+            let t_splice = self.obs.splice.start();
             let pred = program.state_prediction(&c.state);
             *act = Some(c);
             drop(act);
-            if let Some(o) = &self.obs {
-                o.splice.stop_us(t_splice);
-            }
+            self.obs.splice.stop_us(t_splice);
             self.finish(dirt, seq_at_take, seq_snapshot, SpliceOutcome::Reused);
             return (pred, SpliceOutcome::Reused);
         }
@@ -412,7 +426,7 @@ impl IncrementalForward {
             }
             _ => false,
         };
-        let t_refresh = self.obs.as_ref().and_then(|o| o.forward.start());
+        let t_refresh = self.obs.forward.start();
         let store = model.store();
         let (mut c, outcome, dilate) = if splice_ok {
             let mut c = taken.take().expect("checked above");
@@ -446,26 +460,24 @@ impl IncrementalForward {
             program.refresh(store, ops, features, &mut c.state, None);
             (c, SpliceOutcome::Full, None)
         };
-        if let (Some(o), Some(t0)) = (&self.obs, t_refresh) {
+        if let Some(t0) = t_refresh {
             // The refresh span splits into halo dilation (accumulated at
             // each aggregation) and the row-subset forward.
             let total_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             let dilate_us = dilate.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-            o.dilate.observe(dilate_us);
-            o.forward.observe(total_us.saturating_sub(dilate_us));
-            if let SpliceOutcome::Spliced { gcell_rows, gnet_rows } = outcome {
-                o.halo_gcells.observe(gcell_rows as u64);
-                o.halo_gnets.observe(gnet_rows as u64);
-            }
+            self.obs.dilate.observe(dilate_us);
+            self.obs.forward.observe(total_us.saturating_sub(dilate_us));
+        }
+        if let SpliceOutcome::Spliced { gcell_rows, gnet_rows } = outcome {
+            self.obs.halo_gcells.observe(gcell_rows as u64);
+            self.obs.halo_gnets.observe(gnet_rows as u64);
         }
         c.fingerprints = (ops_fp, features_fp);
-        let t_splice = self.obs.as_ref().and_then(|o| o.splice.start());
+        let t_splice = self.obs.splice.start();
         let pred = program.state_prediction(&c.state);
         *act = Some(c);
         drop(act);
-        if let Some(o) = &self.obs {
-            o.splice.stop_us(t_splice);
-        }
+        self.obs.splice.stop_us(t_splice);
         self.finish(dirt, seq_at_take, seq_snapshot, outcome);
         (pred, outcome)
     }
@@ -491,28 +503,13 @@ impl IncrementalForward {
                 (pending, _) => *pending = None,
             }
         }
-        match outcome {
-            SpliceOutcome::Reused => n.stats.reused += 1,
-            SpliceOutcome::Spliced { .. } => n.stats.spliced_forwards += 1,
-            SpliceOutcome::Full => n.stats.full_forwards += 1,
-        }
         drop(n);
-        if let Some(o) = &self.obs {
-            match outcome {
-                SpliceOutcome::Reused => {
-                    o.reused.inc();
-                    o.design_reused.inc();
-                }
-                SpliceOutcome::Spliced { .. } => {
-                    o.spliced.inc();
-                    o.design_spliced.inc();
-                }
-                SpliceOutcome::Full => {
-                    o.full.inc();
-                    o.design_full.inc();
-                }
-            }
+        match outcome {
+            SpliceOutcome::Reused => &self.obs.reused,
+            SpliceOutcome::Spliced { .. } => &self.obs.spliced,
+            SpliceOutcome::Full => &self.obs.full,
         }
+        .inc();
     }
 }
 
@@ -609,14 +606,9 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("lhnn_full_forwards_total"), 2);
         assert_eq!(snap.counter("lhnn_reused_predictions_total"), 1);
-        assert_eq!(
-            snap.counter("lhnn_design_full_forwards_total{design=\"d0\",model=\"lhnn\"}"),
-            1
-        );
-        assert_eq!(
-            snap.counter("lhnn_design_full_forwards_total{design=\"d1\",model=\"hybridnet\"}"),
-            1
-        );
+        assert_eq!(snap.counter("lhnn_full_forwards_total{design=\"d0\",model=\"lhnn\"}"), 1);
+        assert_eq!(snap.counter("lhnn_full_forwards_total{design=\"d1\",model=\"hybridnet\"}"), 1);
+        assert_eq!(observed.stats().reused, 1);
         assert_eq!(snap.histogram("lhnn_stage_us{stage=\"forward\"}").unwrap().count, 2);
         assert_eq!(snap.histogram("lhnn_stage_us{stage=\"dilate\"}").unwrap().count, 2);
         assert_eq!(snap.histogram("lhnn_stage_us{stage=\"splice\"}").unwrap().count, 3);

@@ -104,7 +104,9 @@ impl From<StructuralReason> for RebuildCause {
     }
 }
 
-/// Counters over a pipeline's lifetime (diagnostics and bench reporting).
+/// Counters over a pipeline's lifetime (diagnostics and bench reporting):
+/// a read of its registry cells, labelled `{design}` (see
+/// [`LatticePipeline::set_metrics`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineStats {
     /// Total `apply` calls.
@@ -113,7 +115,8 @@ pub struct PipelineStats {
     pub noops: usize,
     /// Deltas served by the incremental patch path.
     pub incremental: usize,
-    /// Deltas that forced a full rebuild.
+    /// Deltas that forced a full rebuild (a failed rebuild counts too: it
+    /// leaves the pipeline poisoned).
     pub full_rebuilds: usize,
     /// Rebuilds caused by a filter crossing the tombstone path could not
     /// absorb ([`RebuildCause::NoLiveColumns`]). Stable columns should
@@ -158,27 +161,40 @@ impl std::fmt::Display for StalePipeline {
 
 impl std::error::Error for StalePipeline {}
 
-/// Metric handles for one pipeline (resolved once in
-/// [`LatticePipeline::set_metrics`]; absent by default). The update span
-/// hierarchy mirrors [`LatticePipeline::apply`]: rebin → graph patch →
-/// feature patch, with `rebuild` covering the structural fallback.
+/// Metric handles for one pipeline, resolved once per registry. They are
+/// its only counters: [`LatticePipeline::stats`] reads them back. The
+/// update span hierarchy mirrors [`LatticePipeline::apply`]: rebin →
+/// graph patch → feature patch, with `rebuild` covering the structural
+/// fallback.
 #[derive(Debug)]
 struct PipelineObs {
     rebin: Histogram,
     graph_patch: Histogram,
     feature_patch: Histogram,
     rebuild: Histogram,
+    updates: Counter,
+    noops: Counter,
+    /// One observation per incremental patch: the count is the number of
+    /// patches, the sum the dirty rows.
     dirty_gcells: Histogram,
     dirty_gnets: Histogram,
-    fallbacks: Counter,
-    compactions: Counter,
-    design_updates: Counter,
-    design_noops: Counter,
-    design_incremental: Counter,
-    design_fallbacks: Counter,
-    design_compactions: Counter,
-    design_crossings_patched: Counter,
-    design_poisoned_rebuilds: Counter,
+    crossings_patched: Counter,
+    /// `lhnn_fallbacks_total{design,cause}`, indexed like [`FALLBACK_CAUSES`].
+    fallbacks: [Counter; 3],
+}
+
+/// The `cause` label values of `lhnn_fallbacks_total`.
+const FALLBACK_CAUSES: [&str; 3] = ["compaction", "filter_crossing", "poisoned"];
+
+impl RebuildCause {
+    /// Index into [`FALLBACK_CAUSES`].
+    fn index(self) -> usize {
+        match self {
+            RebuildCause::Compaction { .. } => 0,
+            RebuildCause::NoLiveColumns => 1,
+            RebuildCause::PoisonedRecovery => 2,
+        }
+    }
 }
 
 impl PipelineObs {
@@ -189,19 +205,15 @@ impl PipelineObs {
             graph_patch: registry.stage("graph_patch"),
             feature_patch: registry.stage("feature_patch"),
             rebuild: registry.stage("rebuild"),
-            dirty_gcells: registry.histogram("lhnn_dirty_gcells"),
-            dirty_gnets: registry.histogram("lhnn_dirty_gnets"),
-            fallbacks: registry.counter("lhnn_fallbacks_total"),
-            compactions: registry.counter("lhnn_compactions_total"),
-            design_updates: registry.counter_with("lhnn_design_updates_total", d),
-            design_noops: registry.counter_with("lhnn_design_noops_total", d),
-            design_incremental: registry.counter_with("lhnn_design_incremental_total", d),
-            design_fallbacks: registry.counter_with("lhnn_design_fallbacks_total", d),
-            design_compactions: registry.counter_with("lhnn_design_compactions_total", d),
-            design_crossings_patched: registry
-                .counter_with("lhnn_design_crossings_patched_total", d),
-            design_poisoned_rebuilds: registry
-                .counter_with("lhnn_design_poisoned_rebuilds_total", d),
+            updates: registry.counter_with("lhnn_updates_total", d),
+            noops: registry.counter_with("lhnn_noops_total", d),
+            dirty_gcells: registry.histogram_with("lhnn_dirty_gcells", d),
+            dirty_gnets: registry.histogram_with("lhnn_dirty_gnets", d),
+            crossings_patched: registry.counter_with("lhnn_crossings_patched_total", d),
+            fallbacks: FALLBACK_CAUSES.map(|cause| {
+                registry
+                    .counter_with("lhnn_fallbacks_total", &[("design", design), ("cause", cause)])
+            }),
         }
     }
 }
@@ -223,8 +235,7 @@ pub struct LatticePipeline {
     graph: LhGraph,
     features: Arc<FeatureSet>,
     ops: Arc<GraphOps>,
-    stats: PipelineStats,
-    obs: Option<PipelineObs>,
+    obs: PipelineObs,
     /// Set when a fallback rebuild failed: the placement has advanced but
     /// graph/features/ops still describe an older one. Every later
     /// `apply` forces a rebuild until one succeeds, so the stale state
@@ -261,19 +272,21 @@ impl LatticePipeline {
             graph,
             features: Arc::new(features),
             ops: Arc::new(ops),
-            stats: PipelineStats::default(),
-            obs: None,
+            // Counts go to a private registry whose span timers never read
+            // the clock, until `set_metrics` names a shared one.
+            obs: PipelineObs::new(&Registry::disabled(), ""),
             poisoned: false,
         })
     }
 
     /// Reports later updates to `registry`: `rebin`/`graph_patch`/
-    /// `feature_patch`/`rebuild` stage spans, dirty-set size histograms,
-    /// the workspace-wide `lhnn_fallbacks_total` counter and per-`design`
-    /// update counters. Timing-only — graph/feature/fingerprint state is
+    /// `feature_patch`/`rebuild` stage spans and the update counters and
+    /// dirty-set histograms labelled `{design}` (the fallback counter also
+    /// by `cause`). Counts recorded before the call stay with the old
+    /// registry. Timing-only — graph/feature/fingerprint state is
     /// untouched by recording.
     pub fn set_metrics(&mut self, registry: &Registry, design: &str) {
-        self.obs = Some(PipelineObs::new(registry, design));
+        self.obs = PipelineObs::new(registry, design);
     }
 
     /// Convenience constructor with the default graph config and the full
@@ -302,11 +315,8 @@ impl LatticePipeline {
     ///
     /// Panics if the delta references a cell outside the circuit.
     pub fn apply(&mut self, delta: &PlacementDelta) -> lh_graph::Result<PipelineUpdate> {
-        self.stats.updates += 1;
-        if let Some(o) = &self.obs {
-            o.design_updates.inc();
-        }
-        let t_rebin = self.obs.as_ref().and_then(|o| o.rebin.start());
+        self.obs.updates.inc();
+        let t_rebin = self.obs.rebin.start();
         let report = rebin_delta_in_place(
             &self.circuit,
             &self.grid,
@@ -314,35 +324,20 @@ impl LatticePipeline {
             delta,
             &self.cell_to_nets,
         );
-        if let Some(o) = &self.obs {
-            o.rebin.stop_us(t_rebin);
-        }
+        self.obs.rebin.stop_us(t_rebin);
         if self.poisoned {
-            if let Some(o) = &self.obs {
-                o.fallbacks.inc();
-                o.design_fallbacks.inc();
-                o.design_poisoned_rebuilds.inc();
-            }
-            self.rebuild()?;
-            self.stats.full_rebuilds += 1;
-            self.stats.rebuilds_poisoned += 1;
-            return Ok(PipelineUpdate::FullRebuild { cause: RebuildCause::PoisonedRecovery });
+            return self.fall_back(RebuildCause::PoisonedRecovery);
         }
         if report.is_clean() {
-            self.stats.noops += 1;
-            if let Some(o) = &self.obs {
-                o.design_noops.inc();
-            }
+            self.obs.noops.inc();
             return Ok(PipelineUpdate::Noop);
         }
-        let t_graph = self.obs.as_ref().and_then(|o| o.graph_patch.start());
+        let t_graph = self.obs.graph_patch.start();
         let outcome = self.graph.apply_delta(&self.grid, &self.graph_cfg, &report);
-        if let Some(o) = &self.obs {
-            o.graph_patch.stop_us(t_graph);
-        }
+        self.obs.graph_patch.stop_us(t_graph);
         match outcome? {
             DeltaOutcome::Patched(patch) => {
-                let t_feat = self.obs.as_ref().and_then(|o| o.feature_patch.start());
+                let t_feat = self.obs.feature_patch.start();
                 let features = self.features.apply_delta(
                     &patch,
                     &report,
@@ -377,44 +372,24 @@ impl LatticePipeline {
                 self.ops = Arc::new(self.ops.patch_from(&patch.graph, &self.ablation));
                 self.graph = patch.graph;
                 self.features = Arc::new(features);
-                self.stats.incremental += 1;
-                self.stats.crossings_patched += crossings;
-                self.stats.dirty_nets += dirty_nets.len();
-                self.stats.dirty_gcells += dirty_gcells.len();
-                if let Some(o) = &self.obs {
-                    o.feature_patch.stop_us(t_feat);
-                    o.dirty_gcells.observe(dirty_gcells.len() as u64);
-                    o.dirty_gnets.observe(dirty_nets.len() as u64);
-                    o.design_incremental.inc();
-                    o.design_crossings_patched.add(crossings as u64);
-                }
+                self.obs.feature_patch.stop_us(t_feat);
+                self.obs.dirty_gcells.observe(dirty_gcells.len() as u64);
+                self.obs.dirty_gnets.observe(dirty_nets.len() as u64);
+                self.obs.crossings_patched.add(crossings as u64);
                 Ok(PipelineUpdate::Incremental { dirty_nets, dirty_gcells })
             }
-            DeltaOutcome::Structural(reason) => {
-                let cause = RebuildCause::from(reason);
-                // Counted before the attempt: a failed fallback rebuild is
-                // still a structural event worth alerting on.
-                if let Some(o) = &self.obs {
-                    o.fallbacks.inc();
-                    o.design_fallbacks.inc();
-                    if matches!(cause, RebuildCause::Compaction { .. }) {
-                        o.compactions.inc();
-                        o.design_compactions.inc();
-                    }
-                }
-                match cause {
-                    RebuildCause::Compaction { .. } => self.stats.rebuilds_compaction += 1,
-                    // NoLiveColumns is the one crossing shape the tombstone
-                    // path cannot absorb, so it books under filter
-                    // crossings — honest accounting for the bench grep.
-                    RebuildCause::NoLiveColumns => self.stats.rebuilds_filter_crossing += 1,
-                    RebuildCause::PoisonedRecovery => unreachable!("not a structural reason"),
-                }
-                self.rebuild()?;
-                self.stats.full_rebuilds += 1;
-                Ok(PipelineUpdate::FullRebuild { cause })
-            }
+            // NoLiveColumns is the one crossing shape the tombstone path
+            // cannot absorb, so it books under filter crossings.
+            DeltaOutcome::Structural(reason) => self.fall_back(RebuildCause::from(reason)),
         }
+    }
+
+    /// The structural fallback: counted before the attempt, because a
+    /// failed rebuild is still a structural event worth alerting on.
+    fn fall_back(&mut self, cause: RebuildCause) -> lh_graph::Result<PipelineUpdate> {
+        self.obs.fallbacks[cause.index()].inc();
+        self.rebuild()?;
+        Ok(PipelineUpdate::FullRebuild { cause })
     }
 
     /// Rebuilds the whole chain from scratch at the current placement
@@ -426,7 +401,7 @@ impl LatticePipeline {
     /// Propagates [`lh_graph`] build failures; until a rebuild succeeds,
     /// the pipeline stays poisoned and refuses the incremental path.
     pub fn rebuild(&mut self) -> lh_graph::Result<()> {
-        let t_rebuild = self.obs.as_ref().and_then(|o| o.rebuild.start());
+        let t_rebuild = self.obs.rebuild.start();
         self.poisoned = true;
         let graph = LhGraph::build(&self.circuit, &self.placement, &self.grid, &self.graph_cfg)?;
         let features = FeatureSet::build(&graph, &self.circuit, &self.placement, &self.grid)?;
@@ -434,9 +409,7 @@ impl LatticePipeline {
         self.graph = graph;
         self.features = Arc::new(features);
         self.poisoned = false;
-        if let Some(o) = &self.obs {
-            o.rebuild.stop_us(t_rebuild);
-        }
+        self.obs.rebuild.stop_us(t_rebuild);
         Ok(())
     }
 
@@ -479,10 +452,27 @@ impl LatticePipeline {
         self.poisoned
     }
 
-    /// Lifetime counters, tagged stale while the pipeline is poisoned
-    /// (the counts then describe the pre-failure placement).
+    /// Lifetime counters read from the registry cells, tagged stale while
+    /// the pipeline is poisoned (the counts then describe the pre-failure
+    /// placement).
     pub fn stats(&self) -> PipelineStats {
-        PipelineStats { stale: self.poisoned, ..self.stats.clone() }
+        let o = &self.obs;
+        let [compaction, filter_crossing, poisoned] = o.fallbacks.each_ref().map(Counter::get);
+        let (gcells, gnets) = (o.dirty_gcells.snapshot(), o.dirty_gnets.snapshot());
+        let n = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+        PipelineStats {
+            updates: n(o.updates.get()),
+            noops: n(o.noops.get()),
+            incremental: n(gcells.count),
+            full_rebuilds: n(compaction + filter_crossing + poisoned),
+            rebuilds_filter_crossing: n(filter_crossing),
+            rebuilds_compaction: n(compaction),
+            rebuilds_poisoned: n(poisoned),
+            crossings_patched: n(o.crossings_patched.get()),
+            dirty_nets: n(gnets.sum),
+            dirty_gcells: n(gcells.sum),
+            stale: self.poisoned,
+        }
     }
 
     /// `(operators, features)` content fingerprints — the serving cache
@@ -660,11 +650,13 @@ mod tests {
             );
         }
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("lhnn_design_updates_total{design=\"d0\"}"), 4);
+        assert_eq!(snap.counter("lhnn_updates_total{design=\"d0\"}"), 4);
         assert_eq!(snap.histogram("lhnn_stage_us{stage=\"rebin\"}").unwrap().count, 4);
         // registered even when never hit, so dumps carry the full catalog
         assert_eq!(snap.counter("lhnn_fallbacks_total"), 0);
-        assert!(snap.get("lhnn_fallbacks_total").is_some());
+        assert!(snap.get("lhnn_fallbacks_total{design=\"d0\",cause=\"compaction\"}").is_some());
+        // the view reads the same cells
+        assert_eq!(observed.stats(), plain.stats());
     }
 
     #[test]

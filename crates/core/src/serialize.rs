@@ -1,5 +1,5 @@
 //! Model persistence: save/load trained weights as a plain-text format
-//! (no external serialisation dependency; see DESIGN.md §5).
+//! (no external serialisation dependency; the README explains `vendor/`).
 //!
 //! Format (`lhnn-model v2`): a magic line, a `kind` tag naming the
 //! architecture, a header with its hyper-parameters, then one block per

@@ -1,8 +1,8 @@
 //! Result formatting: paper-style `mean±std` tables and CSV output.
 //!
-//! Kept dependency-free on purpose (DESIGN.md §5): experiment binaries
-//! print fixed-width tables to stdout and mirror them as CSV files under
-//! `results/`.
+//! Kept dependency-free on purpose (the README explains `vendor/`):
+//! experiment binaries print fixed-width tables to stdout and mirror them
+//! as CSV files under `results/`.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -8,7 +8,7 @@
 //! * [`GcellGrid`] — the G-cell tessellation of the die (paper Figure 1a),
 //! * [`bookshelf`] — read/write the ISPD/DAC contest interchange format,
 //! * [`synth`] — a generator of Superblue-like synthetic designs standing
-//!   in for the contest benchmarks (see DESIGN.md for the substitution
+//!   in for the contest benchmarks (its module doc gives the substitution
 //!   argument).
 //!
 //! # Example

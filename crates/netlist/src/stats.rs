@@ -1,7 +1,7 @@
 //! Netlist statistics: degree distributions and a Rent-exponent estimate.
 //!
 //! These quantify how Superblue-like a (synthetic or parsed) circuit is —
-//! the evidence behind the dataset substitution argument in DESIGN.md.
+//! the evidence behind the dataset substitution argument in [`crate::synth`].
 //! Real netlists have: a heavy 2-pin mass with a geometric-ish tail, and a
 //! Rent exponent `p ∈ [0.5, 0.8]` (terminals `T ≈ t·Gᵖ` for partitions of
 //! `G` gates).

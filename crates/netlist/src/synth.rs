@@ -2,7 +2,7 @@
 //!
 //! The ISPD-2011 / DAC-2012 contest designs are not redistributable here,
 //! so the reproduction generates circuits with the same *learning-relevant*
-//! structure (see DESIGN.md §1):
+//! structure:
 //!
 //! * clustered connectivity — most nets are local to a logical cluster, a
 //!   configurable fraction cross clusters (these become the long

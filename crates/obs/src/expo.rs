@@ -2,9 +2,11 @@
 //! reading the text form back.
 //!
 //! Both renderers are hand-rolled (the workspace's serde is a
-//! compile-only stand-in), following the same escaping discipline as
-//! `lhnn_data::write_bench_json` so the artifacts slot into the existing
-//! `results/` pipeline.
+//! compile-only stand-in). Label values are client-chosen (a session's
+//! design id), so the text form escapes backslash, double quote and
+//! newline as the Prometheus text format prescribes, the JSON form
+//! escapes every control character, and the parser unescapes what the
+//! text form escaped.
 //!
 //! Histograms render **summary-style**: the unsuffixed series carries
 //! the mean, `quantile="..."` label variants carry p50/p95/p99, and
@@ -14,13 +16,25 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::{SeriesValue, Snapshot};
+use crate::metrics::{escape_label, SeriesValue, Snapshot};
 
 /// Quantiles the summary rendering and JSON snapshot report.
 const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes a JSON string body: quote, backslash and control characters.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
@@ -33,7 +47,7 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> St
         if !first {
             out.push(',');
         }
-        let _ = write!(out, "{k}=\"{}\"", escape(v));
+        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
         first = false;
     }
     if let Some((k, v)) = extra {
@@ -97,21 +111,19 @@ impl Snapshot {
             let mut labels = String::new();
             for (j, (k, v)) in s.labels.iter().enumerate() {
                 let sep = if j > 0 { ", " } else { "" };
-                let _ = write!(labels, "{sep}\"{}\": \"{}\"", escape(k), escape(v));
+                let _ = write!(labels, "{sep}\"{}\": \"{}\"", json_escape(k), json_escape(v));
             }
             match &s.value {
-                SeriesValue::Counter(v) => {
+                SeriesValue::Counter(v) | SeriesValue::Gauge(v) => {
+                    let kind = if matches!(s.value, SeriesValue::Counter(_)) {
+                        "counter"
+                    } else {
+                        "gauge"
+                    };
                     let _ = writeln!(
                         out,
-                        "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"kind\": \"counter\", \"value\": {v}}}{comma}",
-                        escape(&s.name)
-                    );
-                }
-                SeriesValue::Gauge(v) => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"kind\": \"gauge\", \"value\": {v}}}{comma}",
-                        escape(&s.name)
+                        "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"kind\": \"{kind}\", \"value\": {v}}}{comma}",
+                        json_escape(&s.name)
                     );
                 }
                 SeriesValue::Histogram(h) => {
@@ -120,7 +132,7 @@ impl Snapshot {
                         "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"kind\": \"histogram\", \
                          \"count\": {}, \"sum\": {}, \"mean\": {:.4}, \
                          \"p50\": {}, \"p95\": {}, \"p99\": {}}}{comma}",
-                        escape(&s.name),
+                        json_escape(&s.name),
                         h.count,
                         h.sum,
                         h.mean(),
@@ -156,42 +168,58 @@ impl ParsedSeries {
 }
 
 /// Parses Prometheus-style text (the subset [`Snapshot::to_prometheus`]
-/// emits: `name value` and `name{k="v",...} value` lines; `#` comments
-/// and blank lines are skipped; malformed lines are skipped too rather
-/// than failing the whole postmortem).
+/// emits: `name value` and `name{k="v",...} value` lines, label values
+/// unescaped). `#` comments and blank lines are skipped; so are malformed
+/// lines and non-finite values, rather than failing the whole postmortem.
 pub fn parse_prometheus(text: &str) -> Vec<ParsedSeries> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some(space) = line.rfind(' ') else { continue };
-        let (key, value) = line.split_at(space);
-        let Ok(value) = value.trim().parse::<f64>() else { continue };
-        let key = key.trim();
-        let (name, labels) = match key.find('{') {
-            None => (key.to_string(), Vec::new()),
-            Some(open) => {
-                let Some(close) = key.rfind('}') else { continue };
-                if close < open {
-                    continue;
-                }
-                let mut labels = Vec::new();
-                let body = &key[open + 1..close];
-                // labels never contain escaped quotes in our own dumps;
-                // split on `",` boundaries to tolerate commas in values
-                for pair in body.split("\",") {
-                    let pair = pair.trim_end_matches('"');
-                    let Some(eq) = pair.find("=\"") else { continue };
-                    labels.push((pair[..eq].to_string(), pair[eq + 2..].to_string()));
-                }
-                (key[..open].to_string(), labels)
-            }
-        };
-        out.push(ParsedSeries { name, labels, value });
+    text.lines().filter_map(parse_line).collect()
+}
+
+/// One sample line, or `None` for a comment, blank or malformed line.
+fn parse_line(line: &str) -> Option<ParsedSeries> {
+    let line = line.trim();
+    if line.starts_with('#') {
+        return None;
     }
-    out
+    let name_end = line.find(|c: char| c == '{' || c.is_whitespace())?;
+    let (name, mut rest) = line.split_at(name_end);
+    let mut labels = Vec::new();
+    if let Some(mut body) = rest.strip_prefix('{') {
+        loop {
+            if let Some(after) = body.strip_prefix('}') {
+                rest = after;
+                break;
+            }
+            let eq = body.find("=\"")?;
+            let (value, after) = unquote(&body[eq + 2..])?;
+            labels.push((body[..eq].trim().to_string(), value));
+            body = match after.strip_prefix(',') {
+                Some(next) => next,
+                None if after.starts_with('}') => after,
+                None => return None,
+            };
+        }
+    }
+    let value = rest.trim().parse::<f64>().ok().filter(|v| v.is_finite())?;
+    (!name.is_empty()).then(|| ParsedSeries { name: name.to_string(), labels, value })
+}
+
+/// Reads an escaped label value up to its closing quote, returning the
+/// unescaped value and the text after the quote.
+fn unquote(s: &str) -> Option<(String, &str)> {
+    let mut out = String::new();
+    let mut chars = s.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &s[i + 1..])),
+            '\\' => match chars.next()?.1 {
+                'n' => out.push('\n'),
+                other => out.push(other),
+            },
+            c => out.push(c),
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -202,8 +230,8 @@ mod tests {
     fn sample() -> Snapshot {
         let r = Registry::new();
         r.counter("lhnn_requests_total").add(7);
-        r.counter_with("lhnn_design_updates_total", &[("design", "d0")]).add(3);
-        r.gauge("lhnn_queue_depth_high").set(5);
+        r.counter_with("lhnn_updates_total", &[("design", "d0")]).add(3);
+        r.gauge("lhnn_queue_depth_high").record_max(5);
         let h = r.stage("splice");
         h.observe(10);
         h.observe(1500);
@@ -214,12 +242,12 @@ mod tests {
     fn prometheus_text_contains_canonical_keys() {
         let text = sample().to_prometheus();
         assert!(text.contains("lhnn_requests_total 7"), "got:\n{text}");
-        assert!(text.contains("lhnn_design_updates_total{design=\"d0\"} 3"), "got:\n{text}");
+        assert!(text.contains("lhnn_updates_total{design=\"d0\"} 3"), "got:\n{text}");
         assert!(text.contains("lhnn_queue_depth_high 5"), "got:\n{text}");
         // the canonical histogram key appears verbatim (CI greps this)
         assert!(text.contains("lhnn_stage_us{stage=\"splice\"}"), "got:\n{text}");
         assert!(
-            text.contains("lhnn_stage_us{stage=\"splice\",quantile=\"0.99\"} 2047"),
+            text.contains("lhnn_stage_us{stage=\"splice\",quantile=\"0.99\"} 1535"),
             "got:\n{text}"
         );
         assert!(text.contains("lhnn_stage_us_count{stage=\"splice\"} 2"), "got:\n{text}");
@@ -236,7 +264,7 @@ mod tests {
         assert!(json.contains("\"kind\": \"counter\", \"value\": 7"), "got:\n{json}");
         assert!(json.contains("\"labels\": {\"design\": \"d0\"}"), "got:\n{json}");
         assert!(json.contains("\"kind\": \"histogram\""), "got:\n{json}");
-        assert!(json.contains("\"p99\": 2047"), "got:\n{json}");
+        assert!(json.contains("\"p99\": 1535"), "got:\n{json}");
     }
 
     #[test]
@@ -246,7 +274,7 @@ mod tests {
         let req = parsed.iter().find(|p| p.name == "lhnn_requests_total").unwrap();
         assert_eq!(req.value, 7.0);
         assert!(req.labels.is_empty());
-        let design = parsed.iter().find(|p| p.name == "lhnn_design_updates_total").unwrap();
+        let design = parsed.iter().find(|p| p.name == "lhnn_updates_total").unwrap();
         assert_eq!(design.label("design"), Some("d0"));
         assert_eq!(design.value, 3.0);
         let p99 = parsed
@@ -254,14 +282,39 @@ mod tests {
             .find(|p| p.name == "lhnn_stage_us" && p.label("quantile") == Some("0.99"))
             .unwrap();
         assert_eq!(p99.label("stage"), Some("splice"));
-        assert_eq!(p99.value, 2047.0);
+        assert_eq!(p99.value, 1535.0);
         let count = parsed.iter().find(|p| p.name == "lhnn_stage_us_count").unwrap();
         assert_eq!(count.value, 2.0);
+
+        // Client-chosen design ids round-trip exactly, and none can split
+        // its line to forge a series.
+        let hostile =
+            ["q\"x", "back\\slash\\", "two\nlines", "a\",b=\"c", "x\"} 1\nforged_total 99\n#"];
+        let r = Registry::new();
+        for (i, id) in hostile.iter().enumerate() {
+            r.counter_with("lhnn_updates_total", &[("design", id), ("model", "lhnn")])
+                .add(i as u64);
+        }
+        let text = r.snapshot().to_prometheus();
+        // JSON strings carry no raw newline: one line per series
+        assert_eq!(r.snapshot().to_json().lines().count(), hostile.len() + 5);
+        let parsed = parse_prometheus(&text);
+        assert_eq!(parsed.len(), hostile.len(), "got:\n{text}");
+        for (i, id) in hostile.iter().enumerate() {
+            let p = parsed.iter().find(|p| p.label("design") == Some(id)).expect(id);
+            assert_eq!(
+                (p.name.as_str(), p.label("model"), p.value),
+                ("lhnn_updates_total", Some("lhnn"), i as f64)
+            );
+        }
+        assert!(parsed.iter().all(|p| p.name == "lhnn_updates_total"), "forged series: {parsed:?}");
     }
 
     #[test]
     fn parser_skips_garbage() {
-        let parsed = parse_prometheus("# comment\n\nnot a metric\nok 1\nbad{unclosed 2\n");
+        let parsed = parse_prometheus(
+            "# comment\n\nnot a metric\nok 1\nbad{unclosed 2\nnan NaN\ninf{a=\"b\"} +Inf\n",
+        );
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].name, "ok");
     }

@@ -4,10 +4,12 @@
 //! offline vendored environment:
 //!
 //! * [`Registry`] — a lock-light metrics registry of monotone
-//!   [`Counter`]s, [`Gauge`]s and fixed-bucket log-scale [`Histogram`]s.
-//!   Registration (name → cell) takes a mutex once; recording is a
-//!   couple of relaxed atomic ops on a pre-resolved handle, and a
-//!   disabled registry reduces every record to one relaxed load.
+//!   [`Counter`]s, [`Gauge`]s and log-linear [`Histogram`]s (quantiles
+//!   ≤12.5% high). Registration (name → cell) takes a mutex once;
+//!   recording is a couple of relaxed atomic ops on a pre-resolved
+//!   handle. Cells always record — the registry is the serving stack's
+//!   only count store — and a bare-name [`Snapshot`] lookup sums every
+//!   label set of a name.
 //! * Span-style **stage tracing** — histogram series
 //!   `lhnn_stage_us{stage="..."}` record where a request's latency goes
 //!   (queue wait → cache lookup → delta drain → halo dilation → spliced

@@ -1,7 +1,7 @@
 //! `vlsi-place` — analytic global placement for the LHNN reproduction.
 //!
 //! The paper generates its training placements with DREAMPlace; this crate
-//! is the stand-in (see DESIGN.md). It implements the classic analytic
+//! is the stand-in. It implements the classic analytic
 //! recipe:
 //!
 //! 1. [`quadratic`] — clique-model quadratic wirelength minimisation with

@@ -2,7 +2,7 @@
 //!
 //! The paper obtains ground-truth horizontal/vertical routing-demand maps
 //! from NCTU-GR 2.0 and thresholds them against capacity into congestion
-//! masks. This crate is the stand-in (see DESIGN.md):
+//! masks. This crate is the stand-in:
 //!
 //! * [`maps`] — the edge-based routing-resource model and per-G-cell
 //!   label maps,

@@ -1,5 +1,6 @@
 //! The inference engine: a front over N shards, each with its own
-//! bounded request queue, worker-pool slice, prediction cache and stats.
+//! bounded request queue, worker-pool slice, prediction cache and count
+//! cells.
 //!
 //! # Architecture
 //!
@@ -14,7 +15,7 @@
 //!   │ worker slice  │    │ worker slice  │    session-update jobs)
 //!   │ LRU cache     │    │ LRU cache     │
 //!   │ single-flight │    │ single-flight │
-//!   │ stats         │    │ stats         │
+//!   │ count cells   │    │ count cells   │
 //!   └───────────────┘    └───────────────┘
 //! ```
 //!
@@ -46,7 +47,6 @@
 //! engine keeps serving.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::AtomicU64;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -62,15 +62,10 @@ use neurograd::{Fnv64, Matrix};
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{Result, ServeError};
 use crate::lock;
-use crate::observability::EngineObs;
+use crate::observability::{EngineObs, ShardObs};
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::session::SessionCore;
-use crate::stats::{self, ServeStats, StatsInner};
-
-/// Saturating microseconds of a [`Duration`].
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
+use crate::stats::ServeStats;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -80,7 +75,7 @@ pub struct EngineConfig {
     /// every shard owns at least one worker.
     pub workers: usize,
     /// Independent shards (default 1). Each shard has its own queue,
-    /// worker slice, prediction cache and stats; designs map to shards by
+    /// worker slice, prediction cache and count cells; designs map to shards by
     /// a stable hash, so one hot design cannot evict another design's
     /// cache entries or monopolise all workers.
     pub shards: usize,
@@ -102,13 +97,15 @@ pub struct EngineConfig {
     /// thread-count-invariant this never changes a prediction (the
     /// `served_prediction_is_bitwise_identical` proptest covers it).
     pub compute_threads: usize,
-    /// Metrics, stage tracing and the flight recorder (default on).
+    /// Stage tracing and the flight recorder (default on).
     ///
-    /// Off builds the disabled registry/recorder pair: hot-path recording
-    /// collapses to one relaxed load per site, span timers skip their
-    /// clock reads entirely, and flight events are dropped before
-    /// formatting. Instrumentation never touches model arithmetic either
-    /// way — predictions are bitwise identical with it on or off (the
+    /// Off builds the disabled registry/recorder pair: span timers
+    /// (`lhnn_stage_us`) skip their clock reads entirely and flight events
+    /// are dropped before formatting. The count cells and the request
+    /// latency histogram record either way — they are the only store of
+    /// the engine's counts, so [`ServeStats`] and the session stats stay
+    /// exact. Instrumentation never touches model arithmetic — predictions
+    /// are bitwise identical with it on or off (the
     /// `metrics_do_not_change_predictions` proptest covers it).
     pub metrics: bool,
 }
@@ -253,31 +250,24 @@ enum InFlightState {
     Abandoned,
 }
 
-/// One shard: queue, cache, single-flight map and stats, isolated from
-/// every other shard.
+/// One shard: queue, cache and single-flight map, isolated from every
+/// other shard. Its count cells live in `EngineObs::shards`.
 struct Shard {
     queue: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
     cache: Mutex<PredictionCache>,
     in_flight: Mutex<HashMap<CacheKey, Arc<InFlight>>>,
-    /// Shared with the shard's sessions, which count their own applied
-    /// updates.
-    stats: Arc<Mutex<StatsInner>>,
 }
 
 impl Shard {
-    fn new(cache_capacity: usize, clock: Arc<AtomicU64>) -> Self {
+    fn new(cache_capacity: usize) -> Self {
         Self {
             queue: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cache: Mutex::new(PredictionCache::new(cache_capacity)),
             in_flight: Mutex::new(HashMap::new()),
-            // All shards share one logical clock, so ring entries carry
-            // engine-wide recency stamps and the aggregate percentile
-            // merge can prefer the newest samples across shards.
-            stats: Arc::new(Mutex::new(StatsInner::with_clock(clock))),
         }
     }
 }
@@ -342,12 +332,9 @@ impl ServeEngine {
             neurograd::pool::configure_threads(cfg.compute_threads);
         }
         let workers_per_shard = partition_workers(cfg.workers.max(1), cfg.shards.max(1));
-        let clock = Arc::new(AtomicU64::new(0));
-        let shards: Vec<Shard> = workers_per_shard
-            .iter()
-            .map(|_| Shard::new(cfg.cache_capacity, Arc::clone(&clock)))
-            .collect();
-        let obs = EngineObs::new(cfg.metrics);
+        let shards: Vec<Shard> =
+            workers_per_shard.iter().map(|_| Shard::new(cfg.cache_capacity)).collect();
+        let obs = EngineObs::new(cfg.metrics, shards.len());
         registry.attach_metrics(Arc::clone(&obs.registry));
         let shared = Arc::new(Shared {
             registry,
@@ -482,8 +469,12 @@ impl ServeHandle {
         self.shared.obs.stage_cache.stop_us(t_cache);
         if let Some(hit) = hit {
             let latency = submitted.elapsed();
-            lock::recover(&shard.stats).record_request(latency, true);
-            record_request_obs(&self.shared.obs, latency, true);
+            record_request(
+                &self.shared.obs.shards[shard_idx],
+                request.incremental.as_ref(),
+                latency,
+                true,
+            );
             return Ok(reply_from(hit, true, request.threshold, latency));
         }
         let rx = self.enqueue(shard_idx, entry, request, key, submitted)?;
@@ -509,8 +500,8 @@ impl ServeHandle {
                 self.shared.obs.stage_cache.stop_us(t_cache);
                 if let Some(hit) = hit {
                     let latency = submitted.elapsed();
-                    lock::recover(&shard.stats).record_request(latency, true);
-                    record_request_obs(&self.shared.obs, latency, true);
+                    let cells = &self.shared.obs.shards[shard_idx];
+                    record_request(cells, request.incremental.as_ref(), latency, true);
                     return Ok(PendingReply::Ready(reply_from(
                         hit,
                         true,
@@ -535,20 +526,10 @@ impl ServeHandle {
 
     /// A snapshot of the engine's counters and latency percentiles,
     /// aggregated across shards ([`ServeStats::per_shard`] has the
-    /// breakdown).
+    /// breakdown): a lock-free read of the shards' registry cells.
     pub fn stats(&self) -> ServeStats {
-        // Snapshot each shard under its own lock; clone out so no lock is
-        // held across the aggregation.
-        let snapshots: Vec<StatsInner> = self
-            .shared
-            .shards
-            .iter()
-            .map(|s| {
-                let guard = lock::recover(&s.stats);
-                guard.clone_for_snapshot()
-            })
-            .collect();
-        stats::aggregate(&snapshots, &self.shared.workers_per_shard, self.shared.started.elapsed())
+        let shared = &self.shared;
+        ServeStats::read(&shared.obs.shards, &shared.workers_per_shard, shared.started.elapsed())
     }
 
     /// Number of engine worker threads (across all shards).
@@ -674,15 +655,11 @@ impl ServeHandle {
         Ok(entry)
     }
 
-    /// The stats of shard `shard_idx` and the engine's session-update
-    /// counter: where a session pinned to that shard counts each update
-    /// it applies.
-    pub(crate) fn session_update_sinks(
-        &self,
-        shard_idx: usize,
-    ) -> (Arc<Mutex<StatsInner>>, lhnn_obs::Counter) {
-        let shard = &self.shared.shards[shard_idx.min(self.shared.shards.len() - 1)];
-        (Arc::clone(&shard.stats), self.shared.obs.session_updates.clone())
+    /// Shard `shard_idx`'s `lhnn_session_updates_total` cell: where a
+    /// session pinned to that shard counts each update it applies.
+    pub(crate) fn session_update_sinks(&self, shard_idx: usize) -> lhnn_obs::Counter {
+        let cells = &self.shared.obs.shards;
+        cells[shard_idx.min(cells.len() - 1)].session_updates.clone()
     }
 
     /// Records a session's incremental-forward state so cross-kind
@@ -700,7 +677,7 @@ impl ServeHandle {
     }
 
     /// A point-in-time snapshot of every registered series (render it with
-    /// [`lhnn_obs::to_prometheus`] / [`lhnn_obs::to_json`]).
+    /// [`Snapshot::to_prometheus`] / [`Snapshot::to_json`]).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.shared.obs.registry.snapshot()
     }
@@ -712,7 +689,8 @@ impl ServeHandle {
         self.shared.obs.flight.snapshot()
     }
 
-    /// Whether this engine records metrics ([`EngineConfig::metrics`]).
+    /// Whether this engine records span timings and flight events
+    /// ([`EngineConfig::metrics`]); counts are recorded either way.
     pub fn metrics_enabled(&self) -> bool {
         self.shared.obs.registry.is_enabled()
     }
@@ -853,6 +831,7 @@ fn reply_from(
 
 fn worker_loop(shared: &Shared, shard_idx: usize) {
     let shard = &shared.shards[shard_idx];
+    let cells = &shared.obs.shards[shard_idx];
     // One scratch slot per model kind, lazily created: a long-lived worker
     // serves a mixed model zoo with zero steady-state allocation.
     let mut scratch = ScratchSet::new();
@@ -881,8 +860,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
         // jobs' queue time.
         let predict_jobs = batch.iter().filter(|j| matches!(j, Job::Predict(_))).count();
         if predict_jobs > 0 {
-            lock::recover(&shard.stats).record_batch(predict_jobs);
-            shared.obs.batches.inc();
+            cells.batch_jobs.observe(predict_jobs as u64);
             for job in &batch {
                 if let Job::Predict(j) = job {
                     shared.obs.stage_queue.stop_us(j.enqueued);
@@ -958,7 +936,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                             // Incremental forwards splice against one
                             // session's cached activations — they cannot
                             // share a dispatch, so compute in place.
-                            match compute_owned(shared, shard, &job, &marker, &mut scratch) {
+                            match compute_owned(shared, shard_idx, &job, &marker, &mut scratch) {
                                 Some((p, cached)) => {
                                     local.insert(job.key, Arc::clone(&p));
                                     (p, cached)
@@ -976,7 +954,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                     }
                 }
             };
-            send_reply(shared, shard, &job, prediction, cached);
+            send_reply(cells, &job, prediction, cached);
         }
         // Second pass: cross-design batching. Owned stateless jobs group
         // by model identity and graph shape (first-seen order); each
@@ -1001,7 +979,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
             }
         }
         for (_, group) in groups {
-            compute_batched(shared, shard, group, &mut scratch);
+            compute_batched(shared, shard_idx, group, &mut scratch);
         }
         // Final pass: resolve waits on keys owned by other workers.
         for (job, first_marker) in deferred {
@@ -1017,7 +995,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                 };
                 match state {
                     InFlightState::Done(p) => {
-                        send_reply(shared, shard, &job, p, true);
+                        send_reply(cells, &job, p, true);
                         break;
                     }
                     InFlightState::Abandoned => {
@@ -1027,9 +1005,9 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                         match claim_key(shard, job.key) {
                             Ok(m) => {
                                 if let Some((p, cached)) =
-                                    compute_owned(shared, shard, &job, &m, &mut scratch)
+                                    compute_owned(shared, shard_idx, &job, &m, &mut scratch)
                                 {
-                                    send_reply(shared, shard, &job, p, cached);
+                                    send_reply(cells, &job, p, cached);
                                 }
                                 break;
                             }
@@ -1068,11 +1046,12 @@ fn claim_key(shard: &Shard, key: CacheKey) -> std::result::Result<Arc<InFlight>,
 /// request cannot wedge the pool — see `ServeError::WorkerLost`.
 fn compute_owned(
     shared: &Shared,
-    shard: &Shard,
+    shard_idx: usize,
     job: &PredictJob,
     marker: &Arc<InFlight>,
     scratch: &mut ScratchSet,
 ) -> Option<(Arc<Prediction>, bool)> {
+    let shard = &shared.shards[shard_idx];
     let recheck = lock::recover(&shard.cache).get(&job.key);
     let outcome = match recheck {
         Some(p) => Ok((p, true)),
@@ -1099,8 +1078,7 @@ fn compute_owned(
     let (result, state) = match outcome {
         Ok((p, cached)) => {
             if !cached {
-                lock::recover(&shard.stats).record_computed();
-                shared.obs.computed.inc();
+                shared.obs.shards[shard_idx].computed.inc();
                 // cache before unmarking, so latecomers that miss the
                 // marker hit the cache
                 lock::recover(&shard.cache).insert(job.key, Arc::clone(&p));
@@ -1141,14 +1119,15 @@ fn publish(shard: &Shard, key: CacheKey, marker: &Arc<InFlight>, state: InFlight
 /// Accounting is per request: each member still records `computed` (its
 /// forward really ran, fused into the dispatch), publishes its own
 /// single-flight marker and caches under its own key; the group adds one
-/// `batched_forwards` tick. A panic abandons every member's marker
+/// `lhnn_batched_forward_jobs` observation. A panic abandons every member's marker
 /// (requesters see `WorkerLost`), mirroring `compute_owned`.
 fn compute_batched(
     shared: &Shared,
-    shard: &Shard,
+    shard_idx: usize,
     group: Vec<(PredictJob, Arc<InFlight>)>,
     scratch: &mut ScratchSet,
 ) {
+    let (shard, cells) = (&shared.shards[shard_idx], &shared.obs.shards[shard_idx]);
     // Per-job cache recheck (same race as `compute_owned`: another worker
     // may have computed and unclaimed a key between our miss and our
     // claim): publish hits immediately, batch only the remainder.
@@ -1157,7 +1136,7 @@ fn compute_batched(
         match lock::recover(&shard.cache).get(&job.key) {
             Some(p) => {
                 publish(shard, job.key, &marker, InFlightState::Done(Arc::clone(&p)));
-                send_reply(shared, shard, &job, p, true);
+                send_reply(cells, &job, p, true);
             }
             None => pending.push((job, marker)),
         }
@@ -1165,8 +1144,8 @@ fn compute_batched(
     if pending.len() < 2 {
         // Nothing to fuse: the plain single-design path.
         if let Some((job, marker)) = pending.pop() {
-            if let Some((p, cached)) = compute_owned(shared, shard, &job, &marker, scratch) {
-                send_reply(shared, shard, &job, p, cached);
+            if let Some((p, cached)) = compute_owned(shared, shard_idx, &job, &marker, scratch) {
+                send_reply(cells, &job, p, cached);
             }
         }
         return;
@@ -1183,17 +1162,15 @@ fn compute_batched(
     }));
     match outcome {
         Ok(parts) => {
-            lock::recover(&shard.stats).record_batched_forward(pending.len());
-            shared.obs.batched_forwards.inc();
+            cells.batched_forward_jobs.observe(pending.len() as u64);
             for ((job, marker), p) in pending.into_iter().zip(parts) {
                 let p = Arc::new(p);
-                lock::recover(&shard.stats).record_computed();
-                shared.obs.computed.inc();
+                cells.computed.inc();
                 // cache before unmarking, so latecomers that miss the
                 // marker hit the cache
                 lock::recover(&shard.cache).insert(job.key, Arc::clone(&p));
                 publish(shard, job.key, &marker, InFlightState::Done(Arc::clone(&p)));
-                send_reply(shared, shard, &job, p, false);
+                send_reply(cells, &job, p, false);
             }
         }
         Err(_) => {
@@ -1240,28 +1217,26 @@ fn split_rows(batched: &Prediction, row_counts: impl Iterator<Item = usize>) -> 
         .collect()
 }
 
-fn send_reply(
-    shared: &Shared,
-    shard: &Shard,
-    job: &PredictJob,
-    prediction: Arc<Prediction>,
-    cached: bool,
-) {
+fn send_reply(cells: &ShardObs, job: &PredictJob, prediction: Arc<Prediction>, cached: bool) {
     let latency = job.submitted.elapsed();
-    lock::recover(&shard.stats).record_request(latency, cached);
-    record_request_obs(&shared.obs, latency, cached);
+    record_request(cells, job.incremental.as_ref(), latency, cached);
     // A requester that gave up (dropped the receiver) is fine.
     let _ = job.reply.send(reply_from(prediction, cached, job.threshold, latency));
 }
 
-/// Mirrors one answered request into the metrics registry (the exact
-/// counts live in `StatsInner`; these are the exported view).
-fn record_request_obs(obs: &EngineObs, latency: Duration, cached: bool) {
-    obs.requests.inc();
-    if cached {
-        obs.cache_hits.inc();
+/// Counts one answered request on its shard. A session's predict answered
+/// from the shard cache never reaches its incremental forward, so the
+/// hit also counts there, as reused.
+fn record_request(
+    cells: &ShardObs,
+    incremental: Option<&(Arc<IncrementalForward>, u64)>,
+    latency: Duration,
+    cached: bool,
+) {
+    cells.record_request(latency, cached);
+    if let (true, Some((incr, _))) = (cached, incremental) {
+        incr.note_cache_hit();
     }
-    obs.request_us.observe(duration_us(latency));
 }
 
 #[cfg(test)]
@@ -1574,22 +1549,23 @@ mod tests {
     }
 
     /// Poisoned re-derivable locks recover instead of cascading panics:
-    /// deliberately poison a shard's stats mutex and confirm every surface
+    /// deliberately poison a shard's cache mutex and confirm every surface
     /// that crosses it still works.
     #[test]
-    fn poisoned_stats_mutex_recovers() {
+    fn poisoned_cache_mutex_recovers() {
         let engine = engine_with_default_model(1, 4);
         let handle = engine.handle();
         let shared = Arc::clone(&handle.shared);
         let _ = std::thread::spawn(move || {
-            let _guard = shared.shards[0].stats.lock().unwrap();
-            panic!("poison the stats mutex");
+            let _guard = shared.shards[0].cache.lock().unwrap();
+            panic!("poison the cache mutex");
         })
         .join();
-        assert!(handle.shared.shards[0].stats.lock().is_err(), "mutex really poisoned");
+        assert!(handle.shared.shards[0].cache.lock().is_err(), "mutex really poisoned");
         let (ops, feats) = design(9, 80, 6);
         let ok = handle.predict(&PredictRequest::new("default", ops, feats)).unwrap();
         assert!(ok.prediction.cls_prob.is_finite());
+        assert_eq!(handle.cache_len(), 1);
         assert_eq!(handle.stats().requests, 1, "stats keep counting after recovery");
         engine.shutdown();
     }

@@ -16,7 +16,7 @@
 //!   shards; each owns a bounded request queue drained by its slice of
 //!   long-lived worker threads (tape-free forwards on a reusable
 //!   per-kind [`lhnn::ScratchSet`], micro-batching, single-flight dedup),
-//!   its own prediction cache and its own stats. Designs route to shards
+//!   its own prediction cache and its own count cells. Designs route to shards
 //!   by a stable hash, so one hot placement loop can neither evict
 //!   another design's cache entries nor monopolise all workers.
 //! * [`PredictionCache`] — a per-shard LRU keyed by content fingerprints

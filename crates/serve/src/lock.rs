@@ -5,7 +5,7 @@
 //! into two classes:
 //!
 //! * **Re-derivable / advisory** — the prediction cache (worst case: a
-//!   recompute), latency counters, the single-flight map (markers are
+//!   recompute), the single-flight map (markers are
 //!   cleaned up by their owners; an abandoned marker only costs waiters a
 //!   retry), the request queue (a `VecDeque` is structurally coherent
 //!   after any single panicking operation) and the registry map (models

@@ -63,7 +63,6 @@ use vlsi_netlist::{Circuit, GcellGrid, Placement, PlacementDelta};
 
 use crate::engine::{PredictRequest, ServeHandle, ServeReply};
 use crate::error::{Result, ServeError};
-use crate::stats::StatsInner;
 
 /// Options for [`ServeHandle::open_session`].
 #[derive(Debug, Clone)]
@@ -197,21 +196,14 @@ pub(crate) struct SessionCore {
     incr: Arc<IncrementalForward>,
     /// The design id the session routes (and labels its metrics) by.
     design: String,
-    /// Per-design trace handles; `None` when the engine runs without
-    /// metrics ([`crate::EngineConfig::metrics`] off).
-    obs: Option<SessionObs>,
-    /// The pinned shard's stats and the engine's
-    /// `lhnn_session_updates_total`: every applied update counts once,
-    /// whichever thread drains it.
-    update_sinks: (Arc<Mutex<StatsInner>>, Counter),
-}
-
-/// The session's slice of the engine's observability plane: the flight
-/// recorder (fallback/poison/wedge events carry the design as scope) and
-/// the predict-side drain-stage span.
-struct SessionObs {
+    /// The engine's flight recorder: fallback/poison/wedge events carry
+    /// the design as scope (dropped on a metrics-off engine).
     flight: Arc<FlightRecorder>,
+    /// The predict-side drain-stage span.
     drain: Histogram,
+    /// The pinned shard's `lhnn_session_updates_total` cell: every
+    /// applied update counts once, whichever thread drains it.
+    updates: Counter,
 }
 
 impl std::fmt::Debug for SessionCore {
@@ -226,9 +218,7 @@ impl SessionCore {
     fn wedge(&self, state: &mut SessionState, why: String) {
         state.snapshot = None;
         self.incr.note_structural(InvalidationCause::Poisoned);
-        if let Some(o) = &self.obs {
-            o.flight.record(FlightEventKind::Wedged, &self.design, why.clone());
-        }
+        self.flight.record(FlightEventKind::Wedged, &self.design, why.clone());
         state.wedged = Some(why);
     }
 
@@ -298,8 +288,7 @@ impl SessionCore {
         state: &mut SessionState,
         delta: &PlacementDelta,
     ) -> Result<PipelineUpdate> {
-        crate::lock::recover(&self.update_sinks.0).record_session_updates(1);
-        self.update_sinks.1.inc();
+        self.updates.inc();
         if let Some(why) = &state.wedged {
             return Err(ServeError::Poisoned(format!("session wedged: {why}")));
         }
@@ -326,22 +315,19 @@ impl SessionCore {
                     }
                     PipelineUpdate::FullRebuild { cause } => {
                         self.incr.note_structural(InvalidationCause::from(cause));
-                        if let Some(o) = &self.obs {
-                            match cause {
-                                RebuildCause::Compaction { tombstones, live } => o.flight.record(
-                                    FlightEventKind::Compaction,
-                                    &self.design,
-                                    format!(
-                                        "compacted {tombstones} tombstoned g-net columns \
-                                         ({live} live)"
-                                    ),
+                        match cause {
+                            RebuildCause::Compaction { tombstones, live } => self.flight.record(
+                                FlightEventKind::Compaction,
+                                &self.design,
+                                format!(
+                                    "compacted {tombstones} tombstoned g-net columns ({live} live)"
                                 ),
-                                _ => o.flight.record(
-                                    FlightEventKind::Fallback,
-                                    &self.design,
-                                    format!("full rebuild: {cause}"),
-                                ),
-                            }
+                            ),
+                            _ => self.flight.record(
+                                FlightEventKind::Fallback,
+                                &self.design,
+                                format!("full rebuild: {cause}"),
+                            ),
                         }
                     }
                 }
@@ -356,13 +342,11 @@ impl SessionCore {
                 // pipeline retries on each subsequent apply).
                 state.snapshot = None;
                 self.incr.note_structural(InvalidationCause::Poisoned);
-                if let Some(o) = &self.obs {
-                    o.flight.record(
-                        FlightEventKind::Poisoned,
-                        &self.design,
-                        format!("fallback rebuild failed: {e}"),
-                    );
-                }
+                self.flight.record(
+                    FlightEventKind::Poisoned,
+                    &self.design,
+                    format!("fallback rebuild failed: {e}"),
+                );
                 Err(ServeError::Session(e.to_string()))
             }
             Err(panic) => {
@@ -397,7 +381,8 @@ fn reject_reason(delta: &PlacementDelta, num_cells: usize) -> Option<String> {
 
 /// One session's merged observability view ([`Session::observability`]):
 /// the pipeline and incremental-forward counters side by side, tagged
-/// with the design id and shard they describe.
+/// with the design id and shard they describe. Both are reads of the
+/// engine registry's `{design}` and `{design,model}` cells.
 #[derive(Debug, Clone)]
 pub struct SessionObservability {
     /// The design id the session routes (and labels its metrics) by.
@@ -449,30 +434,21 @@ impl ServeHandle {
         let mut pipeline =
             LatticePipeline::new(circuit, placement, grid, cfg.graph.clone(), AblationSpec::full())
                 .map_err(|e| ServeError::Session(e.to_string()))?;
-        // Wire the design's instrumentation into the engine's registry
-        // and flight recorder. With metrics off both collapse to `None` /
-        // disabled handles, so the hot path stays untouched.
+        // Wire the design's counts and spans into the engine's registry
+        // and flight recorder (a metrics-off engine keeps the counts and
+        // drops the spans and events).
         let engine_obs = self.obs();
-        let (incr, obs) = if engine_obs.registry.is_enabled() {
-            pipeline.set_metrics(&engine_obs.registry, &design_id);
-            (
-                IncrementalForward::with_metrics(&engine_obs.registry, &design_id, model_kind),
-                Some(SessionObs {
-                    flight: Arc::clone(&engine_obs.flight),
-                    drain: engine_obs.registry.stage("drain"),
-                }),
-            )
-        } else {
-            (IncrementalForward::new(), None)
-        };
+        pipeline.set_metrics(&engine_obs.registry, &design_id);
+        let incr = IncrementalForward::with_metrics(&engine_obs.registry, &design_id, model_kind);
         let core = Arc::new(SessionCore {
             state: Mutex::new(SessionState { pipeline, snapshot: None, wedged: None }),
             pending: Mutex::new(VecDeque::new()),
             divisors: (cfg.gcell_divisors.clone(), cfg.gnet_divisors.clone()),
             incr: Arc::new(incr),
             design: design_id,
-            obs,
-            update_sinks: self.session_update_sinks(shard),
+            flight: Arc::clone(&engine_obs.flight),
+            drain: engine_obs.registry.stage("drain"),
+            updates: self.session_update_sinks(shard),
         });
         // Cross-kind hot-swaps must be able to kill this session's
         // activation cache (weakly held; dropping the session unregisters).
@@ -584,11 +560,9 @@ impl Session {
         let mut state = self.core.lock_state();
         // In-order drain of anything still pending: predictions always
         // describe every update submitted before them.
-        let t_drain = self.core.obs.as_ref().and_then(|o| o.drain.start());
+        let t_drain = self.core.drain.start();
         self.core.drain_locked(&mut state);
-        if let Some(o) = &self.core.obs {
-            o.drain.stop_us(t_drain);
-        }
+        self.core.drain.stop_us(t_drain);
         if let Some(why) = &state.wedged {
             return Err(ServeError::Poisoned(format!("session wedged: {why}")));
         }
@@ -629,9 +603,10 @@ impl Session {
     }
 
     /// The incremental-forward counters: how many predictions were served
-    /// from the activation cache outright, spliced over a dirty halo, or
-    /// recomputed in full, and how often structural events invalidated
-    /// the cache.
+    /// without a forward (activation or shard cache), spliced over a dirty
+    /// halo, or recomputed in full, and how often structural events
+    /// invalidated the cache. Sessions sharing a design id and model share
+    /// these cells.
     pub fn incremental_stats(&self) -> IncrementalStats {
         self.core.incr.stats()
     }
@@ -652,9 +627,9 @@ impl Session {
     /// One merged observability view of the session: the pipeline's
     /// lifetime counters and the incremental-forward counters, captured
     /// together with the design id and shard (pending updates drained
-    /// first, so both halves describe the same state). The same numbers
-    /// are exported as `lhnn_design_*` series in the engine's registry
-    /// snapshot ([`crate::ServeHandle::metrics_snapshot`]).
+    /// first, so both halves describe the same state). Both are reads of
+    /// the `{design}`-labelled series in the engine's registry snapshot
+    /// ([`crate::ServeHandle::metrics_snapshot`]).
     pub fn observability(&self) -> SessionObservability {
         SessionObservability {
             design: self.core.design.clone(),

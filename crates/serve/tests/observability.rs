@@ -85,16 +85,18 @@ proptest! {
         let snap = on.handle().metrics_snapshot();
         prop_assert!(snap.counter("lhnn_requests_total") >= u64::from(steps) + 1);
         prop_assert!(snap.counter("lhnn_computed_total") >= 1);
+        // the off engine still counts every request, but times no span
         let off_snap = off.handle().metrics_snapshot();
-        prop_assert_eq!(off_snap.counter("lhnn_requests_total"), 0);
+        prop_assert_eq!(off_snap.counter("lhnn_requests_total"), u64::from(steps) + 1);
+        prop_assert_eq!(off_snap.histogram("lhnn_stage_us{stage=\"splice\"}").unwrap().count, 0);
         on.shutdown();
         off.shutdown();
     }
 }
 
 /// Snapshotting and rendering while the engine is under concurrent load
-/// must never deadlock and never tear: after quiescing, the mirrored
-/// counters agree with the exact `ServeStats` accounting.
+/// must never deadlock and never tear: after quiescing, the snapshot
+/// agrees with the `ServeStats` view of the same cells.
 #[test]
 fn snapshot_under_load_never_deadlocks_or_tears() {
     let engine = ServeEngine::new(
@@ -129,7 +131,7 @@ fn snapshot_under_load_never_deadlocks_or_tears() {
             });
         }
     });
-    // Quiesced: every replied request was mirrored exactly once, into the
+    // Quiesced: every replied request was counted exactly once, into the
     // counter and into the latency histogram.
     let exact = handle.stats();
     let snap = handle.metrics_snapshot();
@@ -176,8 +178,10 @@ fn every_session_update_counts_once() {
 
 #[test]
 fn exposition_contains_canonical_series() {
-    let engine =
-        ServeEngine::new(registry(), EngineConfig { workers: 2, ..EngineConfig::default() });
+    let engine = ServeEngine::new(
+        registry(),
+        EngineConfig { workers: 2, shards: 2, ..EngineConfig::default() },
+    );
     let handle = engine.handle();
     // one session loop so the update/forward stages all record
     let _ = drive_loop(&engine, 3, 2);
@@ -187,12 +191,13 @@ fn exposition_contains_canonical_series() {
     {
         assert!(text.contains(needle), "exposition must carry {needle}:\n{text}");
     }
+    // one series per shard; they sum to the bare-name total
     let parsed = parse_prometheus(&text);
-    let requests = parsed
-        .iter()
-        .find(|s| s.name == "lhnn_requests_total" && s.labels.is_empty())
-        .expect("requests series");
-    assert_eq!(requests.value as u64, snap.counter("lhnn_requests_total"));
+    let requests: Vec<_> = parsed.iter().filter(|s| s.name == "lhnn_requests_total").collect();
+    assert_eq!(requests.len(), 2, "one requests series per shard");
+    assert!(requests.iter().all(|s| s.label("shard").is_some()));
+    let total: f64 = requests.iter().map(|s| s.value).sum();
+    assert_eq!(total as u64, snap.counter("lhnn_requests_total"));
     engine.shutdown();
 }
 

@@ -6,15 +6,17 @@
 //!    and final pipeline states bitwise identical to a serial replay on a
 //!    single-shard, single-worker engine and to a fresh rebuild at the
 //!    final placement.
-//! 2. **Cache isolation**: a hot design hammering its shard cannot evict
+//! 2. **Exact accounting**: after either run, every count the engine and
+//!    its sessions report equals what the clients issued.
+//! 3. **Cache isolation**: a hot design hammering its shard cannot evict
 //!    another design's cached prediction on a different shard.
 
 use std::sync::Arc;
 
 use lh_graph::{FeatureSet, LhGraph, LhGraphConfig};
 use lhnn::{
-    AblationSpec, CongestionModel, GraphOps, HybridNet, HybridNetConfig, Lhnn, LhnnConfig,
-    Prediction,
+    AblationSpec, CongestionModel, GraphOps, HybridNet, HybridNetConfig, IncrementalStats, Lhnn,
+    LhnnConfig, Prediction,
 };
 use lhnn_serve::{EngineConfig, ModelRegistry, ServeEngine, SessionConfig};
 use proptest::prelude::*;
@@ -94,12 +96,14 @@ fn registry(model_kind: usize) -> Arc<ModelRegistry> {
 }
 
 /// What one replayed session ends with: every prediction, the final
-/// `(ops, features)` fingerprints, and the G-net column layout.
-type Replay = (Vec<Arc<Prediction>>, (u64, u64), Vec<NetId>);
+/// `(ops, features)` fingerprints, the G-net column layout, and the
+/// session's incremental-forward counters.
+type Replay = (Vec<Arc<Prediction>>, (u64, u64), Vec<NetId>, IncrementalStats);
 
 /// Drives one design's script through a session; `pipelined` uses
 /// `submit_update` tickets (waited lazily by the next predict), the
-/// serial mode blocks on every update.
+/// serial mode blocks on every update. The final delta predicts twice:
+/// the repeat is a cache hit.
 fn drive(engine: &ServeEngine, design: &Design, pipelined: bool) -> Replay {
     let handle = engine.handle();
     let mut session = handle
@@ -122,8 +126,36 @@ fn drive(engine: &ServeEngine, design: &Design, pipelined: bool) -> Replay {
             predictions.push(session.predict().expect("predict").prediction);
         }
     }
+    predictions.push(session.predict().expect("repeat predict").prediction);
     let columns = session.with_pipeline(|p| p.graph().kept_nets().to_vec());
-    (predictions, session.fingerprints().expect("fingerprints"), columns)
+    let fingerprints = session.fingerprints().expect("fingerprints");
+    (predictions, fingerprints, columns, session.incremental_stats())
+}
+
+/// Every count equals what the clients issued: requests and session
+/// updates engine-wide and per shard, the request-latency histogram, and
+/// each design's forward paths (full + spliced + reused).
+fn assert_exact_accounting(engine: &ServeEngine, designs: &[Design], replays: &[Replay]) {
+    let handle = engine.handle();
+    let stats = handle.stats();
+    let predicts: u64 = replays.iter().map(|r| r.0.len() as u64).sum();
+    let updates: u64 = designs.iter().map(|d| d.script.len() as u64).sum();
+    assert_eq!(stats.requests, predicts, "requests");
+    assert_eq!(stats.session_updates, updates, "session updates");
+    assert_eq!(stats.per_shard.iter().map(|s| s.requests).sum::<u64>(), stats.requests);
+    assert_eq!(stats.per_shard.iter().map(|s| s.session_updates).sum::<u64>(), updates);
+    assert_eq!(stats.per_shard.iter().map(|s| s.computed).sum::<u64>(), stats.computed);
+    assert_eq!(stats.per_shard.iter().map(|s| s.cache_hits).sum::<u64>(), stats.cache_hits);
+    let latency = handle.metrics_snapshot().histogram("lhnn_request_us").expect("latency");
+    assert_eq!(latency.count, stats.requests, "one latency sample per request");
+    for (design, (preds, _, _, inc)) in designs.iter().zip(replays) {
+        assert_eq!(
+            inc.full_forwards + inc.spliced_forwards + inc.reused,
+            preds.len() as u64,
+            "forward paths of {} do not add up: {inc:?}",
+            design.name
+        );
+    }
 }
 
 /// `(ops, features)` fingerprints of a from-scratch build at the design's
@@ -167,6 +199,7 @@ proptest! {
                 .collect();
             joins.into_iter().map(|j| j.join().expect("client thread")).collect()
         });
+        assert_exact_accounting(&engine, &designs, &concurrent);
         engine.shutdown();
 
         // Serial replay: single shard, single worker, blocking updates,
@@ -175,9 +208,11 @@ proptest! {
             registry(model_kind),
             EngineConfig { workers: 1, shards: 1, ..EngineConfig::default() },
         );
-        for (design, (got_preds, got_fps, columns)) in designs.iter().zip(&concurrent) {
-            let (want_preds, want_fps, _) = drive(&serial_engine, design, false);
-            prop_assert_eq!(got_fps, &want_fps, "final state diverged for {}", design.name);
+        let mut serial = Vec::new();
+        for (design, (got_preds, got_fps, columns, _)) in designs.iter().zip(&concurrent) {
+            let replay = drive(&serial_engine, design, false);
+            let (want_preds, want_fps) = (&replay.0, &replay.1);
+            prop_assert_eq!(got_fps, want_fps, "final state diverged for {}", design.name);
             prop_assert_eq!(
                 got_fps,
                 &fresh_fingerprints(design, columns),
@@ -190,7 +225,7 @@ proptest! {
                 "prediction count diverged for {}",
                 design.name
             );
-            for (step, (got, want)) in got_preds.iter().zip(&want_preds).enumerate() {
+            for (step, (got, want)) in got_preds.iter().zip(want_preds).enumerate() {
                 prop_assert!(
                     got.cls_prob.approx_eq(&want.cls_prob, 0.0)
                         && got.reg.approx_eq(&want.reg, 0.0),
@@ -198,7 +233,9 @@ proptest! {
                     design.name
                 );
             }
+            serial.push(replay);
         }
+        assert_exact_accounting(&serial_engine, &designs, &serial);
         serial_engine.shutdown();
     }
 }
