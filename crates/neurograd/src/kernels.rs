@@ -19,9 +19,10 @@
 //!
 //! The inner loops run on [`crate::simd`]'s lane engine. Accumulating
 //! kernels (`matmul`, `matmul_tn`, `spmm` and their row-subset variants)
-//! build each output row with element-wise `axpy` steps in `k`/entry
-//! order — vectorizing across the *row*, never across the reduction — so
-//! their float sequences are unchanged from the scalar seed kernels and
+//! hold each output row's accumulators in registers while they sum the
+//! terms in `k`/entry order — vectorizing across the *row*, never across
+//! the reduction — so each element still sees `0.0 + c₀·s₀ + c₁·s₁ + …`:
+//! the float sequences are unchanged from the scalar seed kernels and
 //! unchanged by SIMD on/off. `matmul_nt` reduces along `k` and therefore
 //! uses the fixed lane schedule (eight independent accumulators, a fixed
 //! pairwise tree, in-order remainder); its [`reference`] twin emulates

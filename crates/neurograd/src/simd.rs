@@ -1,21 +1,26 @@
 //! Explicit f32 SIMD lanes with a bitwise-determinism contract.
 //!
-//! Every dense/sparse kernel in [`crate::kernels`] bottoms out in two
-//! primitives defined here:
+//! Every dense/sparse kernel in [`crate::kernels`] bottoms out in the
+//! row-level entry points of [`LaneEngine`], which come in two kinds:
 //!
-//! - [`LaneEngine::axpy`] — `acc[j] += a * x[j]` across a row. This is
-//!   element-wise: lane j only ever touches `acc[j]`, so the vector,
-//!   portable and scalar paths produce the *same float per element* by
-//!   construction.
-//! - [`LaneEngine::dot`] — a lane-parallel dot product with a **fixed
-//!   reduction shape**: [`LANES`] independent accumulators walk the
-//!   inputs in `LANES`-wide chunks, are combined by the fixed pairwise
-//!   tree in [`reduce_tree`], and the `len % LANES` remainder is then
-//!   added one element at a time in index order. The scalar path
-//!   ([`LaneEngine::Scalar`]) *emulates that exact sequence* rather than
-//!   summing left-to-right, so `dot` is bitwise identical whether it ran
-//!   on AVX2, on the portable auto-vectorized loop, or one element at a
-//!   time.
+//! - **Accumulating rows** ([`LaneEngine::gemm_row`],
+//!   [`LaneEngine::gemm_row_strided`], [`LaneEngine::spmm_row`]) — `out[j]
+//!   = Σ_t c_t · s_t[j]`. All three run one register-blocked loop: the
+//!   row is walked in `4 × LANES`-column blocks whose accumulators stay in
+//!   registers across the whole reduction and are stored once. The loop
+//!   vectorizes across the *row*, never across the reduction, so lane j
+//!   only ever touches element j and sees `0.0 + c₀·s₀ + c₁·s₁ + …` in
+//!   term order. The vector, portable and scalar paths therefore produce
+//!   the *same float per element* by construction.
+//! - [`LaneEngine::dot`] (and [`LaneEngine::dot_row`]) — a lane-parallel
+//!   dot product with a **fixed reduction shape**: [`LANES`] independent
+//!   accumulators walk the inputs in `LANES`-wide chunks, are combined by
+//!   the fixed pairwise tree in [`reduce_tree`], and the `len % LANES`
+//!   remainder is then added one element at a time in index order. The
+//!   scalar path ([`LaneEngine::Scalar`]) *emulates that exact sequence*
+//!   rather than summing left-to-right, so `dot` is bitwise identical
+//!   whether it ran on AVX2, on the portable auto-vectorized loop, or one
+//!   element at a time.
 //!
 //! The contract, relied on by the kernel proptests and the serving
 //! stack's parity pins: for the same inputs, every engine returns the
@@ -32,14 +37,10 @@
 //! `--simd off`); kernels snapshot [`active`] once per call, so a kernel
 //! invocation never mixes engines mid-row.
 //!
-//! Besides the two primitives, [`LaneEngine`] exposes **row-level fused
-//! entry points** ([`LaneEngine::gemm_row`] and friends) that run a whole
-//! output row's accumulation behind one ISA boundary.
+//! The row entry points run a whole output row behind one ISA boundary.
 //! `#[target_feature]` functions cannot be inlined into their callers, so
-//! a per-`axpy` dispatch pays an opaque call every `k`-step — hoisting
-//! the boundary to the row amortizes it across the whole inner loop. The
-//! fused forms execute the *same* primitive calls in the same order, so
-//! they change nothing about the bits.
+//! the boundary sits at the row, where its opaque call is amortized
+//! across the whole inner loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -128,24 +129,61 @@ pub fn reduce_tree(acc: [f32; LANES]) -> f32 {
     t[0] + t[1]
 }
 
-/// Portable lane loop for `acc[j] += a * x[j]`.
+/// The register-blocked accumulate loop behind every accumulating row
+/// kernel: `out[j] = Σ_t coef_t · src[off_t + j]` over `t in 0..count`,
+/// where `term(t) = (coef_t, off_t)`, summed in `t` order from `0.0`.
+///
+/// The output is walked in `4 × LANES` column blocks, then `LANES`
+/// blocks, then one column at a time. Each block's accumulators live in a
+/// local array across the whole reduction and are stored once at the
+/// end, so the row is not reloaded and re-stored per term. Per element
+/// the float sequence is still `0.0 + c₀·s₀ + c₁·s₁ + …` with separate
+/// mul and add, the same as the element-wise scalar twins.
 #[inline(always)]
-fn axpy_lanes(acc: &mut [f32], a: f32, x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    let mut ai = acc.chunks_exact_mut(LANES);
-    let mut xi = x.chunks_exact(LANES);
-    for (o, v) in (&mut ai).zip(&mut xi) {
-        for l in 0..LANES {
-            o[l] += a * v[l];
-        }
+fn accumulate_lanes(
+    out: &mut [f32],
+    count: usize,
+    term: impl Fn(usize) -> (f32, usize),
+    src: &[f32],
+) {
+    let n = out.len();
+    let mut j = 0;
+    while j + 4 * LANES <= n {
+        accumulate_block::<{ 4 * LANES }>(&mut out[j..j + 4 * LANES], count, &term, &src[j..]);
+        j += 4 * LANES;
     }
-    for (o, &v) in ai.into_remainder().iter_mut().zip(xi.remainder()) {
-        *o += a * v;
+    while j + LANES <= n {
+        accumulate_block::<LANES>(&mut out[j..j + LANES], count, &term, &src[j..]);
+        j += LANES;
+    }
+    while j < n {
+        accumulate_block::<1>(&mut out[j..j + 1], count, &term, &src[j..]);
+        j += 1;
     }
 }
 
-/// Scalar twin of [`axpy_lanes`]: element-wise op, so plain iteration
-/// already produces the identical float per element.
+/// One `W`-wide column block of [`accumulate_lanes`]: `W` accumulators
+/// held across all `count` terms, written to `out` once.
+#[inline(always)]
+fn accumulate_block<const W: usize>(
+    out: &mut [f32],
+    count: usize,
+    term: &impl Fn(usize) -> (f32, usize),
+    src: &[f32],
+) {
+    let mut acc = [0.0f32; W];
+    for t in 0..count {
+        let (c, off) = term(t);
+        let s: &[f32; W] = src[off..off + W].try_into().expect("W-wide source block");
+        for l in 0..W {
+            acc[l] += c * s[l];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// Element-wise `acc[j] += a * x[j]` for the scalar twins: plain
+/// iteration, one element at a time.
 #[inline(always)]
 fn axpy_scalar(acc: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(acc.len(), x.len());
@@ -197,15 +235,12 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Portable row kernel: `out = Σ_k a_row[k] · b[k]` (rows of `b` are
-/// `out.len()` wide), zeroing `out` first — the row-major GEMM inner
-/// pair, accumulated in `k` order.
+/// `out.len()` wide), overwriting `out` — the row-major GEMM inner pair,
+/// accumulated in `k` order.
 #[inline(always)]
 fn gemm_row_lanes(out: &mut [f32], a_row: &[f32], b: &[f32]) {
-    out.fill(0.0);
     let n = out.len();
-    for (k, &av) in a_row.iter().enumerate() {
-        axpy_lanes(out, av, &b[k * n..(k + 1) * n]);
-    }
+    accumulate_lanes(out, a_row.len(), |k| (a_row[k], k * n), b);
 }
 
 /// Scalar twin of [`gemm_row_lanes`] — same `k` order, element-wise adds.
@@ -223,12 +258,9 @@ fn gemm_row_scalar(out: &mut [f32], a_row: &[f32], b: &[f32]) {
 /// one column of a row-major matrix).
 #[inline(always)]
 fn gemm_row_strided_lanes(out: &mut [f32], a: &[f32], stride: usize, b: &[f32]) {
-    out.fill(0.0);
     let n = out.len();
     let k = if n == 0 { 0 } else { b.len() / n };
-    for kk in 0..k {
-        axpy_lanes(out, a[kk * stride], &b[kk * n..(kk + 1) * n]);
-    }
+    accumulate_lanes(out, k, |kk| (a[kk * stride], kk * n), b);
 }
 
 /// Scalar twin of [`gemm_row_strided_lanes`].
@@ -263,15 +295,12 @@ fn dot_row_scalar(out: &mut [f32], a_row: &[f32], b: &[f32]) {
 }
 
 /// Portable row kernel for one CSR row: `out = Σ_e vals[e] ·
-/// x[cols[e]]`, zeroing `out` first; entries in stored (structural)
-/// order.
+/// x[cols[e]]`, overwriting `out`; entries in stored (structural) order.
 #[inline(always)]
 fn spmm_row_lanes(out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
-    out.fill(0.0);
+    debug_assert_eq!(cols.len(), vals.len());
     let n = out.len();
-    for (&c, &v) in cols.iter().zip(vals) {
-        axpy_lanes(out, v, &x[c * n..(c + 1) * n]);
-    }
+    accumulate_lanes(out, cols.len(), |e| (vals[e], cols[e] * n), x);
 }
 
 /// Scalar twin of [`spmm_row_lanes`].
@@ -288,15 +317,9 @@ fn spmm_row_scalar(out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
 mod x86 {
     // AVX2 clones of the portable loops. Enabling only `avx2` (never
     // `fma`) keeps mul/add as separate rounding steps, so these are
-    // bit-exact with the portable and scalar paths. The row-level clones
-    // exist because `#[target_feature]` functions can't inline into
-    // plain callers: wrapping the whole row loop keeps the opaque call
-    // off the per-`axpy` hot path.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-        super::axpy_lanes(acc, a, x);
-    }
-
+    // bit-exact with the portable and scalar paths. The clones wrap whole
+    // rows because `#[target_feature]` functions can't inline into plain
+    // callers: one opaque call per row, none inside the reduction.
     #[target_feature(enable = "avx2")]
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
         super::dot_lanes(a, b)
@@ -337,17 +360,6 @@ macro_rules! avx2_call {
 }
 
 impl LaneEngine {
-    /// `acc[j] += a * x[j]` for every j. Bitwise identical on every
-    /// engine (element-wise, no reduction).
-    #[inline]
-    pub fn axpy(self, acc: &mut [f32], a: f32, x: &[f32]) {
-        match self {
-            LaneEngine::Avx2 => avx2_call!(axpy(acc, a, x), axpy_lanes),
-            LaneEngine::Portable => axpy_lanes(acc, a, x),
-            LaneEngine::Scalar => axpy_scalar(acc, a, x),
-        }
-    }
-
     /// Fixed-shape dot product of `a` and `b`. Bitwise identical on
     /// every engine (same lane schedule, same reduction tree).
     #[inline]
@@ -360,9 +372,8 @@ impl LaneEngine {
     }
 
     /// One GEMM output row: `out = Σ_k a_row[k] · b[k]` (rows of `b` are
-    /// `out.len()` wide), `out` overwritten, accumulation in `k` order —
-    /// exactly an [`LaneEngine::axpy`] per `k`, fused behind one ISA
-    /// boundary.
+    /// `out.len()` wide), `out` overwritten. Each element is accumulated
+    /// in `k` order from `0.0` in a register, behind one ISA boundary.
     #[inline]
     pub fn gemm_row(self, out: &mut [f32], a_row: &[f32], b: &[f32]) {
         match self {
@@ -398,8 +409,8 @@ impl LaneEngine {
     }
 
     /// One CSR×dense output row: `out = Σ_e vals[e] · x[cols[e]]`, `out`
-    /// overwritten, entries in stored order — an [`LaneEngine::axpy`] per
-    /// structural entry, fused behind one ISA boundary.
+    /// overwritten. Each element is accumulated over the entries in stored
+    /// order from `0.0` in a register, behind one ISA boundary.
     #[inline]
     pub fn spmm_row(self, out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
         match self {
@@ -435,18 +446,24 @@ mod tests {
     }
 
     #[test]
-    fn axpy_engines_agree_bitwise_across_lengths() {
-        for n in [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
-            let x = data(n, 1);
-            let base = data(n, 2);
-            let mut want: Option<Vec<u32>> = None;
+    fn row_kernel_engines_agree_bitwise_across_lengths() {
+        // n covers every mix of 4×LANES blocks, LANES blocks and tail
+        // columns; the terms include zero coefficients and repeated
+        // source rows
+        let (k, cols, vals) = (5, [3, 0, 3, 4], data(4, 5));
+        for n in [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 47, 64, 100] {
+            let a = data(k * 2, 1);
+            let b = data(k * n, 2);
+            let mut want: Option<[Vec<u32>; 3]> = None;
             for eng in engines() {
-                let mut acc = base.clone();
-                eng.axpy(&mut acc, 1.2345, &x);
-                let bits: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+                let mut rows = [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
+                eng.gemm_row(&mut rows[0], &a[..k], &b);
+                eng.gemm_row_strided(&mut rows[1], &a, 2, &b);
+                eng.spmm_row(&mut rows[2], &cols, &vals, &b);
+                let bits = rows.map(|r| r.iter().map(|v| v.to_bits()).collect::<Vec<u32>>());
                 match &want {
                     None => want = Some(bits),
-                    Some(w) => assert_eq!(w, &bits, "axpy diverged at n={n} on {eng:?}"),
+                    Some(w) => assert_eq!(w, &bits, "row kernels diverged at n={n} on {eng:?}"),
                 }
             }
         }

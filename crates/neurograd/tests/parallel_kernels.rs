@@ -61,7 +61,7 @@ proptest! {
     fn spmm_bitwise_matches_serial_at_any_thread_count(
         rows in 1usize..64,
         cols in 1usize..64,
-        n in 1usize..24,
+        n in 1usize..72,
         threads in 1usize..5,
         entries in proptest::collection::vec((0usize..64, 0usize..64, -3.0f32..3.0), 0..256),
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),

@@ -46,8 +46,9 @@ fn engines() -> Vec<LaneEngine> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// axpy and dot agree bitwise across every lane engine at lengths
-    /// that cover full chunks, remainder lanes and the empty slice.
+    /// dot and the accumulating row kernels agree bitwise across every
+    /// lane engine at lengths that cover full blocks, remainder lanes and
+    /// the empty slice.
     #[test]
     fn lane_engines_agree_bitwise(
         n in 0usize..70,
@@ -61,16 +62,23 @@ proptest! {
         for d in &dots[1..] {
             prop_assert_eq!(d.to_bits(), dots[0].to_bits(), "dot diverged across engines");
         }
-        let accs: Vec<Vec<f32>> = engs
+        // rows over the two n-wide sources `[a; b]`: a 2-term gemm_row and a
+        // 3-term spmm_row that revisits a source
+        let src: Vec<f32> = a.iter().chain(&b).copied().collect();
+        let coefs = [scale, 0.5 - scale, -scale];
+        let rows: Vec<[Vec<f32>; 2]> = engs
             .iter()
             .map(|e| {
-                let mut acc = b.clone();
-                e.axpy(&mut acc, scale, &a);
-                acc
+                let mut gemm = vec![f32::NAN; n];
+                e.gemm_row(&mut gemm, &coefs[..2], &src);
+                let mut spmm = vec![f32::NAN; n];
+                e.spmm_row(&mut spmm, &[1, 0, 1], &coefs, &src);
+                [gemm, spmm]
             })
             .collect();
-        for acc in &accs[1..] {
-            prop_assert!(bitwise_eq(acc, &accs[0]), "axpy diverged across engines");
+        for [gemm, spmm] in &rows[1..] {
+            prop_assert!(bitwise_eq(gemm, &rows[0][0]), "gemm_row diverged across engines");
+            prop_assert!(bitwise_eq(spmm, &rows[0][1]), "spmm_row diverged across engines");
         }
     }
 
@@ -81,7 +89,7 @@ proptest! {
     fn dense_kernels_match_reference_at_odd_shapes(
         m in 1usize..12,
         k in 1usize..12,
-        n in 1usize..20,
+        n in 1usize..72,
         threads in 1usize..5,
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
     ) {
@@ -108,7 +116,7 @@ proptest! {
     fn row_subset_kernels_match_full_kernels(
         m in 2usize..12,
         k in 1usize..10,
-        n in 1usize..18,
+        n in 1usize..72,
         threads in 1usize..5,
         row_mask in proptest::collection::vec(0usize..2, 2..12),
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
@@ -146,7 +154,7 @@ proptest! {
     fn spmm_with_empty_rows_matches_reference(
         rows in 1usize..24,
         cols in 1usize..24,
-        n in 1usize..12,
+        n in 1usize..72,
         threads in 1usize..5,
         entries in proptest::collection::vec((0usize..24, 0usize..24, -3.0f32..3.0), 0..48),
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
