@@ -89,7 +89,9 @@ impl GraphOps {
     }
 
     /// Block-diagonal stack of several designs' operators, for one
-    /// cross-design batched forward over vertically stacked features.
+    /// forward over their vertically stacked features. The serving engine
+    /// runs one forward per request; only the benchmark's block-diagonal
+    /// rows call this.
     ///
     /// Each operator becomes [`CsrMatrix::block_diag`] of the blocks'
     /// operators, so design `i`'s G-cell rows only ever aggregate design
@@ -98,8 +100,8 @@ impl GraphOps {
     /// bitwise identical to forwarding each design alone. Dense layers
     /// are row-local, so stacking features changes nothing there either.
     ///
-    /// Transpose/fingerprint caches start cold; batched operators are
-    /// throwaway (the per-design caches key the serving layer's state).
+    /// Transpose/fingerprint caches start cold; stacked operators are
+    /// throwaway.
     pub fn block_diag(blocks: &[&GraphOps]) -> Self {
         fn stack(blocks: &[&GraphOps], pick: impl Fn(&GraphOps) -> &CsrMatrix) -> Arc<CsrMatrix> {
             let mats: Vec<&CsrMatrix> = blocks.iter().map(|b| pick(b)).collect();

@@ -294,8 +294,8 @@ pub fn read_nets<R: Read>(r: R, cells: &[Cell]) -> Result<Vec<Net>> {
 ///
 /// # Errors
 ///
-/// Returns a [`NetlistError::Parse`] describing the first malformed line or
-/// unresolved cell reference.
+/// Returns a [`NetlistError::Parse`] describing the first malformed line,
+/// non-finite coordinate or unresolved cell reference.
 pub fn read_pl<R: Read>(r: R, cells: &[Cell]) -> Result<(Placement, Option<Rect>)> {
     let name_map: std::collections::HashMap<&str, u32> =
         cells.iter().enumerate().map(|(i, c)| (c.name.as_str(), i as u32)).collect();
@@ -315,6 +315,13 @@ pub fn read_pl<R: Read>(r: R, cells: &[Cell]) -> Result<(Placement, Option<Rect>
         let t = buf.trim();
         if let Some(rest) = t.strip_prefix("# Die :") {
             let vals: Vec<f32> = rest.split_whitespace().filter_map(|v| v.parse().ok()).collect();
+            if vals.iter().any(|v| !v.is_finite()) {
+                return Err(NetlistError::Parse {
+                    file: "pl",
+                    line: lineno,
+                    reason: format!("non-finite die `{}`", rest.trim()),
+                });
+            }
             if vals.len() == 4 {
                 die = Some(Rect::new(vals[0], vals[1], vals[2], vals[3]));
             }
@@ -339,17 +346,15 @@ pub fn read_pl<R: Read>(r: R, cells: &[Cell]) -> Result<(Placement, Option<Rect>
                 reason: format!("unknown cell `{}`", tok[0]),
             });
         };
-        let x: f32 = tok[1].parse().map_err(|_| NetlistError::Parse {
-            file: "pl",
-            line: lineno,
-            reason: format!("bad x `{}`", tok[1]),
-        })?;
-        let y: f32 = tok[2].parse().map_err(|_| NetlistError::Parse {
-            file: "pl",
-            line: lineno,
-            reason: format!("bad y `{}`", tok[2]),
-        })?;
-        placement.set_position(CellId(cell), Point::new(x, y));
+        let coord = |axis: &str, v: &str| match v.parse::<f32>() {
+            Ok(c) if c.is_finite() => Ok(c),
+            _ => Err(NetlistError::Parse {
+                file: "pl",
+                line: lineno,
+                reason: format!("bad or non-finite {axis} `{v}`"),
+            }),
+        };
+        placement.set_position(CellId(cell), Point::new(coord("x", tok[1])?, coord("y", tok[2])?));
     }
     Ok((placement, die))
 }
@@ -530,6 +535,24 @@ mod tests {
         let cells = vec![Cell::movable("a", 1.0, 1.0)];
         let text = "a 1\n";
         assert!(read_pl(text.as_bytes(), &cells).is_err());
+    }
+
+    #[test]
+    fn read_pl_rejects_non_finite_values() {
+        let cells = vec![Cell::movable("a", 1.0, 1.0)];
+        for text in [
+            "a NaN 1 : N\n",
+            "a 1 inf : N\n",
+            "a -inf 1\n",
+            "# Die : 0 0 NaN 8\na 1 1 : N\n",
+            "# Die : 0 0 8 inf\na 1 1 : N\n",
+        ] {
+            let err = read_pl(text.as_bytes(), &cells).unwrap_err();
+            assert!(matches!(err, NetlistError::Parse { file: "pl", .. }), "{text:?}: got {err}");
+        }
+        let (placement, die) = read_pl("# Die : 0 0 8 8\na 1 2 : N\n".as_bytes(), &cells).unwrap();
+        assert_eq!(placement.position(CellId(0)), Point::new(1.0, 2.0));
+        assert_eq!(die, Some(Rect::new(0.0, 0.0, 8.0, 8.0)));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! # Determinism contract
 //!
 //! Per output row (or element) the arithmetic is the *same sequence of
-//! operations* as the serial reference in [`reference`], and chunks write
-//! disjoint slices — so results are **bitwise identical at any thread
-//! count**, including 1. The `parallel_kernels` property tests enforce
+//! operations* as the serial reference in [`reference`](mod@reference),
+//! and chunks write disjoint slices — so results are **bitwise identical
+//! at any thread count**, including 1. The `parallel_kernels` property tests enforce
 //! this. `spmm_t` is computed as `spmm` of the (cached) explicit CSR
 //! transpose; because CSR entries are sorted and duplicate-free, the
 //! per-output-row accumulation order matches the scatter formulation
@@ -25,8 +25,9 @@
 //! the float sequences are unchanged from the scalar seed kernels and
 //! unchanged by SIMD on/off. `matmul_nt` reduces along `k` and therefore
 //! uses the fixed lane schedule (eight independent accumulators, a fixed
-//! pairwise tree, in-order remainder); its [`reference`] twin emulates
-//! that exact schedule, so SIMD on/off is bitwise invisible there too.
+//! pairwise tree, in-order remainder); its [`reference`](mod@reference)
+//! twin emulates that exact schedule, so SIMD on/off is bitwise invisible
+//! there too.
 //! The historical `av == 0.0` zero-skips were dropped from the dense
 //! kernels: for finite data a skipped `+= 0.0 * bv` step is bitwise
 //! unobservable (a `+0.0` accumulator never becomes `-0.0` under

@@ -181,8 +181,7 @@ impl CsrMatrix {
     /// Row `r` of block `i` therefore sees *exactly* the entries of that
     /// block's row `r` (at shifted column indices, in the same order), so
     /// the row-partitioned spmm kernels produce per-block output rows
-    /// bitwise identical to running each block alone — the foundation of
-    /// the serving engine's cross-design batched forwards.
+    /// bitwise identical to running each block alone.
     pub fn block_diag(blocks: &[&CsrMatrix]) -> Self {
         let rows: usize = blocks.iter().map(|b| b.rows).sum();
         let cols: usize = blocks.iter().map(|b| b.cols).sum();

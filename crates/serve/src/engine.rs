@@ -11,8 +11,8 @@
 //!            ▼                     ▼                     ▼
 //!         shard 0               shard 1      …        shard N-1
 //!   ┌───────────────┐    ┌───────────────┐
-//!   │ bounded queue │    │ bounded queue │   (predict jobs AND pipelined
-//!   │ worker slice  │    │ worker slice  │    session-update jobs)
+//!   │ bounded queue │    │ bounded queue │   (predict jobs)
+//!   │ worker slice  │    │ worker slice  │
 //!   │ LRU cache     │    │ LRU cache     │
 //!   │ single-flight │    │ single-flight │
 //!   │ count cells   │    │ count cells   │
@@ -32,9 +32,10 @@
 //! Within a shard the PR-2 machinery is unchanged: a bounded queue
 //! (backpressure when full) drained in micro-batches by long-lived
 //! workers, identical in-flight requests deduplicated to one forward, an
-//! LRU prediction cache keyed by content fingerprints. Workers also
-//! service pipelined session updates (see [`crate::Session`]) from the
-//! same queue, so one pool drives both halves of a placement loop.
+//! LRU prediction cache keyed by content fingerprints. Each job a worker
+//! computes runs its own forward — a session's splice or a stateless
+//! full forward. Session updates never enter the queue: they apply on
+//! the caller's thread (see [`crate::Session::update`]).
 //!
 //! Requests are answered synchronously: `predict` blocks the calling
 //! thread until its reply arrives. Shutdown is cooperative — workers
@@ -42,7 +43,7 @@
 //! [`ServeError::ShuttingDown`] / [`ServeError::WorkerLost`].
 //!
 //! Lock discipline: every engine lock guards re-derivable state and
-//! recovers from poisoning (see [`crate::lock`]); a panicking forward is
+//! recovers from poisoning (see the `lock` module); a panicking forward is
 //! caught, its requester observes [`ServeError::WorkerLost`], and the
 //! engine keeps serving.
 
@@ -57,14 +58,13 @@ use lhnn::{
     CongestionModel, GraphOps, IncrementalForward, InvalidationCause, Prediction, ScratchSet,
 };
 use lhnn_obs::{FlightEvent, FlightEventKind, Registry, Snapshot};
-use neurograd::{Fnv64, Matrix};
+use neurograd::Fnv64;
 
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{Result, ServeError};
 use crate::lock;
 use crate::observability::{EngineObs, ShardObs};
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::session::SessionCore;
 use crate::stats::ServeStats;
 
 /// Engine tuning knobs.
@@ -82,8 +82,6 @@ pub struct EngineConfig {
     /// Maximum queued (accepted, unserved) requests **per shard** before
     /// submitters block — the backpressure bound.
     pub queue_depth: usize,
-    /// Maximum jobs a worker drains per wake-up (micro-batch size).
-    pub max_batch: usize,
     /// LRU prediction-cache capacity in entries **per shard** (0 disables
     /// caching).
     pub cache_capacity: usize,
@@ -116,13 +114,15 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             shards: 1,
             queue_depth: 256,
-            max_batch: 8,
             cache_capacity: 128,
             compute_threads: 0,
             metrics: true,
         }
     }
 }
+
+/// Maximum jobs a worker drains per wake-up (micro-batch size).
+const MAX_BATCH: usize = 8;
 
 /// One congestion-inference request.
 #[derive(Debug, Clone)]
@@ -218,15 +218,8 @@ struct PredictJob {
     incremental: Option<(Arc<IncrementalForward>, u64)>,
 }
 
-/// One unit of shard work: an inference request, or a nudge to drain a
-/// pipelined session's pending placement deltas.
-enum Job {
-    Predict(PredictJob),
-    Session(Arc<SessionCore>),
-}
-
 struct QueueState {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<PredictJob>,
     shutdown: bool,
 }
 
@@ -387,9 +380,7 @@ impl ServeEngine {
             q.shutdown = true;
             // Abandoned predict jobs: dropping them closes their reply
             // channels, so blocked submitters observe WorkerLost rather
-            // than hanging. Session jobs are just nudges — their pending
-            // deltas stay with the session, whose ticket-wait drains them
-            // inline, so pipelined updates survive engine shutdown.
+            // than hanging.
             q.jobs.clear();
             drop(q);
             shard.not_empty.notify_all();
@@ -701,44 +692,6 @@ impl ServeHandle {
         &self.shared.obs
     }
 
-    /// Enqueues a session-drain nudge on `shard_idx`, blocking on the
-    /// shard's backpressure bound.
-    pub(crate) fn enqueue_session(&self, shard_idx: usize, core: Arc<SessionCore>) -> Result<()> {
-        self.push_job(shard_idx.min(self.shared.shards.len() - 1), Job::Session(core))
-    }
-
-    /// The one queue-admission path every job kind goes through: wait out
-    /// the shard's backpressure bound, refuse on shutdown, push, wake a
-    /// worker. Tracks the engine-wide queue-depth high-water mark and logs
-    /// a flight event the first time a new high reaches a full micro-batch.
-    fn push_job(&self, shard_idx: usize, job: Job) -> Result<()> {
-        let shard = &self.shared.shards[shard_idx];
-        let mut q = lock::recover(&shard.queue);
-        while q.jobs.len() >= self.shared.cfg.queue_depth.max(1) {
-            if q.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            q = shard.not_full.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if q.shutdown {
-            return Err(ServeError::ShuttingDown);
-        }
-        q.jobs.push_back(job);
-        let depth = q.jobs.len() as u64;
-        drop(q);
-        if self.shared.obs.queue_depth_high.record_max(depth)
-            && depth >= self.shared.cfg.max_batch.max(1) as u64
-        {
-            self.shared.obs.flight.record(
-                FlightEventKind::QueueHigh,
-                &format!("shard {shard_idx}"),
-                format!("depth {depth}"),
-            );
-        }
-        shard.not_empty.notify_one();
-        Ok(())
-    }
-
     fn admit(&self, request: &PredictRequest) -> Result<(Arc<ModelEntry>, CacheKey)> {
         let entry = self
             .shared
@@ -786,6 +739,8 @@ impl ServeHandle {
         Ok((entry, key))
     }
 
+    /// Queues a predict job on `shard_idx`, waiting out the shard's
+    /// backpressure bound; the receiver yields the reply.
     fn enqueue(
         &self,
         shard_idx: usize,
@@ -806,7 +761,30 @@ impl ServeHandle {
             reply: tx,
             incremental: request.incremental.as_ref().map(|(i, s)| (Arc::clone(i), *s)),
         };
-        self.push_job(shard_idx, Job::Predict(job))?;
+        let shard = &self.shared.shards[shard_idx];
+        let mut q = lock::recover(&shard.queue);
+        while q.jobs.len() >= self.shared.cfg.queue_depth.max(1) {
+            if q.shutdown {
+                return Err(ServeError::ShuttingDown);
+            }
+            q = shard.not_full.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        if q.shutdown {
+            return Err(ServeError::ShuttingDown);
+        }
+        q.jobs.push_back(job);
+        let depth = q.jobs.len() as u64;
+        drop(q);
+        // The first time a new engine-wide queue-depth high reaches a full
+        // micro-batch, log it.
+        if self.shared.obs.queue_depth_high.record_max(depth) && depth >= MAX_BATCH as u64 {
+            self.shared.obs.flight.record(
+                FlightEventKind::QueueHigh,
+                &format!("shard {shard_idx}"),
+                format!("depth {depth}"),
+            );
+        }
+        shard.not_empty.notify_one();
         Ok(rx)
     }
 }
@@ -836,7 +814,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
     // serves a mixed model zoo with zero steady-state allocation.
     let mut scratch = ScratchSet::new();
     loop {
-        let batch: Vec<Job> = {
+        let batch: Vec<PredictJob> = {
             let mut q = lock::recover(&shard.queue);
             loop {
                 if !q.jobs.is_empty() {
@@ -847,62 +825,30 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                 }
                 q = shard.not_empty.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
-            let n = q.jobs.len().min(shared.cfg.max_batch.max(1));
+            let n = q.jobs.len().min(MAX_BATCH);
             let batch = q.jobs.drain(..n).collect();
             drop(q);
             shard.not_full.notify_all();
             batch
         };
-        // Batch-size stats count only inference jobs — session nudges are
-        // control messages, not batched forwards. Queue-wait spans close
-        // here, at pickup, for the whole batch at once — closing them as
-        // each job is processed would bill earlier jobs' forwards to later
-        // jobs' queue time.
-        let predict_jobs = batch.iter().filter(|j| matches!(j, Job::Predict(_))).count();
-        if predict_jobs > 0 {
-            cells.batch_jobs.observe(predict_jobs as u64);
-            for job in &batch {
-                if let Job::Predict(j) = job {
-                    shared.obs.stage_queue.stop_us(j.enqueued);
-                }
-            }
+        // Queue-wait spans close here, at pickup, for the whole batch at
+        // once — closing them as each job is processed would bill earlier
+        // jobs' forwards to later jobs' queue time.
+        cells.batch_jobs.observe(batch.len() as u64);
+        for job in &batch {
+            shared.obs.stage_queue.stop_us(job.enqueued);
         }
-        // Same-key predict jobs in the batch share one forward pass. Lock
-        // scopes are kept explicit: the cache guard must be released
-        // before the (long) forward pass and before any other lock is
-        // taken. Jobs whose key is owned by ANOTHER worker are deferred to
-        // the end of the batch so a slow peer never head-of-line-blocks
-        // work this worker could run immediately. Stateless jobs this
-        // worker owns are deferred too — to the grouping pass, where
-        // same-shape requests for one model fuse into a single
-        // block-diagonal forward. Session jobs drain their session's
-        // pending deltas in submission order, in place.
+        // Same-key jobs in the batch share one forward pass; every other
+        // job this worker owns runs its own forward in place. Lock scopes
+        // are kept explicit: the cache guard must be released before the
+        // (long) forward pass and before any other lock is taken. Jobs
+        // whose key is owned by ANOTHER worker are deferred to the end of
+        // the batch so a slow peer never head-of-line-blocks work this
+        // worker could run immediately; by then every key this worker
+        // claimed is published, so no two workers wait on each other.
         let mut local: HashMap<CacheKey, Arc<Prediction>> = HashMap::new();
-        let mut owned: Vec<(PredictJob, Arc<InFlight>)> = Vec::new();
         let mut deferred: Vec<(PredictJob, Arc<InFlight>)> = Vec::new();
         for job in batch {
-            let job = match job {
-                Job::Session(core) => {
-                    // Non-blocking: parking this worker on one session's
-                    // state mutex would head-of-line-block every other
-                    // design on the shard (inline drains keep liveness).
-                    if !core.service_nonblocking() {
-                        // Lock busy with deltas still pending: the holder
-                        // may not re-drain, so keep the nudge alive (we
-                        // just freed this queue slot, so no backpressure
-                        // wait) and let go of the CPU — the holder likely
-                        // needs it to finish.
-                        let mut q = lock::recover(&shard.queue);
-                        if !q.shutdown {
-                            q.jobs.push_back(Job::Session(core));
-                        }
-                        drop(q);
-                        std::thread::yield_now();
-                    }
-                    continue;
-                }
-                Job::Predict(job) => job,
-            };
             let in_batch = local.get(&job.key).map(Arc::clone);
             let (prediction, cached) = if let Some(p) = in_batch {
                 (p, true)
@@ -921,21 +867,6 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                     // finishing the rest of their own batch).
                     match claim_key(shard, job.key) {
                         Ok(marker) => {
-                            if job.incremental.is_none() {
-                                // Stateless and owned: hold it for the
-                                // grouping pass below, which may fuse it
-                                // with other designs' requests into one
-                                // block-diagonal forward. (A later
-                                // same-key job in this batch claims Err
-                                // on OUR marker and waits in the final
-                                // pass, which runs after every group
-                                // marker is published.)
-                                owned.push((job, marker));
-                                continue;
-                            }
-                            // Incremental forwards splice against one
-                            // session's cached activations — they cannot
-                            // share a dispatch, so compute in place.
                             match compute_owned(shared, shard_idx, &job, &marker, &mut scratch) {
                                 Some((p, cached)) => {
                                     local.insert(job.key, Arc::clone(&p));
@@ -955,31 +886,6 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                 }
             };
             send_reply(cells, &job, prediction, cached);
-        }
-        // Second pass: cross-design batching. Owned stateless jobs group
-        // by model identity and graph shape (first-seen order); each
-        // group of two or more runs as ONE block-diagonal forward,
-        // singletons fall back to the plain single-design path. Every
-        // marker is published (Done or Abandoned) here, BEFORE the
-        // deferred-waits pass — a deferred job waiting on one of OUR
-        // markers must not deadlock.
-        let mut groups: Vec<((usize, usize, usize), Vec<(PredictJob, Arc<InFlight>)>)> = Vec::new();
-        for (job, marker) in owned {
-            // Same entry Arc ⇒ same model + version; rows key the block
-            // shapes (gnet is already padded to `num_gnets.max(1)` rows,
-            // consistently with the operator shapes).
-            let key = (
-                Arc::as_ptr(&job.entry) as usize,
-                job.features.gcell.rows(),
-                job.features.gnet.rows(),
-            );
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, g)) => g.push((job, marker)),
-                None => groups.push((key, vec![(job, marker)])),
-            }
-        }
-        for (_, group) in groups {
-            compute_batched(shared, shard_idx, group, &mut scratch);
         }
         // Final pass: resolve waits on keys owned by other workers.
         for (job, first_marker) in deferred {
@@ -1098,123 +1004,6 @@ fn compute_owned(
     *lock::recover(&marker.done) = state;
     marker.cv.notify_all();
     result
-}
-
-/// Unclaims a key and publishes its single-flight outcome to waiters.
-fn publish(shard: &Shard, key: CacheKey, marker: &Arc<InFlight>, state: InFlightState) {
-    lock::recover(&shard.in_flight).remove(&key);
-    *lock::recover(&marker.done) = state;
-    marker.cv.notify_all();
-}
-
-/// Runs one group of owned, stateless, shape-compatible predict jobs as a
-/// single block-diagonal forward: operators stack via
-/// [`GraphOps::block_diag`], features stack by rows, and the batched
-/// output rows split back per design. Dense layers are row-local and the
-/// stacked sparse operators give each block's rows exactly that block's
-/// entries (shifted columns, same order), so every per-request result is
-/// **bitwise identical** to its individual forward — caches stay coherent
-/// across batched and unbatched executions of the same state.
-///
-/// Accounting is per request: each member still records `computed` (its
-/// forward really ran, fused into the dispatch), publishes its own
-/// single-flight marker and caches under its own key; the group adds one
-/// `lhnn_batched_forward_jobs` observation. A panic abandons every member's marker
-/// (requesters see `WorkerLost`), mirroring `compute_owned`.
-fn compute_batched(
-    shared: &Shared,
-    shard_idx: usize,
-    group: Vec<(PredictJob, Arc<InFlight>)>,
-    scratch: &mut ScratchSet,
-) {
-    let (shard, cells) = (&shared.shards[shard_idx], &shared.obs.shards[shard_idx]);
-    // Per-job cache recheck (same race as `compute_owned`: another worker
-    // may have computed and unclaimed a key between our miss and our
-    // claim): publish hits immediately, batch only the remainder.
-    let mut pending: Vec<(PredictJob, Arc<InFlight>)> = Vec::with_capacity(group.len());
-    for (job, marker) in group {
-        match lock::recover(&shard.cache).get(&job.key) {
-            Some(p) => {
-                publish(shard, job.key, &marker, InFlightState::Done(Arc::clone(&p)));
-                send_reply(cells, &job, p, true);
-            }
-            None => pending.push((job, marker)),
-        }
-    }
-    if pending.len() < 2 {
-        // Nothing to fuse: the plain single-design path.
-        if let Some((job, marker)) = pending.pop() {
-            if let Some((p, cached)) = compute_owned(shared, shard_idx, &job, &marker, scratch) {
-                send_reply(cells, &job, p, cached);
-            }
-        }
-        return;
-    }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let ops: Vec<&GraphOps> = pending.iter().map(|(j, _)| j.ops.as_ref()).collect();
-        let block_ops = GraphOps::block_diag(&ops);
-        let feats = FeatureSet {
-            gcell: vstack(pending.iter().map(|(j, _)| &j.features.gcell)),
-            gnet: vstack(pending.iter().map(|(j, _)| &j.features.gnet)),
-        };
-        let batched = scratch.predict(pending[0].0.entry.model.as_ref(), &block_ops, &feats);
-        split_rows(&batched, pending.iter().map(|(j, _)| j.features.gcell.rows()))
-    }));
-    match outcome {
-        Ok(parts) => {
-            cells.batched_forward_jobs.observe(pending.len() as u64);
-            for ((job, marker), p) in pending.into_iter().zip(parts) {
-                let p = Arc::new(p);
-                cells.computed.inc();
-                // cache before unmarking, so latecomers that miss the
-                // marker hit the cache
-                lock::recover(&shard.cache).insert(job.key, Arc::clone(&p));
-                publish(shard, job.key, &marker, InFlightState::Done(Arc::clone(&p)));
-                send_reply(cells, &job, p, false);
-            }
-        }
-        Err(_) => {
-            for (job, marker) in pending {
-                shared.obs.flight.record(
-                    FlightEventKind::WorkerLost,
-                    &job.entry.name,
-                    format!("batched forward panicked (model v{})", job.entry.version),
-                );
-                publish(shard, job.key, &marker, InFlightState::Abandoned);
-            }
-        }
-    }
-}
-
-/// Stacks equal-width matrices by rows.
-fn vstack<'a>(blocks: impl Iterator<Item = &'a Matrix>) -> Matrix {
-    let blocks: Vec<&Matrix> = blocks.collect();
-    let cols = blocks[0].cols();
-    let rows: usize = blocks.iter().map(|b| b.rows()).sum();
-    let mut data = Vec::with_capacity(rows * cols);
-    for b in &blocks {
-        assert_eq!(b.cols(), cols, "vstack requires equal column counts");
-        data.extend_from_slice(b.as_slice());
-    }
-    Matrix::from_vec(rows, cols, data).expect("vstack shape")
-}
-
-/// Splits a batched prediction back into per-design predictions by
-/// consecutive G-cell row counts.
-fn split_rows(batched: &Prediction, row_counts: impl Iterator<Item = usize>) -> Vec<Prediction> {
-    let ch = batched.cls_prob.cols();
-    let mut offset = 0;
-    row_counts
-        .map(|n| {
-            let cls = batched.cls_prob.as_slice()[offset * ch..(offset + n) * ch].to_vec();
-            let reg = batched.reg.as_slice()[offset * ch..(offset + n) * ch].to_vec();
-            offset += n;
-            Prediction {
-                cls_prob: Matrix::from_vec(n, ch, cls).expect("split shape"),
-                reg: Matrix::from_vec(n, ch, reg).expect("split shape"),
-            }
-        })
-        .collect()
 }
 
 fn send_reply(cells: &ShardObs, job: &PredictJob, prediction: Arc<Prediction>, cached: bool) {

@@ -1,5 +1,4 @@
-//! `lhnn-serve` — a sharded, batched, multi-threaded congestion-inference
-//! engine.
+//! `lhnn-serve` — a sharded, multi-threaded congestion-inference engine.
 //!
 //! The paper's end goal is congestion feedback *inside* placement loops: a
 //! placer queries "where will routing congest?" thousands of times per
@@ -26,15 +25,13 @@
 //!   ([`ServeHandle::predict`], [`ServeHandle::predict_batch`],
 //!   [`ServeHandle::stats`]) with latency percentiles, throughput, cache
 //!   hit rate and a per-shard breakdown ([`ServeStats::per_shard`]).
-//! * [`Session`] — the stateful, **pipelined** placement-loop surface
-//!   ([`ServeHandle::open_session`] / [`Session::submit_update`] /
+//! * [`Session`] — the stateful placement-loop surface
+//!   ([`ServeHandle::open_session`] / [`Session::update`] /
 //!   [`Session::predict`]): keeps an incremental
 //!   [`lhnn::LatticePipeline`] hot per design, pinned to the design's
-//!   shard. `submit_update` returns an [`UpdateTicket`] and the shard's
-//!   workers apply the delta while the caller overlaps its own work;
-//!   `predict` drains pending tickets in submission order before the
-//!   forward, so one placer thread keeps several designs in flight
-//!   without ever observing a half-applied sequence.
+//!   shard. `update` patches the pipeline in place on the caller's
+//!   thread; `predict` runs on the shard's workers and splices over the
+//!   region the updates dirtied instead of recomputing every G-cell.
 //!
 //! Failures stay contained: a panicking forward costs its requester a
 //! [`ServeError::WorkerLost`] and nothing else; engine locks guard
@@ -43,7 +40,7 @@
 //! calls with [`ServeError::Poisoned`] while the engine keeps serving.
 //!
 //! Served predictions are **bitwise identical** to direct
-//! [`lhnn::Lhnn::predict`] calls regardless of worker count or cache
+//! [`lhnn::CongestionModel::predict`] calls regardless of worker count or cache
 //! state (property-tested in `tests/determinism.rs`).
 //!
 //! # Example
@@ -103,7 +100,7 @@ pub use cache::{CacheKey, PredictionCache};
 pub use engine::{EngineConfig, PredictRequest, ServeEngine, ServeHandle, ServeReply};
 pub use error::{Result, ServeError};
 pub use registry::{ModelEntry, ModelRegistry};
-pub use session::{Session, SessionConfig, SessionObservability, UpdateTicket};
+pub use session::{Session, SessionConfig, SessionObservability};
 pub use stats::{ServeStats, ShardStats};
 
 /// The observability vocabulary (registry, snapshots, exposition, flight

@@ -38,10 +38,7 @@ pub(crate) struct ShardObs {
     /// Predict jobs per worker wake-up that processed at least one: the
     /// count is the wake-ups, the sum the jobs.
     pub(crate) batch_jobs: Histogram,
-    /// Requests per cross-design block-diagonal forward: the count is the
-    /// forwards, the sum the requests they served.
-    pub(crate) batched_forward_jobs: Histogram,
-    /// Session updates applied, whichever thread drained them.
+    /// Session updates applied.
     pub(crate) session_updates: Counter,
     /// End-to-end request latency (submission to reply), microseconds.
     pub(crate) request_us: Histogram,
@@ -56,7 +53,6 @@ impl ShardObs {
             cache_hits: registry.counter_with("lhnn_cache_hits_total", l),
             computed: registry.counter_with("lhnn_computed_total", l),
             batch_jobs: registry.histogram_with("lhnn_batch_jobs", l),
-            batched_forward_jobs: registry.histogram_with("lhnn_batched_forward_jobs", l),
             session_updates: registry.counter_with("lhnn_session_updates_total", l),
             request_us: registry.histogram_with("lhnn_request_us", l),
         }
@@ -131,7 +127,6 @@ mod tests {
             "lhnn_cache_hits_total",
             "lhnn_computed_total",
             "lhnn_batch_jobs",
-            "lhnn_batched_forward_jobs",
             "lhnn_session_updates_total",
             "lhnn_request_us",
         ] {

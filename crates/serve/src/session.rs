@@ -1,47 +1,40 @@
-//! Stateful placement-loop sessions: the pipelined incremental serving
-//! surface.
+//! Stateful placement-loop sessions: the incremental serving surface.
 //!
 //! A stateless [`crate::ServeHandle::predict`] forces every caller to
 //! rebuild graph operators and features per query — fine for one-shot
 //! CLIs, wasteful for a placer that perturbs a few cells and re-queries
 //! thousands of times. A [`Session`] keeps a [`LatticePipeline`] hot per
-//! design, and since this PR the update half is **pipelined**: the delta
-//! is applied by the session's shard workers while the caller overlaps
-//! its own work.
+//! design: an update patches it in place on the caller's thread, and a
+//! predict runs on the design's shard, splicing over the dirty halo.
 //!
 //! ```text
 //! open_session(circuit, placement)      // one full build; design → shard
 //!   loop {
-//!     let t = session.submit_update(&delta);   // no waiting;
-//!                                              // the shard applies it
-//!     /* caller overlaps placer work here */
-//!     session.predict()                 // drains pending tickets in
-//!                                       // order, then runs the forward
+//!     session.update(&delta)            // patches the pipeline in place
+//!     session.predict()                 // spliced forward on the shard
 //!   }
 //! ```
 //!
 //! # Ordering and determinism
 //!
-//! Deltas apply strictly in submission order: appliers (shard workers,
-//! `predict`, `UpdateTicket::wait`) take the session's state lock first
-//! and then drain the pending queue FIFO, so no interleaving of workers
-//! can reorder two updates. Combined with the bitwise-deterministic
+//! Updates apply under the session's state lock, in call order, and a
+//! predict snapshots the state under the same lock, so it describes every
+//! update applied before it. Combined with the bitwise-deterministic
 //! kernel backend, any interleaving of sessions across any shard count
 //! yields predictions bitwise identical to serial single-shard execution
 //! (proptest-enforced in `tests/sharded_sessions.rs`).
 //!
 //! # Failure discipline
 //!
-//! A failed structural fallback rebuild poisons the pipeline: the ticket
+//! A failed structural fallback rebuild poisons the pipeline: the update
 //! that triggered it *and every later call* fail until a delta admits a
-//! successful rebuild — exactly the pre-pipelining behaviour. A delta
-//! naming a cell outside the circuit or a non-finite position never
-//! reaches the pipeline: it fails with [`ServeError::Session`] and changes
-//! nothing. A *panic* mid-apply or while the session state is held
-//! (distinct from a clean error) wedges the session permanently: the
-//! placement may have advanced while graph state did not, so every later
-//! call surfaces [`ServeError::Poisoned`]; the engine itself keeps serving
-//! every other session.
+//! successful rebuild. A delta naming a cell outside the circuit or a
+//! non-finite position never reaches the pipeline: it fails with
+//! [`ServeError::Session`] and changes nothing. A *panic* mid-apply or
+//! while the session state is held (distinct from a clean error) wedges
+//! the session permanently: the placement may have advanced while graph
+//! state did not, so every later call surfaces [`ServeError::Poisoned`];
+//! the engine itself keeps serving every other session.
 //!
 //! Because incremental updates are bitwise identical to full rebuilds,
 //! the engine's fingerprint-keyed prediction cache composes
@@ -49,8 +42,6 @@
 //! that returns to a previously seen placement) hits the cache exactly
 //! as if the inputs had been batch-built.
 
-use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use lh_graph::{FeatureSet, LhGraphConfig};
@@ -58,7 +49,7 @@ use lhnn::{
     AblationSpec, ForwardDirty, GraphOps, IncrementalForward, IncrementalStats, InvalidationCause,
     LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause,
 };
-use lhnn_obs::{Counter, FlightEventKind, FlightRecorder, Histogram};
+use lhnn_obs::{Counter, FlightEventKind, FlightRecorder};
 use vlsi_netlist::{Circuit, GcellGrid, Placement, PlacementDelta};
 
 use crate::engine::{PredictRequest, ServeHandle, ServeReply};
@@ -121,50 +112,6 @@ impl SessionConfig {
     }
 }
 
-/// A pending, not-yet-applied [`Session::submit_update`].
-///
-/// The outcome arrives when the session's shard (or any in-order drain —
-/// a later `predict`, a blocking [`UpdateTicket::wait`]) applies the
-/// delta. Dropping the ticket is fine: the update still applies; only
-/// the outcome is discarded.
-#[derive(Debug)]
-pub struct UpdateTicket {
-    core: Arc<SessionCore>,
-    rx: mpsc::Receiver<Result<PipelineUpdate>>,
-}
-
-impl UpdateTicket {
-    /// Blocks until the update has been applied, returning what the
-    /// pipeline did.
-    ///
-    /// Never deadlocks: if no shard worker has drained the queue yet (the
-    /// engine may be saturated, or already shut down), the caller drains
-    /// it inline — in submission order, exactly as a worker would.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Session`] if a structural fallback rebuild failed
-    /// (the pipeline is poisoned until a later delta admits a rebuild);
-    /// [`ServeError::Poisoned`] if the session wedged (a panic mid-apply).
-    pub fn wait(self) -> Result<PipelineUpdate> {
-        if let Ok(outcome) = self.rx.try_recv() {
-            return outcome;
-        }
-        // Drain inline. If a worker owns the state lock right now it will
-        // apply our delta before releasing; either way the reply is in
-        // the channel once we get the lock and find the queue empty.
-        self.core.service();
-        self.rx.recv().map_err(|_| {
-            ServeError::Poisoned("update ticket lost: session state dropped mid-apply".into())
-        })?
-    }
-}
-
-struct PendingUpdate {
-    delta: PlacementDelta,
-    reply: mpsc::Sender<Result<PipelineUpdate>>,
-}
-
 struct SessionState {
     pipeline: LatticePipeline,
     /// Scaled snapshot of the pipeline state, rebuilt lazily after a
@@ -178,18 +125,12 @@ struct SessionState {
     wedged: Option<String>,
 }
 
-/// The shard-shared half of a [`Session`]: the hot pipeline plus the
-/// FIFO queue of not-yet-applied deltas.
-///
-/// Appliers take `state` first and then drain `pending` front-to-back
-/// under it, so updates apply in submission order no matter which thread
-/// (shard worker, `predict`, `UpdateTicket::wait`) performs the drain.
-pub(crate) struct SessionCore {
+/// A [`Session`]'s hot pipeline and the handles it records into.
+struct SessionCore {
     state: Mutex<SessionState>,
-    pending: Mutex<VecDeque<PendingUpdate>>,
     divisors: (Vec<f32>, Vec<f32>),
     /// Bounded-radius forward state for this design: cached per-layer
-    /// activations plus the dirty sets noted by applied updates. Appliers
+    /// activations plus the dirty sets noted by applied updates. Updates
     /// note every outcome here (under the state lock, so notes follow
     /// apply order); `predict` hands it to the engine so a worker can
     /// splice instead of recomputing every G-cell.
@@ -199,10 +140,8 @@ pub(crate) struct SessionCore {
     /// The engine's flight recorder: fallback/poison/wedge events carry
     /// the design as scope (dropped on a metrics-off engine).
     flight: Arc<FlightRecorder>,
-    /// The predict-side drain-stage span.
-    drain: Histogram,
     /// The pinned shard's `lhnn_session_updates_total` cell: every
-    /// applied update counts once, whichever thread drains it.
+    /// applied update counts once.
     updates: Counter,
 }
 
@@ -224,7 +163,7 @@ impl SessionCore {
 
     /// Recovers a session-state guard from mutex poisoning, recording
     /// that coherence is gone: the holder panicked outside
-    /// `drain_locked`'s catch (e.g. in a [`Session::with_pipeline`]
+    /// `apply_locked`'s catch (e.g. in a [`Session::with_pipeline`]
     /// closure), so unlike the engine's re-derivable locks this state
     /// cannot be trusted again.
     fn wedge_on_poison<'a>(
@@ -243,46 +182,8 @@ impl SessionCore {
         self.state.lock().unwrap_or_else(|poison| self.wedge_on_poison(poison))
     }
 
-    /// Applies every pending delta in submission order. Blocking — used
-    /// by the inline drains ([`UpdateTicket::wait`]), which guarantee
-    /// liveness.
-    pub(crate) fn service(&self) {
-        self.drain_locked(&mut self.lock_state());
-    }
-
-    /// The shard-worker variant of [`SessionCore::service`]: never blocks
-    /// on the session state — a worker parked on one session's mutex
-    /// would head-of-line-block every other job on its shard.
-    ///
-    /// Returns `true` when the drain ran (possibly applying nothing), and
-    /// `false` when the state lock was busy while deltas are still
-    /// pending — the current holder may have finished its own drain
-    /// before those deltas arrived, so the caller must re-nudge rather
-    /// than drop them on the floor (a lost nudge would silently degrade
-    /// pipelining to apply-on-next-inline-drain).
-    pub(crate) fn service_nonblocking(&self) -> bool {
-        let mut state = match self.state.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                return crate::lock::recover(&self.pending).is_empty();
-            }
-            Err(std::sync::TryLockError::Poisoned(poison)) => self.wedge_on_poison(poison),
-        };
-        self.drain_locked(&mut state);
-        true
-    }
-
-    fn drain_locked(&self, state: &mut SessionState) {
-        loop {
-            let next = crate::lock::recover(&self.pending).pop_front();
-            let Some(PendingUpdate { delta, reply }) = next else { break };
-            // A submitter that dropped its ticket is fine.
-            let _ = reply.send(self.apply_locked(state, &delta));
-        }
-    }
-
     /// Applies one delta under the state lock, enforcing the wedge/poison
-    /// discipline. The single apply path for drained and inline updates.
+    /// discipline.
     fn apply_locked(
         &self,
         state: &mut SessionState,
@@ -404,7 +305,7 @@ pub struct SessionObservability {
 pub struct Session {
     handle: ServeHandle,
     cfg: SessionConfig,
-    core: Arc<SessionCore>,
+    core: SessionCore,
     shard: usize,
 }
 
@@ -440,16 +341,14 @@ impl ServeHandle {
         let engine_obs = self.obs();
         pipeline.set_metrics(&engine_obs.registry, &design_id);
         let incr = IncrementalForward::with_metrics(&engine_obs.registry, &design_id, model_kind);
-        let core = Arc::new(SessionCore {
+        let core = SessionCore {
             state: Mutex::new(SessionState { pipeline, snapshot: None, wedged: None }),
-            pending: Mutex::new(VecDeque::new()),
             divisors: (cfg.gcell_divisors.clone(), cfg.gnet_divisors.clone()),
             incr: Arc::new(incr),
             design: design_id,
             flight: Arc::clone(&engine_obs.flight),
-            drain: engine_obs.registry.stage("drain"),
             updates: self.session_update_sinks(shard),
-        });
+        };
         // Cross-kind hot-swaps must be able to kill this session's
         // activation cache (weakly held; dropping the session unregisters).
         self.register_session_incr(&cfg.model, &core.incr);
@@ -458,40 +357,7 @@ impl ServeHandle {
 }
 
 impl Session {
-    /// Submits a placement delta for pipelined application on the
-    /// session's shard, without waiting for it to apply.
-    ///
-    /// The caller overlaps its own work while a shard worker applies the
-    /// delta; the returned [`UpdateTicket`] resolves to what the pipeline
-    /// did. Updates apply strictly in submission order, and
-    /// [`Session::predict`] drains every pending ticket before running a
-    /// forward — predictions can never observe a half-applied sequence.
-    ///
-    /// Submission cannot fail: the delta always lands in the session's
-    /// pending queue, and even if the engine refuses the nudge (shutdown)
-    /// the next in-order drain — `predict` or [`UpdateTicket::wait`] —
-    /// applies it inline, so the session survives its engine. The call
-    /// may block briefly on the shard's backpressure bound when its queue
-    /// is full.
-    pub fn submit_update(&self, delta: &PlacementDelta) -> UpdateTicket {
-        let (tx, rx) = mpsc::channel();
-        let was_empty = {
-            let mut pending = crate::lock::recover(&self.core.pending);
-            let was_empty = pending.is_empty();
-            pending.push_back(PendingUpdate { delta: delta.clone(), reply: tx });
-            was_empty
-        };
-        // Nudge the shard — but only when this push made the queue
-        // non-empty: a non-empty queue already has a nudge in flight (or
-        // an active drainer, which pops until empty and so picks this
-        // delta up too).
-        if was_empty {
-            let _ = self.handle.enqueue_session(self.shard, Arc::clone(&self.core));
-        }
-        UpdateTicket { core: Arc::clone(&self.core), rx }
-    }
-
-    /// Applies a placement delta synchronously (submit + wait).
+    /// Applies a placement delta to the hot pipeline.
     ///
     /// Returns what the pipeline did ([`PipelineUpdate::Noop`] /
     /// [`PipelineUpdate::Incremental`] / [`PipelineUpdate::FullRebuild`]).
@@ -506,17 +372,11 @@ impl Session {
     /// past the size filter); [`ServeError::Poisoned`] if the session
     /// wedged.
     pub fn update(&mut self, delta: &PlacementDelta) -> Result<PipelineUpdate> {
-        // The blocking path skips the ticket/nudge machinery entirely:
-        // drain anything still pending (in submission order), then apply
-        // this delta inline — no channel, no queue round-trip, no worker
-        // wake-up that would find nothing to do.
-        let mut state = self.core.lock_state();
-        self.core.drain_locked(&mut state);
-        self.core.apply_locked(&mut state, delta)
+        self.core.apply_locked(&mut self.core.lock_state(), delta)
     }
 
     /// Predicts congestion for the current placement through the shared
-    /// engine, after draining every pending update in submission order.
+    /// engine.
     ///
     /// Routes to the session's shard, so the forward runs on the worker
     /// slice that owns this design and the result lands in that shard's
@@ -539,8 +399,7 @@ impl Session {
     }
 
     /// The current `(operators, scaled features)` snapshot, as submitted
-    /// to the engine by [`Session::predict`] — after draining every
-    /// pending update.
+    /// to the engine by [`Session::predict`].
     ///
     /// # Errors
     ///
@@ -558,11 +417,6 @@ impl Session {
     /// forward that consumes it.
     fn inputs_with_seq(&mut self) -> Result<(Arc<GraphOps>, Arc<FeatureSet>, u64)> {
         let mut state = self.core.lock_state();
-        // In-order drain of anything still pending: predictions always
-        // describe every update submitted before them.
-        let t_drain = self.core.drain.start();
-        self.core.drain_locked(&mut state);
-        self.core.drain.stop_us(t_drain);
         if let Some(why) = &state.wedged {
             return Err(ServeError::Poisoned(format!("session wedged: {why}")));
         }
@@ -584,18 +438,15 @@ impl Session {
         Ok((Arc::clone(ops), Arc::clone(features), seq))
     }
 
-    /// Runs `f` against the hot pipeline (placement, graph, counters),
-    /// after draining pending updates so the observed state is current.
+    /// Runs `f` against the hot pipeline (placement, graph, counters).
     /// A wedged session still exposes its (last coherent-looking)
     /// pipeline here for diagnostics; prefer [`Session::inputs`] /
     /// [`Session::predict`] for anything that must refuse wedged state.
     pub fn with_pipeline<T>(&self, f: impl FnOnce(&LatticePipeline) -> T) -> T {
-        let mut state = self.core.lock_state();
-        self.core.drain_locked(&mut state);
-        f(&state.pipeline)
+        f(&self.core.lock_state().pipeline)
     }
 
-    /// The pipeline's lifetime counters (pending updates drained first).
+    /// The pipeline's lifetime counters.
     /// [`PipelineStats::stale`] is set while the pipeline is poisoned —
     /// the counters then describe the pre-failure placement.
     pub fn stats(&self) -> PipelineStats {
@@ -611,8 +462,7 @@ impl Session {
         self.core.incr.stats()
     }
 
-    /// `(operators, features)` content fingerprints of the current state
-    /// (pending updates drained first).
+    /// `(operators, features)` content fingerprints of the current state.
     ///
     /// # Errors
     ///
@@ -626,8 +476,7 @@ impl Session {
 
     /// One merged observability view of the session: the pipeline's
     /// lifetime counters and the incremental-forward counters, captured
-    /// together with the design id and shard (pending updates drained
-    /// first, so both halves describe the same state). Both are reads of
+    /// together with the design id and shard. Both are reads of
     /// the `{design}`-labelled series in the engine's registry snapshot
     /// ([`crate::ServeHandle::metrics_snapshot`]).
     pub fn observability(&self) -> SessionObservability {
@@ -702,73 +551,6 @@ mod tests {
         assert_eq!(update, PipelineUpdate::Noop);
         assert!(session.predict().unwrap().cached);
         engine.shutdown();
-    }
-
-    #[test]
-    fn pipelined_updates_apply_in_order_and_predict_drains() {
-        let engine = sharded_engine(2);
-        let handle = engine.handle();
-        let (circuit, placement, grid) = design(9);
-        let die = circuit.die;
-        let mut session = handle
-            .open_session(
-                SessionConfig::new("default"),
-                Arc::clone(&circuit),
-                placement.clone(),
-                grid.clone(),
-            )
-            .unwrap();
-        // submit a burst of updates without waiting on any of them
-        let mut reference = placement.clone();
-        let mut tickets = Vec::new();
-        let mut deltas = Vec::new();
-        for step in 0..5u32 {
-            let id = CellId(step);
-            let np = die.clamp(Point::new(
-                reference.position(id).x + grid.gcell_width() * 1.25,
-                reference.position(id).y + grid.gcell_height() * 0.75,
-            ));
-            reference.set_position(id, np);
-            let delta = PlacementDelta::single(id, np);
-            tickets.push(session.submit_update(&delta));
-            deltas.push(delta);
-        }
-        // predict drains all five in order before the forward
-        let reply = session.predict().unwrap();
-        assert!(reply.prediction.cls_prob.is_finite());
-        for t in tickets {
-            // tickets resolve (possibly applied by the predict drain)
-            t.wait().unwrap();
-        }
-        // the session state equals a serial replay of the same deltas —
-        // updates were neither lost nor reordered (a crossing mid-burst
-        // tombstones/appends columns, so the stable layout — and thus the
-        // fingerprints — depends on the exact apply order)
-        let mut fresh = LatticePipeline::for_serving(circuit, placement, grid).unwrap();
-        for delta in &deltas {
-            fresh.apply(delta).unwrap();
-        }
-        assert_eq!(session.fingerprints().unwrap(), fresh.fingerprints().unwrap());
-        assert_eq!(session.stats().updates, 5);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn tickets_resolve_after_engine_shutdown() {
-        let engine = engine();
-        let handle = engine.handle();
-        let (circuit, placement, grid) = design(10);
-        let die = circuit.die;
-        let session =
-            handle.open_session(SessionConfig::new("default"), circuit, placement, grid).unwrap();
-        engine.shutdown();
-        // the engine is gone, but the ticket drains inline instead of
-        // hanging forever
-        let id = CellId(0);
-        let np = die.clamp(Point::new(die.ux * 0.5, die.uy * 0.5));
-        let ticket = session.submit_update(&PlacementDelta::single(id, np));
-        ticket.wait().unwrap();
-        assert_eq!(session.stats().updates, 1);
     }
 
     #[test]
@@ -870,11 +652,10 @@ mod tests {
             matches!(session.predict(), Err(ServeError::Session(_))),
             "poisoned session must not serve a pre-delta congestion map"
         );
-        // pipelined tickets observe the same discipline: every call after
-        // the failed rebuild fails until a delta admits a rebuild
+        // every later update fails the same way until a delta admits a
+        // rebuild
         let nudge = PlacementDelta::single(b, Point::new(7.1, 7.1));
-        let ticket = session.submit_update(&nudge);
-        assert!(matches!(ticket.wait(), Err(ServeError::Session(_))));
+        assert!(matches!(session.update(&nudge), Err(ServeError::Session(_))));
         // healing delta: rebuild succeeds, predictions flow again
         let heal = PlacementDelta::single(b, Point::new(1.3, 1.3));
         assert!(matches!(session.update(&heal), Ok(PipelineUpdate::FullRebuild { .. })));
@@ -899,9 +680,8 @@ mod tests {
         assert!(matches!(err, Err(ServeError::Poisoned(_))), "got {err:?}");
         // every later call fails the same way — the state is unknowable
         assert!(matches!(session.predict(), Err(ServeError::Poisoned(_))));
-        let id = CellId(0);
-        let t = session.submit_update(&PlacementDelta::single(id, Point::new(1.0, 1.0)));
-        assert!(matches!(t.wait(), Err(ServeError::Poisoned(_))));
+        let again = session.update(&PlacementDelta::single(CellId(0), Point::new(1.0, 1.0)));
+        assert!(matches!(again, Err(ServeError::Poisoned(_))), "got {again:?}");
         // ...but the engine is fine: a fresh session over a healthy design
         // serves normally
         let (c2, p2, g2) = design(12);
@@ -935,8 +715,6 @@ mod tests {
             PlacementDelta::from_moves(vec![(CellId(2), ok), (CellId(n_cells), ok)]),
         ] {
             let err = session.update(&bogus).unwrap_err();
-            assert!(matches!(err, ServeError::Session(_)), "got {err:?}");
-            let err = session.submit_update(&bogus).wait().unwrap_err();
             assert!(matches!(err, ServeError::Session(_)), "got {err:?}");
         }
         assert_eq!(session.with_pipeline(|p| p.fingerprints().unwrap()), fingerprints);

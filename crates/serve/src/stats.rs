@@ -59,15 +59,11 @@ pub struct ServeStats {
     pub batches: u64,
     /// Mean jobs drained per worker wake-up (micro-batching factor).
     pub mean_batch_size: f64,
-    /// Cross-design block-diagonal forwards: distinct same-shape stateless
-    /// requests coalesced into one model dispatch. Each member request
-    /// still counts in `computed` (its forward really ran, fused into the
-    /// batch), so `computed - batched_forward_jobs + batched_forwards` is
-    /// the number of model dispatches actually issued.
-    pub batched_forwards: u64,
-    /// Requests served by those block-diagonal forwards.
+    /// Always 0: every computed request runs its own forward. The field
+    /// exists only until the benchmark drops its `serve.batched_job_frac`
+    /// row, which reads it.
     pub batched_forward_jobs: u64,
-    /// Session updates applied, whichever thread drained them.
+    /// Session updates applied.
     pub session_updates: u64,
     /// Median request latency over the engine's lifetime, microseconds
     /// (a histogram bucket bound: at most 12.5% above the exact value).
@@ -100,13 +96,6 @@ impl std::fmt::Display for ServeStats {
             self.throughput_rps,
             self.mean_batch_size,
         )?;
-        if self.batched_forwards > 0 {
-            write!(
-                f,
-                " | {} cross-design forwards ({} reqs)",
-                self.batched_forwards, self.batched_forward_jobs
-            )?;
-        }
         if self.per_shard.len() > 1 {
             write!(f, " | {} shards:", self.per_shard.len())?;
             for s in &self.per_shard {
@@ -128,7 +117,7 @@ impl std::fmt::Display for ServeStats {
 impl ServeStats {
     /// Reads every shard's cells: counters sum, histograms merge.
     pub(crate) fn read(shards: &[ShardObs], workers_per_shard: &[usize], uptime: Duration) -> Self {
-        let [mut latency, mut batches, mut fused] = <[HistogramSnapshot; 3]>::default();
+        let [mut latency, mut batches] = <[HistogramSnapshot; 2]>::default();
         let per_shard: Vec<ShardStats> = shards
             .iter()
             .enumerate()
@@ -136,7 +125,6 @@ impl ServeStats {
                 let own = s.request_us.snapshot();
                 latency.merge(&own);
                 batches.merge(&s.batch_jobs.snapshot());
-                fused.merge(&s.batched_forward_jobs.snapshot());
                 ShardStats {
                     shard: i,
                     workers: workers_per_shard.get(i).copied().unwrap_or(0),
@@ -159,8 +147,7 @@ impl ServeStats {
             cache_hit_rate: if requests == 0 { 0.0 } else { cache_hits as f64 / requests as f64 },
             batches: batches.count,
             mean_batch_size: batches.mean(),
-            batched_forwards: fused.count,
-            batched_forward_jobs: fused.sum,
+            batched_forward_jobs: 0,
             session_updates: sum(|s| s.session_updates),
             p50_us: latency.quantile(0.50),
             p95_us: latency.quantile(0.95),

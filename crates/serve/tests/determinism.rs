@@ -3,11 +3,16 @@
 //! [`ServeHandle::predict`] returns predictions bitwise-identical to a
 //! direct [`CongestionModel::predict`] call.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
-use lh_graph::FeatureSet;
-use lhnn::{CongestionModel, GraphOps, HybridNet, HybridNetConfig, Lhnn, LhnnConfig};
+use lh_graph::{ChannelMode, FeatureSet};
+use lhnn::{
+    CongestionModel, GraphOps, HybridNet, HybridNetConfig, Lhnn, LhnnConfig, ModelIoError,
+    ModelScratch, Prediction, Program,
+};
+use lhnn_serve::obs::SeriesValue;
 use lhnn_serve::{EngineConfig, ModelRegistry, PredictRequest, ServeEngine};
+use neurograd::ParamStore;
 use proptest::prelude::*;
 
 fn design(seed: u64, n_cells: usize, grid: u32) -> (Arc<GraphOps>, Arc<FeatureSet>) {
@@ -84,14 +89,12 @@ fn bitwise_eq(a: &neurograd::Matrix, b: &neurograd::Matrix) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The cross-design batching primitive: a block-diagonal stack of K
-    /// designs' operators with row-stacked features forwards to outputs
-    /// whose per-design row slices are bitwise identical to K individual
-    /// forwards. Dense layers are row-local and each block's sparse rows
-    /// see exactly that block's entries (shifted columns, same order), so
-    /// this holds even for designs of different sizes — the engine only
-    /// fuses same-shape groups, a scheduling choice, not a correctness
-    /// requirement.
+    /// The block-diagonal primitive: a stack of K designs' operators with
+    /// row-stacked features forwards to outputs whose per-design row
+    /// slices are bitwise identical to K individual forwards. Dense layers
+    /// are row-local and each block's sparse rows see exactly that block's
+    /// entries (shifted columns, same order), so this holds even for
+    /// designs of different sizes.
     #[test]
     fn block_diagonal_batched_forward_matches_individual_forwards(
         model_seed in 0u64..1000,
@@ -144,57 +147,117 @@ proptest! {
     }
 }
 
-/// End-to-end: distinct same-shape stateless requests landing in one
-/// worker micro-batch fuse into a block-diagonal forward, every reply is
-/// bitwise identical to a direct forward, and per-design accounting
-/// (`computed`, cache entries) is preserved alongside the new
-/// `batched_forwards` counters.
+/// An LHNN whose first forward tells the test it started, then waits for
+/// the test's go-ahead: the single worker is provably busy while the
+/// test queues more requests behind it.
+#[derive(Debug)]
+struct Gated {
+    inner: Lhnn,
+    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl CongestionModel for Gated {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn gcell_in_dim(&self) -> usize {
+        self.inner.gcell_in_dim()
+    }
+    fn gnet_in_dim(&self) -> usize {
+        self.inner.gnet_in_dim()
+    }
+    fn hidden(&self) -> usize {
+        self.inner.hidden()
+    }
+    fn channel_mode(&self) -> ChannelMode {
+        self.inner.channel_mode()
+    }
+    fn store(&self) -> &ParamStore {
+        self.inner.store()
+    }
+    fn store_mut(&mut self) -> &mut ParamStore {
+        self.inner.store_mut()
+    }
+    fn configure_pool(&self) {
+        self.inner.configure_pool();
+    }
+    fn weights_fingerprint(&self) -> u64 {
+        self.inner.weights_fingerprint()
+    }
+    fn program(&self) -> &Program {
+        self.inner.program()
+    }
+    fn save_to(&self, w: &mut dyn std::io::Write) -> Result<(), ModelIoError> {
+        self.inner.save_to(w)
+    }
+    fn predict_with(
+        &self,
+        ops: &GraphOps,
+        features: &FeatureSet,
+        scratch: &mut ModelScratch,
+    ) -> Prediction {
+        if let Some((started, go)) = self.gate.lock().expect("gate lock").take() {
+            started.send(()).expect("test listens");
+            go.recv().expect("go-ahead");
+        }
+        self.inner.predict_with(ops, features, scratch)
+    }
+}
+
+/// End-to-end: distinct same-shape stateless requests that pile up in
+/// one worker micro-batch each get a reply bitwise identical to a direct
+/// forward, and each counts once in `computed` and in the cache.
 #[test]
-fn engine_fuses_same_shape_requests_and_replies_bitwise() {
+fn piled_up_micro_batch_replies_bitwise() {
     // same config + seed builds bitwise-identical weights, so the local
     // copy is a faithful reference for the registered model
     let model = Lhnn::new(LhnnConfig::default(), 7);
+    let (started_tx, started) = mpsc::channel();
+    let (go, go_rx) = mpsc::channel();
+    let gated = Gated {
+        inner: Lhnn::new(LhnnConfig::default(), 7),
+        gate: Mutex::new(Some((started_tx, go_rx))),
+    };
     let registry = Arc::new(ModelRegistry::new());
-    registry.register("m", Lhnn::new(LhnnConfig::default(), 7)).expect("register");
+    registry.register("m", gated).expect("register");
     let engine = ServeEngine::new(
         registry,
         EngineConfig { workers: 1, shards: 1, cache_capacity: 64, ..Default::default() },
     );
     let handle = engine.handle();
 
-    // A large design occupies the single worker while the small
-    // same-shape requests pile up in the queue behind it, so they drain
-    // as one micro-batch.
-    let (big_ops, big_feats) = design(99, 1500, 16);
-    let blocker = {
-        let handle = handle.clone();
-        let req = PredictRequest::new("m", big_ops, big_feats);
-        std::thread::spawn(move || handle.predict(&req).expect("blocker"))
-    };
-    std::thread::sleep(std::time::Duration::from_millis(30));
-
     // Same ops, perturbed features: identical shapes, distinct
     // fingerprints — different "designs" as far as keys are concerned.
     let (ops, base) = design(5, 90, 6);
-    let variants: Vec<Arc<FeatureSet>> = (0..3)
+    let variants: Vec<Arc<FeatureSet>> = (0..4)
         .map(|k| {
             let mut g = base.gcell.as_slice().to_vec();
-            g[0] += 0.25 * (k + 1) as f32;
+            g[0] += 0.25 * k as f32;
             let gcell =
                 neurograd::Matrix::from_vec(base.gcell.rows(), base.gcell.cols(), g).unwrap();
             Arc::new(FeatureSet { gcell, gnet: base.gnet.clone() })
         })
         .collect();
-    let clients: Vec<_> = variants
-        .iter()
-        .map(|feats| {
-            let handle = handle.clone();
-            let req = PredictRequest::new("m", Arc::clone(&ops), Arc::clone(feats));
-            std::thread::spawn(move || handle.predict(&req).expect("variant"))
-        })
-        .collect();
+    let send = |feats: &Arc<FeatureSet>| {
+        let handle = handle.clone();
+        let req = PredictRequest::new("m", Arc::clone(&ops), Arc::clone(feats));
+        std::thread::spawn(move || handle.predict(&req).expect("predict"))
+    };
 
-    blocker.join().expect("blocker thread");
+    // The first request occupies the single worker; the other three queue
+    // behind it and are picked up together once it finishes.
+    let mut clients = vec![send(&variants[0])];
+    started.recv().expect("first forward started");
+    clients.extend(variants[1..].iter().map(send));
+    let queued = |snap: lhnn_serve::obs::Snapshot| match snap.get("lhnn_queue_depth_high") {
+        Some(s) => matches!(s.value, SeriesValue::Gauge(depth) if depth >= 3),
+        None => false,
+    };
+    while !queued(handle.metrics_snapshot()) {
+        std::thread::yield_now();
+    }
+    go.send(()).expect("worker waits");
+
     let replies: Vec<_> = clients.into_iter().map(|c| c.join().expect("client")).collect();
     for (feats, reply) in variants.iter().zip(&replies) {
         let direct = model.predict(&ops, feats);
@@ -203,8 +266,8 @@ fn engine_fuses_same_shape_requests_and_replies_bitwise() {
     }
 
     let stats = handle.stats();
-    assert_eq!(stats.computed, 4, "blocker + every fused member counts as computed");
-    assert!(stats.batched_forwards >= 1, "the piled-up batch fused: {stats}");
-    assert!(stats.batched_forward_jobs >= 2, "fused dispatch covered multiple designs");
+    assert_eq!((stats.batches, stats.mean_batch_size), (2, 2.0), "1 job, then 3: {stats}");
+    assert_eq!(stats.computed, 4, "one forward per request: {stats}");
+    assert_eq!(handle.cache_len(), 4, "every computed prediction is cached under its own key");
     engine.shutdown();
 }

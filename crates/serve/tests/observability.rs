@@ -142,12 +142,9 @@ fn snapshot_under_load_never_deadlocks_or_tears() {
     engine.shutdown();
 }
 
-/// The rendered exposition carries the canonical series the CI smoke
-/// greps for, and round-trips through the parser.
 /// Every session update counts exactly once, in the engine stats and in
-/// `lhnn_session_updates_total`, whichever path drains it: an inline
-/// `Session::update`, `UpdateTicket::wait`, the drain inside
-/// `Session::predict`, or a shard worker.
+/// `lhnn_session_updates_total`, whether it applies, is a noop or is
+/// rejected.
 #[test]
 fn every_session_update_counts_once() {
     let engine =
@@ -162,20 +159,22 @@ fn every_session_update_counts_once() {
     for step in 0..12u32 {
         let id = CellId(step);
         let p = session.with_pipeline(|pl| pl.placement().position(id));
-        let delta =
-            PlacementDelta::single(id, die.clamp(Point::new(p.x + grid.gcell_width(), p.y)));
-        match step % 3 {
-            0 => drop(session.update(&delta).expect("update")),
-            1 => drop(session.submit_update(&delta).wait().expect("wait")),
-            _ => drop(session.submit_update(&delta)),
-        }
+        let to = match step % 3 {
+            0 => die.clamp(Point::new(p.x + grid.gcell_width(), p.y)),
+            1 => p,
+            _ => Point::new(f32::NAN, p.y),
+        };
+        let applied = session.update(&PlacementDelta::single(id, to));
+        assert_eq!(applied.is_ok(), step % 3 != 2, "step {step}: {applied:?}");
         issued += 1;
     }
-    session.predict().expect("predict drains the rest");
+    session.predict().expect("predict");
     assert_eq!(handle.stats().session_updates, issued);
     assert_eq!(handle.metrics_snapshot().counter("lhnn_session_updates_total"), issued);
 }
 
+/// The rendered exposition carries the canonical series the CI smoke
+/// greps for, and round-trips through the parser.
 #[test]
 fn exposition_contains_canonical_series() {
     let engine = ServeEngine::new(

@@ -1,7 +1,7 @@
-//! Properties of the sharded, pipelined session layer.
+//! Properties of the sharded session layer.
 //!
 //! 1. **Interleaving parity**: any interleaving of
-//!    `open_session`/`submit_update`/`predict` across D designs and S
+//!    `open_session`/`update`/`predict` across D designs and S
 //!    shards, driven by D concurrent client threads, yields predictions
 //!    and final pipeline states bitwise identical to a serial replay on a
 //!    single-shard, single-worker engine and to a fresh rebuild at the
@@ -100,11 +100,9 @@ fn registry(model_kind: usize) -> Arc<ModelRegistry> {
 /// session's incremental-forward counters.
 type Replay = (Vec<Arc<Prediction>>, (u64, u64), Vec<NetId>, IncrementalStats);
 
-/// Drives one design's script through a session; `pipelined` uses
-/// `submit_update` tickets (waited lazily by the next predict), the
-/// serial mode blocks on every update. The final delta predicts twice:
-/// the repeat is a cache hit.
-fn drive(engine: &ServeEngine, design: &Design, pipelined: bool) -> Replay {
+/// Drives one design's script through a session. The final delta
+/// predicts twice: the repeat is a cache hit.
+fn drive(engine: &ServeEngine, design: &Design) -> Replay {
     let handle = engine.handle();
     let mut session = handle
         .open_session(
@@ -116,12 +114,7 @@ fn drive(engine: &ServeEngine, design: &Design, pipelined: bool) -> Replay {
         .expect("open session");
     let mut predictions = Vec::new();
     for (delta, predict_here) in &design.script {
-        if pipelined {
-            // fire-and-forget: predict (or a later update's drain) applies it
-            drop(session.submit_update(delta));
-        } else {
-            session.update(delta).expect("update");
-        }
+        session.update(delta).expect("update");
         if *predict_here {
             predictions.push(session.predict().expect("predict").prediction);
         }
@@ -187,7 +180,7 @@ proptest! {
             .map(|d| scripted_design(d, base_seed + d as u64 * 101, n_deltas))
             .collect();
 
-        // Concurrent, pipelined, sharded: one client thread per design.
+        // Concurrent and sharded: one client thread per design.
         let engine = ServeEngine::new(
             registry(model_kind),
             EngineConfig { workers, shards, ..EngineConfig::default() },
@@ -195,22 +188,22 @@ proptest! {
         let concurrent: Vec<Replay> = std::thread::scope(|scope| {
             let joins: Vec<_> = designs
                 .iter()
-                .map(|design| scope.spawn(|| drive(&engine, design, true)))
+                .map(|design| scope.spawn(|| drive(&engine, design)))
                 .collect();
             joins.into_iter().map(|j| j.join().expect("client thread")).collect()
         });
         assert_exact_accounting(&engine, &designs, &concurrent);
         engine.shutdown();
 
-        // Serial replay: single shard, single worker, blocking updates,
-        // one design at a time.
+        // Serial replay: single shard, single worker, one design at a
+        // time.
         let serial_engine = ServeEngine::new(
             registry(model_kind),
             EngineConfig { workers: 1, shards: 1, ..EngineConfig::default() },
         );
         let mut serial = Vec::new();
         for (design, (got_preds, got_fps, columns, _)) in designs.iter().zip(&concurrent) {
-            let replay = drive(&serial_engine, design, false);
+            let replay = drive(&serial_engine, design);
             let (want_preds, want_fps) = (&replay.0, &replay.1);
             prop_assert_eq!(got_fps, want_fps, "final state diverged for {}", design.name);
             prop_assert_eq!(

@@ -12,8 +12,9 @@
 //! * [`model`] — the LHNN architecture and training (paper §4),
 //! * [`baselines`] — MLP / U-Net / Pix2Pix comparators (paper §5),
 //! * [`data`] — dataset assembly and the experiment harness,
-//! * [`serve`] — the batched, multi-threaded inference engine (model
-//!   registry, worker pool, LRU prediction cache),
+//! * [`serve`] — the sharded, multi-threaded inference engine (model
+//!   registry, worker pool, LRU prediction cache, placement-loop
+//!   sessions),
 //! * [`obs`] — the zero-dependency metrics registry, stage tracing and
 //!   flight recorder threaded through the serving stack.
 //!
