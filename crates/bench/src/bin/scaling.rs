@@ -37,7 +37,9 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 }
 
 /// Wall-clock (ms) for a burst of distinct same-size requests through an
-/// engine with `workers` threads; the per-request mean shows pool scaling.
+/// engine with `workers` threads, sent by `workers` concurrent clients
+/// (a `predict_batch` call serves its requests one after another); the
+/// per-request mean shows pool scaling.
 fn serve_burst_ms(ops: &Arc<GraphOps>, variants: &[Arc<FeatureSet>], workers: usize) -> f64 {
     let registry = Arc::new(ModelRegistry::new());
     registry.register("m", Lhnn::new(LhnnConfig::default(), 0)).expect("register");
@@ -50,9 +52,16 @@ fn serve_burst_ms(ops: &Arc<GraphOps>, variants: &[Arc<FeatureSet>], workers: us
     let requests: Vec<PredictRequest> =
         variants.iter().map(|f| PredictRequest::new("m", Arc::clone(ops), Arc::clone(f))).collect();
     let total = time_ms(|| {
-        for r in handle.predict_batch(&requests) {
-            r.expect("serve");
-        }
+        std::thread::scope(|scope| {
+            for chunk in requests.chunks(requests.len().div_ceil(workers)) {
+                let handle = &handle;
+                scope.spawn(move || {
+                    for r in handle.predict_batch(chunk) {
+                        r.expect("serve");
+                    }
+                });
+            }
+        });
     });
     engine.shutdown();
     total / variants.len() as f64

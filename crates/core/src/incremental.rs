@@ -123,9 +123,6 @@ pub enum InvalidationCause {
     FilterCrossing,
     /// Lazy compaction renumbered the G-net column space.
     Compaction,
-    /// The G-cell or G-net dimension changed outside the append protocol
-    /// (e.g. a different grid or design was swapped in).
-    DimChange,
     /// The pipeline recovered from a previously failed rebuild, or a
     /// panic mid-apply left provenance unknown.
     Poisoned,
@@ -143,7 +140,7 @@ impl From<&crate::pipeline::RebuildCause> for InvalidationCause {
 }
 
 /// The `cause` label of each [`InvalidationCause`], in declaration order.
-const CAUSE_LABELS: [&str; 4] = ["filter_crossing", "compaction", "dim_change", "poisoned"];
+const CAUSE_LABELS: [&str; 3] = ["filter_crossing", "compaction", "poisoned"];
 
 /// Lifetime counters of an [`IncrementalForward`]: a read of its
 /// registry cells, `lhnn_{full_forwards,spliced_forwards,
@@ -167,9 +164,6 @@ pub struct IncrementalStats {
     /// Cache drops from lazy compaction
     /// ([`InvalidationCause::Compaction`]).
     pub invalidations_compaction: u64,
-    /// Cache drops from dimension changes
-    /// ([`InvalidationCause::DimChange`]).
-    pub invalidations_dim_change: u64,
     /// Cache drops from poisoned-pipeline recovery
     /// ([`InvalidationCause::Poisoned`]).
     pub invalidations_poisoned: u64,
@@ -193,7 +187,7 @@ struct IncrObs {
     spliced: Counter,
     reused: Counter,
     /// Indexed by [`InvalidationCause`] declaration order.
-    invalidations: [Counter; 4],
+    invalidations: [Counter; 3],
 }
 
 impl IncrObs {
@@ -344,16 +338,14 @@ impl IncrementalForward {
     /// Lifetime counters, read from the registry cells.
     pub fn stats(&self) -> IncrementalStats {
         let o = &self.obs;
-        let [filter_crossing, compaction, dim_change, poisoned] =
-            o.invalidations.each_ref().map(Counter::get);
+        let [filter_crossing, compaction, poisoned] = o.invalidations.each_ref().map(Counter::get);
         IncrementalStats {
             full_forwards: o.full.get(),
             spliced_forwards: o.spliced.get(),
             reused: o.reused.get(),
-            invalidations: filter_crossing + compaction + dim_change + poisoned,
+            invalidations: filter_crossing + compaction + poisoned,
             invalidations_filter_crossing: filter_crossing,
             invalidations_compaction: compaction,
-            invalidations_dim_change: dim_change,
             invalidations_poisoned: poisoned,
         }
     }

@@ -295,7 +295,9 @@ pub fn read_nets<R: Read>(r: R, cells: &[Cell]) -> Result<Vec<Net>> {
 /// # Errors
 ///
 /// Returns a [`NetlistError::Parse`] describing the first malformed line,
-/// non-finite coordinate or unresolved cell reference.
+/// non-finite coordinate or unresolved cell reference. A `# Die :` line
+/// must hold four finite numbers `lx ly ux uy` with `lx <= ux` and
+/// `ly <= uy`.
 pub fn read_pl<R: Read>(r: R, cells: &[Cell]) -> Result<(Placement, Option<Rect>)> {
     let name_map: std::collections::HashMap<&str, u32> =
         cells.iter().enumerate().map(|(i, c)| (c.name.as_str(), i as u32)).collect();
@@ -314,17 +316,26 @@ pub fn read_pl<R: Read>(r: R, cells: &[Cell]) -> Result<(Placement, Option<Rect>
         lineno += 1;
         let t = buf.trim();
         if let Some(rest) = t.strip_prefix("# Die :") {
-            let vals: Vec<f32> = rest.split_whitespace().filter_map(|v| v.parse().ok()).collect();
+            let bad = |why: &str| NetlistError::Parse {
+                file: "pl",
+                line: lineno,
+                reason: format!("{why}, got die `{}`", rest.trim()),
+            };
+            let vals = rest
+                .split_whitespace()
+                .map(str::parse::<f32>)
+                .collect::<std::result::Result<Vec<f32>, _>>()
+                .map_err(|_| bad("die values must be numbers"))?;
+            let &[lx, ly, ux, uy] = vals.as_slice() else {
+                return Err(bad("expected four die values `lx ly ux uy`"));
+            };
             if vals.iter().any(|v| !v.is_finite()) {
-                return Err(NetlistError::Parse {
-                    file: "pl",
-                    line: lineno,
-                    reason: format!("non-finite die `{}`", rest.trim()),
-                });
+                return Err(bad("die values must be finite"));
             }
-            if vals.len() == 4 {
-                die = Some(Rect::new(vals[0], vals[1], vals[2], vals[3]));
+            if ux < lx || uy < ly {
+                return Err(bad("die upper corner lies below its lower corner"));
             }
+            die = Some(Rect::new(lx, ly, ux, uy));
             continue;
         }
         if t.is_empty() || t.starts_with('#') || t.starts_with("UCLA") {
@@ -533,8 +544,16 @@ mod tests {
     #[test]
     fn read_pl_rejects_malformed_line() {
         let cells = vec![Cell::movable("a", 1.0, 1.0)];
-        let text = "a 1\n";
-        assert!(read_pl(text.as_bytes(), &cells).is_err());
+        for text in [
+            "a 1\n",
+            "# Die : 0 0 x 8 8\na 1 1 : N\n",
+            "# Die : 0 0 8\na 1 1 : N\n",
+            "# Die : 0 0 8 8 8\na 1 1 : N\n",
+            "# Die : 8 8 0 0\na 1 1 : N\n",
+        ] {
+            let err = read_pl(text.as_bytes(), &cells).unwrap_err();
+            assert!(matches!(err, NetlistError::Parse { file: "pl", .. }), "{text:?}: got {err}");
+        }
     }
 
     #[test]

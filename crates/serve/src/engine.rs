@@ -5,18 +5,19 @@
 //! # Architecture
 //!
 //! ```text
-//!                      ServeHandle::predict / Session
-//!                                  │ stable hash: design → shard
-//!            ┌─────────────────────┼─────────────────────┐
-//!            ▼                     ▼                     ▼
-//!         shard 0               shard 1      …        shard N-1
-//!   ┌───────────────┐    ┌───────────────┐
-//!   │ bounded queue │    │ bounded queue │   (predict jobs)
-//!   │ worker slice  │    │ worker slice  │
-//!   │ LRU cache     │    │ LRU cache     │
-//!   │ single-flight │    │ single-flight │
-//!   │ count cells   │    │ count cells   │
-//!   └───────────────┘    └───────────────┘
+//!             ServeHandle::predict                  Session::predict
+//!                       │ stable hash: design → shard        │
+//!            ┌──────────┼──────────┐                         │
+//!            ▼          ▼          ▼                         │
+//!         shard 0    shard 1  …  shard N-1                   │
+//!   ┌───────────────┐                                        │
+//!   │ bounded queue │   (stateless predict jobs)             │
+//!   │ worker slice  │                                        │
+//!   │    resolve ◀──┼─────────── on the caller's thread ─────┘
+//!   │ LRU cache     │
+//!   │ single-flight │
+//!   │ count cells   │
+//!   └───────────────┘
 //! ```
 //!
 //! Sharding gives many concurrent placement loops isolation: a hot design
@@ -29,18 +30,27 @@
 //! state always lands on the same shard, so single-flight deduplication
 //! still works.
 //!
-//! Within a shard the PR-2 machinery is unchanged: a bounded queue
-//! (backpressure when full) drained in micro-batches by long-lived
-//! workers, identical in-flight requests deduplicated to one forward, an
-//! LRU prediction cache keyed by content fingerprints. Each job a worker
-//! computes runs its own forward — a session's splice or a stateless
-//! full forward. Session updates never enter the queue: they apply on
-//! the caller's thread (see [`crate::Session::update`]).
+//! Within a shard every prediction goes through one routine, `resolve`:
+//! look the key up in the shard's LRU cache (keyed by content
+//! fingerprints), claim it in the single-flight map, then either run the
+//! forward and publish the result or wait for the key's owner. A
+//! stateless request crosses the shard's bounded queue (backpressure when
+//! full) to a long-lived worker, which takes one job per wake-up and
+//! resolves it with a from-scratch forward; `predict_batch` sends its
+//! requests one after another, so one caller never holds more than one
+//! job and a concurrent caller never queues behind a whole batch. A
+//! session predict resolves on the caller's thread with the session's
+//! own bounded-radius forward, a splice over the dirty halo; session
+//! updates apply on the caller's thread too (see
+//! [`crate::Session::update`]). Sessions and workers share the cache and
+//! the single-flight map, so a state either of them computed answers the
+//! other.
 //!
 //! Requests are answered synchronously: `predict` blocks the calling
-//! thread until its reply arrives. Shutdown is cooperative — workers
-//! drain the queue they were handed and exit; unserved requests observe
-//! [`ServeError::ShuttingDown`] / [`ServeError::WorkerLost`].
+//! thread until its reply arrives. Shutdown is cooperative — each worker
+//! finishes the job in hand and exits; queued requests observe
+//! [`ServeError::WorkerLost`], later submissions and session predicts
+//! [`ServeError::ShuttingDown`].
 //!
 //! Lock discipline: every engine lock guards re-derivable state and
 //! recovers from poisoning (see the `lock` module); a panicking forward is
@@ -49,21 +59,19 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lh_graph::FeatureSet;
-use lhnn::{
-    CongestionModel, GraphOps, IncrementalForward, InvalidationCause, Prediction, ScratchSet,
-};
+use lhnn::{CongestionModel, GraphOps, Prediction, ScratchSet};
 use lhnn_obs::{FlightEvent, FlightEventKind, Registry, Snapshot};
 use neurograd::Fnv64;
 
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{Result, ServeError};
 use crate::lock;
-use crate::observability::{EngineObs, ShardObs};
+use crate::observability::EngineObs;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::stats::ServeStats;
 
@@ -121,8 +129,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Maximum jobs a worker drains per wake-up (micro-batch size).
-const MAX_BATCH: usize = 8;
+/// Queue depth from which a new engine-wide high-water mark is logged as
+/// a `QueueHigh` flight event.
+const QUEUE_HIGH_DEPTH: u64 = 8;
 
 /// One congestion-inference request.
 #[derive(Debug, Clone)]
@@ -144,33 +153,12 @@ pub struct PredictRequest {
     /// Per-request congestion threshold applied to channel-0
     /// probabilities for [`ServeReply::congested_fraction`].
     pub threshold: f32,
-    /// Session-owned bounded-radius forward state plus the note-sequence
-    /// snapshot matching `(ops, features)`. When set, a worker that must
-    /// compute (cache miss) runs [`IncrementalForward::predict`] — a halo
-    /// splice over the dirty region when the cached activations allow it —
-    /// instead of a from-scratch forward. Results are bitwise identical
-    /// either way, so the fingerprint-keyed cache stays coherent.
-    pub(crate) incremental: Option<(Arc<IncrementalForward>, u64)>,
 }
 
 impl PredictRequest {
     /// A request against `model` with the conventional 0.5 threshold.
     pub fn new(model: &str, ops: Arc<GraphOps>, features: Arc<FeatureSet>) -> Self {
-        Self {
-            model: model.to_string(),
-            ops,
-            features,
-            design: None,
-            threshold: 0.5,
-            incremental: None,
-        }
-    }
-
-    /// Attaches a session's incremental-forward state (see the field doc).
-    #[must_use]
-    pub(crate) fn with_incremental(mut self, incr: Arc<IncrementalForward>, seq: u64) -> Self {
-        self.incremental = Some((incr, seq));
-        self
+        Self { model: model.to_string(), ops, features, design: None, threshold: 0.5 }
     }
 
     /// Sets the congestion threshold.
@@ -212,10 +200,9 @@ struct PredictJob {
     threshold: f32,
     submitted: Instant,
     /// Queue-stage span token: set at admission when metrics are on,
-    /// closed when a worker drains the job (`None` skips both clock reads).
+    /// closed when a worker takes the job (`None` skips both clock reads).
     enqueued: Option<Instant>,
     reply: mpsc::Sender<ServeReply>,
-    incremental: Option<(Arc<IncrementalForward>, u64)>,
 }
 
 struct QueueState {
@@ -223,8 +210,8 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// Single-flight marker: the first worker to claim a key computes; every
-/// concurrent worker with the same key waits for the result instead of
+/// Single-flight marker: the first thread to claim a key computes; every
+/// concurrent thread with the same key waits for the result instead of
 /// duplicating the forward pass.
 #[derive(Default)]
 struct InFlight {
@@ -232,7 +219,7 @@ struct InFlight {
     cv: Condvar,
 }
 
-#[derive(Default, Clone)]
+#[derive(Default)]
 enum InFlightState {
     /// The owner is still computing.
     #[default]
@@ -241,6 +228,21 @@ enum InFlightState {
     Done(Arc<Prediction>),
     /// The owner's forward panicked; waiters must compute for themselves.
     Abandoned,
+}
+
+impl InFlight {
+    /// Blocks until the owner publishes: its prediction, or `None` if its
+    /// forward panicked.
+    fn wait(&self) -> Option<Arc<Prediction>> {
+        let mut done = lock::recover(&self.done);
+        while matches!(*done, InFlightState::Pending) {
+            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+        match &*done {
+            InFlightState::Done(p) => Some(Arc::clone(p)),
+            _ => None,
+        }
+    }
 }
 
 /// One shard: queue, cache and single-flight map, isolated from every
@@ -272,12 +274,77 @@ pub(crate) struct Shared {
     workers_per_shard: Vec<usize>,
     started: Instant,
     obs: EngineObs,
-    /// Weak handles to every open session's incremental-forward state,
-    /// tagged with the model name it serves with. [`ServeHandle::replace_model`]
-    /// walks this on a cross-kind (or cross-channel-count) hot-swap to
-    /// invalidate activation caches that the new architecture cannot
-    /// splice against; dead weaks are pruned on each walk.
-    session_incrs: Mutex<Vec<(String, std::sync::Weak<IncrementalForward>)>>,
+}
+
+impl Shared {
+    /// Answers `key` on shard `shard_idx` — from the shard's cache, from
+    /// the thread computing the same key, or by running `forward` — and
+    /// reports whether the prediction came without a forward of its own.
+    ///
+    /// `forward` runs at most once, under `catch_unwind`; its result goes
+    /// to the cache before the key is released, so a latecomer that
+    /// misses the single-flight marker hits the cache. If it panics, the
+    /// key is released as `Abandoned` (its waiters start over), a
+    /// `WorkerLost` flight event is recorded and the caller gets
+    /// [`ServeError::WorkerLost`].
+    fn resolve(
+        &self,
+        shard_idx: usize,
+        entry: &ModelEntry,
+        key: CacheKey,
+        forward: impl FnOnce() -> Prediction,
+    ) -> Result<(Arc<Prediction>, bool)> {
+        let shard = &self.shards[shard_idx];
+        let marker = loop {
+            let t_cache = self.obs.stage_cache.start();
+            let hit = lock::recover(&shard.cache).get(&key);
+            self.obs.stage_cache.stop_us(t_cache);
+            if let Some(hit) = hit {
+                return Ok((hit, true));
+            }
+            match claim_key(shard, key) {
+                Ok(marker) => break marker,
+                Err(owner) => {
+                    if let Some(p) = owner.wait() {
+                        return Ok((p, true));
+                    }
+                    // The owner's forward panicked on ITS inputs (only
+                    // key-equal to ours): start over.
+                }
+            }
+        };
+        // Another thread may have published and released this key between
+        // the cache miss and the claim. (The guard is dropped before the
+        // forward runs.)
+        let recheck = lock::recover(&shard.cache).get(&key);
+        let outcome = match recheck {
+            Some(p) => Ok((p, true)),
+            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (Arc::new(forward()), false)
+            })),
+        };
+        let (result, state) = match outcome {
+            Ok((p, cached)) => {
+                if !cached {
+                    self.obs.shards[shard_idx].computed.inc();
+                    lock::recover(&shard.cache).insert(key, Arc::clone(&p));
+                }
+                (Ok((Arc::clone(&p), cached)), InFlightState::Done(p))
+            }
+            Err(_) => {
+                self.obs.flight.record(
+                    FlightEventKind::WorkerLost,
+                    &entry.name,
+                    format!("forward panicked (model v{})", entry.version),
+                );
+                (Err(ServeError::WorkerLost), InFlightState::Abandoned)
+            }
+        };
+        lock::recover(&shard.in_flight).remove(&key);
+        *lock::recover(&marker.done) = state;
+        marker.cv.notify_all();
+        result
+    }
 }
 
 /// The engine: owns the sharded worker pool; hand out [`ServeHandle`]s to
@@ -285,7 +352,8 @@ pub(crate) struct Shared {
 ///
 /// Dropping (or [`ServeEngine::shutdown`]) stops the workers; requests
 /// still queued are abandoned and their submitters receive
-/// [`ServeError::WorkerLost`], new submissions [`ServeError::ShuttingDown`].
+/// [`ServeError::WorkerLost`], new submissions and session predicts
+/// [`ServeError::ShuttingDown`].
 pub struct ServeEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -336,7 +404,6 @@ impl ServeEngine {
             started: Instant::now(),
             obs,
             cfg,
-            session_incrs: Mutex::new(Vec::new()),
         });
         let mut workers = Vec::new();
         for (shard_idx, &n) in shared.workers_per_shard.iter().enumerate() {
@@ -429,7 +496,21 @@ impl ServeHandle {
     /// [`ServeError::ShuttingDown`] / [`ServeError::WorkerLost`] around
     /// engine shutdown.
     pub fn predict(&self, request: &PredictRequest) -> Result<ServeReply> {
-        self.predict_on_shard(self.shard_of_request(request), request)
+        let submitted = Instant::now();
+        let (entry, key) = self.admit(request)?;
+        let shard_idx = self.shard_of_request(request);
+        // Fast path: answer from the shard's cache without touching the
+        // queue.
+        let t_cache = self.shared.obs.stage_cache.start();
+        let hit = lock::recover(&self.shared.shards[shard_idx].cache).get(&key);
+        self.shared.obs.stage_cache.stop_us(t_cache);
+        if let Some(hit) = hit {
+            let latency = submitted.elapsed();
+            self.shared.obs.shards[shard_idx].record_request(latency, true);
+            return Ok(reply_from(hit, true, request.threshold, latency));
+        }
+        let rx = self.enqueue(shard_idx, entry, request, key, submitted)?;
+        rx.recv().map_err(|_| ServeError::WorkerLost)
     }
 
     /// The shard a request routes to: its design id when it has one, the
@@ -441,78 +522,38 @@ impl ServeHandle {
         }
     }
 
-    /// Serves one request on an explicit shard (sessions pin their design's
-    /// shard so updates and predictions share a worker slice and cache).
-    pub(crate) fn predict_on_shard(
+    /// Serves a session's request on the caller's thread, on the session's
+    /// shard: the shard's cache or an identical in-flight request answers
+    /// if it can, otherwise `forward` (the session's bounded-radius
+    /// forward) computes, and its result lands in the shard's cache.
+    pub(crate) fn predict_here(
         &self,
         shard_idx: usize,
         request: &PredictRequest,
+        forward: impl FnOnce(&ModelEntry) -> Prediction,
     ) -> Result<ServeReply> {
         let submitted = Instant::now();
-        let (entry, key) = self.admit(request)?;
-        let shard_idx = shard_idx.min(self.shared.shards.len() - 1);
-        let shard = &self.shared.shards[shard_idx];
-        // Fast path: answer from the shard's cache without touching the
-        // queue. (The guard is scoped to the lookup — never held across
-        // other locks.)
-        let t_cache = self.shared.obs.stage_cache.start();
-        let hit = lock::recover(&shard.cache).get(&key);
-        self.shared.obs.stage_cache.stop_us(t_cache);
-        if let Some(hit) = hit {
-            let latency = submitted.elapsed();
-            record_request(
-                &self.shared.obs.shards[shard_idx],
-                request.incremental.as_ref(),
-                latency,
-                true,
-            );
-            return Ok(reply_from(hit, true, request.threshold, latency));
+        if lock::recover(&self.shared.shards[shard_idx].queue).shutdown {
+            return Err(ServeError::ShuttingDown);
         }
-        let rx = self.enqueue(shard_idx, entry, request, key, submitted)?;
-        rx.recv().map_err(|_| ServeError::WorkerLost)
+        let (entry, key) = self.admit(request)?;
+        let (prediction, cached) =
+            self.shared.resolve(shard_idx, &entry, key, || forward(&entry))?;
+        let latency = submitted.elapsed();
+        self.shared.obs.shards[shard_idx].record_request(latency, cached);
+        Ok(reply_from(prediction, cached, request.threshold, latency))
     }
 
-    /// Serves many requests, keeping all of them in flight at once
-    /// (across their designs' shards).
+    /// Serves many requests one after another, each as
+    /// [`ServeHandle::predict`] would.
     ///
-    /// Replies come back in request order; each slot fails independently
-    /// (one unknown model does not sink the batch).
+    /// A call holds at most one request in a shard's queue or worker at a
+    /// time, so a concurrent caller's request never waits behind all of a
+    /// large call's requests. Replies come back in request order; each
+    /// slot fails independently (one unknown model does not sink the
+    /// batch).
     pub fn predict_batch(&self, requests: &[PredictRequest]) -> Vec<Result<ServeReply>> {
-        let submitted = Instant::now();
-        // Phase 1: admit + enqueue everything (cache hits answered inline).
-        let pending: Vec<Result<PendingReply>> = requests
-            .iter()
-            .map(|request| {
-                let (entry, key) = self.admit(request)?;
-                let shard_idx = self.shard_of_request(request);
-                let shard = &self.shared.shards[shard_idx];
-                let t_cache = self.shared.obs.stage_cache.start();
-                let hit = lock::recover(&shard.cache).get(&key);
-                self.shared.obs.stage_cache.stop_us(t_cache);
-                if let Some(hit) = hit {
-                    let latency = submitted.elapsed();
-                    let cells = &self.shared.obs.shards[shard_idx];
-                    record_request(cells, request.incremental.as_ref(), latency, true);
-                    return Ok(PendingReply::Ready(reply_from(
-                        hit,
-                        true,
-                        request.threshold,
-                        latency,
-                    )));
-                }
-                let rx = self.enqueue(shard_idx, Arc::clone(&entry), request, key, submitted)?;
-                Ok(PendingReply::InFlight(rx))
-            })
-            .collect();
-        // Phase 2: collect in order.
-        pending
-            .into_iter()
-            .map(|p| match p {
-                Ok(PendingReply::Ready(r)) => Ok(r),
-                Ok(PendingReply::InFlight(rx)) => rx.recv().map_err(|_| ServeError::WorkerLost),
-                Err(e) => Err(e),
-            })
-            .collect()
+        requests.iter().map(|request| self.predict(request)).collect()
     }
 
     /// A snapshot of the engine's counters and latency percentiles,
@@ -585,12 +626,11 @@ impl ServeHandle {
     /// but a bare registry swap leaves them squatting in the shard LRUs,
     /// evicting live predictions until traffic ages them off.
     ///
-    /// The replacement may be a **different architecture**: displaced
-    /// cache entries are evicted either way, and when the kind (or the
-    /// output channel count) changes, every open session serving `name`
-    /// has its incremental-forward activation cache invalidated too — a
-    /// spliced forward against the old architecture's activations would
-    /// be garbage under the new one.
+    /// The replacement may be a **different architecture**. An open
+    /// session serving `name` needs no notice: its incremental forward
+    /// refreshes in full whenever the weights version it is handed
+    /// changes, and versions hash the architecture kind, so it never
+    /// splices against the displaced model's activations.
     ///
     /// # Errors
     ///
@@ -617,31 +657,15 @@ impl ServeHandle {
     ) -> Result<Arc<ModelEntry>> {
         let displaced = self.shared.registry.get(name);
         let entry = self.shared.registry.replace_boxed(name, model)?;
-        if let Some(old) = displaced {
-            if old.version != entry.version {
-                for s in &self.shared.shards {
-                    lock::recover(&s.cache).evict_model(old.version);
-                }
-                self.shared.obs.flight.record(
-                    FlightEventKind::HotSwap,
-                    name,
-                    format!("v{} -> v{} ({})", old.version, entry.version, entry.model.kind()),
-                );
+        if let Some(old) = displaced.filter(|old| old.version != entry.version) {
+            for s in &self.shared.shards {
+                lock::recover(&s.cache).evict_model(old.version);
             }
-            if old.model.kind() != entry.model.kind()
-                || old.model.channels() != entry.model.channels()
-            {
-                let mut incrs = lock::recover(&self.shared.session_incrs);
-                incrs.retain(|(session_model, weak)| match weak.upgrade() {
-                    Some(incr) => {
-                        if session_model == name {
-                            incr.note_structural(InvalidationCause::DimChange);
-                        }
-                        true
-                    }
-                    None => false,
-                });
-            }
+            self.shared.obs.flight.record(
+                FlightEventKind::HotSwap,
+                name,
+                format!("v{} -> v{} ({})", old.version, entry.version, entry.model.kind()),
+            );
         }
         Ok(entry)
     }
@@ -651,13 +675,6 @@ impl ServeHandle {
     pub(crate) fn session_update_sinks(&self, shard_idx: usize) -> lhnn_obs::Counter {
         let cells = &self.shared.obs.shards;
         cells[shard_idx.min(cells.len() - 1)].session_updates.clone()
-    }
-
-    /// Records a session's incremental-forward state so cross-kind
-    /// hot-swaps of its model can invalidate it (weakly held — a closed
-    /// session just drops off the list).
-    pub(crate) fn register_session_incr(&self, model: &str, incr: &Arc<IncrementalForward>) {
-        lock::recover(&self.shared.session_incrs).push((model.to_string(), Arc::downgrade(incr)));
     }
 
     /// The engine's metrics registry: counters, gauges and stage/latency
@@ -759,7 +776,6 @@ impl ServeHandle {
             submitted,
             enqueued: self.shared.obs.stage_queue.start(),
             reply: tx,
-            incremental: request.incremental.as_ref().map(|(i, s)| (Arc::clone(i), *s)),
         };
         let shard = &self.shared.shards[shard_idx];
         let mut q = lock::recover(&shard.queue);
@@ -767,7 +783,7 @@ impl ServeHandle {
             if q.shutdown {
                 return Err(ServeError::ShuttingDown);
             }
-            q = shard.not_full.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
+            q = shard.not_full.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
         if q.shutdown {
             return Err(ServeError::ShuttingDown);
@@ -775,9 +791,7 @@ impl ServeHandle {
         q.jobs.push_back(job);
         let depth = q.jobs.len() as u64;
         drop(q);
-        // The first time a new engine-wide queue-depth high reaches a full
-        // micro-batch, log it.
-        if self.shared.obs.queue_depth_high.record_max(depth) && depth >= MAX_BATCH as u64 {
+        if self.shared.obs.queue_depth_high.record_max(depth) && depth >= QUEUE_HIGH_DEPTH {
             self.shared.obs.flight.record(
                 FlightEventKind::QueueHigh,
                 &format!("shard {shard_idx}"),
@@ -787,11 +801,6 @@ impl ServeHandle {
         shard.not_empty.notify_one();
         Ok(rx)
     }
-}
-
-enum PendingReply {
-    Ready(ServeReply),
-    InFlight(mpsc::Receiver<ServeReply>),
 }
 
 fn reply_from(
@@ -807,130 +816,46 @@ fn reply_from(
     ServeReply { prediction, cached, congested_fraction: congested as f64 / rows as f64, latency }
 }
 
+/// A shard worker: takes one queued job per wake-up and resolves it with a
+/// from-scratch forward.
 fn worker_loop(shared: &Shared, shard_idx: usize) {
     let shard = &shared.shards[shard_idx];
-    let cells = &shared.obs.shards[shard_idx];
     // One scratch slot per model kind, lazily created: a long-lived worker
     // serves a mixed model zoo with zero steady-state allocation.
     let mut scratch = ScratchSet::new();
     loop {
-        let batch: Vec<PredictJob> = {
+        let job = {
             let mut q = lock::recover(&shard.queue);
             loop {
-                if !q.jobs.is_empty() {
-                    break;
+                if let Some(job) = q.jobs.pop_front() {
+                    break job;
                 }
                 if q.shutdown {
                     return;
                 }
-                q = shard.not_empty.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
+                q = shard.not_empty.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
-            let n = q.jobs.len().min(MAX_BATCH);
-            let batch = q.jobs.drain(..n).collect();
-            drop(q);
-            shard.not_full.notify_all();
-            batch
         };
-        // Queue-wait spans close here, at pickup, for the whole batch at
-        // once — closing them as each job is processed would bill earlier
-        // jobs' forwards to later jobs' queue time.
-        cells.batch_jobs.observe(batch.len() as u64);
-        for job in &batch {
-            shared.obs.stage_queue.stop_us(job.enqueued);
-        }
-        // Same-key jobs in the batch share one forward pass; every other
-        // job this worker owns runs its own forward in place. Lock scopes
-        // are kept explicit: the cache guard must be released before the
-        // (long) forward pass and before any other lock is taken. Jobs
-        // whose key is owned by ANOTHER worker are deferred to the end of
-        // the batch so a slow peer never head-of-line-blocks work this
-        // worker could run immediately; by then every key this worker
-        // claimed is published, so no two workers wait on each other.
-        let mut local: HashMap<CacheKey, Arc<Prediction>> = HashMap::new();
-        let mut deferred: Vec<(PredictJob, Arc<InFlight>)> = Vec::new();
-        for job in batch {
-            let in_batch = local.get(&job.key).map(Arc::clone);
-            let (prediction, cached) = if let Some(p) = in_batch {
-                (p, true)
-            } else {
-                // Another worker (or an earlier batch) may have filled the
-                // cache since the submitter's fast-path miss.
-                let t_cache = shared.obs.stage_cache.start();
-                let from_cache = lock::recover(&shard.cache).get(&job.key);
-                shared.obs.stage_cache.stop_us(t_cache);
-                if let Some(p) = from_cache {
-                    local.insert(job.key, Arc::clone(&p));
-                    (p, true)
-                } else {
-                    // Single-flight: the first claimant computes;
-                    // concurrent claimants wait for its result (after
-                    // finishing the rest of their own batch).
-                    match claim_key(shard, job.key) {
-                        Ok(marker) => {
-                            match compute_owned(shared, shard_idx, &job, &marker, &mut scratch) {
-                                Some((p, cached)) => {
-                                    local.insert(job.key, Arc::clone(&p));
-                                    (p, cached)
-                                }
-                                // Forward panicked: marker cleaned up, reply
-                                // dropped (requester sees WorkerLost), worker
-                                // keeps serving.
-                                None => continue,
-                            }
-                        }
-                        Err(marker) => {
-                            deferred.push((job, marker));
-                            continue;
-                        }
-                    }
-                }
-            };
-            send_reply(cells, &job, prediction, cached);
-        }
-        // Final pass: resolve waits on keys owned by other workers.
-        for (job, first_marker) in deferred {
-            let mut marker = first_marker;
-            loop {
-                let state = {
-                    let mut done = lock::recover(&marker.done);
-                    while matches!(*done, InFlightState::Pending) {
-                        done =
-                            marker.cv.wait(done).unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    done.clone()
-                };
-                match state {
-                    InFlightState::Done(p) => {
-                        send_reply(cells, &job, p, true);
-                        break;
-                    }
-                    InFlightState::Abandoned => {
-                        // The owner's forward panicked on ITS inputs (only
-                        // key-equal to ours); retry the claim protocol.
-                        // compute_owned re-checks the cache after claiming.
-                        match claim_key(shard, job.key) {
-                            Ok(m) => {
-                                if let Some((p, cached)) =
-                                    compute_owned(shared, shard_idx, &job, &m, &mut scratch)
-                                {
-                                    send_reply(cells, &job, p, cached);
-                                }
-                                break;
-                            }
-                            // another worker re-claimed first: wait on it
-                            Err(m) => marker = m,
-                        }
-                    }
-                    InFlightState::Pending => unreachable!("waited out of Pending above"),
-                }
-            }
+        shard.not_full.notify_one();
+        shared.obs.stage_queue.stop_us(job.enqueued);
+        let model = job.entry.model.as_ref();
+        let resolved = shared.resolve(shard_idx, &job.entry, job.key, || {
+            scratch.predict(model, &job.ops, &job.features)
+        });
+        // On a panicked forward the job's reply sender drops here, so the
+        // requester sees WorkerLost; the worker keeps serving.
+        if let Ok((prediction, cached)) = resolved {
+            let latency = job.submitted.elapsed();
+            shared.obs.shards[shard_idx].record_request(latency, cached);
+            // A requester that gave up (dropped the receiver) is fine.
+            let _ = job.reply.send(reply_from(prediction, cached, job.threshold, latency));
         }
     }
 }
 
 /// Claims `key` in the shard's single-flight map: `Ok` hands the caller
-/// ownership (it must publish via `compute_owned`), `Err` returns the
-/// current owner's marker to wait on.
+/// ownership (it must publish to the marker), `Err` returns the current
+/// owner's marker to wait on.
 fn claim_key(shard: &Shard, key: CacheKey) -> std::result::Result<Arc<InFlight>, Arc<InFlight>> {
     let mut map = lock::recover(&shard.in_flight);
     match map.get(&key) {
@@ -940,91 +865,6 @@ fn claim_key(shard: &Shard, key: CacheKey) -> std::result::Result<Arc<InFlight>,
             map.insert(key, Arc::clone(&m));
             Ok(m)
         }
-    }
-}
-
-/// Resolves the forward for a claimed key, publishing the result to the
-/// shard's cache and the single-flight marker. The cache is re-checked
-/// first — another worker may have finished (and unclaimed) this key
-/// between the caller's miss and its claim — so the returned flag reports
-/// whether the prediction was cached. Returns `None` (after unclaiming
-/// the key and waking waiters) if the forward panics, so one malformed
-/// request cannot wedge the pool — see `ServeError::WorkerLost`.
-fn compute_owned(
-    shared: &Shared,
-    shard_idx: usize,
-    job: &PredictJob,
-    marker: &Arc<InFlight>,
-    scratch: &mut ScratchSet,
-) -> Option<(Arc<Prediction>, bool)> {
-    let shard = &shared.shards[shard_idx];
-    let recheck = lock::recover(&shard.cache).get(&job.key);
-    let outcome = match recheck {
-        Some(p) => Ok((p, true)),
-        None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // A session attaches its bounded-radius forward state: splice
-            // over the dirty halo when possible (bitwise identical to the
-            // from-scratch path, so the fingerprint cache stays coherent).
-            let p = match &job.incremental {
-                Some((inc, seq)) => {
-                    inc.predict(
-                        job.entry.model.as_ref(),
-                        job.entry.version,
-                        &job.ops,
-                        &job.features,
-                        *seq,
-                    )
-                    .0
-                }
-                None => scratch.predict(job.entry.model.as_ref(), &job.ops, &job.features),
-            };
-            (Arc::new(p), false)
-        })),
-    };
-    let (result, state) = match outcome {
-        Ok((p, cached)) => {
-            if !cached {
-                shared.obs.shards[shard_idx].computed.inc();
-                // cache before unmarking, so latecomers that miss the
-                // marker hit the cache
-                lock::recover(&shard.cache).insert(job.key, Arc::clone(&p));
-            }
-            (Some((Arc::clone(&p), cached)), InFlightState::Done(p))
-        }
-        Err(_) => {
-            shared.obs.flight.record(
-                FlightEventKind::WorkerLost,
-                &job.entry.name,
-                format!("forward panicked (model v{})", job.entry.version),
-            );
-            (None, InFlightState::Abandoned)
-        }
-    };
-    lock::recover(&shard.in_flight).remove(&job.key);
-    *lock::recover(&marker.done) = state;
-    marker.cv.notify_all();
-    result
-}
-
-fn send_reply(cells: &ShardObs, job: &PredictJob, prediction: Arc<Prediction>, cached: bool) {
-    let latency = job.submitted.elapsed();
-    record_request(cells, job.incremental.as_ref(), latency, cached);
-    // A requester that gave up (dropped the receiver) is fine.
-    let _ = job.reply.send(reply_from(prediction, cached, job.threshold, latency));
-}
-
-/// Counts one answered request on its shard. A session's predict answered
-/// from the shard cache never reaches its incremental forward, so the
-/// hit also counts there, as reused.
-fn record_request(
-    cells: &ShardObs,
-    incremental: Option<&(Arc<IncrementalForward>, u64)>,
-    latency: Duration,
-    cached: bool,
-) {
-    cells.record_request(latency, cached);
-    if let (true, Some((incr, _))) = (cached, incremental) {
-        incr.note_cache_hit();
     }
 }
 

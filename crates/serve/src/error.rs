@@ -26,8 +26,10 @@ pub enum ServeError {
     Poisoned(String),
     /// The engine is shutting down; the request was not accepted.
     ShuttingDown,
-    /// The worker serving this request died before replying (a panic in
-    /// the forward pass). Other workers keep serving.
+    /// The forward pass serving this request panicked (on a shard worker,
+    /// or on the caller's thread for a session predict), or the engine
+    /// shut down with the request still queued. The engine keeps serving
+    /// every other request.
     WorkerLost,
 }
 

@@ -13,11 +13,12 @@
 //!   checkpoints are rejected without touching serving state.
 //! * [`ServeEngine`] — a front over [`EngineConfig::shards`] independent
 //!   shards; each owns a bounded request queue drained by its slice of
-//!   long-lived worker threads (tape-free forwards on a reusable
-//!   per-kind [`lhnn::ScratchSet`], micro-batching, single-flight dedup),
-//!   its own prediction cache and its own count cells. Designs route to shards
-//!   by a stable hash, so one hot placement loop can neither evict
-//!   another design's cache entries nor monopolise all workers.
+//!   long-lived worker threads (one job per wake-up, a tape-free forward
+//!   on a reusable per-kind [`lhnn::ScratchSet`]), a single-flight map
+//!   that deduplicates identical in-flight requests, its own prediction
+//!   cache and its own count cells. Designs route to shards by a stable
+//!   hash, so one hot placement loop can neither evict another design's
+//!   cache entries nor monopolise all workers.
 //! * [`PredictionCache`] — a per-shard LRU keyed by content fingerprints
 //!   of `(model weights, graph operators, features)`, so repeated queries
 //!   on an unchanged placement cost only hashing.
@@ -29,9 +30,10 @@
 //!   ([`ServeHandle::open_session`] / [`Session::update`] /
 //!   [`Session::predict`]): keeps an incremental
 //!   [`lhnn::LatticePipeline`] hot per design, pinned to the design's
-//!   shard. `update` patches the pipeline in place on the caller's
-//!   thread; `predict` runs on the shard's workers and splices over the
-//!   region the updates dirtied instead of recomputing every G-cell.
+//!   shard. Both calls run on the caller's thread: `update` patches the
+//!   pipeline in place; `predict` goes through the shard's cache and
+//!   single-flight map and, on a miss, splices over the region the
+//!   updates dirtied instead of recomputing every G-cell.
 //!
 //! Failures stay contained: a panicking forward costs its requester a
 //! [`ServeError::WorkerLost`] and nothing else; engine locks guard

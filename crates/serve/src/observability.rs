@@ -35,9 +35,6 @@ pub(crate) struct ShardObs {
     pub(crate) cache_hits: Counter,
     /// Forward passes executed.
     pub(crate) computed: Counter,
-    /// Predict jobs per worker wake-up that processed at least one: the
-    /// count is the wake-ups, the sum the jobs.
-    pub(crate) batch_jobs: Histogram,
     /// Session updates applied.
     pub(crate) session_updates: Counter,
     /// End-to-end request latency (submission to reply), microseconds.
@@ -52,7 +49,6 @@ impl ShardObs {
             requests: registry.counter_with("lhnn_requests_total", l),
             cache_hits: registry.counter_with("lhnn_cache_hits_total", l),
             computed: registry.counter_with("lhnn_computed_total", l),
-            batch_jobs: registry.histogram_with("lhnn_batch_jobs", l),
             session_updates: registry.counter_with("lhnn_session_updates_total", l),
             request_us: registry.histogram_with("lhnn_request_us", l),
         }
@@ -76,9 +72,11 @@ pub(crate) struct EngineObs {
     pub(crate) flight: Arc<FlightRecorder>,
     /// Indexed by shard.
     pub(crate) shards: Vec<ShardObs>,
-    /// Queue-wait span: admission to worker pickup.
+    /// Queue-wait span: admission to worker pickup (stateless requests
+    /// only; session predicts never queue).
     pub(crate) stage_queue: Histogram,
-    /// Cache-lookup span (submitter fast path and worker recheck).
+    /// Cache-lookup span (a stateless submitter's fast path, and each
+    /// lookup a resolve makes before it claims the key).
     pub(crate) stage_cache: Histogram,
     /// High-water queue depth across all shards.
     pub(crate) queue_depth_high: Gauge,
@@ -126,7 +124,6 @@ mod tests {
             "lhnn_requests_total",
             "lhnn_cache_hits_total",
             "lhnn_computed_total",
-            "lhnn_batch_jobs",
             "lhnn_session_updates_total",
             "lhnn_request_us",
         ] {

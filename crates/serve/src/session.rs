@@ -4,14 +4,16 @@
 //! rebuild graph operators and features per query — fine for one-shot
 //! CLIs, wasteful for a placer that perturbs a few cells and re-queries
 //! thousands of times. A [`Session`] keeps a [`LatticePipeline`] hot per
-//! design: an update patches it in place on the caller's thread, and a
-//! predict runs on the design's shard, splicing over the dirty halo.
+//! design: an update patches it in place, and a predict splices over the
+//! dirty halo, both on the caller's thread. A predict goes through the
+//! design's shard cache and single-flight map, so a state seen before
+//! costs no forward.
 //!
 //! ```text
 //! open_session(circuit, placement)      // one full build; design → shard
 //!   loop {
 //!     session.update(&delta)            // patches the pipeline in place
-//!     session.predict()                 // spliced forward on the shard
+//!     session.predict()                 // spliced forward, same thread
 //!   }
 //! ```
 //!
@@ -132,9 +134,9 @@ struct SessionCore {
     /// Bounded-radius forward state for this design: cached per-layer
     /// activations plus the dirty sets noted by applied updates. Updates
     /// note every outcome here (under the state lock, so notes follow
-    /// apply order); `predict` hands it to the engine so a worker can
-    /// splice instead of recomputing every G-cell.
-    incr: Arc<IncrementalForward>,
+    /// apply order); `predict` runs it as the forward on a shard-cache
+    /// miss, splicing instead of recomputing every G-cell.
+    incr: IncrementalForward,
     /// The design id the session routes (and labels its metrics) by.
     design: String,
     /// The engine's flight recorder: fallback/poison/wedge events carry
@@ -298,9 +300,9 @@ pub struct SessionObservability {
 
 /// A hot placement-loop session over one design, pinned to one shard.
 ///
-/// Owned by the placer thread driving it; the underlying engine, its
-/// shard's worker slice and prediction cache are shared with every other
-/// client of the [`ServeHandle`].
+/// Owned by the placer thread driving it, which also runs its forwards;
+/// the shard's prediction cache and single-flight map are shared with
+/// every other client of the [`ServeHandle`].
 #[derive(Debug)]
 pub struct Session {
     handle: ServeHandle,
@@ -344,14 +346,11 @@ impl ServeHandle {
         let core = SessionCore {
             state: Mutex::new(SessionState { pipeline, snapshot: None, wedged: None }),
             divisors: (cfg.gcell_divisors.clone(), cfg.gnet_divisors.clone()),
-            incr: Arc::new(incr),
+            incr,
             design: design_id,
             flight: Arc::clone(&engine_obs.flight),
             updates: self.session_update_sinks(shard),
         };
-        // Cross-kind hot-swaps must be able to kill this session's
-        // activation cache (weakly held; dropping the session unregisters).
-        self.register_session_incr(&cfg.model, &core.incr);
         Ok(Session { handle: self.clone(), cfg, core, shard })
     }
 }
@@ -375,31 +374,41 @@ impl Session {
         self.core.apply_locked(&mut self.core.lock_state(), delta)
     }
 
-    /// Predicts congestion for the current placement through the shared
-    /// engine.
+    /// Predicts congestion for the current placement, on the caller's
+    /// thread.
     ///
-    /// Routes to the session's shard, so the forward runs on the worker
-    /// slice that owns this design and the result lands in that shard's
-    /// cache.
+    /// The session's shard cache, or an identical request in flight on
+    /// that shard, answers a state seen before; otherwise the session's
+    /// bounded-radius forward splices over the region the updates
+    /// dirtied, and the result lands in the shard's cache.
     ///
     /// # Errors
     ///
     /// [`ServeError::Session`] if the pipeline is poisoned (a fallback
     /// rebuild failed, so graph/features lag the placement — answering
     /// would serve a stale map as current); [`ServeError::Poisoned`] if
-    /// the session wedged; otherwise propagates engine errors
-    /// ([`ServeError::UnknownModel`], [`ServeError::Incompatible`],
-    /// shutdown races).
+    /// the session wedged; [`ServeError::ShuttingDown`] once the engine
+    /// shut down; [`ServeError::WorkerLost`] if the forward panicked;
+    /// otherwise the engine's admission errors
+    /// ([`ServeError::UnknownModel`], [`ServeError::Incompatible`]).
     pub fn predict(&mut self) -> Result<ServeReply> {
         let (ops, features, seq) = self.inputs_with_seq()?;
-        let request = PredictRequest::new(&self.cfg.model, ops, features)
-            .with_threshold(self.cfg.threshold)
-            .with_incremental(Arc::clone(&self.core.incr), seq);
-        self.handle.predict_on_shard(self.shard, &request)
+        let request = PredictRequest::new(&self.cfg.model, Arc::clone(&ops), Arc::clone(&features))
+            .with_threshold(self.cfg.threshold);
+        let incr = &self.core.incr;
+        let reply = self.handle.predict_here(self.shard, &request, |entry| {
+            incr.predict(entry.model.as_ref(), entry.version, &ops, &features, seq).0
+        })?;
+        // A predict answered without reaching the forward still counts
+        // there, as reused.
+        if reply.cached {
+            incr.note_cache_hit();
+        }
+        Ok(reply)
     }
 
-    /// The current `(operators, scaled features)` snapshot, as submitted
-    /// to the engine by [`Session::predict`].
+    /// The current `(operators, scaled features)` snapshot, as
+    /// [`Session::predict`] serves it.
     ///
     /// # Errors
     ///
@@ -488,7 +497,8 @@ impl Session {
         }
     }
 
-    /// The shard this session's updates and predictions are pinned to.
+    /// The shard whose cache and count cells this session's updates and
+    /// predictions use.
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -877,10 +887,10 @@ mod tests {
 
     /// Regression for cross-kind hot-swap: replacing a session's model
     /// with a **different architecture** mid-session must (a) evict the
-    /// displaced version's cache entries, (b) invalidate the session's
-    /// incremental activation cache (a splice against the old
-    /// architecture's activations would be garbage), and (c) serve the
-    /// new model bitwise-identically to a direct forward.
+    /// displaced version's cache entries, (b) recompute the session's
+    /// next forward in full (a splice against the old architecture's
+    /// activations would be garbage), and (c) serve the new model
+    /// bitwise-identically to a direct forward.
     #[test]
     fn cross_kind_hot_swap_invalidates_sessions_and_serves_the_new_model() {
         use lhnn::{HybridNet, HybridNetConfig};
@@ -917,11 +927,6 @@ mod tests {
         let entry = handle.replace_model("default", hybrid).unwrap();
         assert_eq!(entry.model.kind(), "hybridnet");
         assert_eq!(handle.cache_len(), 0, "displaced kind's entries must be evicted");
-        let after_swap = session.incremental_stats();
-        assert!(
-            after_swap.invalidations_dim_change >= 1,
-            "cross-kind swap must invalidate the session's activation cache, got {after_swap:?}"
-        );
 
         // the session now serves the new architecture, bitwise equal to a
         // direct HybridNet forward on freshly built inputs

@@ -30,7 +30,8 @@ pub struct ShardStats {
     /// Requests this shard answered from its prediction cache or by
     /// deduplication.
     pub cache_hits: u64,
-    /// Forward passes this shard's workers executed.
+    /// Forward passes run for this shard's requests: by its workers for
+    /// stateless requests, on the caller's thread for session predicts.
     pub computed: u64,
     /// Session updates applied on this shard's sessions, by any thread.
     pub session_updates: u64,
@@ -48,16 +49,17 @@ pub struct ShardStats {
 pub struct ServeStats {
     /// Requests answered (cache hits included).
     pub requests: u64,
-    /// Requests answered from a prediction cache (fast path or worker
-    /// side) or deduplicated against an identical in-batch request.
+    /// Requests answered from a prediction cache or by waiting for an
+    /// identical in-flight request.
     pub cache_hits: u64,
     /// Forward passes actually executed.
     pub computed: u64,
     /// `cache_hits / requests` (0 when idle).
     pub cache_hit_rate: f64,
-    /// Worker wake-ups that processed at least one job.
-    pub batches: u64,
-    /// Mean jobs drained per worker wake-up (micro-batching factor).
+    /// Always 1.0: a worker takes one job per wake-up, and a session
+    /// predict runs on its caller's thread. The field exists only until
+    /// the benchmark drops its `serve.mean_batch_size` row, which reads
+    /// it.
     pub mean_batch_size: f64,
     /// Always 0: every computed request runs its own forward. The field
     /// exists only until the benchmark drops its `serve.batched_job_frac`
@@ -86,7 +88,7 @@ impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} req ({} computed, {:.1}% cache hits) | p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms | {:.1} req/s | mean batch {:.2}",
+            "{} req ({} computed, {:.1}% cache hits) | p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms | {:.1} req/s",
             self.requests,
             self.computed,
             self.cache_hit_rate * 100.0,
@@ -94,7 +96,6 @@ impl std::fmt::Display for ServeStats {
             self.p95_us as f64 / 1000.0,
             self.p99_us as f64 / 1000.0,
             self.throughput_rps,
-            self.mean_batch_size,
         )?;
         if self.per_shard.len() > 1 {
             write!(f, " | {} shards:", self.per_shard.len())?;
@@ -117,14 +118,13 @@ impl std::fmt::Display for ServeStats {
 impl ServeStats {
     /// Reads every shard's cells: counters sum, histograms merge.
     pub(crate) fn read(shards: &[ShardObs], workers_per_shard: &[usize], uptime: Duration) -> Self {
-        let [mut latency, mut batches] = <[HistogramSnapshot; 2]>::default();
+        let mut latency = HistogramSnapshot::default();
         let per_shard: Vec<ShardStats> = shards
             .iter()
             .enumerate()
             .map(|(i, s)| {
                 let own = s.request_us.snapshot();
                 latency.merge(&own);
-                batches.merge(&s.batch_jobs.snapshot());
                 ShardStats {
                     shard: i,
                     workers: workers_per_shard.get(i).copied().unwrap_or(0),
@@ -145,8 +145,7 @@ impl ServeStats {
             cache_hits,
             computed: sum(|s| s.computed),
             cache_hit_rate: if requests == 0 { 0.0 } else { cache_hits as f64 / requests as f64 },
-            batches: batches.count,
-            mean_batch_size: batches.mean(),
+            mean_batch_size: 1.0,
             batched_forward_jobs: 0,
             session_updates: sum(|s| s.session_updates),
             p50_us: latency.quantile(0.50),
@@ -211,17 +210,6 @@ mod tests {
         assert_eq!(snap.requests, 0);
         assert_eq!(snap.cache_hit_rate, 0.0);
         assert_eq!(snap.throughput_rps, 0.0);
-        assert_eq!(snap.mean_batch_size, 0.0);
-    }
-
-    #[test]
-    fn batch_factor() {
-        let s = shards(1);
-        s[0].batch_jobs.observe(1);
-        s[0].batch_jobs.observe(7);
-        let snap = ServeStats::read(&s, &[1], Duration::from_secs(1));
-        assert_eq!(snap.batches, 2);
-        assert!((snap.mean_batch_size - 4.0).abs() < 1e-12);
     }
 
     #[test]

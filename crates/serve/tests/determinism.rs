@@ -4,6 +4,7 @@
 //! direct [`CongestionModel::predict`] call.
 
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use lh_graph::{ChannelMode, FeatureSet};
 use lhnn::{
@@ -11,9 +12,13 @@ use lhnn::{
     ModelScratch, Prediction, Program,
 };
 use lhnn_serve::obs::SeriesValue;
-use lhnn_serve::{EngineConfig, ModelRegistry, PredictRequest, ServeEngine};
+use lhnn_serve::{
+    EngineConfig, ModelRegistry, PredictRequest, ServeEngine, ServeError, SessionConfig,
+};
 use neurograd::ParamStore;
 use proptest::prelude::*;
+use vlsi_netlist::synth::{generate, SynthConfig};
+use vlsi_place::GlobalPlacer;
 
 fn design(seed: u64, n_cells: usize, grid: u32) -> (Arc<GraphOps>, Arc<FeatureSet>) {
     let (ops, features) = lhnn_data::serving_inputs(seed, n_cells, grid).expect("build design");
@@ -68,7 +73,7 @@ proptest! {
             prop_assert!(direct.reg.approx_eq(&reply.prediction.reg, 0.0));
         }
 
-        // a concurrent burst through the pool agrees too
+        // a burst through predict_batch agrees too
         let replies = handle.predict_batch(&vec![req; 4]);
         for reply in replies {
             let reply = reply.expect("batch predict");
@@ -147,9 +152,9 @@ proptest! {
     }
 }
 
-/// An LHNN whose first forward tells the test it started, then waits for
-/// the test's go-ahead: the single worker is provably busy while the
-/// test queues more requests behind it.
+/// An LHNN whose first stateless forward tells the test it started, then
+/// waits for the test's go-ahead: the single worker is provably busy
+/// while the test queues more requests behind it.
 #[derive(Debug)]
 struct Gated {
     inner: Lhnn,
@@ -204,20 +209,26 @@ impl CongestionModel for Gated {
     }
 }
 
-/// End-to-end: distinct same-shape stateless requests that pile up in
-/// one worker micro-batch each get a reply bitwise identical to a direct
-/// forward, and each counts once in `computed` and in the cache.
-#[test]
-fn piled_up_micro_batch_replies_bitwise() {
-    // same config + seed builds bitwise-identical weights, so the local
-    // copy is a faithful reference for the registered model
-    let model = Lhnn::new(LhnnConfig::default(), 7);
+/// A gated LHNN (seed 7) whose gate the test holds: `(model, started, go)`.
+fn gated_model() -> (Gated, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (started_tx, started) = mpsc::channel();
     let (go, go_rx) = mpsc::channel();
     let gated = Gated {
         inner: Lhnn::new(LhnnConfig::default(), 7),
         gate: Mutex::new(Some((started_tx, go_rx))),
     };
+    (gated, started, go)
+}
+
+/// End-to-end: distinct same-shape stateless requests that pile up in
+/// the queue behind a busy worker each get a reply bitwise identical to
+/// a direct forward, and each counts once in `computed` and in the cache.
+#[test]
+fn piled_up_requests_reply_bitwise() {
+    // same config + seed builds bitwise-identical weights, so the local
+    // copy is a faithful reference for the registered model
+    let model = Lhnn::new(LhnnConfig::default(), 7);
+    let (gated, started, go) = gated_model();
     let registry = Arc::new(ModelRegistry::new());
     registry.register("m", gated).expect("register");
     let engine = ServeEngine::new(
@@ -245,7 +256,7 @@ fn piled_up_micro_batch_replies_bitwise() {
     };
 
     // The first request occupies the single worker; the other three queue
-    // behind it and are picked up together once it finishes.
+    // behind it and are taken one by one once it finishes.
     let mut clients = vec![send(&variants[0])];
     started.recv().expect("first forward started");
     clients.extend(variants[1..].iter().map(send));
@@ -266,8 +277,61 @@ fn piled_up_micro_batch_replies_bitwise() {
     }
 
     let stats = handle.stats();
-    assert_eq!((stats.batches, stats.mean_batch_size), (2, 2.0), "1 job, then 3: {stats}");
     assert_eq!(stats.computed, 4, "one forward per request: {stats}");
     assert_eq!(handle.cache_len(), 4, "every computed prediction is cached under its own key");
     engine.shutdown();
+}
+
+/// A session predicts on its own thread: while the engine's only worker
+/// is held inside a stateless forward, a session over another model still
+/// gets its reply, bitwise equal to a direct forward. Once the engine has
+/// shut down, a session predict fails with `ShuttingDown`.
+#[test]
+fn session_predicts_while_the_only_worker_is_busy() {
+    let (gated, started, go) = gated_model();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("gated", gated).expect("register");
+    registry.register("free", Lhnn::new(LhnnConfig::default(), 3)).expect("register");
+    let engine = ServeEngine::new(
+        registry,
+        EngineConfig { workers: 1, shards: 1, cache_capacity: 16, ..Default::default() },
+    );
+    let handle = engine.handle();
+
+    let (ops, feats) = design(5, 90, 6);
+    let blocker = {
+        let handle = handle.clone();
+        let req = PredictRequest::new("gated", ops, feats);
+        std::thread::spawn(move || handle.predict(&req))
+    };
+    started.recv_timeout(Duration::from_secs(20)).expect("gated forward started");
+
+    let cfg = SynthConfig { seed: 11, n_cells: 90, grid_nx: 6, grid_ny: 6, ..Default::default() };
+    let synth = generate(&cfg).expect("synth");
+    let grid = cfg.grid();
+    let placed = GlobalPlacer::default().place_synth(&synth, &grid).expect("place");
+    let mut session = handle
+        .open_session(SessionConfig::new("free"), Arc::new(synth.circuit), placed.placement, grid)
+        .expect("open session");
+    let (tx, rx) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let reply = session.predict();
+        let _ = tx.send(());
+        (reply, session)
+    });
+    let returned = rx.recv_timeout(Duration::from_secs(20));
+    // Open the gate either way, so a failing run ends instead of hanging.
+    go.send(()).expect("worker waits");
+    returned.expect("session predict returned while the only worker was busy");
+    let (reply, mut session) = client.join().expect("session client");
+    let reply = reply.expect("session predict");
+    let (ops, feats) = session.inputs().expect("inputs");
+    let direct = Lhnn::new(LhnnConfig::default(), 3).predict(&ops, &feats);
+    assert!(bitwise_eq(&direct.cls_prob, &reply.prediction.cls_prob));
+    assert!(bitwise_eq(&direct.reg, &reply.prediction.reg));
+    blocker.join().expect("blocker").expect("gated predict");
+
+    engine.shutdown();
+    let err = session.predict().expect_err("engine is shut down");
+    assert!(matches!(err, ServeError::ShuttingDown), "got {err:?}");
 }
