@@ -3,8 +3,9 @@
 //! The practical promise of learned congestion prediction is replacing the
 //! global router inside the placement loop. This harness measures, per
 //! grid size: router label time, LHNN inference time (single-threaded and
-//! through the `lhnn-serve` worker pool) and U-Net inference time — the
-//! speed-up a placer would see, and how it scales across cores.
+//! served by `lhnn-serve` to concurrent client threads) and U-Net
+//! inference time — the speed-up a placer would see, and how it scales
+//! across cores.
 //!
 //! ```text
 //! cargo run --release -p lhnn-bench --bin scaling [-- --threads N]
@@ -36,24 +37,22 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Wall-clock (ms) for a burst of distinct same-size requests through an
-/// engine with `workers` threads, sent by `workers` concurrent clients
-/// (a `predict_batch` call serves its requests one after another); the
-/// per-request mean shows pool scaling.
-fn serve_burst_ms(ops: &Arc<GraphOps>, variants: &[Arc<FeatureSet>], workers: usize) -> f64 {
+/// Wall-clock (ms) for a burst of distinct same-size requests sent by
+/// `clients` concurrent client threads, each resolving its share on its
+/// own thread (a `predict_batch` call serves its requests one after
+/// another); the per-request mean shows request-level scaling.
+fn serve_burst_ms(ops: &Arc<GraphOps>, variants: &[Arc<FeatureSet>], clients: usize) -> f64 {
     let registry = Arc::new(ModelRegistry::new());
     registry.register("m", Lhnn::new(LhnnConfig::default(), 0)).expect("register");
     // cache off: we are measuring forwards, not lookups
-    let engine = ServeEngine::new(
-        registry,
-        EngineConfig { workers, cache_capacity: 0, ..EngineConfig::default() },
-    );
+    let engine =
+        ServeEngine::new(registry, EngineConfig { cache_capacity: 0, ..EngineConfig::default() });
     let handle = engine.handle();
     let requests: Vec<PredictRequest> =
         variants.iter().map(|f| PredictRequest::new("m", Arc::clone(ops), Arc::clone(f))).collect();
     let total = time_ms(|| {
         std::thread::scope(|scope| {
-            for chunk in requests.chunks(requests.len().div_ceil(workers)) {
+            for chunk in requests.chunks(requests.len().div_ceil(clients)) {
                 let handle = &handle;
                 scope.spawn(move || {
                     for r in handle.predict_batch(chunk) {
@@ -69,7 +68,7 @@ fn serve_burst_ms(ops: &Arc<GraphOps>, variants: &[Arc<FeatureSet>], workers: us
 
 fn main() {
     let args = HarnessArgs::from_env();
-    // extra flag: worker-pool width for the parallel columns
+    // extra flag: client threads for the parallel columns
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let threads = raw
         .windows(2)
@@ -79,7 +78,7 @@ fn main() {
             std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get).min(4)
         })
         .max(1);
-    // Pin the intra-op pool to one lane so the worker-pool columns keep
+    // Pin the intra-op pool to one lane so the served columns keep
     // measuring request-level parallelism; the epoch columns re-widen it
     // explicitly. Kernel results are bitwise identical either way.
     neurograd::pool::configure_threads(1);
@@ -91,7 +90,7 @@ fn main() {
         "lhnn direct (ms)",
         "lhnn 1T (ms)",
         &format!("lhnn {threads}T (ms)"),
-        "pool speedup",
+        "serve speedup",
         "epoch 1T (ms)",
         &format!("epoch {threads}T (ms)"),
         "epoch speedup",
@@ -151,7 +150,7 @@ fn main() {
         });
         // Distinct same-shape feature variants (tiny rescale changes the
         // fingerprint, not the cost) so neither the cache nor single-flight
-        // collapses the burst; 2 per worker keeps every thread busy.
+        // collapses the burst; 2 per client keeps every thread busy.
         let variants: Vec<Arc<FeatureSet>> = (0..threads * 2)
             .map(|i| {
                 let eps = 1.0 + i as f32 * 1e-6;
@@ -189,7 +188,7 @@ fn main() {
             unet.predict(&img);
         });
         println!(
-            "grid {grid}x{grid}: route {route_ms:.1} ms, rudy {rudy_ms:.2} ms, lhnn {lhnn_ms:.1} ms (pool {serve_1t_ms:.1} -> {serve_nt_ms:.1} ms/req at {threads}T, {speedup:.2}x; epoch {epoch_1t_ms:.1} -> {epoch_nt_ms:.1} ms, {epoch_speedup:.2}x), unet {unet_ms:.1} ms"
+            "grid {grid}x{grid}: route {route_ms:.1} ms, rudy {rudy_ms:.2} ms, lhnn {lhnn_ms:.1} ms (served {serve_1t_ms:.1} -> {serve_nt_ms:.1} ms/req at {threads}T, {speedup:.2}x; epoch {epoch_1t_ms:.1} -> {epoch_nt_ms:.1} ms, {epoch_speedup:.2}x), unet {unet_ms:.1} ms"
         );
         table.add_row(vec![
             (grid * grid).to_string(),
@@ -207,7 +206,7 @@ fn main() {
             format!("{:.1}x", route_ms / lhnn_ms.max(1e-9)),
         ]);
     }
-    println!("\nInference scaling (single thread vs {threads}-worker pool):");
+    println!("\nInference scaling (1 client thread vs {threads} client threads):");
     println!("{}", table.render());
     table.write_csv(&Path::new(&args.out_dir).join("scaling.csv")).expect("write csv");
 }

@@ -201,13 +201,13 @@ pub fn predict(args: &Args) -> CmdResult {
     let ops = lhnn::GraphOps::from_graph(&graph, &AblationSpec::full());
 
     // The one-shot CLI rides the same path a long-running service uses: a
-    // registry entry, an engine (single worker — one design, one forward),
-    // and a per-request threshold.
+    // registry entry, an engine (the forward runs on this thread) and a
+    // per-request threshold.
     let registry = Arc::new(ModelRegistry::new());
     registry.load_file("default", model_path)?;
     let engine = ServeEngine::new(
         Arc::clone(&registry),
-        EngineConfig { workers: 1, compute_threads, ..EngineConfig::default() },
+        EngineConfig { compute_threads, ..EngineConfig::default() },
     );
     let handle = engine.handle();
     let request = PredictRequest::new("default", Arc::new(ops), Arc::clone(&features))

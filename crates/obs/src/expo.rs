@@ -231,7 +231,7 @@ mod tests {
         let r = Registry::new();
         r.counter("lhnn_requests_total").add(7);
         r.counter_with("lhnn_updates_total", &[("design", "d0")]).add(3);
-        r.gauge("lhnn_queue_depth_high").record_max(5);
+        r.gauge("lhnn_high_water").record_max(5);
         let h = r.stage("splice");
         h.observe(10);
         h.observe(1500);
@@ -243,7 +243,7 @@ mod tests {
         let text = sample().to_prometheus();
         assert!(text.contains("lhnn_requests_total 7"), "got:\n{text}");
         assert!(text.contains("lhnn_updates_total{design=\"d0\"} 3"), "got:\n{text}");
-        assert!(text.contains("lhnn_queue_depth_high 5"), "got:\n{text}");
+        assert!(text.contains("lhnn_high_water 5"), "got:\n{text}");
         // the canonical histogram key appears verbatim (CI greps this)
         assert!(text.contains("lhnn_stage_us{stage=\"splice\"}"), "got:\n{text}");
         assert!(

@@ -2,14 +2,15 @@
 //! postmortems.
 //!
 //! The serving engine's state tags (a session silently flipping to
-//! poisoned, a model hot-swap evicting cache entries, a queue spike) are
-//! invisible after the fact. The recorder keeps the last `capacity`
-//! such events with sequence numbers and microsecond timestamps, so a
-//! `ServeHandle` snapshot can answer "what happened right before this
-//! engine misbehaved" without any logging infrastructure.
+//! poisoned, a model hot-swap evicting cache entries, a panicked
+//! forward) are invisible after the fact. The recorder keeps the last
+//! `capacity` such events with sequence numbers and microsecond
+//! timestamps, so a `ServeHandle` snapshot can answer "what happened
+//! right before this engine misbehaved" without any logging
+//! infrastructure.
 //!
 //! Recording takes one short mutex on the ring — events are rare
-//! (fallbacks, swaps, high-water marks), never per-request — and a
+//! (fallbacks, swaps, panicked forwards), never per-request — and a
 //! disabled recorder declines before locking.
 
 use std::collections::VecDeque;
@@ -36,10 +37,8 @@ pub enum FlightEventKind {
     /// A model version was hot-swapped in the registry, evicting the
     /// displaced version's cache entries.
     HotSwap,
-    /// A shard queue reached a new high-water depth worth noting.
-    QueueHigh,
-    /// A worker observed a panicking forward pass and the job's waiters
-    /// were failed.
+    /// A forward pass panicked: its requester got `WorkerLost` and the
+    /// key's waiters started over.
     WorkerLost,
 }
 
@@ -51,7 +50,6 @@ impl std::fmt::Display for FlightEventKind {
             FlightEventKind::Poisoned => "poisoned",
             FlightEventKind::Wedged => "wedged",
             FlightEventKind::HotSwap => "hot-swap",
-            FlightEventKind::QueueHigh => "queue-high",
             FlightEventKind::WorkerLost => "worker-lost",
         };
         f.write_str(s)
@@ -195,7 +193,7 @@ mod tests {
     fn ring_is_bounded_and_keeps_newest() {
         let r = FlightRecorder::new(3);
         for i in 0..10 {
-            r.record(FlightEventKind::QueueHigh, "shard 0", format!("depth {i}"));
+            r.record(FlightEventKind::Fallback, "d0", format!("update {i}"));
         }
         let evs = r.snapshot();
         assert_eq!(evs.len(), 3);
@@ -221,7 +219,6 @@ mod tests {
         assert_eq!(FlightEventKind::Poisoned.to_string(), "poisoned");
         assert_eq!(FlightEventKind::Wedged.to_string(), "wedged");
         assert_eq!(FlightEventKind::HotSwap.to_string(), "hot-swap");
-        assert_eq!(FlightEventKind::QueueHigh.to_string(), "queue-high");
         assert_eq!(FlightEventKind::WorkerLost.to_string(), "worker-lost");
     }
 }

@@ -12,14 +12,13 @@
 //!   label set of a name.
 //! * Span-style **stage tracing** — histogram series
 //!   `lhnn_stage_us{stage="..."}` record where a request's latency goes
-//!   (queue wait → cache lookup → halo dilation → spliced forward →
-//!   splice; rebin → graph patch → feature patch → rebuild for
+//!   (cache lookup → halo dilation → spliced forward → splice; rebin → graph patch → feature patch → rebuild for
 //!   session updates; per-epoch spans for the trainer). The
 //!   [`Histogram::start`]/[`Histogram::stop_us`] pair skips the clock
 //!   read entirely when recording is off, so the hot path pays nothing.
 //! * [`FlightRecorder`] — a bounded ring of recent structured
-//!   [`FlightEvent`]s (fallbacks, poisonings, hot-swaps, queue-depth
-//!   highs) snapshotable for postmortems.
+//!   [`FlightEvent`]s (fallbacks, poisonings, hot-swaps, panicked
+//!   forwards) snapshotable for postmortems.
 //!
 //! Exposition lives in [`expo`]: [`Snapshot::to_prometheus`] renders a
 //! Prometheus-style text dump, [`Snapshot::to_json`] a hand-rolled JSON
@@ -46,11 +45,10 @@ pub use metrics::{
 
 /// Canonical stage names of one served predict, in hot-path order.
 ///
-/// `queue` (admission to worker pickup), `cache` (prediction-cache
-/// lookup), `dilate` (halo dilation through operator transposes),
+/// `cache` (prediction-cache lookup), `dilate` (halo dilation through operator transposes),
 /// `forward` (masked row-subset forward), `splice` (assembling the served
 /// prediction from cached and recomputed rows).
-pub const PREDICT_STAGES: [&str; 5] = ["queue", "cache", "dilate", "forward", "splice"];
+pub const PREDICT_STAGES: [&str; 4] = ["cache", "dilate", "forward", "splice"];
 
 /// Canonical stage names of one session update, in pipeline order:
 /// rebin → graph patch → feature patch → (structural) rebuild.

@@ -1,66 +1,62 @@
 //! The inference engine: a front over N shards, each with its own
-//! bounded request queue, worker-pool slice, prediction cache and count
-//! cells.
+//! prediction cache, single-flight map and count cells. Every predict
+//! resolves on the caller's thread; the engine runs no thread of its own.
 //!
 //! # Architecture
 //!
 //! ```text
-//!             ServeHandle::predict                  Session::predict
-//!                       │ stable hash: design → shard        │
-//!            ┌──────────┼──────────┐                         │
-//!            ▼          ▼          ▼                         │
-//!         shard 0    shard 1  …  shard N-1                   │
-//!   ┌───────────────┐                                        │
-//!   │ bounded queue │   (stateless predict jobs)             │
-//!   │ worker slice  │                                        │
-//!   │    resolve ◀──┼─────────── on the caller's thread ─────┘
-//!   │ LRU cache     │
-//!   │ single-flight │
-//!   │ count cells   │
-//!   └───────────────┘
+//!         ServeHandle::predict          Session::predict
+//!                   │                           │
+//!                   └─────────┬─────────────────┘
+//!                             │ stable hash: design → shard
+//!                  ┌──────────┼──────────┐
+//!                  ▼          ▼          ▼
+//!               shard 0    shard 1  …  shard N-1
+//!         ┌────────────────────────────┐
+//!         │ resolve (caller's thread)  │
+//!         │ LRU cache                  │
+//!         │ single-flight              │
+//!         │ count cells                │
+//!         └────────────────────────────┘
 //! ```
 //!
 //! Sharding gives many concurrent placement loops isolation: a hot design
-//! hammering one shard cannot evict another design's cache entries or
-//! monopolise the other shards' workers, because requests route by a
-//! *stable* hash of the design's identity (sessions and
-//! [`PredictRequest::with_design`]: the design id; anonymous stateless
-//! requests: the operator fingerprint, which keeps repeats of one state
-//! on one shard but spreads a design's successive states) — the same
-//! state always lands on the same shard, so single-flight deduplication
-//! still works.
+//! hammering one shard cannot evict another design's cache entries,
+//! because requests route by a *stable* hash of the design's identity
+//! (sessions and [`PredictRequest::with_design`]: the design id;
+//! anonymous stateless requests: the operator fingerprint, which keeps
+//! repeats of one state on one shard but spreads a design's successive
+//! states) — the same state always lands on the same shard, so
+//! single-flight deduplication still works.
 //!
-//! Within a shard every prediction goes through one routine, `resolve`:
-//! look the key up in the shard's LRU cache (keyed by content
-//! fingerprints), claim it in the single-flight map, then either run the
-//! forward and publish the result or wait for the key's owner. A
-//! stateless request crosses the shard's bounded queue (backpressure when
-//! full) to a long-lived worker, which takes one job per wake-up and
-//! resolves it with a from-scratch forward; `predict_batch` sends its
-//! requests one after another, so one caller never holds more than one
-//! job and a concurrent caller never queues behind a whole batch. A
-//! session predict resolves on the caller's thread with the session's
-//! own bounded-radius forward, a splice over the dirty halo; session
-//! updates apply on the caller's thread too (see
-//! [`crate::Session::update`]). Sessions and workers share the cache and
-//! the single-flight map, so a state either of them computed answers the
-//! other.
+//! Every prediction goes through one routine: check shutdown, admit the
+//! request, then `resolve` it on its shard — look the key up in the
+//! shard's LRU cache (keyed by content fingerprints), claim it in the
+//! single-flight map, then either run the forward and publish the result
+//! or wait for the key's owner. A stateless request's forward runs from
+//! scratch on the calling thread's reusable [`ScratchSet`]; a session
+//! predict runs the session's own bounded-radius forward, a splice over
+//! the dirty halo. Session updates apply on the caller's thread too (see
+//! [`crate::Session::update`]). Stateless requests and sessions share the
+//! cache and the single-flight map, so a state either of them computed
+//! answers the other.
 //!
-//! Requests are answered synchronously: `predict` blocks the calling
-//! thread until its reply arrives. Shutdown is cooperative — each worker
-//! finishes the job in hand and exits; queued requests observe
-//! [`ServeError::WorkerLost`], later submissions and session predicts
-//! [`ServeError::ShuttingDown`].
+//! Request parallelism is the caller's: each client thread runs its own
+//! forwards, which fan their kernels out over the shared `neurograd`
+//! compute pool. `predict` blocks the calling thread until its reply is
+//! ready. After [`ServeEngine::shutdown`] (or drop) every predict,
+//! stateless or session, fails with [`ServeError::ShuttingDown`]; a
+//! predict already past that check finishes.
 //!
 //! Lock discipline: every engine lock guards re-derivable state and
 //! recovers from poisoning (see the `lock` module); a panicking forward is
 //! caught, its requester observes [`ServeError::WorkerLost`], and the
 //! engine keeps serving.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lh_graph::FeatureSet;
@@ -78,18 +74,15 @@ use crate::stats::ServeStats;
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads executing forwards, divided across the shards
-    /// (default: available parallelism). Raised to `shards` if smaller, so
-    /// every shard owns at least one worker.
+    /// Unused (default 0): every predict resolves on its caller's thread, so request
+    /// parallelism is the number of client threads. The field exists only
+    /// until the benchmark, which sets it, stops doing so.
     pub workers: usize,
-    /// Independent shards (default 1). Each shard has its own queue,
-    /// worker slice, prediction cache and count cells; designs map to shards by
+    /// Independent shards (default 1). Each shard has its own prediction
+    /// cache, single-flight map and count cells; designs map to shards by
     /// a stable hash, so one hot design cannot evict another design's
-    /// cache entries or monopolise all workers.
+    /// cache entries.
     pub shards: usize,
-    /// Maximum queued (accepted, unserved) requests **per shard** before
-    /// submitters block — the backpressure bound.
-    pub queue_depth: usize,
     /// LRU prediction-cache capacity in entries **per shard** (0 disables
     /// caching).
     pub cache_capacity: usize,
@@ -97,8 +90,8 @@ pub struct EngineConfig {
     /// `neurograd` pool as configured; a positive value rebuilds it with
     /// that many lanes when the engine starts.
     ///
-    /// All workers *share* one compute pool rather than each assuming a
-    /// serial forward: a worker's forward fans its kernels out across the
+    /// All callers *share* one compute pool rather than each assuming a
+    /// serial forward: a caller's forward fans its kernels out across the
     /// pool, and because the kernel backend is bitwise
     /// thread-count-invariant this never changes a prediction (the
     /// `served_prediction_is_bitwise_identical` proptest covers it).
@@ -118,20 +111,9 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            shards: 1,
-            queue_depth: 256,
-            cache_capacity: 128,
-            compute_threads: 0,
-            metrics: true,
-        }
+        Self { workers: 0, shards: 1, cache_capacity: 128, compute_threads: 0, metrics: true }
     }
 }
-
-/// Queue depth from which a new engine-wide high-water mark is logged as
-/// a `QueueHigh` flight event.
-const QUEUE_HIGH_DEPTH: u64 = 8;
 
 /// One congestion-inference request.
 #[derive(Debug, Clone)]
@@ -192,22 +174,11 @@ pub struct ServeReply {
     pub latency: Duration,
 }
 
-struct PredictJob {
-    entry: Arc<ModelEntry>,
-    ops: Arc<GraphOps>,
-    features: Arc<FeatureSet>,
-    key: CacheKey,
-    threshold: f32,
-    submitted: Instant,
-    /// Queue-stage span token: set at admission when metrics are on,
-    /// closed when a worker takes the job (`None` skips both clock reads).
-    enqueued: Option<Instant>,
-    reply: mpsc::Sender<ServeReply>,
-}
-
-struct QueueState {
-    jobs: VecDeque<PredictJob>,
-    shutdown: bool,
+thread_local! {
+    /// The calling thread's stateless-forward scratch, one slot per model
+    /// kind, created lazily: a client thread that keeps serving a mixed
+    /// model zoo reaches zero steady-state allocation.
+    static SCRATCH: RefCell<ScratchSet> = RefCell::new(ScratchSet::new());
 }
 
 /// Single-flight marker: the first thread to claim a key computes; every
@@ -245,12 +216,9 @@ impl InFlight {
     }
 }
 
-/// One shard: queue, cache and single-flight map, isolated from every
-/// other shard. Its count cells live in `EngineObs::shards`.
+/// One shard: cache and single-flight map, isolated from every other
+/// shard. Its count cells live in `EngineObs::shards`.
 struct Shard {
-    queue: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
     cache: Mutex<PredictionCache>,
     in_flight: Mutex<HashMap<CacheKey, Arc<InFlight>>>,
 }
@@ -258,9 +226,6 @@ struct Shard {
 impl Shard {
     fn new(cache_capacity: usize) -> Self {
         Self {
-            queue: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             cache: Mutex::new(PredictionCache::new(cache_capacity)),
             in_flight: Mutex::new(HashMap::new()),
         }
@@ -269,11 +234,13 @@ impl Shard {
 
 pub(crate) struct Shared {
     registry: Arc<ModelRegistry>,
-    cfg: EngineConfig,
     shards: Vec<Shard>,
-    workers_per_shard: Vec<usize>,
     started: Instant,
     obs: EngineObs,
+    /// Set by [`ServeEngine::shutdown`] and on drop; every later predict
+    /// fails with [`ServeError::ShuttingDown`]. It publishes no other
+    /// data, so its loads and stores are `Relaxed`.
+    shutdown: AtomicBool,
 }
 
 impl Shared {
@@ -347,43 +314,25 @@ impl Shared {
     }
 }
 
-/// The engine: owns the sharded worker pool; hand out [`ServeHandle`]s to
-/// use it.
+/// The engine: owns the shards and the model registry; hand out
+/// [`ServeHandle`]s to use it.
 ///
-/// Dropping (or [`ServeEngine::shutdown`]) stops the workers; requests
-/// still queued are abandoned and their submitters receive
-/// [`ServeError::WorkerLost`], new submissions and session predicts
+/// Dropping it (or [`ServeEngine::shutdown`]) stops accepting work: every
+/// later predict, stateless or session, fails with
 /// [`ServeError::ShuttingDown`].
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ServeEngine({} workers over {} shards)",
-            self.workers.len(),
-            self.shared.shards.len()
-        )
+        write!(f, "ServeEngine({} shards)", self.shared.shards.len())
     }
 }
 
-/// Splits `workers` across `shards`, front-loading the remainder, with
-/// every shard guaranteed at least one worker.
-fn partition_workers(workers: usize, shards: usize) -> Vec<usize> {
-    let shards = shards.max(1);
-    let workers = workers.max(shards);
-    let base = workers / shards;
-    let rem = workers % shards;
-    (0..shards).map(|i| base + usize::from(i < rem)).collect()
-}
-
 impl ServeEngine {
-    /// Starts the worker pool over `registry`: `cfg.shards` shards, with
-    /// `cfg.workers` long-lived worker threads divided among them (every
-    /// shard gets at least one).
+    /// Builds `cfg.shards` shards over `registry`. No thread is started:
+    /// each predict runs on its caller's thread.
     ///
     /// With `cfg.compute_threads > 0` the shared intra-op compute pool is
     /// rebuilt to that width first (process-wide — see
@@ -392,43 +341,18 @@ impl ServeEngine {
         if cfg.compute_threads > 0 {
             neurograd::pool::configure_threads(cfg.compute_threads);
         }
-        let workers_per_shard = partition_workers(cfg.workers.max(1), cfg.shards.max(1));
         let shards: Vec<Shard> =
-            workers_per_shard.iter().map(|_| Shard::new(cfg.cache_capacity)).collect();
+            (0..cfg.shards.max(1)).map(|_| Shard::new(cfg.cache_capacity)).collect();
         let obs = EngineObs::new(cfg.metrics, shards.len());
         registry.attach_metrics(Arc::clone(&obs.registry));
         let shared = Arc::new(Shared {
             registry,
             shards,
-            workers_per_shard,
             started: Instant::now(),
             obs,
-            cfg,
+            shutdown: AtomicBool::new(false),
         });
-        let mut workers = Vec::new();
-        for (shard_idx, &n) in shared.workers_per_shard.iter().enumerate() {
-            for lane in 0..n {
-                let shared = Arc::clone(&shared);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("lhnn-serve-{shard_idx}-{lane}"))
-                        .spawn(move || worker_loop(&shared, shard_idx))
-                        .expect("spawn worker"),
-                );
-            }
-        }
-        Self { shared, workers }
-    }
-
-    /// A convenience engine with default tuning but an explicit thread
-    /// count (the knob benchmarks sweep).
-    pub fn with_workers(registry: Arc<ModelRegistry>, workers: usize) -> Self {
-        Self::new(registry, EngineConfig { workers, ..EngineConfig::default() })
-    }
-
-    /// A convenience engine with `shards` shards and one worker per shard.
-    pub fn with_shards(registry: Arc<ModelRegistry>, shards: usize) -> Self {
-        Self::new(registry, EngineConfig { workers: shards, shards, ..EngineConfig::default() })
+        Self { shared }
     }
 
     /// A cloneable client handle.
@@ -436,32 +360,15 @@ impl ServeEngine {
         ServeHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Stops accepting work, wakes every worker and joins them.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        for shard in &self.shared.shards {
-            let mut q = lock::recover(&shard.queue);
-            q.shutdown = true;
-            // Abandoned predict jobs: dropping them closes their reply
-            // channels, so blocked submitters observe WorkerLost rather
-            // than hanging.
-            q.jobs.clear();
-            drop(q);
-            shard.not_empty.notify_all();
-            shard.not_full.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// Stops accepting work, as dropping the engine does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.shared.shutdown.store(true, Ordering::Relaxed);
     }
 }
 
@@ -478,7 +385,10 @@ impl std::fmt::Debug for ServeHandle {
 }
 
 impl ServeHandle {
-    /// Serves one request, blocking until the prediction is available.
+    /// Serves one request on the caller's thread, blocking until the
+    /// prediction is available: the shard's cache or an identical
+    /// in-flight request answers if it can, otherwise a from-scratch
+    /// forward computes and its result lands in the shard's cache.
     ///
     /// Routing: a request carrying a design id
     /// ([`PredictRequest::with_design`]) goes to that design's shard —
@@ -493,24 +403,14 @@ impl ServeHandle {
     /// [`ServeError::UnknownModel`] for unregistered names,
     /// [`ServeError::Incompatible`] when the inputs do not fit the model
     /// or a feature is NaN or infinite,
-    /// [`ServeError::ShuttingDown`] / [`ServeError::WorkerLost`] around
-    /// engine shutdown.
+    /// [`ServeError::ShuttingDown`] once the engine shut down,
+    /// [`ServeError::WorkerLost`] if the forward panicked.
     pub fn predict(&self, request: &PredictRequest) -> Result<ServeReply> {
-        let submitted = Instant::now();
-        let (entry, key) = self.admit(request)?;
-        let shard_idx = self.shard_of_request(request);
-        // Fast path: answer from the shard's cache without touching the
-        // queue.
-        let t_cache = self.shared.obs.stage_cache.start();
-        let hit = lock::recover(&self.shared.shards[shard_idx].cache).get(&key);
-        self.shared.obs.stage_cache.stop_us(t_cache);
-        if let Some(hit) = hit {
-            let latency = submitted.elapsed();
-            self.shared.obs.shards[shard_idx].record_request(latency, true);
-            return Ok(reply_from(hit, true, request.threshold, latency));
-        }
-        let rx = self.enqueue(shard_idx, entry, request, key, submitted)?;
-        rx.recv().map_err(|_| ServeError::WorkerLost)
+        self.predict_here(self.shard_of_request(request), request, |entry| {
+            SCRATCH.with(|scratch| {
+                scratch.borrow_mut().predict(entry.model.as_ref(), &request.ops, &request.features)
+            })
+        })
     }
 
     /// The shard a request routes to: its design id when it has one, the
@@ -522,10 +422,12 @@ impl ServeHandle {
         }
     }
 
-    /// Serves a session's request on the caller's thread, on the session's
-    /// shard: the shard's cache or an identical in-flight request answers
-    /// if it can, otherwise `forward` (the session's bounded-radius
-    /// forward) computes, and its result lands in the shard's cache.
+    /// Serves `request` on the caller's thread, on shard `shard_idx`: the
+    /// one path of both [`ServeHandle::predict`] and
+    /// [`crate::Session::predict`]. The shard's cache or an identical
+    /// in-flight request answers if it can, otherwise `forward` (a
+    /// from-scratch forward, or a session's bounded-radius one) computes,
+    /// and its result lands in the shard's cache.
     pub(crate) fn predict_here(
         &self,
         shard_idx: usize,
@@ -533,7 +435,7 @@ impl ServeHandle {
         forward: impl FnOnce(&ModelEntry) -> Prediction,
     ) -> Result<ServeReply> {
         let submitted = Instant::now();
-        if lock::recover(&self.shared.shards[shard_idx].queue).shutdown {
+        if self.shared.shutdown.load(Ordering::Relaxed) {
             return Err(ServeError::ShuttingDown);
         }
         let (entry, key) = self.admit(request)?;
@@ -547,11 +449,8 @@ impl ServeHandle {
     /// Serves many requests one after another, each as
     /// [`ServeHandle::predict`] would.
     ///
-    /// A call holds at most one request in a shard's queue or worker at a
-    /// time, so a concurrent caller's request never waits behind all of a
-    /// large call's requests. Replies come back in request order; each
-    /// slot fails independently (one unknown model does not sink the
-    /// batch).
+    /// Replies come back in request order; each slot fails independently
+    /// (one unknown model does not sink the batch).
     pub fn predict_batch(&self, requests: &[PredictRequest]) -> Vec<Result<ServeReply>> {
         requests.iter().map(|request| self.predict(request)).collect()
     }
@@ -560,13 +459,7 @@ impl ServeHandle {
     /// aggregated across shards ([`ServeStats::per_shard`] has the
     /// breakdown): a lock-free read of the shards' registry cells.
     pub fn stats(&self) -> ServeStats {
-        let shared = &self.shared;
-        ServeStats::read(&shared.obs.shards, &shared.workers_per_shard, shared.started.elapsed())
-    }
-
-    /// Number of engine worker threads (across all shards).
-    pub fn workers(&self) -> usize {
-        self.shared.workers_per_shard.iter().sum()
+        ServeStats::read(&self.shared.obs.shards, self.shared.started.elapsed())
     }
 
     /// Number of shards.
@@ -590,8 +483,8 @@ impl ServeHandle {
         (h.finish() % self.shared.shards.len() as u64) as usize
     }
 
-    /// Width of the shared intra-op compute pool the workers' forwards fan
-    /// out over (the process-wide `neurograd` pool).
+    /// Width of the shared intra-op compute pool every predict's forward
+    /// fans out over (the process-wide `neurograd` pool).
     pub fn compute_threads(&self) -> usize {
         neurograd::pool::current_threads()
     }
@@ -601,9 +494,10 @@ impl ServeHandle {
         self.shared.shards.iter().map(|s| lock::recover(&s.cache).len()).sum()
     }
 
-    /// Number of predictions cached on one shard.
+    /// Number of predictions cached on one shard (0 for a shard that does
+    /// not exist).
     pub fn shard_cache_len(&self, shard: usize) -> usize {
-        lock::recover(&self.shared.shards[shard.min(self.shared.shards.len() - 1)].cache).len()
+        self.shared.shards.get(shard).map_or(0, |s| lock::recover(&s.cache).len())
     }
 
     /// Drops every cached prediction on every shard.
@@ -673,11 +567,10 @@ impl ServeHandle {
     /// Shard `shard_idx`'s `lhnn_session_updates_total` cell: where a
     /// session pinned to that shard counts each update it applies.
     pub(crate) fn session_update_sinks(&self, shard_idx: usize) -> lhnn_obs::Counter {
-        let cells = &self.shared.obs.shards;
-        cells[shard_idx.min(cells.len() - 1)].session_updates.clone()
+        self.shared.obs.shards[shard_idx].session_updates.clone()
     }
 
-    /// The engine's metrics registry: counters, gauges and stage/latency
+    /// The engine's metrics registry: counters and stage/latency
     /// histograms for everything the engine and its sessions record.
     /// Shared — handles cloned from one engine all see the same registry.
     pub fn metrics(&self) -> Arc<Registry> {
@@ -691,8 +584,8 @@ impl ServeHandle {
     }
 
     /// The flight recorder's retained events, oldest first: fallbacks,
-    /// poisonings, wedges, hot-swaps, queue-depth high-water marks and
-    /// worker losses (bounded ring — newest win).
+    /// poisonings, wedges, hot-swaps and panicked forwards (bounded ring —
+    /// newest win).
     pub fn flight_events(&self) -> Vec<FlightEvent> {
         self.shared.obs.flight.snapshot()
     }
@@ -755,52 +648,6 @@ impl ServeHandle {
         };
         Ok((entry, key))
     }
-
-    /// Queues a predict job on `shard_idx`, waiting out the shard's
-    /// backpressure bound; the receiver yields the reply.
-    fn enqueue(
-        &self,
-        shard_idx: usize,
-        entry: Arc<ModelEntry>,
-        request: &PredictRequest,
-        key: CacheKey,
-        submitted: Instant,
-    ) -> Result<mpsc::Receiver<ServeReply>> {
-        let (tx, rx) = mpsc::channel();
-        let job = PredictJob {
-            entry,
-            ops: Arc::clone(&request.ops),
-            features: Arc::clone(&request.features),
-            key,
-            threshold: request.threshold,
-            submitted,
-            enqueued: self.shared.obs.stage_queue.start(),
-            reply: tx,
-        };
-        let shard = &self.shared.shards[shard_idx];
-        let mut q = lock::recover(&shard.queue);
-        while q.jobs.len() >= self.shared.cfg.queue_depth.max(1) {
-            if q.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            q = shard.not_full.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-        if q.shutdown {
-            return Err(ServeError::ShuttingDown);
-        }
-        q.jobs.push_back(job);
-        let depth = q.jobs.len() as u64;
-        drop(q);
-        if self.shared.obs.queue_depth_high.record_max(depth) && depth >= QUEUE_HIGH_DEPTH {
-            self.shared.obs.flight.record(
-                FlightEventKind::QueueHigh,
-                &format!("shard {shard_idx}"),
-                format!("depth {depth}"),
-            );
-        }
-        shard.not_empty.notify_one();
-        Ok(rx)
-    }
 }
 
 fn reply_from(
@@ -814,43 +661,6 @@ fn reply_from(
         .filter(|&r| prediction.cls_prob[(r, 0)] >= threshold)
         .count();
     ServeReply { prediction, cached, congested_fraction: congested as f64 / rows as f64, latency }
-}
-
-/// A shard worker: takes one queued job per wake-up and resolves it with a
-/// from-scratch forward.
-fn worker_loop(shared: &Shared, shard_idx: usize) {
-    let shard = &shared.shards[shard_idx];
-    // One scratch slot per model kind, lazily created: a long-lived worker
-    // serves a mixed model zoo with zero steady-state allocation.
-    let mut scratch = ScratchSet::new();
-    loop {
-        let job = {
-            let mut q = lock::recover(&shard.queue);
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shard.not_empty.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        shard.not_full.notify_one();
-        shared.obs.stage_queue.stop_us(job.enqueued);
-        let model = job.entry.model.as_ref();
-        let resolved = shared.resolve(shard_idx, &job.entry, job.key, || {
-            scratch.predict(model, &job.ops, &job.features)
-        });
-        // On a panicked forward the job's reply sender drops here, so the
-        // requester sees WorkerLost; the worker keeps serving.
-        if let Ok((prediction, cached)) = resolved {
-            let latency = job.submitted.elapsed();
-            shared.obs.shards[shard_idx].record_request(latency, cached);
-            // A requester that gave up (dropped the receiver) is fine.
-            let _ = job.reply.send(reply_from(prediction, cached, job.threshold, latency));
-        }
-    }
 }
 
 /// Claims `key` in the shard's single-flight map: `Ok` hands the caller
@@ -879,18 +689,15 @@ mod tests {
         (Arc::new(ops), Arc::new(feats))
     }
 
-    fn engine_with_default_model(workers: usize, cache: usize) -> ServeEngine {
+    fn engine_with_default_model(cache: usize) -> ServeEngine {
         let registry = Arc::new(ModelRegistry::new());
         registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-        ServeEngine::new(
-            registry,
-            EngineConfig { workers, cache_capacity: cache, ..Default::default() },
-        )
+        ServeEngine::new(registry, EngineConfig { cache_capacity: cache, ..Default::default() })
     }
 
     #[test]
     fn serves_and_caches() {
-        let engine = engine_with_default_model(2, 16);
+        let engine = engine_with_default_model(16);
         let handle = engine.handle();
         let (ops, feats) = design(1, 90, 6);
         let req = PredictRequest::new("default", ops, feats);
@@ -909,7 +716,7 @@ mod tests {
 
     #[test]
     fn batch_mixes_models_and_errors_independently() {
-        let engine = engine_with_default_model(2, 16);
+        let engine = engine_with_default_model(16);
         let handle = engine.handle();
         let (ops, feats) = design(2, 80, 6);
         let good = PredictRequest::new("default", Arc::clone(&ops), Arc::clone(&feats));
@@ -923,7 +730,7 @@ mod tests {
 
     #[test]
     fn per_request_threshold_changes_fraction() {
-        let engine = engine_with_default_model(1, 4);
+        let engine = engine_with_default_model(4);
         let handle = engine.handle();
         let (ops, feats) = design(3, 80, 6);
         let lo = handle
@@ -944,7 +751,7 @@ mod tests {
 
     #[test]
     fn incompatible_inputs_rejected_at_submission() {
-        let engine = engine_with_default_model(1, 4);
+        let engine = engine_with_default_model(4);
         let handle = engine.handle();
         let (ops, feats) = design(4, 80, 6);
         let narrow =
@@ -957,8 +764,8 @@ mod tests {
     fn mismatched_gnet_rows_rejected_at_submission() {
         // ops from one design, features from another with equal g-cell
         // count but different g-net count: must be rejected up front, not
-        // panic a worker.
-        let engine = engine_with_default_model(1, 4);
+        // panic a forward.
+        let engine = engine_with_default_model(4);
         let handle = engine.handle();
         let (ops_a, feats_a) = design(6, 80, 6);
         let (_, feats_b) = design(7, 120, 6);
@@ -968,14 +775,14 @@ mod tests {
             .predict(&PredictRequest::new("default", Arc::clone(&ops_a), feats_b))
             .unwrap_err();
         assert!(matches!(err, ServeError::Incompatible(_)), "got {err:?}");
-        // the pool is still alive and serves the matching pair
+        // the engine still serves the matching pair
         let ok = handle.predict(&PredictRequest::new("default", ops_a, feats_a)).unwrap();
         assert!(ok.prediction.cls_prob.is_finite());
     }
 
     #[test]
     fn non_finite_features_rejected_at_admission() {
-        let engine = engine_with_default_model(2, 0);
+        let engine = engine_with_default_model(0);
         let handle = engine.handle();
         let (ops, feats) = design(8, 80, 6);
         let poisoned = |block: usize, v: f32| {
@@ -1007,13 +814,13 @@ mod tests {
                 got.cls_prob.approx_eq(&want.cls_prob, 0.0) && got.reg.approx_eq(&want.reg, 0.0)
             );
         }
-        assert_eq!(handle.stats().computed, 2, "rejected requests never reach a worker");
+        assert_eq!(handle.stats().computed, 2, "rejected requests never reach a forward");
         engine.shutdown();
     }
 
     #[test]
     fn concurrent_clients_all_get_answers() {
-        let engine = engine_with_default_model(4, 64);
+        let engine = engine_with_default_model(64);
         let handle = engine.handle();
         let designs: Vec<_> = (0..4).map(|s| design(10 + s, 70, 6)).collect();
         std::thread::scope(|scope| {
@@ -1032,7 +839,7 @@ mod tests {
         let stats = handle.stats();
         assert_eq!(stats.requests, 12);
         // 4 unique designs → exactly 4 forwards; duplicates are served by
-        // the cache, in-batch dedup or single-flight waiting
+        // the cache or by waiting on the key's single-flight owner
         assert_eq!(stats.computed, 4, "single-flight must deduplicate concurrent work");
         engine.shutdown();
     }
@@ -1043,11 +850,10 @@ mod tests {
         registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
         let engine = ServeEngine::new(
             Arc::clone(&registry),
-            EngineConfig { workers: 3, shards: 3, cache_capacity: 8, ..Default::default() },
+            EngineConfig { shards: 3, cache_capacity: 8, ..Default::default() },
         );
         let handle = engine.handle();
         assert_eq!(handle.shards(), 3);
-        assert_eq!(handle.workers(), 3);
         // distinct designs spread over the shards; every request lands on
         // a deterministic shard, so repeats always hit their own cache
         let designs: Vec<_> = (0..6).map(|s| design(40 + s, 70, 6)).collect();
@@ -1063,6 +869,10 @@ mod tests {
         let spread: u64 = stats.per_shard.iter().map(|s| s.requests).sum();
         assert_eq!(spread, 12, "per-shard requests must sum to the aggregate");
         assert_eq!(handle.cache_len(), 6);
+        assert_eq!((0..3).map(|s| handle.shard_cache_len(s)).sum::<usize>(), 6);
+        // a shard that does not exist holds nothing
+        assert_eq!(handle.shard_cache_len(3), 0);
+        assert_eq!(handle.shard_cache_len(7), 0);
         engine.shutdown();
     }
 
@@ -1072,7 +882,7 @@ mod tests {
         registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
         let engine = ServeEngine::new(
             Arc::clone(&registry),
-            EngineConfig { workers: 2, shards: 2, cache_capacity: 8, ..Default::default() },
+            EngineConfig { shards: 2, cache_capacity: 8, ..Default::default() },
         );
         let handle = engine.handle();
         let expected = handle.shard_of_design("pinned");
@@ -1099,7 +909,7 @@ mod tests {
         registry.register("other", Lhnn::new(LhnnConfig::default(), 7)).unwrap();
         let engine = ServeEngine::new(
             Arc::clone(&registry),
-            EngineConfig { workers: 2, shards: 2, cache_capacity: 8, ..Default::default() },
+            EngineConfig { shards: 2, cache_capacity: 8, ..Default::default() },
         );
         let handle = engine.handle();
         // fill both shards with predictions from both models
@@ -1127,35 +937,32 @@ mod tests {
         engine.shutdown();
     }
 
-    #[test]
-    fn worker_partition_covers_every_shard() {
-        assert_eq!(partition_workers(4, 2), vec![2, 2]);
-        assert_eq!(partition_workers(5, 2), vec![3, 2]);
-        assert_eq!(partition_workers(1, 3), vec![1, 1, 1], "every shard gets a worker");
-        assert_eq!(partition_workers(7, 3), vec![3, 2, 2]);
-    }
-
+    /// After shutdown a request fails with `ShuttingDown` even when the
+    /// cache could answer it.
     #[test]
     fn shutdown_rejects_new_work() {
-        let engine = engine_with_default_model(1, 4);
+        let engine = engine_with_default_model(4);
         let handle = engine.handle();
         let (ops, feats) = design(5, 80, 6);
+        let req = PredictRequest::new("default", ops, feats);
+        handle.predict(&req).unwrap();
+        assert!(handle.predict(&req).unwrap().cached, "the cache holds the state");
         engine.shutdown();
-        let err = handle.predict(&PredictRequest::new("default", ops, feats)).unwrap_err();
-        assert!(matches!(err, ServeError::ShuttingDown | ServeError::WorkerLost));
+        let err = handle.predict(&req).unwrap_err();
+        assert!(matches!(err, ServeError::ShuttingDown), "got {err:?}");
     }
 
     /// Serve-layer bug sweep: a forward that panics must cost only its own
-    /// requester (`WorkerLost`) — the worker, its locks and the engine all
-    /// keep serving afterwards.
+    /// requester (`WorkerLost`) — the engine and its locks keep serving
+    /// afterwards.
     #[test]
     fn panicking_forward_does_not_brick_the_engine() {
-        let engine = engine_with_default_model(2, 16);
+        let engine = engine_with_default_model(16);
         let handle = engine.handle();
         let (ops, feats) = design(8, 80, 6);
         // Operators whose declared node counts match the features (so
         // admission passes) but whose matrices are inconsistent: the
-        // forward's dimension asserts fire inside the worker.
+        // forward's dimension asserts fire on the caller's thread.
         let bad_ops = Arc::new(GraphOps {
             gnc_sum: Arc::new(CsrMatrix::empty(3, 3)),
             gnc_mean: Arc::new(CsrMatrix::empty(3, 3)),
@@ -1182,7 +989,7 @@ mod tests {
     /// that crosses it still works.
     #[test]
     fn poisoned_cache_mutex_recovers() {
-        let engine = engine_with_default_model(1, 4);
+        let engine = engine_with_default_model(4);
         let handle = engine.handle();
         let shared = Arc::clone(&handle.shared);
         let _ = std::thread::spawn(move || {

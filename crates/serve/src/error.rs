@@ -20,16 +20,14 @@ pub enum ServeError {
     Session(String),
     /// State behind a lock was lost to a panic and cannot be re-derived
     /// (e.g. a session pipeline wedged mid-update). Unlike re-derivable
-    /// engine state — caches, stats, queues — which recovers from mutex
-    /// poisoning transparently, this error is permanent for the surface
-    /// that returns it: drop and reopen it.
+    /// engine state — caches, stats, the single-flight map — which
+    /// recovers from mutex poisoning transparently, this error is
+    /// permanent for the surface that returns it: drop and reopen it.
     Poisoned(String),
     /// The engine is shutting down; the request was not accepted.
     ShuttingDown,
-    /// The forward pass serving this request panicked (on a shard worker,
-    /// or on the caller's thread for a session predict), or the engine
-    /// shut down with the request still queued. The engine keeps serving
-    /// every other request.
+    /// The forward pass serving this request panicked on the caller's
+    /// thread. The engine keeps serving every other request.
     WorkerLost,
 }
 
@@ -45,7 +43,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Session(msg) => write!(f, "session pipeline failed: {msg}"),
             ServeError::Poisoned(msg) => write!(f, "state lost to a panic: {msg}"),
             ServeError::ShuttingDown => write!(f, "inference engine is shutting down"),
-            ServeError::WorkerLost => write!(f, "worker died before replying"),
+            ServeError::WorkerLost => write!(f, "forward panicked before replying"),
         }
     }
 }

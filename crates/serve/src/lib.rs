@@ -1,4 +1,5 @@
-//! `lhnn-serve` — a sharded, multi-threaded congestion-inference engine.
+//! `lhnn-serve` — a sharded congestion-inference engine that answers each
+//! predict on its caller's thread.
 //!
 //! The paper's end goal is congestion feedback *inside* placement loops: a
 //! placer queries "where will routing congest?" thousands of times per
@@ -12,13 +13,14 @@
 //!   against the feature pipeline, hands out shared entries; bad
 //!   checkpoints are rejected without touching serving state.
 //! * [`ServeEngine`] — a front over [`EngineConfig::shards`] independent
-//!   shards; each owns a bounded request queue drained by its slice of
-//!   long-lived worker threads (one job per wake-up, a tape-free forward
-//!   on a reusable per-kind [`lhnn::ScratchSet`]), a single-flight map
-//!   that deduplicates identical in-flight requests, its own prediction
-//!   cache and its own count cells. Designs route to shards by a stable
-//!   hash, so one hot placement loop can neither evict another design's
-//!   cache entries nor monopolise all workers.
+//!   shards; each owns a single-flight map that deduplicates identical
+//!   in-flight requests, its own prediction cache and its own count
+//!   cells. The engine starts no thread: a predict runs on its caller's
+//!   thread (a stateless one as a tape-free forward on that thread's
+//!   reusable per-kind [`lhnn::ScratchSet`]), so request parallelism is
+//!   the number of client threads. Designs route to shards by a stable
+//!   hash, so one hot placement loop cannot evict another design's cache
+//!   entries.
 //! * [`PredictionCache`] — a per-shard LRU keyed by content fingerprints
 //!   of `(model weights, graph operators, features)`, so repeated queries
 //!   on an unchanged placement cost only hashing.
@@ -42,8 +44,8 @@
 //! calls with [`ServeError::Poisoned`] while the engine keeps serving.
 //!
 //! Served predictions are **bitwise identical** to direct
-//! [`lhnn::CongestionModel::predict`] calls regardless of worker count or cache
-//! state (property-tested in `tests/determinism.rs`).
+//! [`lhnn::CongestionModel::predict`] calls regardless of client count,
+//! shard count or cache state (property-tested in `tests/determinism.rs`).
 //!
 //! # Example
 //!
@@ -70,10 +72,10 @@
 //! let ops = Arc::new(GraphOps::from_graph(&graph, &AblationSpec::full()));
 //! let features = Arc::new(features);
 //!
-//! // Register a model and stand up a 2-worker engine.
+//! // Register a model and stand up an engine.
 //! let registry = Arc::new(ModelRegistry::new());
 //! registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-//! let engine = ServeEngine::new(registry, EngineConfig { workers: 2, ..Default::default() });
+//! let engine = ServeEngine::new(registry, EngineConfig::default());
 //! let handle = engine.handle();
 //!
 //! // First query computes, the repeat is served from the LRU cache.

@@ -6,10 +6,9 @@
 //!
 //! * **Re-derivable / advisory** — the prediction cache (worst case: a
 //!   recompute), the single-flight map (markers are cleaned up by their
-//!   owners, a shard worker or a session's calling thread; an abandoned
-//!   marker only costs waiters a retry), the request queue (a `VecDeque`
-//!   is structurally coherent after any single panicking operation) and
-//!   the registry map (models are validated *before* insertion). For
+//!   owners, the threads that claimed them; an abandoned marker only
+//!   costs waiters a retry) and the registry map (models are validated
+//!   *before* insertion). For
 //!   these, cascading the poison into every later caller turns one
 //!   panicking forward into a total outage —
 //!   exactly the failure mode a multi-tenant engine must not have — so

@@ -3,7 +3,7 @@
 //! recorder.
 //!
 //! One [`EngineObs`] per engine, built when the engine starts and shared
-//! (via `Arc`s inside the handles) with every shard, worker and session.
+//! (via `Arc`s inside the handles) with every shard and session.
 //! The registry is the engine's only count store: each count lives in
 //! one cell labelled where it happened — `{shard="i"}` for the engine's
 //! counts here, `{design,model}` or `{design}` for the session, splice
@@ -19,9 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lhnn_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, Registry, PREDICT_STAGES, UPDATE_STAGES,
-};
+use lhnn_obs::{Counter, FlightRecorder, Histogram, Registry, PREDICT_STAGES, UPDATE_STAGES};
 
 /// How many flight events an engine retains (newest win).
 pub(crate) const FLIGHT_CAPACITY: usize = 256;
@@ -72,14 +70,9 @@ pub(crate) struct EngineObs {
     pub(crate) flight: Arc<FlightRecorder>,
     /// Indexed by shard.
     pub(crate) shards: Vec<ShardObs>,
-    /// Queue-wait span: admission to worker pickup (stateless requests
-    /// only; session predicts never queue).
-    pub(crate) stage_queue: Histogram,
-    /// Cache-lookup span (a stateless submitter's fast path, and each
-    /// lookup a resolve makes before it claims the key).
+    /// Cache-lookup span: each lookup a resolve makes before it claims
+    /// the key.
     pub(crate) stage_cache: Histogram,
-    /// High-water queue depth across all shards.
-    pub(crate) queue_depth_high: Gauge,
 }
 
 impl EngineObs {
@@ -101,9 +94,7 @@ impl EngineObs {
         }
         Self {
             shards: (0..shards).map(|i| ShardObs::new(&registry, i)).collect(),
-            stage_queue: registry.stage("queue"),
             stage_cache: registry.stage("cache"),
-            queue_depth_high: registry.gauge("lhnn_queue_depth_high"),
             registry,
             flight,
         }
@@ -136,7 +127,6 @@ mod tests {
             let key = format!("lhnn_stage_us{{stage=\"{stage}\"}}");
             assert!(snap.get(&key).is_some(), "missing {key}");
         }
-        assert!(snap.get("lhnn_queue_depth_high").is_some());
     }
 
     #[test]
@@ -144,7 +134,7 @@ mod tests {
         // Off records no span and no flight event, yet still counts.
         let obs = EngineObs::new(false, 1);
         obs.shards[0].record_request(Duration::from_micros(10), false);
-        assert!(obs.stage_queue.start().is_none());
+        assert!(obs.stage_cache.start().is_none());
         obs.flight.record(lhnn_obs::FlightEventKind::HotSwap, "m", "v1 -> v2");
         let snap = obs.registry.snapshot();
         assert_eq!(snap.counter("lhnn_requests_total"), 1);

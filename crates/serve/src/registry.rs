@@ -4,10 +4,10 @@
 //! behind the [`CongestionModel`] trait, not just LHNN. Models are
 //! validated on the way in (input dimensions must match the feature
 //! pipeline, the architecture must be non-degenerate) and stored behind
-//! `Arc`, so the worker pool, caches and callers all share one copy of
-//! the weights. A checkpoint that fails to load or validate — including
-//! one with an unknown kind tag — is rejected *before* the map is
-//! touched: a bad file can never poison a serving pool.
+//! `Arc`, so sessions, caches and callers all share one copy of the
+//! weights. A checkpoint that fails to load or validate — including one
+//! with an unknown kind tag — is rejected *before* the map is touched: a
+//! bad file can never poison a serving engine.
 
 use std::collections::HashMap;
 use std::io::Read;

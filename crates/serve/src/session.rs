@@ -522,16 +522,13 @@ mod tests {
     fn engine() -> ServeEngine {
         let registry = Arc::new(ModelRegistry::new());
         registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-        ServeEngine::new(registry, EngineConfig { workers: 2, ..EngineConfig::default() })
+        ServeEngine::new(registry, EngineConfig::default())
     }
 
     fn sharded_engine(shards: usize) -> ServeEngine {
         let registry = Arc::new(ModelRegistry::new());
         registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-        ServeEngine::new(
-            registry,
-            EngineConfig { workers: shards, shards, ..EngineConfig::default() },
-        )
+        ServeEngine::new(registry, EngineConfig { shards, ..EngineConfig::default() })
     }
 
     fn design(seed: u64) -> (Arc<Circuit>, Placement, GcellGrid) {

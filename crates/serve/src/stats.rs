@@ -23,15 +23,13 @@ use crate::observability::ShardObs;
 pub struct ShardStats {
     /// Shard index (stable for the engine's lifetime).
     pub shard: usize,
-    /// Worker threads pinned to this shard.
-    pub workers: usize,
     /// Requests answered by this shard (cache hits included).
     pub requests: u64,
     /// Requests this shard answered from its prediction cache or by
     /// deduplication.
     pub cache_hits: u64,
-    /// Forward passes run for this shard's requests: by its workers for
-    /// stateless requests, on the caller's thread for session predicts.
+    /// Forward passes run for this shard's requests, each on its
+    /// caller's thread.
     pub computed: u64,
     /// Session updates applied on this shard's sessions, by any thread.
     pub session_updates: u64,
@@ -39,7 +37,8 @@ pub struct ShardStats {
     /// high).
     pub p50_us: u64,
     /// 99th-percentile latency of this shard's requests, microseconds
-    /// (tail latency under work stealing is a per-shard property).
+    /// (from this shard's own histogram, so a hot design's tail shows on
+    /// its shard alone).
     pub p99_us: u64,
 }
 
@@ -56,8 +55,8 @@ pub struct ServeStats {
     pub computed: u64,
     /// `cache_hits / requests` (0 when idle).
     pub cache_hit_rate: f64,
-    /// Always 1.0: a worker takes one job per wake-up, and a session
-    /// predict runs on its caller's thread. The field exists only until
+    /// Always 1.0: every predict runs its own forward on its caller's
+    /// thread. The field exists only until
     /// the benchmark drops its `serve.mean_batch_size` row, which reads
     /// it.
     pub mean_batch_size: f64,
@@ -117,7 +116,7 @@ impl std::fmt::Display for ServeStats {
 
 impl ServeStats {
     /// Reads every shard's cells: counters sum, histograms merge.
-    pub(crate) fn read(shards: &[ShardObs], workers_per_shard: &[usize], uptime: Duration) -> Self {
+    pub(crate) fn read(shards: &[ShardObs], uptime: Duration) -> Self {
         let mut latency = HistogramSnapshot::default();
         let per_shard: Vec<ShardStats> = shards
             .iter()
@@ -127,7 +126,6 @@ impl ServeStats {
                 latency.merge(&own);
                 ShardStats {
                     shard: i,
-                    workers: workers_per_shard.get(i).copied().unwrap_or(0),
                     requests: s.requests.get(),
                     cache_hits: s.cache_hits.get(),
                     computed: s.computed.get(),
@@ -181,7 +179,7 @@ mod tests {
         for v in 1..=100u64 {
             s[0].record_request(us(v), false);
         }
-        let snap = ServeStats::read(&s, &[1], Duration::from_secs(1));
+        let snap = ServeStats::read(&s, Duration::from_secs(1));
         // exact 50 / 95 / 99, reported as their bucket's upper bound
         assert_eq!(snap.p50_us, 51);
         assert_eq!(snap.p95_us, 95);
@@ -197,7 +195,7 @@ mod tests {
         s[0].record_request(us(5), true);
         s[0].record_request(us(5), false);
         s[0].computed.inc();
-        let snap = ServeStats::read(&s, &[1], Duration::from_millis(10));
+        let snap = ServeStats::read(&s, Duration::from_millis(10));
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.computed, 1);
         assert!((snap.cache_hit_rate - 0.5).abs() < 1e-12);
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_zeroed() {
-        let snap = ServeStats::read(&shards(1), &[1], Duration::ZERO);
+        let snap = ServeStats::read(&shards(1), Duration::ZERO);
         assert_eq!(snap.p50_us, 0);
         assert_eq!(snap.requests, 0);
         assert_eq!(snap.cache_hit_rate, 0.0);
@@ -224,7 +222,7 @@ mod tests {
             s[1].computed.inc();
         }
         s[1].session_updates.add(3);
-        let snap = ServeStats::read(&s, &[2, 2], Duration::from_secs(1));
+        let snap = ServeStats::read(&s, Duration::from_secs(1));
         assert_eq!(snap.requests, 100);
         assert_eq!(snap.computed, 50);
         assert_eq!(snap.cache_hits, 50);
@@ -235,7 +233,6 @@ mod tests {
         assert_eq!(snap.p95_us, 1023);
         assert_eq!(snap.per_shard.len(), 2);
         assert_eq!(snap.per_shard[0].requests, 50);
-        assert_eq!(snap.per_shard[0].workers, 2);
         assert_eq!(snap.per_shard[1].computed, 50);
         assert_eq!(snap.per_shard[1].session_updates, 3);
         // per-shard tails come from each shard's own histogram
@@ -248,11 +245,11 @@ mod tests {
     fn display_includes_shard_breakdown_when_sharded() {
         let one = shards(1);
         one[0].record_request(us(10), false);
-        let one = ServeStats::read(&one, &[1], Duration::from_secs(1));
+        let one = ServeStats::read(&one, Duration::from_secs(1));
         assert!(!format!("{one}").contains("shards:"));
         let two = shards(2);
         two[0].record_request(us(10), false);
-        let text = format!("{}", ServeStats::read(&two, &[1, 1], Duration::from_secs(1)));
+        let text = format!("{}", ServeStats::read(&two, Duration::from_secs(1)));
         assert!(text.contains("2 shards:"), "got {text}");
         assert!(text.contains("[0: 1 req"), "got {text}");
         assert!(text.contains("p99"), "got {text}");

@@ -1,5 +1,5 @@
 //! Property: serving is a transparent wrapper — for random designs, any
-//! worker count, any cache state and EITHER architecture,
+//! client count, any cache state and EITHER architecture,
 //! [`ServeHandle::predict`] returns predictions bitwise-identical to a
 //! direct [`CongestionModel::predict`] call.
 
@@ -11,7 +11,6 @@ use lhnn::{
     CongestionModel, GraphOps, HybridNet, HybridNetConfig, Lhnn, LhnnConfig, ModelIoError,
     ModelScratch, Prediction, Program,
 };
-use lhnn_serve::obs::SeriesValue;
 use lhnn_serve::{
     EngineConfig, ModelRegistry, PredictRequest, ServeEngine, ServeError, SessionConfig,
 };
@@ -36,7 +35,7 @@ fn build_model(kind: usize, seed: u64) -> Box<dyn CongestionModel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Cold cache, warm cache and every worker AND shard count agree
+    /// Cold cache, warm cache and every client AND shard count agree
     /// bitwise with the direct forward — for BOTH architectures.
     #[test]
     fn served_prediction_is_bitwise_identical(
@@ -45,7 +44,7 @@ proptest! {
         model_kind in 0usize..2,
         n_cells in 60usize..140,
         grid in 6u32..10,
-        workers in 1usize..5,
+        clients in 1usize..5,
         shards in 1usize..4,
         cache_capacity in 0usize..8,
     ) {
@@ -57,7 +56,7 @@ proptest! {
         registry.register_boxed("m", model).expect("register");
         let engine = ServeEngine::new(
             registry,
-            EngineConfig { workers, shards, cache_capacity, ..Default::default() },
+            EngineConfig { shards, cache_capacity, ..Default::default() },
         );
         let handle = engine.handle();
         let req = PredictRequest::new("m", ops, features);
@@ -73,9 +72,15 @@ proptest! {
             prop_assert!(direct.reg.approx_eq(&reply.prediction.reg, 0.0));
         }
 
-        // a burst through predict_batch agrees too
-        let replies = handle.predict_batch(&vec![req; 4]);
-        for reply in replies {
+        // a burst through predict_batch, sent at once from `clients`
+        // threads, agrees too
+        let bursts: Vec<_> = std::thread::scope(|scope| {
+            let joins: Vec<_> = (0..clients)
+                .map(|_| scope.spawn(|| handle.predict_batch(&vec![req.clone(); 4])))
+                .collect();
+            joins.into_iter().map(|j| j.join().expect("client thread")).collect()
+        });
+        for reply in bursts.into_iter().flatten() {
             let reply = reply.expect("batch predict");
             prop_assert!(direct.cls_prob.approx_eq(&reply.prediction.cls_prob, 0.0));
             prop_assert!(direct.reg.approx_eq(&reply.prediction.reg, 0.0));
@@ -152,9 +157,9 @@ proptest! {
     }
 }
 
-/// An LHNN whose first stateless forward tells the test it started, then
-/// waits for the test's go-ahead: the single worker is provably busy
-/// while the test queues more requests behind it.
+/// An LHNN whose first forward tells the test it started, then waits
+/// for the test's go-ahead: that forward is provably held while the test
+/// sends more requests.
 #[derive(Debug)]
 struct Gated {
     inner: Lhnn,
@@ -201,7 +206,10 @@ impl CongestionModel for Gated {
         features: &FeatureSet,
         scratch: &mut ModelScratch,
     ) -> Prediction {
-        if let Some((started, go)) = self.gate.lock().expect("gate lock").take() {
+        // The guard drops at the end of this statement, so other forwards
+        // of this model run while the gated one waits.
+        let gate = self.gate.lock().expect("gate lock").take();
+        if let Some((started, go)) = gate {
             started.send(()).expect("test listens");
             go.recv().expect("go-ahead");
         }
@@ -220,9 +228,19 @@ fn gated_model() -> (Gated, mpsc::Receiver<()>, mpsc::Sender<()>) {
     (gated, started, go)
 }
 
-/// End-to-end: distinct same-shape stateless requests that pile up in
-/// the queue behind a busy worker each get a reply bitwise identical to
-/// a direct forward, and each counts once in `computed` and in the cache.
+/// Waits up to 20 s for `rx`, then opens the gate either way, so a
+/// failing run ends instead of hanging.
+fn recv_then_open<T>(rx: &mpsc::Receiver<T>, go: &mpsc::Sender<()>) -> Option<T> {
+    let got = rx.recv_timeout(Duration::from_secs(20)).ok();
+    go.send(()).expect("gated forward waits");
+    got
+}
+
+/// End-to-end: while one forward is held, a request with the held key
+/// waits for it and replies `cached` through single-flight, and distinct
+/// same-shape requests compute concurrently on their own threads. Every
+/// reply is bitwise identical to a direct forward, and each computed
+/// state counts once in `computed` and in the cache.
 #[test]
 fn piled_up_requests_reply_bitwise() {
     // same config + seed builds bitwise-identical weights, so the local
@@ -233,7 +251,7 @@ fn piled_up_requests_reply_bitwise() {
     registry.register("m", gated).expect("register");
     let engine = ServeEngine::new(
         registry,
-        EngineConfig { workers: 1, shards: 1, cache_capacity: 64, ..Default::default() },
+        EngineConfig { shards: 1, cache_capacity: 64, ..Default::default() },
     );
     let handle = engine.handle();
 
@@ -255,53 +273,83 @@ fn piled_up_requests_reply_bitwise() {
         std::thread::spawn(move || handle.predict(&req).expect("predict"))
     };
 
-    // The first request occupies the single worker; the other three queue
-    // behind it and are taken one by one once it finishes.
-    let mut clients = vec![send(&variants[0])];
-    started.recv().expect("first forward started");
-    clients.extend(variants[1..].iter().map(send));
-    let queued = |snap: lhnn_serve::obs::Snapshot| match snap.get("lhnn_queue_depth_high") {
-        Some(s) => matches!(s.value, SeriesValue::Gauge(depth) if depth >= 3),
-        None => false,
+    // The first request holds its forward; a second one with the same key
+    // waits for it.
+    let held = send(&variants[0]);
+    started.recv_timeout(Duration::from_secs(20)).expect("first forward started");
+    let same_key = send(&variants[0]);
+    // The distinct requests finish while the first forward is still held.
+    let (done_tx, done) = mpsc::channel();
+    let distinct = {
+        let (handle, ops, variants) = (handle.clone(), Arc::clone(&ops), variants.clone());
+        std::thread::spawn(move || {
+            let replies: Vec<_> = std::thread::scope(|scope| {
+                let joins: Vec<_> = variants[1..]
+                    .iter()
+                    .map(|feats| {
+                        let req = PredictRequest::new("m", Arc::clone(&ops), Arc::clone(feats));
+                        let handle = &handle;
+                        scope.spawn(move || handle.predict(&req).expect("predict"))
+                    })
+                    .collect();
+                joins.into_iter().map(|j| j.join().expect("client")).collect()
+            });
+            let _ = done_tx.send(());
+            replies
+        })
     };
-    while !queued(handle.metrics_snapshot()) {
+    // Five cache lookups: the held request, the three distinct ones and
+    // the same-key request, which then waits on the held key.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let lookups = |h: &lhnn_serve::ServeHandle| {
+        h.metrics_snapshot().histogram("lhnn_stage_us{stage=\"cache\"}").map_or(0, |c| c.count)
+    };
+    while lookups(&handle) < 5 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    go.send(()).expect("worker waits");
+    let returned = recv_then_open(&done, &go);
+    let distinct = distinct.join().expect("distinct clients");
+    assert!(returned.is_some(), "distinct requests returned while a forward was held");
 
-    let replies: Vec<_> = clients.into_iter().map(|c| c.join().expect("client")).collect();
-    for (feats, reply) in variants.iter().zip(&replies) {
+    let held = held.join().expect("held client");
+    let same_key = same_key.join().expect("same-key client");
+    assert!(!held.cached);
+    assert!(same_key.cached, "the same key is answered by the held forward");
+    assert!(Arc::ptr_eq(&held.prediction, &same_key.prediction));
+    for (feats, reply) in variants.iter().zip([&held].into_iter().chain(&distinct)) {
+        assert!(!reply.cached);
         let direct = model.predict(&ops, feats);
         assert!(bitwise_eq(&direct.cls_prob, &reply.prediction.cls_prob));
         assert!(bitwise_eq(&direct.reg, &reply.prediction.reg));
     }
 
     let stats = handle.stats();
-    assert_eq!(stats.computed, 4, "one forward per request: {stats}");
+    assert_eq!(stats.requests, 5, "{stats}");
+    assert_eq!(stats.computed, 4, "one forward per distinct state: {stats}");
     assert_eq!(handle.cache_len(), 4, "every computed prediction is cached under its own key");
     engine.shutdown();
 }
 
-/// A session predicts on its own thread: while the engine's only worker
-/// is held inside a stateless forward, a session over another model still
-/// gets its reply, bitwise equal to a direct forward. Once the engine has
-/// shut down, a session predict fails with `ShuttingDown`.
+/// Every predict runs on its caller's thread: while one forward is held,
+/// a stateless predict on another model and a session predict both
+/// return, bitwise equal to direct forwards. Once the engine has shut
+/// down, both fail with `ShuttingDown`.
 #[test]
-fn session_predicts_while_the_only_worker_is_busy() {
+fn predicts_return_while_another_forward_is_held() {
     let (gated, started, go) = gated_model();
     let registry = Arc::new(ModelRegistry::new());
     registry.register("gated", gated).expect("register");
     registry.register("free", Lhnn::new(LhnnConfig::default(), 3)).expect("register");
     let engine = ServeEngine::new(
         registry,
-        EngineConfig { workers: 1, shards: 1, cache_capacity: 16, ..Default::default() },
+        EngineConfig { shards: 1, cache_capacity: 16, ..Default::default() },
     );
     let handle = engine.handle();
 
     let (ops, feats) = design(5, 90, 6);
     let blocker = {
         let handle = handle.clone();
-        let req = PredictRequest::new("gated", ops, feats);
+        let req = PredictRequest::new("gated", Arc::clone(&ops), Arc::clone(&feats));
         std::thread::spawn(move || handle.predict(&req))
     };
     started.recv_timeout(Duration::from_secs(20)).expect("gated forward started");
@@ -313,25 +361,36 @@ fn session_predicts_while_the_only_worker_is_busy() {
     let mut session = handle
         .open_session(SessionConfig::new("free"), Arc::new(synth.circuit), placed.placement, grid)
         .expect("open session");
+    let stateless = PredictRequest::new("free", Arc::clone(&ops), Arc::clone(&feats));
     let (tx, rx) = mpsc::channel();
-    let client = std::thread::spawn(move || {
-        let reply = session.predict();
-        let _ = tx.send(());
-        (reply, session)
-    });
-    let returned = rx.recv_timeout(Duration::from_secs(20));
-    // Open the gate either way, so a failing run ends instead of hanging.
-    go.send(()).expect("worker waits");
-    returned.expect("session predict returned while the only worker was busy");
-    let (reply, mut session) = client.join().expect("session client");
-    let reply = reply.expect("session predict");
-    let (ops, feats) = session.inputs().expect("inputs");
-    let direct = Lhnn::new(LhnnConfig::default(), 3).predict(&ops, &feats);
+    let client = {
+        let handle = handle.clone();
+        let stateless = stateless.clone();
+        std::thread::spawn(move || {
+            let stateless_reply = handle.predict(&stateless);
+            let session_reply = session.predict();
+            let _ = tx.send(());
+            (stateless_reply, session_reply, session)
+        })
+    };
+    let returned = recv_then_open(&rx, &go);
+    let (stateless_reply, session_reply, mut session) = client.join().expect("client");
+    assert!(returned.is_some(), "predicts returned while another forward was held");
+    let free = Lhnn::new(LhnnConfig::default(), 3);
+    let reply = stateless_reply.expect("stateless predict");
+    let direct = free.predict(&ops, &feats);
+    assert!(bitwise_eq(&direct.cls_prob, &reply.prediction.cls_prob));
+    assert!(bitwise_eq(&direct.reg, &reply.prediction.reg));
+    let reply = session_reply.expect("session predict");
+    let (session_ops, session_feats) = session.inputs().expect("inputs");
+    let direct = free.predict(&session_ops, &session_feats);
     assert!(bitwise_eq(&direct.cls_prob, &reply.prediction.cls_prob));
     assert!(bitwise_eq(&direct.reg, &reply.prediction.reg));
     blocker.join().expect("blocker").expect("gated predict");
 
     engine.shutdown();
     let err = session.predict().expect_err("engine is shut down");
+    assert!(matches!(err, ServeError::ShuttingDown), "got {err:?}");
+    let err = handle.predict(&stateless).expect_err("engine is shut down");
     assert!(matches!(err, ServeError::ShuttingDown), "got {err:?}");
 }

@@ -1,5 +1,5 @@
 //! Observability must be a pure read-out: metrics on vs off changes no
-//! prediction bit at any worker count, snapshotting under load never
+//! prediction bit at any client count, snapshotting under load never
 //! deadlocks or tears, the exposition carries the canonical series, and
 //! the flight recorder captures the engine's notable events.
 
@@ -57,23 +57,35 @@ fn drive_loop(engine: &ServeEngine, seed: u64, steps: u32) -> Vec<Arc<Prediction
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The instrumentation off-switch is bitwise invisible: a placement
-    /// loop served with full metrics equals the same loop served with
-    /// metrics off, at every worker/shard count.
+    /// The instrumentation off-switch is bitwise invisible: placement
+    /// loops served with full metrics equal the same loops served with
+    /// metrics off, at every client/shard count.
     #[test]
     fn metrics_do_not_change_predictions(
         seed in 0u64..500,
-        workers in 1usize..5,
+        clients in 1usize..5,
         shards in 1usize..3,
         steps in 1u32..4,
     ) {
-        let base = EngineConfig { workers, shards, ..EngineConfig::default() };
+        let base = EngineConfig { shards, ..EngineConfig::default() };
         let on = ServeEngine::new(registry(), EngineConfig { metrics: true, ..base.clone() });
         let off = ServeEngine::new(registry(), EngineConfig { metrics: false, ..base });
         prop_assert!(on.handle().metrics_enabled());
         prop_assert!(!off.handle().metrics_enabled());
-        let with_metrics = drive_loop(&on, seed, steps);
-        let without = drive_loop(&off, seed, steps);
+        // `clients` loops at once, one thread each, over designs
+        // seed..seed+clients
+        let drive_all = |engine: &ServeEngine| -> Vec<Arc<Prediction>> {
+            std::thread::scope(|scope| {
+                let joins: Vec<_> = (0..clients as u64)
+                    .map(|c| scope.spawn(move || drive_loop(engine, seed + c, steps)))
+                    .collect();
+                joins.into_iter().flat_map(|j| j.join().expect("client thread")).collect()
+            })
+        };
+        let with_metrics = drive_all(&on);
+        let without = drive_all(&off);
+        let issued = clients as u64 * (u64::from(steps) + 1);
+        prop_assert_eq!(with_metrics.len() as u64, issued);
         prop_assert_eq!(with_metrics.len(), without.len());
         for (a, b) in with_metrics.iter().zip(&without) {
             // tolerance 0.0 = bitwise equality
@@ -83,11 +95,11 @@ proptest! {
         // the instrumented run actually recorded: requests flowed and the
         // per-stage splice/forward spans saw the session's forwards
         let snap = on.handle().metrics_snapshot();
-        prop_assert!(snap.counter("lhnn_requests_total") >= u64::from(steps) + 1);
+        prop_assert_eq!(snap.counter("lhnn_requests_total"), issued);
         prop_assert!(snap.counter("lhnn_computed_total") >= 1);
         // the off engine still counts every request, but times no span
         let off_snap = off.handle().metrics_snapshot();
-        prop_assert_eq!(off_snap.counter("lhnn_requests_total"), u64::from(steps) + 1);
+        prop_assert_eq!(off_snap.counter("lhnn_requests_total"), issued);
         prop_assert_eq!(off_snap.histogram("lhnn_stage_us{stage=\"splice\"}").unwrap().count, 0);
         on.shutdown();
         off.shutdown();
@@ -101,7 +113,7 @@ proptest! {
 fn snapshot_under_load_never_deadlocks_or_tears() {
     let engine = ServeEngine::new(
         registry(),
-        EngineConfig { workers: 4, shards: 2, cache_capacity: 64, ..EngineConfig::default() },
+        EngineConfig { shards: 2, cache_capacity: 64, ..EngineConfig::default() },
     );
     let handle = engine.handle();
     let designs: Vec<_> = (0..4).map(|s| serving_design(70 + s, 70, 6)).collect();
@@ -147,8 +159,7 @@ fn snapshot_under_load_never_deadlocks_or_tears() {
 /// rejected.
 #[test]
 fn every_session_update_counts_once() {
-    let engine =
-        ServeEngine::new(registry(), EngineConfig { workers: 2, shards: 2, ..Default::default() });
+    let engine = ServeEngine::new(registry(), EngineConfig { shards: 2, ..Default::default() });
     let handle = engine.handle();
     let (circuit, placement, grid) = session_design(3);
     let die = circuit.die;
@@ -177,10 +188,8 @@ fn every_session_update_counts_once() {
 /// greps for, and round-trips through the parser.
 #[test]
 fn exposition_contains_canonical_series() {
-    let engine = ServeEngine::new(
-        registry(),
-        EngineConfig { workers: 2, shards: 2, ..EngineConfig::default() },
-    );
+    let engine =
+        ServeEngine::new(registry(), EngineConfig { shards: 2, ..EngineConfig::default() });
     let handle = engine.handle();
     // one session loop so the update/forward stages all record
     let _ = drive_loop(&engine, 3, 2);

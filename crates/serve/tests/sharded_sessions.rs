@@ -2,10 +2,9 @@
 //!
 //! 1. **Interleaving parity**: any interleaving of
 //!    `open_session`/`update`/`predict` across D designs and S
-//!    shards, driven by D concurrent client threads, yields predictions
+//!    shards, driven by C concurrent client threads, yields predictions
 //!    and final pipeline states bitwise identical to a serial replay on a
-//!    single-shard, single-worker engine and to a fresh rebuild at the
-//!    final placement.
+//!    single-shard engine and to a fresh rebuild at the final placement.
 //! 2. **Exact accounting**: after either run, every count the engine and
 //!    its sessions report equals what the clients issued.
 //! 3. **Cache isolation**: a hot design hammering its shard cannot evict
@@ -173,34 +172,39 @@ proptest! {
         model_kind in 0usize..2,
         n_designs in 2usize..5,
         shards in 1usize..4,
-        workers in 1usize..5,
+        clients in 1usize..5,
         n_deltas in 2usize..5,
     ) {
         let designs: Vec<Design> = (0..n_designs)
             .map(|d| scripted_design(d, base_seed + d as u64 * 101, n_deltas))
             .collect();
 
-        // Concurrent and sharded: one client thread per design.
-        let engine = ServeEngine::new(
-            registry(model_kind),
-            EngineConfig { workers, shards, ..EngineConfig::default() },
-        );
-        let concurrent: Vec<Replay> = std::thread::scope(|scope| {
-            let joins: Vec<_> = designs
-                .iter()
-                .map(|design| scope.spawn(|| drive(&engine, design)))
+        // Concurrent and sharded: `clients` threads, client c driving
+        // designs c, c + clients, … one after another.
+        let cfg = EngineConfig { shards, ..EngineConfig::default() };
+        let engine = ServeEngine::new(registry(model_kind), cfg);
+        let mut concurrent: Vec<(usize, Replay)> = std::thread::scope(|scope| {
+            let joins: Vec<_> = (0..clients)
+                .map(|c| {
+                    let (engine, designs) = (&engine, &designs);
+                    scope.spawn(move || {
+                        (c..designs.len())
+                            .step_by(clients)
+                            .map(|d| (d, drive(engine, &designs[d])))
+                            .collect::<Vec<_>>()
+                    })
+                })
                 .collect();
-            joins.into_iter().map(|j| j.join().expect("client thread")).collect()
+            joins.into_iter().flat_map(|j| j.join().expect("client thread")).collect()
         });
+        concurrent.sort_by_key(|(d, _)| *d);
+        let concurrent: Vec<Replay> = concurrent.into_iter().map(|(_, r)| r).collect();
         assert_exact_accounting(&engine, &designs, &concurrent);
         engine.shutdown();
 
-        // Serial replay: single shard, single worker, one design at a
-        // time.
-        let serial_engine = ServeEngine::new(
-            registry(model_kind),
-            EngineConfig { workers: 1, shards: 1, ..EngineConfig::default() },
-        );
+        // Serial replay: single shard, one design at a time.
+        let cfg = EngineConfig { shards: 1, ..EngineConfig::default() };
+        let serial_engine = ServeEngine::new(registry(model_kind), cfg);
         let mut serial = Vec::new();
         for (design, (got_preds, got_fps, columns, _)) in designs.iter().zip(&concurrent) {
             let replay = drive(&serial_engine, design);
@@ -248,7 +252,7 @@ fn hot_design_cannot_evict_another_shards_cache() {
     let engine = ServeEngine::new(
         registry(0),
         // tiny per-shard cache so the hot design's states overflow it
-        EngineConfig { workers: 2, shards: 2, cache_capacity: 2, ..EngineConfig::default() },
+        EngineConfig { shards: 2, cache_capacity: 2, ..EngineConfig::default() },
     );
     let handle = engine.handle();
     let cold_name = name_on_other_shard(&handle, &hot.name);
