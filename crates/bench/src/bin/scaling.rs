@@ -149,8 +149,8 @@ fn main() {
             lhnn.predict(&ops, &sample.features);
         });
         // Distinct same-shape feature variants (tiny rescale changes the
-        // fingerprint, not the cost) so neither the cache nor single-flight
-        // collapses the burst; 2 per client keeps every thread busy.
+        // fingerprint, not the cost) so the cache does not collapse the
+        // burst; 2 per client keeps every thread busy.
         let variants: Vec<Arc<FeatureSet>> = (0..threads * 2)
             .map(|i| {
                 let eps = 1.0 + i as f32 * 1e-6;

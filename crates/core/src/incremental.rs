@@ -37,9 +37,9 @@
 //!   [`InvalidationCause`] so stats can split cache drops by origin —
 //!   with stable columns, compaction should be the dominant cause.
 //! * Each note bumps a sequence number. Callers snapshot the sequence
-//!   together with their `(ops, features)` inputs; dirt noted *after* the
-//!   snapshot is kept pending across the forward, so a delta applied
-//!   while a forward is in flight is never lost.
+//!   together with their `(ops, features)` inputs; if dirt was noted
+//!   *after* the snapshot, the forward keeps every pending row for the
+//!   next splice (a safe superset), so such a delta is never lost.
 //!
 //! A forward that observes unknown provenance (no cached state, a
 //! structural note, a weights hot-swap, or dimension changes) falls back
@@ -224,34 +224,35 @@ struct Cached {
     state: ModelScratch,
 }
 
-/// Pending dirt plus the note sequence counter, shared between update
-/// appliers (brief locks) and the forward (brief locks at entry/exit).
-#[derive(Debug, Default)]
-struct Notes {
+/// Pending dirt, the note sequence counter and the cached forward, under
+/// one lock: notes take it briefly, a forward holds it throughout.
+#[derive(Default)]
+struct State {
     /// `None` means provenance is unknown (initial state, or a structural
     /// event since the last forward): the next forward must be full.
     pending: Option<ForwardDirty>,
     seq: u64,
+    act: Option<Cached>,
 }
 
 /// Cached-activation incremental inference for one hot design.
 ///
-/// Thread-safe: updates note dirt through brief internal locks while
-/// [`IncrementalForward::predict`] serialises forwards on its own lock.
-/// A panic mid-forward leaves the activation cache empty (taken at
-/// entry), so the next predict falls back to a full refresh.
+/// Thread-safe: one internal lock serialises notes and forwards, so a
+/// note issued during a forward waits for it to finish. A panic
+/// mid-forward leaves the activation cache and the pending dirt empty
+/// (both taken at entry), so the next predict falls back to a full
+/// refresh.
 pub struct IncrementalForward {
-    notes: Mutex<Notes>,
-    act: Mutex<Option<Cached>>,
+    state: Mutex<State>,
     obs: IncrObs,
 }
 
 impl std::fmt::Debug for IncrementalForward {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.notes();
+        let st = self.state();
         f.debug_struct("IncrementalForward")
-            .field("seq", &n.seq)
-            .field("pending", &n.pending)
+            .field("seq", &st.seq)
+            .field("pending", &st.pending)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -279,25 +280,24 @@ impl IncrementalForward {
     /// identical to the plain constructor.
     pub fn with_metrics(registry: &Registry, design: &str, model_kind: &str) -> Self {
         Self {
-            notes: Mutex::new(Notes::default()),
-            act: Mutex::new(None),
+            state: Mutex::new(State::default()),
             obs: IncrObs::new(registry, design, model_kind),
         }
     }
 
-    fn notes(&self) -> std::sync::MutexGuard<'_, Notes> {
-        // Notes hold plain index sets and counters; a panicking holder
-        // cannot leave them torn in a way that breaks the conservative
-        // (superset / full-refresh) fallbacks.
-        self.notes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn state(&self) -> std::sync::MutexGuard<'_, State> {
+        // A forward takes the pending dirt and the cached activations out
+        // at entry, so a holder that panics leaves both empty: the next
+        // forward refreshes in full.
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Records an incremental update's dirty sets. No-op on the dirt if
     /// provenance is already unknown (the next forward is full anyway).
     pub fn note_incremental(&self, dirty: &ForwardDirty) {
-        let mut n = self.notes();
-        n.seq += 1;
-        if let Some(p) = &mut n.pending {
+        let mut st = self.state();
+        st.seq += 1;
+        if let Some(p) = &mut st.pending {
             p.merge(dirty);
         }
     }
@@ -307,18 +307,11 @@ impl IncrementalForward {
     /// may have renumbered, so no splice against it can be trusted.
     /// `cause` splits the invalidation stats by origin.
     pub fn note_structural(&self, cause: InvalidationCause) {
-        {
-            let mut n = self.notes();
-            n.seq += 1;
-            n.pending = None;
-        }
+        let mut st = self.state();
+        st.seq += 1;
+        st.pending = None;
+        st.act = None;
         self.obs.invalidations[cause as usize].inc();
-        // Drop the cached activations now if no forward holds them; an
-        // in-flight forward is handled by the pending=None protocol (its
-        // successor refreshes in full).
-        if let Ok(mut act) = self.act.try_lock() {
-            *act = None;
-        }
     }
 
     /// The current note sequence. Snapshot this under the same lock that
@@ -326,7 +319,7 @@ impl IncrementalForward {
     /// [`IncrementalForward::predict`], so dirt noted after the snapshot
     /// survives the forward.
     pub fn seq(&self) -> u64 {
-        self.notes().seq
+        self.state().seq
     }
 
     /// Counts a predict answered from a cache outside this forward (a
@@ -370,19 +363,14 @@ impl IncrementalForward {
         features: &FeatureSet,
         seq_snapshot: u64,
     ) -> (Prediction, SpliceOutcome) {
-        let mut act = self.act.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (dirt, seq_at_take) = {
-            let mut n = self.notes();
-            // Notes arriving during the forward accumulate in the fresh
-            // empty set; `finish` reconciles them with the taken dirt.
-            (std::mem::replace(&mut n.pending, Some(ForwardDirty::default())), n.seq)
-        };
+        let mut st = self.state();
+        let dirt = st.pending.take();
         let ops_fp = ops.fingerprint();
         let features_fp = features.fingerprint();
         let n_c = features.gcell.rows();
         let n_n = features.gnet.rows();
 
-        let mut taken = act.take();
+        let mut taken = st.act.take();
         let program = model.program();
 
         // Path 1: fingerprints match the cached state — the cached
@@ -394,10 +382,9 @@ impl IncrementalForward {
             let c = taken.expect("checked above");
             let t_splice = self.obs.splice.start();
             let pred = program.state_prediction(&c.state);
-            *act = Some(c);
-            drop(act);
+            st.act = Some(c);
             self.obs.splice.stop_us(t_splice);
-            self.finish(dirt, seq_at_take, seq_snapshot, SpliceOutcome::Reused);
+            self.finish(&mut st, dirt, seq_snapshot, SpliceOutcome::Reused);
             return (pred, SpliceOutcome::Reused);
         }
 
@@ -467,35 +454,25 @@ impl IncrementalForward {
         c.fingerprints = (ops_fp, features_fp);
         let t_splice = self.obs.splice.start();
         let pred = program.state_prediction(&c.state);
-        *act = Some(c);
-        drop(act);
+        st.act = Some(c);
         self.obs.splice.stop_us(t_splice);
-        self.finish(dirt, seq_at_take, seq_snapshot, outcome);
+        self.finish(&mut st, dirt, seq_snapshot, outcome);
         (pred, outcome)
     }
 
-    /// Reconciles pending dirt after a forward. The refreshed state
-    /// matches the caller's input snapshot (taken at `seq_snapshot`);
-    /// dirt noted after that snapshot — whether before the forward
-    /// started (part of `dirt`) or during it (in `pending`) — must stay
-    /// pending for the next splice. A superset is always safe.
+    /// Settles the pending dirt after a forward, still under the lock. The
+    /// refreshed state matches the caller's input snapshot (taken at
+    /// `seq_snapshot`): if nothing was noted since, the dirt is consumed;
+    /// otherwise all of `dirt` stays pending for the next splice — a
+    /// superset of the rows noted after the snapshot, which is always safe.
     fn finish(
         &self,
+        st: &mut State,
         dirt: Option<ForwardDirty>,
-        seq_at_take: u64,
         seq_snapshot: u64,
         outcome: SpliceOutcome,
     ) {
-        let mut n = self.notes();
-        if seq_at_take != seq_snapshot {
-            match (&mut n.pending, dirt) {
-                (Some(p), Some(d)) => p.merge(&d),
-                // Unknown dirt past the snapshot, or a structural note
-                // landed mid-forward: the next forward must be full.
-                (pending, _) => *pending = None,
-            }
-        }
-        drop(n);
+        st.pending = if st.seq == seq_snapshot { Some(ForwardDirty::default()) } else { dirt };
         match outcome {
             SpliceOutcome::Reused => &self.obs.reused,
             SpliceOutcome::Spliced { .. } => &self.obs.spliced,
@@ -618,8 +595,8 @@ mod tests {
         // dirt must survive the forward for the next splice.
         inc.note_incremental(&ForwardDirty::new(vec![3], vec![1]));
         inc.predict(&model, version, &ops, &feats, snapshot);
-        let n = inc.notes();
-        let pending = n.pending.as_ref().expect("pending must stay known");
+        let st = inc.state();
+        let pending = st.pending.as_ref().expect("pending must stay known");
         assert_eq!(pending.gcells(), &[3]);
         assert_eq!(pending.gnets(), &[1]);
     }

@@ -113,11 +113,6 @@ impl GcellGrid {
         )
     }
 
-    /// Centre point of a G-cell.
-    pub fn gcell_center(&self, c: GcellCoord) -> Point {
-        self.gcell_rect(c).center()
-    }
-
     /// The inclusive coordinate span of G-cells overlapping `rect`
     /// (clamped to the die). Returns `None` when `rect` is the empty seed.
     pub fn span(&self, rect: &Rect) -> Option<(GcellCoord, GcellCoord)> {

@@ -12,15 +12,14 @@
 //! of the tensor's *observable* value — two tensors that compare equal
 //! under `Matrix`/`CsrMatrix` `PartialEq` (where `-0.0 == 0.0`) always
 //! fingerprint equal, so a prediction cache keyed on fingerprints never
-//! misses (nor defeats single-flight dedup) between observably identical
-//! states. NaN is the one asymmetry: `NaN != NaN` under `PartialEq`, so a
-//! NaN-bearing tensor is never *observably* equal to anything, yet all
-//! NaN payloads hash alike. That is a deliberate aliasing: two NaN states
-//! differing only in payload bits share a cache key even though a direct
-//! forward on each could differ bitwise — every such state is already
-//! garbage (NaN poisons the whole forward), so no consumer can tell the
-//! difference, and payload-sensitive keys would only multiply useless
-//! cache entries.
+//! misses between observably identical states. NaN is the one asymmetry:
+//! `NaN != NaN` under `PartialEq`, so a NaN-bearing tensor is never
+//! *observably* equal to anything, yet all NaN payloads hash alike. That
+//! is a deliberate aliasing: two NaN states differing only in payload
+//! bits share a cache key even though a direct forward on each could
+//! differ bitwise — every such state is already garbage (NaN poisons the
+//! whole forward), so no consumer can tell the difference, and
+//! payload-sensitive keys would only multiply useless cache entries.
 //!
 //! # Examples
 //!
@@ -195,7 +194,7 @@ mod tests {
     /// equality must coincide with observable (`PartialEq`) equality in
     /// BOTH directions. `-0.0 == 0.0` under `PartialEq`, so the two must
     /// share a fingerprint — a mismatch made equal placement states miss
-    /// the prediction cache and defeat single-flight dedup.
+    /// the prediction cache.
     #[test]
     fn negative_zero_fingerprints_like_positive_zero() {
         let zero = Matrix::from_rows(&[&[0.0f32, 1.5]]);

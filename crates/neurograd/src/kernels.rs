@@ -216,25 +216,7 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
 ///
 /// Panics if `s.cols != x.rows` or `out` is missized.
 pub fn spmm_into(s: &CsrMatrix, x: &Matrix, out: &mut [f32]) {
-    let rows = s.rows();
-    let n = x.cols();
-    assert_eq!(
-        s.cols(),
-        x.rows(),
-        "spmm shape mismatch: {}x{} * {}x{}",
-        rows,
-        s.cols(),
-        x.rows(),
-        x.cols()
-    );
-    assert_eq!(out.len(), rows * n, "spmm output buffer mismatch");
-    let x_data = x.as_slice();
-    let cost = (s.nnz() / rows.max(1)).max(1) * n;
-    let eng = simd::active();
-    for_each_row(out, rows, n, cost, |r, out_row| {
-        let (cols, vals) = s.row_slices(r);
-        eng.spmm_row(out_row, cols, vals, x_data);
-    });
+    spmm_rows_into(s, x, Rows::All, out);
 }
 
 // ---- row-subset kernels ----

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::init::{kaiming_normal, xavier_uniform};
+use crate::init::kaiming_normal;
 use crate::kernels::Rows;
 use crate::matrix::Matrix;
 use crate::optim::ParamStore;
@@ -83,20 +83,6 @@ impl Linear {
     ) -> Self {
         let weight =
             store.register(format!("{name}.weight"), kaiming_normal(in_dim, out_dim, in_dim, rng));
-        let bias = store.register(format!("{name}.bias"), Matrix::zeros(1, out_dim));
-        Self { weight, bias, in_dim, out_dim, activation }
-    }
-
-    /// Creates a layer with Xavier-uniform weights (suited to tanh/sigmoid).
-    pub fn xavier(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        activation: Activation,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let weight = store.register(format!("{name}.weight"), xavier_uniform(in_dim, out_dim, rng));
         let bias = store.register(format!("{name}.bias"), Matrix::zeros(1, out_dim));
         Self { weight, bias, in_dim, out_dim, activation }
     }

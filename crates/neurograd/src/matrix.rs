@@ -270,15 +270,6 @@ impl Matrix {
         self.zip_map(rhs, |a, b| a - b)
     }
 
-    /// Hadamard (elementwise) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip_map(rhs, |a, b| a * b)
-    }
-
     /// `self * s` elementwise.
     pub fn scale(&self, s: f32) -> Matrix {
         self.map(|x| x * s)

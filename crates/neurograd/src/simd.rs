@@ -62,11 +62,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// The fixed lane width the numerics are defined in terms of.
-pub fn lane_width() -> usize {
-    LANES
-}
-
 /// Which implementation a kernel invocation will run its inner loops on.
 ///
 /// Snapshot once per kernel call via [`active`] and reuse for every row,

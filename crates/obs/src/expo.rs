@@ -63,7 +63,7 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> St
 impl Snapshot {
     /// Renders the snapshot as Prometheus-style text.
     ///
-    /// Counters and gauges are one line per series; histograms render as
+    /// Counters are one line per series; histograms render as
     /// summaries (mean on the unsuffixed series, `quantile` variants,
     /// `_count` and `_sum`).
     pub fn to_prometheus(&self) -> String {
@@ -72,7 +72,6 @@ impl Snapshot {
         for s in &self.series {
             let kind = match &s.value {
                 SeriesValue::Counter(_) => "counter",
-                SeriesValue::Gauge(_) => "gauge",
                 SeriesValue::Histogram(_) => "summary",
             };
             if last_typed.as_ref().map(|(n, k)| (n.as_str(), *k)) != Some((s.name.as_str(), kind)) {
@@ -81,7 +80,7 @@ impl Snapshot {
             }
             let labels = render_labels(&s.labels, None);
             match &s.value {
-                SeriesValue::Counter(v) | SeriesValue::Gauge(v) => {
+                SeriesValue::Counter(v) => {
                     let _ = writeln!(out, "{}{labels} {v}", s.name);
                 }
                 SeriesValue::Histogram(h) => {
@@ -114,15 +113,10 @@ impl Snapshot {
                 let _ = write!(labels, "{sep}\"{}\": \"{}\"", json_escape(k), json_escape(v));
             }
             match &s.value {
-                SeriesValue::Counter(v) | SeriesValue::Gauge(v) => {
-                    let kind = if matches!(s.value, SeriesValue::Counter(_)) {
-                        "counter"
-                    } else {
-                        "gauge"
-                    };
+                SeriesValue::Counter(v) => {
                     let _ = writeln!(
                         out,
-                        "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"kind\": \"{kind}\", \"value\": {v}}}{comma}",
+                        "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"kind\": \"counter\", \"value\": {v}}}{comma}",
                         json_escape(&s.name)
                     );
                 }
@@ -231,7 +225,6 @@ mod tests {
         let r = Registry::new();
         r.counter("lhnn_requests_total").add(7);
         r.counter_with("lhnn_updates_total", &[("design", "d0")]).add(3);
-        r.gauge("lhnn_high_water").record_max(5);
         let h = r.stage("splice");
         h.observe(10);
         h.observe(1500);
@@ -243,7 +236,6 @@ mod tests {
         let text = sample().to_prometheus();
         assert!(text.contains("lhnn_requests_total 7"), "got:\n{text}");
         assert!(text.contains("lhnn_updates_total{design=\"d0\"} 3"), "got:\n{text}");
-        assert!(text.contains("lhnn_high_water 5"), "got:\n{text}");
         // the canonical histogram key appears verbatim (CI greps this)
         assert!(text.contains("lhnn_stage_us{stage=\"splice\"}"), "got:\n{text}");
         assert!(

@@ -4,8 +4,8 @@
 //! offline vendored environment:
 //!
 //! * [`Registry`] — a lock-light metrics registry of monotone
-//!   [`Counter`]s, [`Gauge`]s and log-linear [`Histogram`]s (quantiles
-//!   ≤12.5% high). Registration (name → cell) takes a mutex once;
+//!   [`Counter`]s and log-linear [`Histogram`]s (quantiles ≤12.5%
+//!   high). Registration (name → cell) takes a mutex once;
 //!   recording is a couple of relaxed atomic ops on a pre-resolved
 //!   handle. Cells always record — the registry is the serving stack's
 //!   only count store — and a bare-name [`Snapshot`] lookup sums every
@@ -40,7 +40,7 @@ pub mod metrics;
 pub use expo::{parse_prometheus, ParsedSeries};
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, SeriesSnapshot, SeriesValue, Snapshot,
+    Counter, Histogram, HistogramSnapshot, Registry, SeriesSnapshot, SeriesValue, Snapshot,
 };
 
 /// Canonical stage names of one served predict, in hot-path order.

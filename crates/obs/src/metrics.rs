@@ -1,11 +1,11 @@
-//! Lock-light metrics registry: counters, gauges, log-linear histograms.
+//! Lock-light metrics registry: counters and log-linear histograms.
 //!
 //! Design constraints (carried from the serving engine's determinism
 //! guarantees):
 //!
-//! * **Recording never blocks.** A handle ([`Counter`], [`Gauge`],
-//!   [`Histogram`]) resolved once from the [`Registry`] records with
-//!   relaxed atomic ops only; the registry mutex guards registration and
+//! * **Recording never blocks.** A handle ([`Counter`], [`Histogram`])
+//!   resolved once from the [`Registry`] records with relaxed atomic ops
+//!   only; the registry mutex guards registration and
 //!   snapshotting, never the hot path — so snapshotting mid-load cannot
 //!   deadlock a worker.
 //! * **Cells always record.** Counts are the system's only count store,
@@ -82,33 +82,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value / high-water gauge handle.
-#[derive(Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gauge").field("value", &self.get()).finish_non_exhaustive()
-    }
-}
-
-impl Gauge {
-    /// Raises the gauge to `v` if above the current value; returns
-    /// `true` when `v` set a new high-water mark.
-    #[inline]
-    pub fn record_max(&self, v: u64) -> bool {
-        self.cell.fetch_max(v, Ordering::Relaxed) < v
     }
 
     /// Current value.
@@ -196,7 +169,6 @@ impl Histogram {
 
 enum Cell {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
     Histogram(Arc<HistogramCell>),
 }
 
@@ -204,7 +176,6 @@ impl Cell {
     fn kind(&self) -> &'static str {
         match self {
             Cell::Counter(_) => "counter",
-            Cell::Gauge(_) => "gauge",
             Cell::Histogram(_) => "histogram",
         }
     }
@@ -293,7 +264,6 @@ impl Registry {
         });
         match &entry.cell {
             Cell::Counter(c) => Cell::Counter(Arc::clone(c)),
-            Cell::Gauge(g) => Cell::Gauge(Arc::clone(g)),
             Cell::Histogram(h) => Cell::Histogram(Arc::clone(h)),
         }
     }
@@ -316,18 +286,6 @@ impl Registry {
             other => {
                 panic!("series {} already registered as {}", series_key(name, labels), other.kind())
             }
-        }
-    }
-
-    /// Resolves (registering on first use) an unlabeled gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a metric-kind collision, like [`Registry::counter_with`].
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match self.resolve(name, &[], || Cell::Gauge(Arc::new(AtomicU64::new(0)))) {
-            Cell::Gauge(cell) => Gauge { cell },
-            other => panic!("series {name} already registered as {}", other.kind()),
         }
     }
 
@@ -372,7 +330,6 @@ impl Registry {
                 labels: e.labels.clone(),
                 value: match &e.cell {
                     Cell::Counter(c) => SeriesValue::Counter(c.load(Ordering::Relaxed)),
-                    Cell::Gauge(g) => SeriesValue::Gauge(g.load(Ordering::Relaxed)),
                     Cell::Histogram(h) => SeriesValue::Histogram(h.snapshot()),
                 },
             })
@@ -406,8 +363,6 @@ impl SeriesSnapshot {
 pub enum SeriesValue {
     /// Monotone counter value.
     Counter(u64),
-    /// Last/high-water gauge value.
-    Gauge(u64),
     /// Histogram counts.
     Histogram(HistogramSnapshot),
 }
@@ -547,16 +502,13 @@ mod tests {
         let r = Registry::disabled();
         let c = r.counter("c");
         let h = r.histogram("h");
-        let g = r.gauge("g");
         c.inc();
         h.observe(7);
-        assert!(g.record_max(9));
         // the span timer must not even read the clock
         assert!(h.start().is_none());
         h.stop_us(None);
         assert_eq!(c.get(), 1);
         assert_eq!(h.snapshot().count, 1);
-        assert_eq!(g.get(), 9);
     }
 
     #[test]
@@ -628,16 +580,6 @@ mod tests {
             let got = merged.quantile(q);
             assert!(want <= got && got as f64 <= 1.125 * want as f64, "q{q}: {got} vs {want}");
         }
-    }
-
-    #[test]
-    fn gauge_high_water() {
-        let r = Registry::new();
-        let g = r.gauge("depth");
-        assert!(g.record_max(3));
-        assert!(!g.record_max(2));
-        assert!(g.record_max(5));
-        assert_eq!(g.get(), 5);
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl PredictionCache {
         self.capacity
     }
 
-    /// Drops every entry (e.g. after a model hot-swap, although versioned
-    /// keys already make stale entries unreachable).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Drops every entry computed by model `version`, returning how many
     /// were evicted.
     ///

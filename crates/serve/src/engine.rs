@@ -1,6 +1,6 @@
 //! The inference engine: a front over N shards, each with its own
-//! prediction cache, single-flight map and count cells. Every predict
-//! resolves on the caller's thread; the engine runs no thread of its own.
+//! prediction cache and count cells. Every predict resolves on the
+//! caller's thread; the engine runs no thread of its own.
 //!
 //! # Architecture
 //!
@@ -15,7 +15,6 @@
 //!         ┌────────────────────────────┐
 //!         │ resolve (caller's thread)  │
 //!         │ LRU cache                  │
-//!         │ single-flight              │
 //!         │ count cells                │
 //!         └────────────────────────────┘
 //! ```
@@ -26,20 +25,20 @@
 //! (sessions and [`PredictRequest::with_design`]: the design id;
 //! anonymous stateless requests: the operator fingerprint, which keeps
 //! repeats of one state on one shard but spreads a design's successive
-//! states) — the same state always lands on the same shard, so
-//! single-flight deduplication still works.
+//! states) — the same state always lands on the same shard, so its
+//! repeats meet their cache entry.
 //!
 //! Every prediction goes through one routine: check shutdown, admit the
 //! request, then `resolve` it on its shard — look the key up in the
-//! shard's LRU cache (keyed by content fingerprints), claim it in the
-//! single-flight map, then either run the forward and publish the result
-//! or wait for the key's owner. A stateless request's forward runs from
-//! scratch on the calling thread's reusable [`ScratchSet`]; a session
+//! shard's LRU cache (keyed by content fingerprints) and, on a miss, run
+//! the forward and cache its result. A stateless request's forward runs
+//! from scratch on the calling thread's reusable [`ScratchSet`]; a session
 //! predict runs the session's own bounded-radius forward, a splice over
 //! the dirty halo. Session updates apply on the caller's thread too (see
 //! [`crate::Session::update`]). Stateless requests and sessions share the
-//! cache and the single-flight map, so a state either of them computed
-//! answers the other.
+//! cache, so a state either of them computed answers the other. Nothing
+//! waits on another caller's forward: two concurrent misses on one key
+//! each compute, and the bitwise contract makes their results equal.
 //!
 //! Request parallelism is the caller's: each client thread runs its own
 //! forwards, which fan their kernels out over the shared `neurograd`
@@ -54,9 +53,8 @@
 //! engine keeps serving.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lh_graph::FeatureSet;
@@ -79,9 +77,8 @@ pub struct EngineConfig {
     /// until the benchmark, which sets it, stops doing so.
     pub workers: usize,
     /// Independent shards (default 1). Each shard has its own prediction
-    /// cache, single-flight map and count cells; designs map to shards by
-    /// a stable hash, so one hot design cannot evict another design's
-    /// cache entries.
+    /// cache and count cells; designs map to shards by a stable hash, so
+    /// one hot design cannot evict another design's cache entries.
     pub shards: usize,
     /// LRU prediction-cache capacity in entries **per shard** (0 disables
     /// caching).
@@ -128,9 +125,8 @@ pub struct PredictRequest {
     /// Optional design identity for shard routing. `Some` pins every
     /// state of the design to one shard (the per-design affinity sessions
     /// get automatically); `None` routes by the operator fingerprint, so
-    /// repeats of the *same state* still meet their cache and
-    /// single-flight entries, but successive states of one design spread
-    /// across shards.
+    /// repeats of the *same state* still meet their cache entry, but
+    /// successive states of one design spread across shards.
     pub design: Option<String>,
     /// Per-request congestion threshold applied to channel-0
     /// probabilities for [`ServeReply::congested_fraction`].
@@ -162,10 +158,10 @@ impl PredictRequest {
 /// The answer to one request.
 #[derive(Debug, Clone)]
 pub struct ServeReply {
-    /// The prediction (shared with the cache and concurrent requesters).
+    /// The prediction (shared with the cache).
     pub prediction: Arc<Prediction>,
-    /// Whether the prediction came from the cache or from deduplication
-    /// against an identical in-flight request (no forward was run for it).
+    /// Whether the prediction was answered from the cache (no forward was
+    /// run for it).
     pub cached: bool,
     /// Fraction of G-cells whose channel-0 congestion probability meets
     /// the request's threshold.
@@ -181,60 +177,11 @@ thread_local! {
     static SCRATCH: RefCell<ScratchSet> = RefCell::new(ScratchSet::new());
 }
 
-/// Single-flight marker: the first thread to claim a key computes; every
-/// concurrent thread with the same key waits for the result instead of
-/// duplicating the forward pass.
-#[derive(Default)]
-struct InFlight {
-    done: Mutex<InFlightState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-enum InFlightState {
-    /// The owner is still computing.
-    #[default]
-    Pending,
-    /// The owner finished; the shared result is here.
-    Done(Arc<Prediction>),
-    /// The owner's forward panicked; waiters must compute for themselves.
-    Abandoned,
-}
-
-impl InFlight {
-    /// Blocks until the owner publishes: its prediction, or `None` if its
-    /// forward panicked.
-    fn wait(&self) -> Option<Arc<Prediction>> {
-        let mut done = lock::recover(&self.done);
-        while matches!(*done, InFlightState::Pending) {
-            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-        match &*done {
-            InFlightState::Done(p) => Some(Arc::clone(p)),
-            _ => None,
-        }
-    }
-}
-
-/// One shard: cache and single-flight map, isolated from every other
-/// shard. Its count cells live in `EngineObs::shards`.
-struct Shard {
-    cache: Mutex<PredictionCache>,
-    in_flight: Mutex<HashMap<CacheKey, Arc<InFlight>>>,
-}
-
-impl Shard {
-    fn new(cache_capacity: usize) -> Self {
-        Self {
-            cache: Mutex::new(PredictionCache::new(cache_capacity)),
-            in_flight: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
 pub(crate) struct Shared {
     registry: Arc<ModelRegistry>,
-    shards: Vec<Shard>,
+    /// One LRU prediction cache per shard, isolated from every other
+    /// shard. The shards' count cells live in `EngineObs::shards`.
+    shards: Vec<Mutex<PredictionCache>>,
     started: Instant,
     obs: EngineObs,
     /// Set by [`ServeEngine::shutdown`] and on drop; every later predict
@@ -244,16 +191,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Answers `key` on shard `shard_idx` — from the shard's cache, from
-    /// the thread computing the same key, or by running `forward` — and
-    /// reports whether the prediction came without a forward of its own.
+    /// Answers `key` on shard `shard_idx` — from the shard's cache, or by
+    /// running `forward` and caching its result — and reports whether the
+    /// prediction came from the cache.
     ///
-    /// `forward` runs at most once, under `catch_unwind`; its result goes
-    /// to the cache before the key is released, so a latecomer that
-    /// misses the single-flight marker hits the cache. If it panics, the
-    /// key is released as `Abandoned` (its waiters start over), a
-    /// `WorkerLost` flight event is recorded and the caller gets
-    /// [`ServeError::WorkerLost`].
+    /// Two concurrent misses on one key each run their forward; the
+    /// bitwise contract makes both results equal, so the second insert
+    /// replaces the first with the same bits. `forward` runs under
+    /// `catch_unwind`: if it panics, a `WorkerLost` flight event is
+    /// recorded and the caller gets [`ServeError::WorkerLost`].
     fn resolve(
         &self,
         shard_idx: usize,
@@ -261,56 +207,25 @@ impl Shared {
         key: CacheKey,
         forward: impl FnOnce() -> Prediction,
     ) -> Result<(Arc<Prediction>, bool)> {
-        let shard = &self.shards[shard_idx];
-        let marker = loop {
-            let t_cache = self.obs.stage_cache.start();
-            let hit = lock::recover(&shard.cache).get(&key);
-            self.obs.stage_cache.stop_us(t_cache);
-            if let Some(hit) = hit {
-                return Ok((hit, true));
-            }
-            match claim_key(shard, key) {
-                Ok(marker) => break marker,
-                Err(owner) => {
-                    if let Some(p) = owner.wait() {
-                        return Ok((p, true));
-                    }
-                    // The owner's forward panicked on ITS inputs (only
-                    // key-equal to ours): start over.
-                }
-            }
-        };
-        // Another thread may have published and released this key between
-        // the cache miss and the claim. (The guard is dropped before the
-        // forward runs.)
-        let recheck = lock::recover(&shard.cache).get(&key);
-        let outcome = match recheck {
-            Some(p) => Ok((p, true)),
-            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                (Arc::new(forward()), false)
-            })),
-        };
-        let (result, state) = match outcome {
-            Ok((p, cached)) => {
-                if !cached {
-                    self.obs.shards[shard_idx].computed.inc();
-                    lock::recover(&shard.cache).insert(key, Arc::clone(&p));
-                }
-                (Ok((Arc::clone(&p), cached)), InFlightState::Done(p))
-            }
-            Err(_) => {
+        let cache = &self.shards[shard_idx];
+        let t_cache = self.obs.stage_cache.start();
+        let hit = lock::recover(cache).get(&key);
+        self.obs.stage_cache.stop_us(t_cache);
+        if let Some(hit) = hit {
+            return Ok((hit, true));
+        }
+        let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Arc::new(forward())))
+            .map_err(|_| {
                 self.obs.flight.record(
                     FlightEventKind::WorkerLost,
                     &entry.name,
                     format!("forward panicked (model v{})", entry.version),
                 );
-                (Err(ServeError::WorkerLost), InFlightState::Abandoned)
-            }
-        };
-        lock::recover(&shard.in_flight).remove(&key);
-        *lock::recover(&marker.done) = state;
-        marker.cv.notify_all();
-        result
+                ServeError::WorkerLost
+            })?;
+        self.obs.shards[shard_idx].computed.inc();
+        lock::recover(cache).insert(key, Arc::clone(&p));
+        Ok((p, false))
     }
 }
 
@@ -341,8 +256,9 @@ impl ServeEngine {
         if cfg.compute_threads > 0 {
             neurograd::pool::configure_threads(cfg.compute_threads);
         }
-        let shards: Vec<Shard> =
-            (0..cfg.shards.max(1)).map(|_| Shard::new(cfg.cache_capacity)).collect();
+        let shards: Vec<_> = (0..cfg.shards.max(1))
+            .map(|_| Mutex::new(PredictionCache::new(cfg.cache_capacity)))
+            .collect();
         let obs = EngineObs::new(cfg.metrics, shards.len());
         registry.attach_metrics(Arc::clone(&obs.registry));
         let shared = Arc::new(Shared {
@@ -386,15 +302,15 @@ impl std::fmt::Debug for ServeHandle {
 
 impl ServeHandle {
     /// Serves one request on the caller's thread, blocking until the
-    /// prediction is available: the shard's cache or an identical
-    /// in-flight request answers if it can, otherwise a from-scratch
+    /// prediction is available: the shard's cache answers if it can,
+    /// otherwise a from-scratch
     /// forward computes and its result lands in the shard's cache.
     ///
     /// Routing: a request carrying a design id
     /// ([`PredictRequest::with_design`]) goes to that design's shard —
     /// the same per-design affinity sessions get. Without one, the shard
     /// is a stable hash of the operator fingerprint: repeats of the same
-    /// state always meet their own cache and single-flight entries, but
+    /// state always meet their own cache entry, but
     /// successive states of an anonymous design spread across shards, so
     /// pass a design id when one placement loop should stay isolated.
     ///
@@ -424,8 +340,8 @@ impl ServeHandle {
 
     /// Serves `request` on the caller's thread, on shard `shard_idx`: the
     /// one path of both [`ServeHandle::predict`] and
-    /// [`crate::Session::predict`]. The shard's cache or an identical
-    /// in-flight request answers if it can, otherwise `forward` (a
+    /// [`crate::Session::predict`]. The shard's cache answers if it can,
+    /// otherwise `forward` (a
     /// from-scratch forward, or a session's bounded-radius one) computes,
     /// and its result lands in the shard's cache.
     pub(crate) fn predict_here(
@@ -491,20 +407,13 @@ impl ServeHandle {
 
     /// Number of predictions currently cached, across all shards.
     pub fn cache_len(&self) -> usize {
-        self.shared.shards.iter().map(|s| lock::recover(&s.cache).len()).sum()
+        self.shared.shards.iter().map(|s| lock::recover(s).len()).sum()
     }
 
     /// Number of predictions cached on one shard (0 for a shard that does
     /// not exist).
     pub fn shard_cache_len(&self, shard: usize) -> usize {
-        self.shared.shards.get(shard).map_or(0, |s| lock::recover(&s.cache).len())
-    }
-
-    /// Drops every cached prediction on every shard.
-    pub fn clear_cache(&self) {
-        for s in &self.shared.shards {
-            lock::recover(&s.cache).clear();
-        }
+        self.shared.shards.get(shard).map_or(0, |s| lock::recover(s).len())
     }
 
     /// The registry this engine serves from.
@@ -553,7 +462,7 @@ impl ServeHandle {
         let entry = self.shared.registry.replace_boxed(name, model)?;
         if let Some(old) = displaced.filter(|old| old.version != entry.version) {
             for s in &self.shared.shards {
-                lock::recover(&s.cache).evict_model(old.version);
+                lock::recover(s).evict_model(old.version);
             }
             self.shared.obs.flight.record(
                 FlightEventKind::HotSwap,
@@ -661,21 +570,6 @@ fn reply_from(
         .filter(|&r| prediction.cls_prob[(r, 0)] >= threshold)
         .count();
     ServeReply { prediction, cached, congested_fraction: congested as f64 / rows as f64, latency }
-}
-
-/// Claims `key` in the shard's single-flight map: `Ok` hands the caller
-/// ownership (it must publish to the marker), `Err` returns the current
-/// owner's marker to wait on.
-fn claim_key(shard: &Shard, key: CacheKey) -> std::result::Result<Arc<InFlight>, Arc<InFlight>> {
-    let mut map = lock::recover(&shard.in_flight);
-    match map.get(&key) {
-        Some(m) => Err(Arc::clone(m)),
-        None => {
-            let m = Arc::new(InFlight::default());
-            map.insert(key, Arc::clone(&m));
-            Ok(m)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -822,25 +716,34 @@ mod tests {
     fn concurrent_clients_all_get_answers() {
         let engine = engine_with_default_model(64);
         let handle = engine.handle();
+        let model = Lhnn::new(LhnnConfig::default(), 0);
         let designs: Vec<_> = (0..4).map(|s| design(10 + s, 70, 6)).collect();
         std::thread::scope(|scope| {
             for (ops, feats) in &designs {
+                let want = model.predict(ops, feats);
                 for _ in 0..3 {
                     let h = handle.clone();
                     let ops = Arc::clone(ops);
                     let feats = Arc::clone(feats);
+                    let want = want.clone();
                     scope.spawn(move || {
                         let r = h.predict(&PredictRequest::new("default", ops, feats)).unwrap();
-                        assert!(r.prediction.cls_prob.is_finite());
+                        let got = &r.prediction;
+                        assert!(got.cls_prob.approx_eq(&want.cls_prob, 0.0));
+                        assert!(got.reg.approx_eq(&want.reg, 0.0));
                     });
                 }
             }
         });
         let stats = handle.stats();
         assert_eq!(stats.requests, 12);
-        // 4 unique designs → exactly 4 forwards; duplicates are served by
-        // the cache or by waiting on the key's single-flight owner
-        assert_eq!(stats.computed, 4, "single-flight must deduplicate concurrent work");
+        // a request either hits the cache or runs its own forward: two
+        // concurrent misses on one key both compute, so 4 unique designs
+        // cost between 4 and 12 forwards, and every reply is bitwise equal
+        // to its design's direct forward (asserted in the threads)
+        assert_eq!(stats.cache_hits + stats.computed, 12);
+        assert!((4..=12).contains(&stats.computed), "computed {}", stats.computed);
+        assert_eq!(handle.cache_len(), 4, "equal keys share one cache entry");
         engine.shutdown();
     }
 
@@ -993,11 +896,11 @@ mod tests {
         let handle = engine.handle();
         let shared = Arc::clone(&handle.shared);
         let _ = std::thread::spawn(move || {
-            let _guard = shared.shards[0].cache.lock().unwrap();
+            let _guard = shared.shards[0].lock().unwrap();
             panic!("poison the cache mutex");
         })
         .join();
-        assert!(handle.shared.shards[0].cache.lock().is_err(), "mutex really poisoned");
+        assert!(handle.shared.shards[0].lock().is_err(), "mutex really poisoned");
         let (ops, feats) = design(9, 80, 6);
         let ok = handle.predict(&PredictRequest::new("default", ops, feats)).unwrap();
         assert!(ok.prediction.cls_prob.is_finite());

@@ -20,7 +20,7 @@ pub enum ServeError {
     Session(String),
     /// State behind a lock was lost to a panic and cannot be re-derived
     /// (e.g. a session pipeline wedged mid-update). Unlike re-derivable
-    /// engine state — caches, stats, the single-flight map — which
+    /// engine state — caches, stats, the registry map — which
     /// recovers from mutex poisoning transparently, this error is
     /// permanent for the surface that returns it: drop and reopen it.
     Poisoned(String),

@@ -13,8 +13,7 @@
 //!   against the feature pipeline, hands out shared entries; bad
 //!   checkpoints are rejected without touching serving state.
 //! * [`ServeEngine`] — a front over [`EngineConfig::shards`] independent
-//!   shards; each owns a single-flight map that deduplicates identical
-//!   in-flight requests, its own prediction cache and its own count
+//!   shards; each owns its own prediction cache and its own count
 //!   cells. The engine starts no thread: a predict runs on its caller's
 //!   thread (a stateless one as a tape-free forward on that thread's
 //!   reusable per-kind [`lhnn::ScratchSet`]), so request parallelism is
@@ -33,8 +32,8 @@
 //!   [`Session::predict`]): keeps an incremental
 //!   [`lhnn::LatticePipeline`] hot per design, pinned to the design's
 //!   shard. Both calls run on the caller's thread: `update` patches the
-//!   pipeline in place; `predict` goes through the shard's cache and
-//!   single-flight map and, on a miss, splices over the region the
+//!   pipeline in place; `predict` goes through the shard's cache and,
+//!   on a miss, splices over the region the
 //!   updates dirtied instead of recomputing every G-cell.
 //!
 //! Failures stay contained: a panicking forward costs its requester a

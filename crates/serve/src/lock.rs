@@ -5,10 +5,8 @@
 //! into two classes:
 //!
 //! * **Re-derivable / advisory** — the prediction cache (worst case: a
-//!   recompute), the single-flight map (markers are cleaned up by their
-//!   owners, the threads that claimed them; an abandoned marker only
-//!   costs waiters a retry) and the registry map (models are validated
-//!   *before* insertion). For
+//!   recompute) and the registry map (models are validated *before*
+//!   insertion). For
 //!   these, cascading the poison into every later caller turns one
 //!   panicking forward into a total outage —
 //!   exactly the failure mode a multi-tenant engine must not have — so

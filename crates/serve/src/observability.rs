@@ -29,7 +29,7 @@ pub(crate) const FLIGHT_CAPACITY: usize = 256;
 pub(crate) struct ShardObs {
     /// Requests answered (cache hits included).
     pub(crate) requests: Counter,
-    /// Requests answered from a cache or by dedup.
+    /// Requests answered from the shard cache.
     pub(crate) cache_hits: Counter,
     /// Forward passes executed.
     pub(crate) computed: Counter,

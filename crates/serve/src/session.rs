@@ -6,8 +6,7 @@
 //! thousands of times. A [`Session`] keeps a [`LatticePipeline`] hot per
 //! design: an update patches it in place, and a predict splices over the
 //! dirty halo, both on the caller's thread. A predict goes through the
-//! design's shard cache and single-flight map, so a state seen before
-//! costs no forward.
+//! design's shard cache, so a state seen before costs no forward.
 //!
 //! ```text
 //! open_session(circuit, placement)      // one full build; design → shard
@@ -301,8 +300,8 @@ pub struct SessionObservability {
 /// A hot placement-loop session over one design, pinned to one shard.
 ///
 /// Owned by the placer thread driving it, which also runs its forwards;
-/// the shard's prediction cache and single-flight map are shared with
-/// every other client of the [`ServeHandle`].
+/// the shard's prediction cache is shared with every other client of the
+/// [`ServeHandle`].
 #[derive(Debug)]
 pub struct Session {
     handle: ServeHandle,
@@ -319,7 +318,9 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::UnknownModel`] if `cfg.model` is not registered;
-    /// [`ServeError::Session`] if the initial pipeline build fails.
+    /// [`ServeError::Session`] if the initial pipeline build fails, or if
+    /// a divisor list's length differs from the pipeline's feature columns
+    /// or holds a divisor that is not finite and positive.
     pub fn open_session(
         &self,
         cfg: SessionConfig,
@@ -337,6 +338,9 @@ impl ServeHandle {
         let mut pipeline =
             LatticePipeline::new(circuit, placement, grid, cfg.graph.clone(), AblationSpec::full())
                 .map_err(|e| ServeError::Session(e.to_string()))?;
+        let features = pipeline.features();
+        check_divisors("gcell", &cfg.gcell_divisors, features.gcell.cols())?;
+        check_divisors("gnet", &cfg.gnet_divisors, features.gnet.cols())?;
         // Wire the design's counts and spans into the engine's registry
         // and flight recorder (a metrics-off engine keeps the counts and
         // drops the spans and events).
@@ -352,6 +356,23 @@ impl ServeHandle {
             updates: self.session_update_sinks(shard),
         };
         Ok(Session { handle: self.clone(), cfg, core, shard })
+    }
+}
+
+/// Refuses a divisor list that [`FeatureSet::scaled_fixed`] would assert
+/// on: a wrong count, or a divisor that is not finite and positive.
+fn check_divisors(block: &str, divisors: &[f32], columns: usize) -> Result<()> {
+    if divisors.len() != columns {
+        return Err(ServeError::Session(format!(
+            "{} {block} divisors for {columns} {block} feature columns",
+            divisors.len()
+        )));
+    }
+    match divisors.iter().find(|d| !(d.is_finite() && **d > 0.0)) {
+        Some(d) => {
+            Err(ServeError::Session(format!("{block} divisor {d} is not finite and positive")))
+        }
+        None => Ok(()),
     }
 }
 
@@ -377,10 +398,9 @@ impl Session {
     /// Predicts congestion for the current placement, on the caller's
     /// thread.
     ///
-    /// The session's shard cache, or an identical request in flight on
-    /// that shard, answers a state seen before; otherwise the session's
-    /// bounded-radius forward splices over the region the updates
-    /// dirtied, and the result lands in the shard's cache.
+    /// The session's shard cache answers a state seen before; otherwise
+    /// the session's bounded-radius forward splices over the region the
+    /// updates dirtied, and the result lands in the shard's cache.
     ///
     /// # Errors
     ///
@@ -626,6 +646,50 @@ mod tests {
             .open_session(SessionConfig::new("nope"), circuit, placement, grid)
             .unwrap_err();
         assert!(matches!(err, ServeError::UnknownModel(_)));
+        engine.shutdown();
+    }
+
+    /// Divisors come from the client: a wrong count or a divisor that is
+    /// zero, negative or NaN must be refused at open with a typed error,
+    /// not panic the first predict while it holds the session lock.
+    #[test]
+    fn bad_divisors_are_rejected_at_open() {
+        let engine = engine();
+        let handle = engine.handle();
+        let (circuit, placement, grid) = design(4);
+        let (gcell, gnet) = FeatureSet::default_divisors();
+        let mut short = gnet.clone();
+        short.pop();
+        let with = |i: usize, v: f32| {
+            let mut d = gcell.clone();
+            d[i] = v;
+            d
+        };
+        let cases = [
+            (gcell.clone(), short),
+            (with(0, 0.0), gnet.clone()),
+            (with(1, -8.0), gnet.clone()),
+            (with(3, f32::NAN), gnet.clone()),
+            (gcell.clone(), vec![8.0, 8.0, 8.0, f32::INFINITY]),
+        ];
+        for (gcell_divisors, gnet_divisors) in cases {
+            let cfg = SessionConfig {
+                gcell_divisors: gcell_divisors.clone(),
+                gnet_divisors: gnet_divisors.clone(),
+                ..SessionConfig::new("default")
+            };
+            let err = handle
+                .open_session(cfg, Arc::clone(&circuit), placement.clone(), grid.clone())
+                .unwrap_err();
+            assert!(
+                matches!(err, ServeError::Session(_)),
+                "{gcell_divisors:?} / {gnet_divisors:?}: got {err:?}"
+            );
+        }
+        // the default divisors still open a session that serves
+        let mut session =
+            handle.open_session(SessionConfig::new("default"), circuit, placement, grid).unwrap();
+        assert!(session.predict().is_ok());
         engine.shutdown();
     }
 

@@ -25,8 +25,7 @@ pub struct ShardStats {
     pub shard: usize,
     /// Requests answered by this shard (cache hits included).
     pub requests: u64,
-    /// Requests this shard answered from its prediction cache or by
-    /// deduplication.
+    /// Requests this shard answered from its prediction cache.
     pub cache_hits: u64,
     /// Forward passes run for this shard's requests, each on its
     /// caller's thread.
@@ -48,8 +47,7 @@ pub struct ShardStats {
 pub struct ServeStats {
     /// Requests answered (cache hits included).
     pub requests: u64,
-    /// Requests answered from a prediction cache or by waiting for an
-    /// identical in-flight request.
+    /// Requests answered from a prediction cache.
     pub cache_hits: u64,
     /// Forward passes actually executed.
     pub computed: u64,
