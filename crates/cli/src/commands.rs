@@ -67,17 +67,10 @@ fn grid_for(args: &Args, circuit: &Circuit) -> GcellGrid {
 /// Builds the architecture `lhnn train --model` selects (`lhnn` |
 /// `hybridnet`). (`predict` needs no selector: the checkpoint's kind tag
 /// picks the architecture at load time.)
-fn build_arch(
-    arch: &str,
-    threads: usize,
-    seed: u64,
-) -> Result<Box<dyn CongestionModel>, Box<dyn Error>> {
+fn build_arch(arch: &str, seed: u64) -> Result<Box<dyn CongestionModel>, Box<dyn Error>> {
     match arch {
-        "lhnn" => Ok(Box::new(Lhnn::new(LhnnConfig { threads, ..LhnnConfig::default() }, seed))),
-        "hybridnet" => Ok(Box::new(HybridNet::new(
-            HybridNetConfig { threads, ..HybridNetConfig::default() },
-            seed,
-        ))),
+        "lhnn" => Ok(Box::new(Lhnn::new(LhnnConfig::default(), seed))),
+        "hybridnet" => Ok(Box::new(HybridNet::new(HybridNetConfig::default(), seed))),
         other => Err(format!("unknown --model `{other}` (expected `lhnn` or `hybridnet`)").into()),
     }
 }
@@ -161,9 +154,10 @@ pub fn train(args: &Args) -> CmdResult {
     let prep = PreparedDataset::build(&ds)?;
     let train_set = prep.train_samples();
     let test_set = prep.test_samples();
-    let mut model = build_arch(&arch, threads, seed)?;
-    // the pool width comes from the model's config knob, not the raw flag
-    model.configure_pool();
+    let mut model = build_arch(&arch, seed)?;
+    if threads > 0 {
+        neurograd::pool::configure_threads(threads);
+    }
     eprintln!(
         "training {arch} ({} parameters) for {epochs} epochs on {} designs \
          ({} data-parallel threads, batch {batch_size})...",
@@ -187,7 +181,7 @@ pub fn train(args: &Args) -> CmdResult {
 }
 
 /// `lhnn predict`: predict a congestion map for a design through the
-/// serving engine (registry + worker pool + prediction cache).
+/// serving engine (registry + prediction cache).
 pub fn predict(args: &Args) -> CmdResult {
     let model_path = args.opt("model").ok_or("missing --model")?;
     let threshold = args.num("threshold", 0.5f32);

@@ -24,17 +24,6 @@ pub struct LhnnConfig {
     pub gnet_in_dim: usize,
     /// Output channels: uni (1) or duo (2).
     pub channel_mode: ChannelMode,
-    /// Requested intra-op compute threads for this model's forwards
-    /// (0 = use the process-wide pool as configured).
-    ///
-    /// A runtime knob, not architecture: it is excluded from the
-    /// serialised checkpoint format and from
-    /// [`Lhnn::weights_fingerprint`](crate::Lhnn::weights_fingerprint),
-    /// and — because the kernel backend is bitwise thread-count-invariant —
-    /// it never changes any prediction. Applied through
-    /// [`Lhnn::configure_pool`](crate::Lhnn::configure_pool) by the CLI
-    /// after construction and by the serving registry on registration.
-    pub threads: usize,
 }
 
 impl Default for LhnnConfig {
@@ -47,7 +36,6 @@ impl Default for LhnnConfig {
             gcell_in_dim: 4,
             gnet_in_dim: 4,
             channel_mode: ChannelMode::Uni,
-            threads: 0,
         }
     }
 }

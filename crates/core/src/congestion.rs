@@ -1,6 +1,6 @@
 //! The [`CongestionModel`] trait: the model-agnostic contract the whole
-//! serving stack (registry, worker pool, prediction cache, sessions,
-//! incremental forward) is written against.
+//! serving stack (registry, prediction cache, sessions, incremental
+//! forward) and the trainer are written against.
 //!
 //! A congestion predictor declares its forward once, as a block
 //! [`Program`] over its parameter store; the trait's provided methods run
@@ -11,10 +11,12 @@
 //! cache-coherent *version*) and serialises itself under a kind tag
 //! (`.lhnn` v2).
 //!
-//! Two architectures implement it today: [`crate::Lhnn`] (kind `lhnn`)
-//! and [`crate::HybridNet`] (kind `hybridnet`). Sibling models (VeriHGN,
-//! DE-HNN, …) plug in with one program — the engine, sessions, CLI and
-//! benches ride along unchanged.
+//! One type implements it: [`crate::Model`], generic over its
+//! architecture ([`crate::Arch`]). Two architectures exist today:
+//! [`crate::Lhnn`] (kind `lhnn`) and [`crate::HybridNet`] (kind
+//! `hybridnet`). A sibling model (VeriHGN, DE-HNN, …) is one more config
+//! and program — the engine, sessions, CLI and benches ride along
+//! unchanged.
 //!
 //! # Bitwise contract
 //!
@@ -62,10 +64,6 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
 
     /// The parameter store (mutable, for the optimiser).
     fn store_mut(&mut self) -> &mut ParamStore;
-
-    /// Applies the model's thread-count request to the shared compute
-    /// pool (no-op when unset).
-    fn configure_pool(&self);
 
     /// Content fingerprint over architecture + every weight tensor — the
     /// serving *version*. Must change whenever predictions could, and
@@ -131,10 +129,10 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// A worker's per-kind scratch pool: one [`ModelScratch`] per model kind,
-/// created lazily on first use and reused for every later request of that
-/// kind — so a single long-lived worker serves a mixed zoo without
-/// reshaping buffers on every kind switch.
+/// A per-kind scratch pool: one [`ModelScratch`] per model kind, created
+/// lazily on first use and reused for every later request of that kind —
+/// so one caller serves a mixed zoo without reshaping buffers on every
+/// kind switch.
 #[derive(Debug, Default)]
 pub struct ScratchSet {
     slots: Vec<(&'static str, ModelScratch)>,

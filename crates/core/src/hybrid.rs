@@ -1,5 +1,5 @@
 //! HybridNet: a dual-branch geometry + topology congestion predictor —
-//! the second [`CongestionModel`] architecture behind the serving engine.
+//! the second [`Arch`] behind the serving engine.
 //!
 //! PAPERS.md's HybridNet argues congestion has two complementary views:
 //! a **geometry view** (local lattice neighbourhoods of the placement
@@ -18,17 +18,17 @@
 //!   by one linear layer feeding the shared classification/regression
 //!   heads.
 //!
-//! The model is one [`Program`] over the same layers and [`GraphOps`]
-//! operators as LHNN, so the taped, stateless and spliced forwards all
-//! run it and it rides the same trainer, engine, sessions and
-//! incremental forward.
+//! The architecture is one [`Program`] over the same layers and
+//! [`GraphOps`] operators as LHNN, so the taped, stateless and spliced
+//! forwards all run it and it rides the same [`Model`], trainer, engine,
+//! sessions and incremental forward.
 //!
 //! [`GraphOps`]: crate::GraphOps
 
 use lh_graph::ChannelMode;
-use neurograd::{Activation, ParamStore};
+use neurograd::Activation;
 
-use crate::congestion::CongestionModel;
+use crate::model::{Arch, Model};
 use crate::program::{Agg, Layers, Program};
 
 /// HybridNet architecture hyper-parameters.
@@ -46,9 +46,6 @@ pub struct HybridNetConfig {
     pub gnet_in_dim: usize,
     /// Output channel mode (uni/duo).
     pub channel_mode: ChannelMode,
-    /// Compute-pool width request (runtime knob, not architecture; 0 =
-    /// leave the pool as-is).
-    pub threads: usize,
 }
 
 impl Default for HybridNetConfig {
@@ -60,25 +57,46 @@ impl Default for HybridNetConfig {
             gcell_in_dim: 4,
             gnet_in_dim: 4,
             channel_mode: ChannelMode::Uni,
-            threads: 0,
         }
     }
 }
 
-/// The HybridNet model: parameters plus its block program.
-#[derive(Debug)]
-pub struct HybridNet {
-    pub(crate) cfg: HybridNetConfig,
-    pub(crate) store: ParamStore,
-    program: Program,
-}
+/// The HybridNet model.
+pub type HybridNet = Model<HybridNetConfig>;
 
-impl HybridNet {
-    /// Creates a model with seeded initialisation.
-    pub fn new(cfg: HybridNetConfig, seed: u64) -> Self {
+impl Arch for HybridNetConfig {
+    const KIND: &'static str = "hybridnet";
+    const KIND_IN_FINGERPRINT: bool = true;
+
+    fn dims(&self) -> impl IntoIterator<Item = (&'static str, usize)> {
+        [
+            ("hidden", self.hidden),
+            ("topo_rounds", self.topo_rounds),
+            ("geo_layers", self.geo_layers),
+            ("gcell_in_dim", self.gcell_in_dim),
+            ("gnet_in_dim", self.gnet_in_dim),
+        ]
+    }
+
+    fn from_dims(d: &[usize], channel_mode: ChannelMode) -> Self {
+        Self {
+            hidden: d[0],
+            topo_rounds: d[1],
+            geo_layers: d[2],
+            gcell_in_dim: d[3],
+            gnet_in_dim: d[4],
+            channel_mode,
+        }
+    }
+
+    fn channel_mode(&self) -> ChannelMode {
+        self.channel_mode
+    }
+
+    fn build(&self, l: &mut Layers) -> Program {
+        let cfg = self;
         let h = cfg.hidden;
         let relu = Activation::Relu;
-        let mut l = Layers::new(seed, h);
         let (mut p, x_c, x_n) = Program::new(cfg.gcell_in_dim, cfg.gnet_in_dim);
 
         // Geometry branch: lift, then lattice hops with skips.
@@ -115,85 +133,14 @@ impl HybridNet {
         let out = cfg.channel_mode.channels();
         let cls = p.linear(l.lin("head.cls", h, out, Activation::Identity), fused);
         let reg = p.linear(l.lin("head.reg", h, out, Activation::Identity), fused);
-        Self { cfg, store: l.store, program: p.finish(cls, reg) }
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &HybridNetConfig {
-        &self.cfg
-    }
-
-    /// A content fingerprint over the architecture and every weight
-    /// tensor (HybridNet's serving version; the leading kind marker keeps
-    /// it disjoint from other architectures' streams).
-    pub fn weights_fingerprint(&self) -> u64 {
-        let mut h = neurograd::Fnv64::new();
-        h.write_str("hybridnet");
-        h.write_usize(self.cfg.hidden);
-        h.write_usize(self.cfg.topo_rounds);
-        h.write_usize(self.cfg.geo_layers);
-        h.write_usize(self.cfg.gcell_in_dim);
-        h.write_usize(self.cfg.gnet_in_dim);
-        h.write_usize(self.cfg.channel_mode.channels());
-        for p in self.store.iter() {
-            h.write_str(&p.name);
-            p.value.hash_into(&mut h);
-        }
-        h.finish()
-    }
-}
-
-impl CongestionModel for HybridNet {
-    fn kind(&self) -> &'static str {
-        "hybridnet"
-    }
-
-    fn gcell_in_dim(&self) -> usize {
-        self.cfg.gcell_in_dim
-    }
-
-    fn gnet_in_dim(&self) -> usize {
-        self.cfg.gnet_in_dim
-    }
-
-    fn hidden(&self) -> usize {
-        self.cfg.hidden
-    }
-
-    fn channel_mode(&self) -> ChannelMode {
-        self.cfg.channel_mode
-    }
-
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn configure_pool(&self) {
-        if self.cfg.threads > 0 {
-            neurograd::pool::configure_threads(self.cfg.threads);
-        }
-    }
-
-    fn weights_fingerprint(&self) -> u64 {
-        HybridNet::weights_fingerprint(self)
-    }
-
-    fn program(&self) -> &Program {
-        &self.program
-    }
-
-    fn save_to(&self, w: &mut dyn std::io::Write) -> Result<(), crate::serialize::ModelIoError> {
-        self.save(w)
+        p.finish(cls, reg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::congestion::CongestionModel;
     use crate::incremental::{IncrementalForward, SpliceOutcome};
     use crate::ops::GraphOps;
     use crate::program::ModelScratch;

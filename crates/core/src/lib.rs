@@ -8,6 +8,9 @@
 //!   congestion-classification and demand-regression heads, declared once
 //!   as a block [`Program`] that the taped, stateless and spliced
 //!   forwards all interpret,
+//! * [`Model`] — the one model type: an [`Arch`] config ([`LhnnConfig`]
+//!   or [`HybridNetConfig`]), its parameters and its program, with one
+//!   checkpoint codec and one weights fingerprint,
 //! * [`loss`] — the joint objective of Eq. 3–5 with the γ label-balance
 //!   weighting,
 //! * [`train`] / [`evaluate`] — the paper's training protocol and
@@ -42,7 +45,7 @@ pub use hybrid::{HybridNet, HybridNetConfig};
 pub use incremental::{
     ForwardDirty, IncrementalForward, IncrementalStats, InvalidationCause, SpliceOutcome,
 };
-pub use model::{Lhnn, LhnnOutput, Prediction};
+pub use model::{Arch, Lhnn, LhnnOutput, Model, Prediction};
 pub use ops::GraphOps;
 pub use pipeline::{LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause, StalePipeline};
 pub use program::{ModelScratch, Program};

@@ -1,6 +1,15 @@
-//! The LHNN architecture (§4 of the paper, Figure 3).
+//! One model type for every architecture, and the LHNN architecture
+//! (§4 of the paper, Figure 3).
 //!
-//! Three block types compose the network:
+//! A [`Model`] is a config, the parameter store its program reads and
+//! that block [`Program`]; an architecture is the [`Arch`] the config
+//! implements — its kind tag, its named hyper-parameters and the program
+//! it declares. The taped training forward, the stateless predict and the
+//! incremental splice all interpret the program, so one
+//! [`CongestionModel`] impl, one `.lhnn` codec and one fingerprint serve
+//! every architecture.
+//!
+//! LHNN composes three block types:
 //!
 //! * **FeatureGen** (Eq. 1–2): residual MLPs lift the raw 4-channel G-cell
 //!   and G-net features to the hidden dimension; G-net embeddings are
@@ -17,11 +26,8 @@
 //! more LatticeMP blocks and ends in two heads: congestion classification
 //! (logits; trained with the γ-weighted BCE of Eq. 5) and routing-demand
 //! regression (Eq. 4).
-//!
-//! [`Lhnn::new`] declares that stack once, as a block [`Program`]; the
-//! taped training forward, the stateless predict and the incremental
-//! splice all interpret it.
 
+use lh_graph::ChannelMode;
 use neurograd::{Activation, Matrix, ParamStore, Var};
 
 use crate::config::LhnnConfig;
@@ -47,20 +53,154 @@ pub struct Prediction {
     pub reg: Matrix,
 }
 
-/// The LHNN model: parameters plus its block program.
+/// An architecture: the config of one model family, which declares the
+/// family's block program.
+pub trait Arch: Default + Clone + std::fmt::Debug + Send + Sync + 'static {
+    /// The kind tag: the `.lhnn` checkpoint's `kind`, the scratch-slot
+    /// key and the `kind=` metrics label. Unique per architecture.
+    const KIND: &'static str;
+
+    /// Whether the weights fingerprint hashes [`Arch::KIND`] first.
+    /// LHNN's does not: its fingerprint predates kinds.
+    const KIND_IN_FINGERPRINT: bool;
+
+    /// The named integer hyper-parameters in checkpoint-header order,
+    /// `hidden` first; `gcell_in_dim` and `gnet_in_dim` are among them.
+    fn dims(&self) -> impl IntoIterator<Item = (&'static str, usize)>;
+
+    /// The config with `dims` (one value per [`Arch::dims`] entry, in
+    /// order) and `channel_mode`.
+    fn from_dims(dims: &[usize], channel_mode: ChannelMode) -> Self;
+
+    /// Output channel mode (uni/duo).
+    fn channel_mode(&self) -> ChannelMode;
+
+    /// Declares the forward, registering its layers in `l` in the order
+    /// checkpoints store them.
+    fn build(&self, l: &mut Layers) -> Program;
+}
+
+/// A congestion model: an architecture's config, its parameters and its
+/// block program.
 #[derive(Debug)]
-pub struct Lhnn {
-    pub(crate) cfg: LhnnConfig,
+pub struct Model<A: Arch> {
+    pub(crate) cfg: A,
     pub(crate) store: ParamStore,
     program: Program,
 }
 
-impl Lhnn {
+/// The LHNN model.
+pub type Lhnn = Model<LhnnConfig>;
+
+impl<A: Arch> Model<A> {
     /// Creates a model with seeded initialisation.
-    pub fn new(cfg: LhnnConfig, seed: u64) -> Self {
+    pub fn new(cfg: A, seed: u64) -> Self {
+        let mut l = Layers::new(seed, dim(&cfg, "hidden"));
+        let program = cfg.build(&mut l);
+        Self { cfg, store: l.store, program }
+    }
+
+    /// The model configuration.
+    pub fn config(&self) -> &A {
+        &self.cfg
+    }
+}
+
+/// The value of `cfg`'s hyper-parameter `key`.
+fn dim<A: Arch>(cfg: &A, key: &str) -> usize {
+    let found = cfg.dims().into_iter().find(|(k, _)| *k == key);
+    found.unwrap_or_else(|| panic!("{} has no `{key}`", A::KIND)).1
+}
+
+impl<A: Arch> CongestionModel for Model<A> {
+    fn kind(&self) -> &'static str {
+        A::KIND
+    }
+
+    fn gcell_in_dim(&self) -> usize {
+        dim(&self.cfg, "gcell_in_dim")
+    }
+
+    fn gnet_in_dim(&self) -> usize {
+        dim(&self.cfg, "gnet_in_dim")
+    }
+
+    fn hidden(&self) -> usize {
+        dim(&self.cfg, "hidden")
+    }
+
+    fn channel_mode(&self) -> ChannelMode {
+        self.cfg.channel_mode()
+    }
+
+    fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn weights_fingerprint(&self) -> u64 {
+        let mut h = neurograd::Fnv64::new();
+        if A::KIND_IN_FINGERPRINT {
+            h.write_str(A::KIND);
+        }
+        for (_, v) in self.cfg.dims() {
+            h.write_usize(v);
+        }
+        h.write_usize(self.channels());
+        for p in self.store.iter() {
+            h.write_str(&p.name);
+            p.value.hash_into(&mut h);
+        }
+        h.finish()
+    }
+
+    fn program(&self) -> &Program {
+        &self.program
+    }
+
+    fn save_to(&self, w: &mut dyn std::io::Write) -> Result<(), crate::serialize::ModelIoError> {
+        self.save(w)
+    }
+}
+
+impl Arch for LhnnConfig {
+    const KIND: &'static str = "lhnn";
+    const KIND_IN_FINGERPRINT: bool = false;
+
+    fn dims(&self) -> impl IntoIterator<Item = (&'static str, usize)> {
+        [
+            ("hidden", self.hidden),
+            ("hypermp_layers", self.hypermp_layers),
+            ("latticemp_encode_layers", self.latticemp_encode_layers),
+            ("latticemp_joint_layers", self.latticemp_joint_layers),
+            ("gcell_in_dim", self.gcell_in_dim),
+            ("gnet_in_dim", self.gnet_in_dim),
+        ]
+    }
+
+    fn from_dims(d: &[usize], channel_mode: ChannelMode) -> Self {
+        Self {
+            hidden: d[0],
+            hypermp_layers: d[1],
+            latticemp_encode_layers: d[2],
+            latticemp_joint_layers: d[3],
+            gcell_in_dim: d[4],
+            gnet_in_dim: d[5],
+            channel_mode,
+        }
+    }
+
+    fn channel_mode(&self) -> ChannelMode {
+        self.channel_mode
+    }
+
+    fn build(&self, l: &mut Layers) -> Program {
+        let cfg = self;
         let h = cfg.hidden;
         let relu = Activation::Relu;
-        let mut l = Layers::new(seed, h);
         let (mut p, x_c, x_n) = Program::new(cfg.gcell_in_dim, cfg.gnet_in_dim);
 
         // FeatureGen (Eq. 1–2).
@@ -121,104 +261,7 @@ impl Lhnn {
         let out = cfg.channel_mode.channels();
         let cls = p.linear(l.lin("head.cls", h, out, Activation::Identity), v_c);
         let reg = p.linear(l.lin("head.reg", h, out, Activation::Identity), v_c);
-        Self { cfg, store: l.store, program: p.finish(cls, reg) }
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &LhnnConfig {
-        &self.cfg
-    }
-
-    /// The parameter store (read access).
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// The parameter store (mutable, for the optimiser).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    /// Number of scalar parameters.
-    pub fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
-    }
-
-    /// Applies this model's [`LhnnConfig::threads`] request to the shared
-    /// compute pool (no-op when the knob is 0 or the pool already has that
-    /// width). Called by the CLI after constructing a model and by the
-    /// serving registry when a model is registered.
-    pub fn configure_pool(&self) {
-        if self.cfg.threads > 0 {
-            neurograd::pool::configure_threads(self.cfg.threads);
-        }
-    }
-
-    /// A content fingerprint over the architecture and every weight tensor.
-    ///
-    /// Serving registries use this as the model *version*: retraining,
-    /// fine-tuning or loading a different checkpoint all change the value,
-    /// so stale cache entries can never be served for updated weights.
-    pub fn weights_fingerprint(&self) -> u64 {
-        let mut h = neurograd::Fnv64::new();
-        h.write_usize(self.cfg.hidden);
-        h.write_usize(self.cfg.hypermp_layers);
-        h.write_usize(self.cfg.latticemp_encode_layers);
-        h.write_usize(self.cfg.latticemp_joint_layers);
-        h.write_usize(self.cfg.gcell_in_dim);
-        h.write_usize(self.cfg.gnet_in_dim);
-        h.write_usize(self.cfg.channel_mode.channels());
-        for p in self.store.iter() {
-            h.write_str(&p.name);
-            p.value.hash_into(&mut h);
-        }
-        h.finish()
-    }
-}
-
-impl CongestionModel for Lhnn {
-    fn kind(&self) -> &'static str {
-        "lhnn"
-    }
-
-    fn gcell_in_dim(&self) -> usize {
-        self.cfg.gcell_in_dim
-    }
-
-    fn gnet_in_dim(&self) -> usize {
-        self.cfg.gnet_in_dim
-    }
-
-    fn hidden(&self) -> usize {
-        self.cfg.hidden
-    }
-
-    fn channel_mode(&self) -> lh_graph::ChannelMode {
-        self.cfg.channel_mode
-    }
-
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn configure_pool(&self) {
-        Lhnn::configure_pool(self);
-    }
-
-    fn weights_fingerprint(&self) -> u64 {
-        Lhnn::weights_fingerprint(self)
-    }
-
-    fn program(&self) -> &Program {
-        &self.program
-    }
-
-    fn save_to(&self, w: &mut dyn std::io::Write) -> Result<(), crate::serialize::ModelIoError> {
-        self.save(w)
+        p.finish(cls, reg)
     }
 }
 
@@ -302,22 +345,6 @@ mod tests {
         let id = c.store().id_at(0);
         c.store_mut().param_mut(id).value.as_mut_slice()[0] += 1.0;
         assert_ne!(a.weights_fingerprint(), c.weights_fingerprint());
-    }
-
-    #[test]
-    fn threads_knob_changes_neither_fingerprint_nor_predictions() {
-        let (ops, feats) = sample();
-        let base = Lhnn::new(LhnnConfig::default(), 2);
-        let threaded = Lhnn::new(LhnnConfig { threads: 4, ..Default::default() }, 2);
-        assert_eq!(
-            base.weights_fingerprint(),
-            threaded.weights_fingerprint(),
-            "threads is a runtime knob, not architecture"
-        );
-        let a = base.predict(&ops, &feats);
-        let b = threaded.predict(&ops, &feats);
-        assert!(a.cls_prob.approx_eq(&b.cls_prob, 0.0));
-        assert!(a.reg.approx_eq(&b.reg, 0.0));
     }
 
     #[test]

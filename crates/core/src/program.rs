@@ -54,9 +54,10 @@ use crate::ops::GraphOps;
 
 /// Registers layers into a fresh parameter store, drawing their initial
 /// weights from one seeded RNG in call order — the order and names
-/// `.lhnn` checkpoints match tensors by.
+/// `.lhnn` checkpoints match tensors by. [`crate::Arch::build`] declares
+/// an architecture's layers through one.
 #[derive(Debug)]
-pub(crate) struct Layers {
+pub struct Layers {
     pub(crate) store: ParamStore,
     rng: StdRng,
     hidden: usize,
@@ -285,7 +286,7 @@ impl Halo {
 
 /// Reusable buffers for the tape-free forward.
 ///
-/// The stateless predict runs through one, so a long-lived worker thread
+/// The stateless predict runs through one, so a thread that keeps it
 /// serves steady-state requests with no heap allocation beyond the
 /// returned prediction (buffers are rebuilt only when the request shape
 /// or the model changes). The same type holds a session's cached forward

@@ -30,7 +30,7 @@ use neurograd::{Matrix, ParamStore};
 use crate::config::LhnnConfig;
 use crate::congestion::CongestionModel;
 use crate::hybrid::{HybridNet, HybridNetConfig};
-use crate::model::Lhnn;
+use crate::model::{Arch, Lhnn, Model};
 
 /// Errors from model (de)serialisation.
 #[derive(Debug)]
@@ -84,13 +84,6 @@ fn parse_mode(s: &str) -> Result<ChannelMode, ModelIoError> {
     }
 }
 
-/// The architecture named by a checkpoint's header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KindTag {
-    Lhnn,
-    HybridNet,
-}
-
 fn next_line(
     lines: &mut impl Iterator<Item = std::io::Result<String>>,
     what: &str,
@@ -119,21 +112,25 @@ fn parse_usize(v: String, key: &str) -> Result<usize, ModelIoError> {
     v.parse().map_err(|_| ModelIoError::Format(format!("bad {key} `{v}`")))
 }
 
+/// Every kind [`load_model`] builds.
+const KINDS: [&str; 2] = [LhnnConfig::KIND, HybridNetConfig::KIND];
+
 /// Reads the magic + kind tag. `lhnn-model v1` streams predate the tag
-/// and are always LHNN; `lhnn-model v2` carries an explicit `kind` line.
+/// and are always LHNN; `lhnn-model v2` carries an explicit `kind` line,
+/// which must name one of [`KINDS`].
 fn read_header(
     lines: &mut impl Iterator<Item = std::io::Result<String>>,
-) -> Result<KindTag, ModelIoError> {
+) -> Result<String, ModelIoError> {
     let magic = next_line(lines, "header")?;
-    match magic.trim() {
-        "lhnn-model v1" => Ok(KindTag::Lhnn),
-        "lhnn-model v2" => match read_kv(lines, "kind")?.as_str() {
-            "lhnn" => Ok(KindTag::Lhnn),
-            "hybridnet" => Ok(KindTag::HybridNet),
-            other => Err(ModelIoError::Format(format!("unknown model kind `{other}`"))),
-        },
-        _ => Err(ModelIoError::Format(format!("bad magic `{magic}`"))),
+    let kind = match magic.trim() {
+        "lhnn-model v1" => LhnnConfig::KIND.to_string(),
+        "lhnn-model v2" => read_kv(lines, "kind")?,
+        _ => return Err(ModelIoError::Format(format!("bad magic `{magic}`"))),
+    };
+    if !KINDS.contains(&kind.as_str()) {
+        return Err(ModelIoError::Format(format!("unknown model kind `{kind}`")));
     }
+    Ok(kind)
 }
 
 /// Writes every parameter tensor of `store` as `param` blocks.
@@ -207,7 +204,7 @@ fn load_params(
     Ok(())
 }
 
-impl Lhnn {
+impl<A: Arch> Model<A> {
     /// Writes the model (kind tag + architecture + weights) to `w`.
     ///
     /// Pass `&mut writer` to keep using the writer afterwards.
@@ -216,21 +213,17 @@ impl Lhnn {
     ///
     /// Propagates I/O failures.
     pub fn save<W: Write>(&self, mut w: W) -> Result<(), ModelIoError> {
-        let cfg = self.config();
         writeln!(w, "lhnn-model v2")?;
-        writeln!(w, "kind lhnn")?;
-        writeln!(w, "hidden {}", cfg.hidden)?;
-        writeln!(w, "hypermp_layers {}", cfg.hypermp_layers)?;
-        writeln!(w, "latticemp_encode_layers {}", cfg.latticemp_encode_layers)?;
-        writeln!(w, "latticemp_joint_layers {}", cfg.latticemp_joint_layers)?;
-        writeln!(w, "gcell_in_dim {}", cfg.gcell_in_dim)?;
-        writeln!(w, "gnet_in_dim {}", cfg.gnet_in_dim)?;
-        writeln!(w, "channel_mode {}", mode_str(cfg.channel_mode))?;
-        write_params(&mut w, self.store())
+        writeln!(w, "kind {}", A::KIND)?;
+        for (key, value) in self.cfg.dims() {
+            writeln!(w, "{key} {value}")?;
+        }
+        writeln!(w, "channel_mode {}", mode_str(self.cfg.channel_mode()))?;
+        write_params(&mut w, &self.store)
     }
 
-    /// Reads a model previously written by [`Lhnn::save`] (v2, kind
-    /// `lhnn`) or by the untagged v1 format.
+    /// Reads a model previously written by [`Model::save`] for this
+    /// architecture (LHNN also reads the untagged v1 format).
     ///
     /// # Errors
     ///
@@ -238,94 +231,29 @@ impl Lhnn {
     /// [`ModelIoError::Mismatch`] when the checkpoint holds a different
     /// kind or its tensors do not match the architecture rebuilt from
     /// the header.
-    pub fn load<R: Read>(r: R) -> Result<Lhnn, ModelIoError> {
+    pub fn load<R: Read>(r: R) -> Result<Self, ModelIoError> {
         let mut lines = BufReader::new(r).lines();
-        match read_header(&mut lines)? {
-            KindTag::Lhnn => Lhnn::load_body(&mut lines),
-            other => Err(ModelIoError::Mismatch(format!(
-                "checkpoint holds a {other:?} model, not an Lhnn; use `load_model`"
-            ))),
+        let kind = read_header(&mut lines)?;
+        if kind != A::KIND {
+            return Err(ModelIoError::Mismatch(format!(
+                "checkpoint holds a `{kind}` model, not a `{}` one; use `load_model`",
+                A::KIND
+            )));
         }
+        Self::load_body(&mut lines)
     }
 
     /// Reads the post-header body (architecture kv lines + tensors).
     fn load_body(
         lines: &mut impl Iterator<Item = std::io::Result<String>>,
-    ) -> Result<Lhnn, ModelIoError> {
-        let cfg = LhnnConfig {
-            hidden: parse_usize(read_kv(lines, "hidden")?, "hidden")?,
-            hypermp_layers: parse_usize(read_kv(lines, "hypermp_layers")?, "hypermp_layers")?,
-            latticemp_encode_layers: parse_usize(
-                read_kv(lines, "latticemp_encode_layers")?,
-                "latticemp_encode_layers",
-            )?,
-            latticemp_joint_layers: parse_usize(
-                read_kv(lines, "latticemp_joint_layers")?,
-                "latticemp_joint_layers",
-            )?,
-            gcell_in_dim: parse_usize(read_kv(lines, "gcell_in_dim")?, "gcell_in_dim")?,
-            gnet_in_dim: parse_usize(read_kv(lines, "gnet_in_dim")?, "gnet_in_dim")?,
-            channel_mode: parse_mode(&read_kv(lines, "channel_mode")?)?,
-            // runtime knob, not part of the serialized format
-            threads: 0,
-        };
-        let mut model = Lhnn::new(cfg, 0);
-        load_params(lines, Lhnn::store_mut(&mut model))?;
-        Ok(model)
-    }
-}
-
-impl HybridNet {
-    /// Writes the model (kind tag + architecture + weights) to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), ModelIoError> {
-        let cfg = self.config();
-        writeln!(w, "lhnn-model v2")?;
-        writeln!(w, "kind hybridnet")?;
-        writeln!(w, "hidden {}", cfg.hidden)?;
-        writeln!(w, "topo_rounds {}", cfg.topo_rounds)?;
-        writeln!(w, "geo_layers {}", cfg.geo_layers)?;
-        writeln!(w, "gcell_in_dim {}", cfg.gcell_in_dim)?;
-        writeln!(w, "gnet_in_dim {}", cfg.gnet_in_dim)?;
-        writeln!(w, "channel_mode {}", mode_str(cfg.channel_mode))?;
-        write_params(&mut w, CongestionModel::store(self))
-    }
-
-    /// Reads a model previously written by [`HybridNet::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelIoError::Format`] for malformed input and
-    /// [`ModelIoError::Mismatch`] when the checkpoint holds a different
-    /// kind or mismatched tensors.
-    pub fn load<R: Read>(r: R) -> Result<HybridNet, ModelIoError> {
-        let mut lines = BufReader::new(r).lines();
-        match read_header(&mut lines)? {
-            KindTag::HybridNet => HybridNet::load_body(&mut lines),
-            other => Err(ModelIoError::Mismatch(format!(
-                "checkpoint holds a {other:?} model, not a HybridNet; use `load_model`"
-            ))),
+    ) -> Result<Self, ModelIoError> {
+        let mut dims = Vec::new();
+        for (key, _) in A::default().dims() {
+            dims.push(parse_usize(read_kv(lines, key)?, key)?);
         }
-    }
-
-    /// Reads the post-header body (architecture kv lines + tensors).
-    fn load_body(
-        lines: &mut impl Iterator<Item = std::io::Result<String>>,
-    ) -> Result<HybridNet, ModelIoError> {
-        let cfg = HybridNetConfig {
-            hidden: parse_usize(read_kv(lines, "hidden")?, "hidden")?,
-            topo_rounds: parse_usize(read_kv(lines, "topo_rounds")?, "topo_rounds")?,
-            geo_layers: parse_usize(read_kv(lines, "geo_layers")?, "geo_layers")?,
-            gcell_in_dim: parse_usize(read_kv(lines, "gcell_in_dim")?, "gcell_in_dim")?,
-            gnet_in_dim: parse_usize(read_kv(lines, "gnet_in_dim")?, "gnet_in_dim")?,
-            channel_mode: parse_mode(&read_kv(lines, "channel_mode")?)?,
-            threads: 0,
-        };
-        let mut model = HybridNet::new(cfg, 0);
-        load_params(lines, CongestionModel::store_mut(&mut model))?;
+        let channel_mode = parse_mode(&read_kv(lines, "channel_mode")?)?;
+        let mut model = Self::new(A::from_dims(&dims, channel_mode), 0);
+        load_params(lines, &mut model.store)?;
         Ok(model)
     }
 }
@@ -342,9 +270,10 @@ impl HybridNet {
 /// [`ModelIoError::Mismatch`] for architecture/tensor disagreements.
 pub fn load_model<R: Read>(r: R) -> Result<Box<dyn CongestionModel>, ModelIoError> {
     let mut lines = BufReader::new(r).lines();
-    match read_header(&mut lines)? {
-        KindTag::Lhnn => Ok(Box::new(Lhnn::load_body(&mut lines)?)),
-        KindTag::HybridNet => Ok(Box::new(HybridNet::load_body(&mut lines)?)),
+    match read_header(&mut lines)?.as_str() {
+        LhnnConfig::KIND => Ok(Box::new(Lhnn::load_body(&mut lines)?)),
+        HybridNetConfig::KIND => Ok(Box::new(HybridNet::load_body(&mut lines)?)),
+        other => unreachable!("read_header admits no kind `{other}`"),
     }
 }
 
@@ -395,6 +324,49 @@ mod tests {
         let after = loaded.predict(&ops, &feats);
         assert!(before.cls_prob.approx_eq(&after.cls_prob, 1e-6));
         assert!(before.reg.approx_eq(&after.reg, 1e-6));
+    }
+
+    #[test]
+    fn checkpoint_format_is_pinned() {
+        // Files already on disk fix the format: a writer and reader that
+        // changed together would still round-trip, so pin the header
+        // lines themselves and require a load + save to reproduce the
+        // bytes.
+        let lhnn_header = [
+            "lhnn-model v2",
+            "kind lhnn",
+            "hidden 32",
+            "hypermp_layers 2",
+            "latticemp_encode_layers 1",
+            "latticemp_joint_layers 2",
+            "gcell_in_dim 4",
+            "gnet_in_dim 4",
+            "channel_mode uni",
+            "params 78",
+        ];
+        let hybrid_header = [
+            "lhnn-model v2",
+            "kind hybridnet",
+            "hidden 32",
+            "topo_rounds 1",
+            "geo_layers 2",
+            "gcell_in_dim 4",
+            "gnet_in_dim 4",
+            "channel_mode uni",
+            "params 40",
+        ];
+        let mut lhnn = Vec::new();
+        Lhnn::new(LhnnConfig::default(), 0).save(&mut lhnn).unwrap();
+        let mut hybrid = Vec::new();
+        HybridNet::new(HybridNetConfig::default(), 0).save(&mut hybrid).unwrap();
+        for (bytes, header) in [(&lhnn, &lhnn_header[..]), (&hybrid, &hybrid_header[..])] {
+            let text = std::str::from_utf8(bytes).unwrap();
+            let lines: Vec<&str> = text.lines().take(header.len()).collect();
+            assert_eq!(lines, header);
+            let mut again = Vec::new();
+            load_model(&bytes[..]).unwrap().save_to(&mut again).unwrap();
+            assert!(again == *bytes, "save(load(bytes)) differs from bytes for {}", header[1]);
+        }
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub use sparse::CsrMatrix;
 pub use tape::{stable_sigmoid, ParamId, Tape, Var};
 
 // Concurrency contract: the serving layer shares models and graph
-// operators across worker threads (`Arc<Lhnn>`, `Arc<CsrMatrix>`) and owns
-// one scratch `Tape` per worker. These compile-time assertions keep the
+// operators across its callers' threads (`Arc<ModelEntry>`,
+// `Arc<CsrMatrix>`) and the trainer owns one scratch `Tape` per
+// data-parallel shard. These compile-time assertions keep the
 // substrate `Send + Sync` — adding an `Rc`/`RefCell`/raw-pointer field to
 // any of these types becomes a build error rather than a runtime surprise.
 const _: () = {

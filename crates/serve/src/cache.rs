@@ -88,11 +88,6 @@ impl PredictionCache {
         self.map.is_empty()
     }
 
-    /// The configured capacity (0 = disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Drops every entry computed by model `version`, returning how many
     /// were evicted.
     ///

@@ -164,9 +164,6 @@ impl ModelRegistry {
         allow_replace: bool,
     ) -> Result<Arc<ModelEntry>> {
         self.validate(model.as_ref())?;
-        // Honour the model's intra-op thread request (no-op at 0 or when
-        // the pool already matches).
-        model.configure_pool();
         let kind = model.kind();
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),

@@ -129,7 +129,6 @@ struct SessionState {
 /// A [`Session`]'s hot pipeline and the handles it records into.
 struct SessionCore {
     state: Mutex<SessionState>,
-    divisors: (Vec<f32>, Vec<f32>),
     /// Bounded-radius forward state for this design: cached per-layer
     /// activations plus the dirty sets noted by applied updates. Updates
     /// note every outcome here (under the state lock, so notes follow
@@ -349,7 +348,6 @@ impl ServeHandle {
         let incr = IncrementalForward::with_metrics(&engine_obs.registry, &design_id, model_kind);
         let core = SessionCore {
             state: Mutex::new(SessionState { pipeline, snapshot: None, wedged: None }),
-            divisors: (cfg.gcell_divisors.clone(), cfg.gnet_divisors.clone()),
             incr,
             design: design_id,
             flight: Arc::clone(&engine_obs.flight),
@@ -458,7 +456,7 @@ impl Session {
         }
         if state.snapshot.is_none() {
             let ops = state.pipeline.ops();
-            let (gcell_div, gnet_div) = &self.core.divisors;
+            let (gcell_div, gnet_div) = (&self.cfg.gcell_divisors, &self.cfg.gnet_divisors);
             let features = Arc::new(state.pipeline.features().scaled_fixed(gcell_div, gnet_div));
             state.snapshot = Some((ops, features));
         }

@@ -188,9 +188,6 @@ impl CongestionModel for Gated {
     fn store_mut(&mut self) -> &mut ParamStore {
         self.inner.store_mut()
     }
-    fn configure_pool(&self) {
-        self.inner.configure_pool();
-    }
     fn weights_fingerprint(&self) -> u64 {
         self.inner.weights_fingerprint()
     }

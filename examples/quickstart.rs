@@ -9,7 +9,10 @@
 //! ```
 
 use lh_graph::{ChannelMode, FeatureSet, LhGraph, LhGraphConfig, Targets};
-use lhnn::{evaluate, predict_map, train, AblationSpec, Lhnn, LhnnConfig, Sample, TrainConfig};
+use lhnn::{
+    evaluate, predict_map, train, AblationSpec, CongestionModel, Lhnn, LhnnConfig, Sample,
+    TrainConfig,
+};
 use lhnn_data::ascii_map;
 use vlsi_netlist::synth::{generate, SynthConfig};
 use vlsi_place::GlobalPlacer;

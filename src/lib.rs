@@ -12,9 +12,9 @@
 //! * [`model`] — the LHNN architecture and training (paper §4),
 //! * [`baselines`] — MLP / U-Net / Pix2Pix comparators (paper §5),
 //! * [`data`] — dataset assembly and the experiment harness,
-//! * [`serve`] — the sharded, multi-threaded inference engine (model
-//!   registry, worker pool, LRU prediction cache, placement-loop
-//!   sessions),
+//! * [`serve`] — the sharded inference engine (model registry, LRU
+//!   prediction cache, placement-loop sessions; each forward runs on its
+//!   caller's thread),
 //! * [`obs`] — the zero-dependency metrics registry, stage tracing and
 //!   flight recorder threaded through the serving stack.
 //!
