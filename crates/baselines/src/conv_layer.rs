@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 /// [`Conv2dLayer::new_with_std`] gives the `N(0, 0.02)` init of the
 /// Pix2Pix reference discriminator.
 #[derive(Debug, Clone)]
-pub struct Conv2dLayer {
+pub(crate) struct Conv2dLayer {
     weight: ParamId,
     bias: ParamId,
     in_ch: usize,
@@ -24,7 +24,7 @@ pub struct Conv2dLayer {
 impl Conv2dLayer {
     /// Creates a conv layer with Kaiming-normal weights.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         store: &mut ParamStore,
         name: &str,
         in_ch: usize,
@@ -46,7 +46,7 @@ impl Conv2dLayer {
     /// Creates a conv layer with `N(0, std)` weights (Pix2Pix convention
     /// uses `std = 0.02`).
     #[allow(clippy::too_many_arguments)]
-    pub fn new_with_std(
+    pub(crate) fn new_with_std(
         store: &mut ParamStore,
         name: &str,
         in_ch: usize,
@@ -65,19 +65,9 @@ impl Conv2dLayer {
         Self { weight, bias, in_ch, out_ch, kernel, stride, padding }
     }
 
-    /// Input channel count.
-    pub fn in_ch(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Output channel count.
-    pub fn out_ch(&self) -> usize {
-        self.out_ch
-    }
-
     /// Applies the convolution to a `(C_in, h·w)` feature map; returns the
     /// output and its spatial dims.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
@@ -103,7 +93,7 @@ impl Conv2dLayer {
     /// Applies the convolution with *frozen* weights (no gradient flows to
     /// the parameters) — used when the discriminator scores generator
     /// output inside the generator's update tape.
-    pub fn forward_frozen(
+    pub(crate) fn forward_frozen(
         &self,
         tape: &mut Tape,
         store: &ParamStore,

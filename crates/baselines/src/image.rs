@@ -61,7 +61,7 @@ impl ImageSample {
 
     /// Flattened targets in node-major order (`N × channels`), for metric
     /// computation shared with the graph models.
-    pub fn targets_node_major(&self) -> Matrix {
+    pub(crate) fn targets_node_major(&self) -> Matrix {
         self.target_cls.transpose()
     }
 }

@@ -30,7 +30,6 @@ pub mod mlp;
 pub mod pix2pix;
 pub mod unet;
 
-pub use conv_layer::Conv2dLayer;
 pub use image::{BaselineTrainConfig, ImageModel, ImageSample};
 pub use mlp::MlpBaseline;
 pub use pix2pix::Pix2PixModel;

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use neurograd::{Activation, Adam, Linear, Matrix, Mlp, Optimizer, ParamStore, ResBlock, Tape};
+use neurograd::{Activation, Adam, Linear, Matrix, Mlp, ParamStore, ResBlock, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -53,11 +53,6 @@ impl MlpBaseline {
             &mut rng,
         );
         Self { store, input, res1, head, in_dim, out_dim }
-    }
-
-    /// Number of scalar parameters.
-    pub fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
     }
 
     fn forward_nodes(&self, tape: &mut Tape, x_nodes: Matrix) -> neurograd::Var {
@@ -167,6 +162,6 @@ mod tests {
     fn has_four_linear_layers_worth_of_params() {
         let model = MlpBaseline::new(4, 1, 32, 0);
         // input + res(2 + maybe proj) + head(2) linear layers => 8 tensors minimum
-        assert!(model.num_parameters() > 3000);
+        assert!(model.store.num_scalars() > 3000);
     }
 }

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use neurograd::{Adam, Matrix, Optimizer, ParamStore, Tape, Var};
+use neurograd::{Adam, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -97,11 +97,6 @@ impl Pix2PixModel {
         let generator = UNetNet::new(&mut gen_store, "gen", in_dim, out_dim, features, &mut rng);
         let discriminator = PatchGan::new(&mut disc_store, in_dim + out_dim, features, &mut rng);
         Self { gen_store, disc_store, generator, discriminator, adv_weight: 0.1 }
-    }
-
-    /// Number of scalar parameters (generator + discriminator).
-    pub fn num_parameters(&self) -> usize {
-        self.gen_store.num_scalars() + self.disc_store.num_scalars()
     }
 
     fn uniform_bce(tape: &mut Tape, logits: Var, target_value: f32) -> Var {

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use neurograd::{Adam, Matrix, Optimizer, ParamStore, Tape, Var};
+use neurograd::{Adam, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -148,11 +148,6 @@ impl UNetModel {
         let net = UNetNet::new(&mut store, "unet", in_dim, out_dim, features, &mut rng);
         Self { store, net }
     }
-
-    /// Number of scalar parameters.
-    pub fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
-    }
 }
 
 impl ImageModel for UNetModel {
@@ -257,8 +252,8 @@ mod tests {
 
     #[test]
     fn parameter_count_grows_with_features() {
-        let small = UNetModel::new(4, 1, 4, 0).num_parameters();
-        let large = UNetModel::new(4, 1, 8, 0).num_parameters();
+        let small = UNetModel::new(4, 1, 4, 0).store.num_scalars();
+        let large = UNetModel::new(4, 1, 8, 0).store.num_scalars();
         assert!(large > small * 3);
     }
 }

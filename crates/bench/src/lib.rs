@@ -23,7 +23,7 @@ use lhnn_data::{DatasetConfig, ExperimentConfig};
 
 /// Usage text for a harness binary: the flags [`HarnessArgs::parse`]
 /// understands (binaries may accept further flags of their own).
-pub fn usage(binary: &str) -> String {
+pub(crate) fn usage(binary: &str) -> String {
     format!(
         "\
 {binary} — LHNN evaluation harness binary
@@ -62,7 +62,7 @@ impl Default for HarnessArgs {
 impl HarnessArgs {
     /// Parses `--scale F --epochs N --seeds N --out DIR` from `args`
     /// (unknown flags are ignored so binaries can add their own).
-    pub fn parse(args: &[String]) -> Self {
+    pub(crate) fn parse(args: &[String]) -> Self {
         let mut out = Self::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {

@@ -12,7 +12,7 @@ pub struct Args {
 
 impl Args {
     /// Parses a raw argument list (without the program name).
-    pub fn parse(raw: &[String]) -> Args {
+    pub(crate) fn parse(raw: &[String]) -> Args {
         let mut out = Args::default();
         let mut it = raw.iter().peekable();
         if let Some(first) = it.peek() {
@@ -33,22 +33,22 @@ impl Args {
     }
 
     /// String flag with a default.
-    pub fn get(&self, key: &str, default: &str) -> String {
+    pub(crate) fn get(&self, key: &str, default: &str) -> String {
         self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
     /// Optional string flag.
-    pub fn opt(&self, key: &str) -> Option<&str> {
+    pub(crate) fn opt(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)
     }
 
     /// Parsed numeric flag with a default (falls back on parse failure).
-    pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    pub(crate) fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         self.flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
     }
 
     /// Whether a boolean flag is present.
-    pub fn has(&self, key: &str) -> bool {
+    pub(crate) fn has(&self, key: &str) -> bool {
         self.flags.contains_key(key)
     }
 }

@@ -24,7 +24,7 @@ use crate::args::Args;
 type CmdResult = Result<(), Box<dyn Error>>;
 
 /// `lhnn generate`: synthesise + place + write Bookshelf.
-pub fn generate(args: &Args) -> CmdResult {
+pub(crate) fn generate(args: &Args) -> CmdResult {
     let cfg = SynthConfig {
         name: args.get("name", "design"),
         seed: args.num("seed", 1u64),
@@ -77,7 +77,7 @@ fn build_arch(arch: &str, seed: u64) -> Result<Box<dyn CongestionModel>, Box<dyn
 
 /// `lhnn stats`: netlist statistics — or, with `--metrics FILE`, a read
 /// back of a saved Prometheus exposition.
-pub fn stats(args: &Args) -> CmdResult {
+pub(crate) fn stats(args: &Args) -> CmdResult {
     if let Some(path) = args.opt("metrics") {
         return metrics_report(path);
     }
@@ -105,7 +105,7 @@ pub fn stats(args: &Args) -> CmdResult {
 }
 
 /// `lhnn route`: global routing + congestion report.
-pub fn route(args: &Args) -> CmdResult {
+pub(crate) fn route(args: &Args) -> CmdResult {
     let (circuit, placement) = load_design(args)?;
     let grid = grid_for(args, &circuit);
     let tracks = args.num("tracks", 14.0f32);
@@ -137,7 +137,7 @@ pub fn route(args: &Args) -> CmdResult {
 
 /// `lhnn train`: train the selected architecture on the synthetic suite
 /// and save the model.
-pub fn train(args: &Args) -> CmdResult {
+pub(crate) fn train(args: &Args) -> CmdResult {
     let scale = args.num("scale", 0.5f32);
     let epochs = args.num("epochs", 60usize);
     let seed = args.num("seed", 0u64);
@@ -182,7 +182,7 @@ pub fn train(args: &Args) -> CmdResult {
 
 /// `lhnn predict`: predict a congestion map for a design through the
 /// serving engine (registry + prediction cache).
-pub fn predict(args: &Args) -> CmdResult {
+pub(crate) fn predict(args: &Args) -> CmdResult {
     let model_path = args.opt("model").ok_or("missing --model")?;
     let threshold = args.num("threshold", 0.5f32);
     let compute_threads = args.num("threads", 0usize);

@@ -12,7 +12,7 @@
 //! (`.lhnn` v2).
 //!
 //! One type implements it: [`crate::Model`], generic over its
-//! architecture ([`crate::Arch`]). Two architectures exist today:
+//! architecture ([`crate::model::Arch`]). Two architectures exist today:
 //! [`crate::Lhnn`] (kind `lhnn`) and [`crate::HybridNet`] (kind
 //! `hybridnet`). A sibling model (VeriHGN, DE-HNN, …) is one more config
 //! and program — the engine, sessions, CLI and benches ride along
@@ -145,7 +145,7 @@ impl ScratchSet {
     }
 
     /// The scratch slot for `model`'s kind, created on first use.
-    pub fn for_model(&mut self, model: &dyn CongestionModel) -> &mut ModelScratch {
+    pub(crate) fn for_model(&mut self, model: &dyn CongestionModel) -> &mut ModelScratch {
         let kind = model.kind();
         let idx = match self.slots.iter().position(|(k, _)| *k == kind) {
             Some(i) => i,
@@ -166,10 +166,5 @@ impl ScratchSet {
     ) -> Prediction {
         let scratch = self.for_model(model);
         model.predict_with(ops, features, scratch)
-    }
-
-    /// Number of distinct kinds this set holds scratch for.
-    pub fn kinds(&self) -> usize {
-        self.slots.len()
     }
 }

@@ -73,23 +73,8 @@ impl ForwardDirty {
         Self { gcells: halo::canonicalize(gcells), gnets: halo::canonicalize(gnets) }
     }
 
-    /// Dirty G-cell rows (sorted, unique).
-    pub fn gcells(&self) -> &[usize] {
-        &self.gcells
-    }
-
-    /// Dirty G-net rows (sorted, unique).
-    pub fn gnets(&self) -> &[usize] {
-        &self.gnets
-    }
-
-    /// Whether nothing is dirty.
-    pub fn is_empty(&self) -> bool {
-        self.gcells.is_empty() && self.gnets.is_empty()
-    }
-
     /// Unions another dirty set into this one.
-    pub fn merge(&mut self, other: &ForwardDirty) {
+    pub(crate) fn merge(&mut self, other: &ForwardDirty) {
         self.gcells = union_sorted(&self.gcells, &other.gcells);
         self.gnets = union_sorted(&self.gnets, &other.gnets);
     }
@@ -597,7 +582,7 @@ mod tests {
         inc.predict(&model, version, &ops, &feats, snapshot);
         let st = inc.state();
         let pending = st.pending.as_ref().expect("pending must stay known");
-        assert_eq!(pending.gcells(), &[3]);
-        assert_eq!(pending.gnets(), &[1]);
+        assert_eq!(pending.gcells, &[3]);
+        assert_eq!(pending.gnets, &[1]);
     }
 }

@@ -8,7 +8,7 @@
 //!   congestion-classification and demand-regression heads, declared once
 //!   as a block [`Program`] that the taped, stateless and spliced
 //!   forwards all interpret,
-//! * [`Model`] — the one model type: an [`Arch`] config ([`LhnnConfig`]
+//! * [`Model`] — the one model type: an [`Arch`](model::Arch) config ([`LhnnConfig`]
 //!   or [`HybridNetConfig`]), its parameters and its program, with one
 //!   checkpoint codec and one weights fingerprint,
 //! * [`loss`] — the joint objective of Eq. 3–5 with the γ label-balance
@@ -45,12 +45,9 @@ pub use hybrid::{HybridNet, HybridNetConfig};
 pub use incremental::{
     ForwardDirty, IncrementalForward, IncrementalStats, InvalidationCause, SpliceOutcome,
 };
-pub use model::{Arch, Lhnn, LhnnOutput, Model, Prediction};
+pub use model::{Lhnn, Model, Prediction};
 pub use ops::GraphOps;
-pub use pipeline::{LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause, StalePipeline};
+pub use pipeline::{LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause};
 pub use program::{ModelScratch, Program};
 pub use serialize::{load_model, ModelIoError};
-pub use trainer::{
-    evaluate, evaluate_regression, predict_map, train, train_observed, DesignEval, EvalResult,
-    RegEval, Sample, TrainHistory,
-};
+pub use trainer::{evaluate, predict_map, train, Sample};

@@ -9,18 +9,18 @@ use std::sync::Arc;
 use neurograd::{Matrix, Tape, Var};
 
 /// Builds the Eq. 5 per-element weights `w = y + (1-y)·γ`.
-pub fn class_weights(targets: &Matrix, gamma: f32) -> Matrix {
+pub(crate) fn class_weights(targets: &Matrix, gamma: f32) -> Matrix {
     targets.map(|y| y + (1.0 - y) * gamma)
 }
 
 /// The γ-weighted classification loss (Eq. 5) on logits.
-pub fn cls_loss(tape: &mut Tape, logits: Var, congestion: &Matrix, gamma: f32) -> Var {
+pub(crate) fn cls_loss(tape: &mut Tape, logits: Var, congestion: &Matrix, gamma: f32) -> Var {
     let weights = Arc::new(class_weights(congestion, gamma));
     tape.bce_with_logits(logits, Arc::new(congestion.clone()), weights)
 }
 
 /// The regression loss (Eq. 4).
-pub fn reg_loss(tape: &mut Tape, reg: Var, demand: &Matrix) -> Var {
+pub(crate) fn reg_loss(tape: &mut Tape, reg: Var, demand: &Matrix) -> Var {
     tape.mse_loss(reg, Arc::new(demand.clone()))
 }
 

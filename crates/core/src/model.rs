@@ -65,7 +65,8 @@ pub trait Arch: Default + Clone + std::fmt::Debug + Send + Sync + 'static {
     const KIND_IN_FINGERPRINT: bool;
 
     /// The named integer hyper-parameters in checkpoint-header order,
-    /// `hidden` first; `gcell_in_dim` and `gnet_in_dim` are among them.
+    /// `hidden` first; `gcell_in_dim` and `gnet_in_dim` are among them,
+    /// and every other entry is a layer count.
     fn dims(&self) -> impl IntoIterator<Item = (&'static str, usize)>;
 
     /// The config with `dims` (one value per [`Arch::dims`] entry, in

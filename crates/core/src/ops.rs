@@ -74,7 +74,7 @@ impl GraphOps {
     /// Built from each operator's cached
     /// [`CsrMatrix::content_fingerprint`](neurograd::CsrMatrix::content_fingerprint)
     /// digest, so re-fingerprinting after an incremental
-    /// [`GraphOps::patch_from`] only hashes the matrices that actually
+    /// `GraphOps::patch_from` only hashes the matrices that actually
     /// changed — untouched operators (and repeat requests against the
     /// same operators) answer from their memoised digest in O(1).
     pub fn fingerprint(&self) -> u64 {
@@ -133,7 +133,7 @@ impl GraphOps {
     /// columns than this snapshot (incremental patches never resize the
     /// lattice and only ever *append* G-net columns; a compaction must go
     /// through [`GraphOps::from_graph`]).
-    pub fn patch_from(&self, graph: &LhGraph, ablation: &AblationSpec) -> Self {
+    pub(crate) fn patch_from(&self, graph: &LhGraph, ablation: &AblationSpec) -> Self {
         assert_eq!(
             self.num_gcells,
             graph.num_gcells(),
@@ -204,7 +204,7 @@ impl GraphOps {
     /// Mean operators are renormalised after sampling; the sum operator
     /// (`H`) is rescaled by `row_degree / kept` so expected messages are
     /// unbiased.
-    pub fn sampled(&self, fanouts: [usize; 3], rng: &mut StdRng) -> Self {
+    pub(crate) fn sampled(&self, fanouts: [usize; 3], rng: &mut StdRng) -> Self {
         Self {
             gnc_sum: Arc::new(sample_rows(&self.gnc_sum, fanouts[0], true, rng)),
             gnc_mean: Arc::new(sample_rows(&self.gnc_mean, fanouts[1], false, rng)),
@@ -254,12 +254,12 @@ fn sample_rows(csr: &CsrMatrix, fanout: usize, rescale_sum: bool, rng: &mut StdR
 }
 
 /// Derives a fresh sampling RNG for an epoch from a base seed.
-pub fn epoch_rng(seed: u64, epoch: usize) -> StdRng {
+pub(crate) fn epoch_rng(seed: u64, epoch: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Convenience: random permutation of `0..n` (training-set shuffling).
-pub fn shuffled_indices(n: usize, rng: &mut impl Rng) -> Vec<usize> {
+pub(crate) fn shuffled_indices(n: usize, rng: &mut impl Rng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     idx.shuffle(rng);
     idx

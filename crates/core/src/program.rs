@@ -54,7 +54,7 @@ use crate::ops::GraphOps;
 
 /// Registers layers into a fresh parameter store, drawing their initial
 /// weights from one seeded RNG in call order — the order and names
-/// `.lhnn` checkpoints match tensors by. [`crate::Arch::build`] declares
+/// `.lhnn` checkpoints match tensors by. [`crate::model::Arch::build`] declares
 /// an architecture's layers through one.
 #[derive(Debug)]
 pub struct Layers {
@@ -298,12 +298,13 @@ pub struct ModelScratch {
 
 impl ModelScratch {
     /// An empty scratch; buffers appear on the first forward.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Total `f32` elements held by the buffers (capacity diagnostics).
-    pub fn buffer_elems(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn buffer_elems(&self) -> usize {
         self.buffers.iter().map(|m| m.as_slice().len()).sum()
     }
 }

@@ -231,7 +231,8 @@ impl<A: Arch> Model<A> {
     /// [`ModelIoError::Mismatch`] when the checkpoint holds a different
     /// kind or its tensors do not match the architecture rebuilt from
     /// the header.
-    pub fn load<R: Read>(r: R) -> Result<Self, ModelIoError> {
+    #[cfg(test)]
+    pub(crate) fn load<R: Read>(r: R) -> Result<Self, ModelIoError> {
         let mut lines = BufReader::new(r).lines();
         let kind = read_header(&mut lines)?;
         if kind != A::KIND {
@@ -252,9 +253,47 @@ impl<A: Arch> Model<A> {
             dims.push(parse_usize(read_kv(lines, key)?, key)?);
         }
         let channel_mode = parse_mode(&read_kv(lines, "channel_mode")?)?;
-        let mut model = Self::new(A::from_dims(&dims, channel_mode), 0);
-        load_params(lines, &mut model.store)?;
+        let cfg = A::from_dims(&dims, channel_mode);
+        let payload = lines.collect::<Result<Vec<String>, _>>()?;
+        check_dims_backed(&cfg, &payload)?;
+        let mut model = Self::new(cfg, 0);
+        load_params(&mut payload.into_iter().map(Ok), &mut model.store)?;
         Ok(model)
+    }
+}
+
+/// Refuses header dims that the payload cannot back, before the model is
+/// built (building allocates every tensor the dims imply).
+///
+/// Every layer registers at least one `param` block and at least
+/// `hidden²` weights, beyond FeatureGen's `hidden²`, and each input lift
+/// holds `in_dim × hidden` weights, so a genuine checkpoint always passes.
+/// A model built from dims that pass allocates at most a constant
+/// multiple of the payload's size.
+fn check_dims_backed<A: Arch>(cfg: &A, payload: &[String]) -> Result<(), ModelIoError> {
+    let blocks = payload.iter().filter(|l| l.starts_with("param ")).count();
+    let tokens: usize = payload.iter().map(|l| l.split_whitespace().count()).sum();
+    let (mut hidden, mut in_dims, mut layers) = (0usize, 0usize, 0usize);
+    for (key, value) in cfg.dims() {
+        match key {
+            "hidden" => hidden = value,
+            "gcell_in_dim" | "gnet_in_dim" => in_dims = in_dims.saturating_add(value),
+            _ => layers = layers.saturating_add(value),
+        }
+    }
+    let weights = layers.checked_add(1).and_then(|n| n.checked_mul(hidden)?.checked_mul(hidden));
+    let lifts = in_dims.checked_mul(hidden);
+    let backed = layers <= blocks
+        && in_dims <= tokens
+        && weights.is_some_and(|w| w <= tokens)
+        && lifts.is_some_and(|w| w <= tokens);
+    if backed {
+        Ok(())
+    } else {
+        Err(ModelIoError::Format(format!(
+            "header dims (hidden {hidden}, {layers} layers, input dims {in_dims}) exceed what \
+             {blocks} param blocks and {tokens} payload tokens can hold"
+        )))
     }
 }
 
@@ -549,5 +588,60 @@ mod tests {
         model.save(&mut buf).unwrap();
         let loaded = Lhnn::load(&buf[..]).unwrap();
         assert_eq!(loaded.config().channel_mode, lh_graph::ChannelMode::Duo);
+    }
+
+    /// A 10-line checkpoint: the default LHNN header with `key` set to
+    /// `value`, and no tensors.
+    fn header_only(key: &str, value: &str) -> String {
+        let mut buf = Vec::new();
+        Lhnn::new(LhnnConfig::default(), 0).save(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut lines: Vec<String> =
+            text.lines()
+                .take_while(|l| !l.starts_with("params "))
+                .map(|l| {
+                    if l.split(' ').next() == Some(key) {
+                        format!("{key} {value}")
+                    } else {
+                        l.into()
+                    }
+                })
+                .collect();
+        lines.push("params 0".into());
+        assert_eq!(lines.len(), 10);
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn oversized_header_dims_are_refused_before_building() {
+        // `Model::new` would overflow a capacity, or allocate 10⁸ layers.
+        for text in [
+            header_only("hidden", "2305843009213693952"),
+            header_only("hypermp_layers", "100000000"),
+        ] {
+            let err = Lhnn::load(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, ModelIoError::Format(_)), "Lhnn::load gave {err}");
+            let Err(err) = load_model(text.as_bytes()) else { panic!("load_model accepted it") };
+            assert!(matches!(err, ModelIoError::Format(_)), "load_model gave {err}");
+        }
+        // The bound admits genuine checkpoints down to one hidden unit and
+        // no message-passing layers.
+        for (hidden, layers) in [(1, 0), (1, 3), (2, 0), (32, 0)] {
+            let cfg = LhnnConfig {
+                hidden,
+                hypermp_layers: layers,
+                latticemp_encode_layers: layers,
+                latticemp_joint_layers: 0,
+                ..Default::default()
+            };
+            let mut buf = Vec::new();
+            Lhnn::new(cfg, 0).save(&mut buf).unwrap();
+            Lhnn::load(&buf[..]).unwrap();
+        }
+        let cfg =
+            HybridNetConfig { hidden: 1, topo_rounds: 0, geo_layers: 0, ..Default::default() };
+        let mut buf = Vec::new();
+        HybridNet::new(cfg, 0).save(&mut buf).unwrap();
+        load_model(&buf[..]).unwrap();
     }
 }

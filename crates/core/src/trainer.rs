@@ -19,9 +19,8 @@
 //! serial [`TrainHistory`] exactly (see `parallel_matches_serial_exactly`).
 
 use lh_graph::{ChannelMode, FeatureSet, LhGraph, Targets};
-use lhnn_obs::Registry;
 use neurograd::tape::ParamId;
-use neurograd::{Adam, Confusion, Matrix, Optimizer, Tape};
+use neurograd::{Adam, Confusion, Matrix, Tape};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AblationSpec, TrainConfig};
@@ -112,23 +111,6 @@ pub fn train(
     ablation: &AblationSpec,
     cfg: &TrainConfig,
 ) -> TrainHistory {
-    train_observed(model, samples, ablation, cfg, None)
-}
-
-/// [`train`] with optional per-epoch span recording: each epoch's wall
-/// time lands in the `lhnn_train_epoch_us` histogram of `registry` and
-/// `lhnn_train_epochs_total` counts completed epochs. Recording is
-/// timing-only, so the training trajectory is bitwise identical to
-/// [`train`] for the same config.
-pub fn train_observed(
-    model: &mut dyn CongestionModel,
-    samples: &[Sample],
-    ablation: &AblationSpec,
-    cfg: &TrainConfig,
-    registry: Option<&Registry>,
-) -> TrainHistory {
-    let epoch_span = registry.map(|r| r.histogram("lhnn_train_epoch_us"));
-    let epochs_total = registry.map(|r| r.counter("lhnn_train_epochs_total"));
     let mode = model.channel_mode();
     // Pre-extract per-sample tensors (feature ablation applied once) and
     // warm the operators' transpose caches so no backward step rebuilds
@@ -160,7 +142,6 @@ pub fn train_observed(
     let mut opt = Adam::new(cfg.lr);
     let mut history = TrainHistory::default();
     for epoch in 0..cfg.epochs {
-        let t_epoch = epoch_span.as_ref().and_then(|h| h.start());
         if cfg.epochs > 1 && epoch == cfg.epochs / 2 {
             opt.set_lr(cfg.lr_final);
         }
@@ -217,12 +198,6 @@ pub fn train_observed(
             store.zero_grad();
         }
         history.epoch_loss.push(epoch_loss / prepared.len().max(1) as f32);
-        if let Some(h) = &epoch_span {
-            h.stop_us(t_epoch);
-        }
-        if let Some(c) = &epochs_total {
-            c.inc();
-        }
     }
     history
 }
@@ -260,48 +235,6 @@ pub fn evaluate(
     }
 }
 
-/// Regression-branch quality over a sample set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RegEval {
-    /// Root-mean-square error of the demand prediction.
-    pub rmse: f64,
-    /// Pearson correlation between predicted and true demand.
-    pub pearson: f64,
-}
-
-/// Evaluates the routing-demand regression head (Eq. 4) — RMSE and Pearson
-/// correlation pooled over all G-cells of `samples`.
-pub fn evaluate_regression(
-    model: &dyn CongestionModel,
-    samples: &[Sample],
-    ablation: &AblationSpec,
-) -> RegEval {
-    let mode = model.channel_mode();
-    let mut preds: Vec<f64> = Vec::new();
-    let mut truths: Vec<f64> = Vec::new();
-    for s in samples {
-        let ops = GraphOps::from_graph(&s.graph, ablation);
-        let feats = if ablation.gcell_features {
-            s.features.clone()
-        } else {
-            s.features.without_gcell_features()
-        };
-        let pred = model.predict(&ops, &feats);
-        let target = s.targets.demand_channels(mode);
-        preds.extend(pred.reg.as_slice().iter().map(|&v| f64::from(v)));
-        truths.extend(target.as_slice().iter().map(|&v| f64::from(v)));
-    }
-    let n = preds.len().max(1) as f64;
-    let rmse = (preds.iter().zip(&truths).map(|(p, t)| (p - t) * (p - t)).sum::<f64>() / n).sqrt();
-    let mp = preds.iter().sum::<f64>() / n;
-    let mt = truths.iter().sum::<f64>() / n;
-    let cov: f64 = preds.iter().zip(&truths).map(|(p, t)| (p - mp) * (t - mt)).sum();
-    let vp: f64 = preds.iter().map(|p| (p - mp) * (p - mp)).sum();
-    let vt: f64 = truths.iter().map(|t| (t - mt) * (t - mt)).sum();
-    let pearson = if vp > 0.0 && vt > 0.0 { cov / (vp.sqrt() * vt.sqrt()) } else { 0.0 };
-    RegEval { rmse, pearson }
-}
-
 /// Collects per-G-cell probabilities for one sample (used by the Figure 4
 /// visualisation harness). Returns `(probabilities, binary labels)` for
 /// the first channel.
@@ -331,6 +264,49 @@ mod tests {
     use vlsi_netlist::synth::{generate, SynthConfig};
     use vlsi_place::GlobalPlacer;
     use vlsi_route::{route, CapacityConfig, RouterConfig};
+
+    /// Regression-branch quality over a sample set.
+    #[derive(Debug)]
+    struct RegEval {
+        /// Root-mean-square error of the demand prediction.
+        pub rmse: f64,
+        /// Pearson correlation between predicted and true demand.
+        pub pearson: f64,
+    }
+
+    /// Evaluates the routing-demand regression head (Eq. 4) — RMSE and Pearson
+    /// correlation pooled over all G-cells of `samples`.
+    fn evaluate_regression(
+        model: &dyn CongestionModel,
+        samples: &[Sample],
+        ablation: &AblationSpec,
+    ) -> RegEval {
+        let mode = model.channel_mode();
+        let mut preds: Vec<f64> = Vec::new();
+        let mut truths: Vec<f64> = Vec::new();
+        for s in samples {
+            let ops = GraphOps::from_graph(&s.graph, ablation);
+            let feats = if ablation.gcell_features {
+                s.features.clone()
+            } else {
+                s.features.without_gcell_features()
+            };
+            let pred = model.predict(&ops, &feats);
+            let target = s.targets.demand_channels(mode);
+            preds.extend(pred.reg.as_slice().iter().map(|&v| f64::from(v)));
+            truths.extend(target.as_slice().iter().map(|&v| f64::from(v)));
+        }
+        let n = preds.len().max(1) as f64;
+        let rmse =
+            (preds.iter().zip(&truths).map(|(p, t)| (p - t) * (p - t)).sum::<f64>() / n).sqrt();
+        let mp = preds.iter().sum::<f64>() / n;
+        let mt = truths.iter().sum::<f64>() / n;
+        let cov: f64 = preds.iter().zip(&truths).map(|(p, t)| (p - mp) * (t - mt)).sum();
+        let vp: f64 = preds.iter().map(|p| (p - mp) * (p - mp)).sum();
+        let vt: f64 = truths.iter().map(|t| (t - mt) * (t - mt)).sum();
+        let pearson = if vp > 0.0 && vt > 0.0 { cov / (vp.sqrt() * vt.sqrt()) } else { 0.0 };
+        RegEval { rmse, pearson }
+    }
 
     fn make_sample(seed: u64) -> Sample {
         let cfg = SynthConfig {

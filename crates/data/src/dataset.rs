@@ -267,7 +267,7 @@ pub fn build_design(synth_cfg: &SynthConfig, cfg: &DatasetConfig) -> Result<Desi
 /// # Errors
 ///
 /// Propagates the first per-design failure.
-pub fn build_suite(cfg: &DatasetConfig) -> Result<Vec<DesignData>> {
+pub(crate) fn build_suite(cfg: &DatasetConfig) -> Result<Vec<DesignData>> {
     superblue_suite(cfg.base_seed, cfg.scale)
         .into_iter()
         .map(|sc| {

@@ -24,7 +24,7 @@ pub enum DataError {
 
 impl DataError {
     /// Wraps a stage failure.
-    pub fn pipeline(stage: &'static str, err: &dyn fmt::Display) -> Self {
+    pub(crate) fn pipeline(stage: &'static str, err: &dyn fmt::Display) -> Self {
         DataError::Pipeline { stage, message: err.to_string() }
     }
 }

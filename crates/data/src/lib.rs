@@ -23,15 +23,13 @@ pub mod split;
 pub mod viz;
 
 pub use dataset::{
-    build_cross_suite, build_design, build_suite, cross_family_suite, serving_inputs, CapacityMode,
+    build_cross_suite, build_design, cross_family_suite, serving_inputs, CapacityMode,
     DatasetConfig, DesignData, DesignStats,
 };
 pub use error::{DataError, Result};
 pub use report::{pct, pct1, write_bench_json, BenchRecord, TextTable};
 pub use runner::{
-    ablation_study, evaluate_image_model, model_comparison, run_baseline_seed, run_lhnn_seed,
-    run_model, table3_specs, AblationScore, ExperimentConfig, ModelKind, ModelScore,
-    PreparedDataset, SeedScore,
+    ablation_study, model_comparison, run_lhnn_seed, ExperimentConfig, PreparedDataset,
 };
-pub use split::{best_split, Split, SplitSearch};
-pub use viz::{ascii_map, to_pgm, write_pgm};
+pub use split::{best_split, Split};
+pub use viz::{ascii_map, write_pgm};

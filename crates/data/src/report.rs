@@ -44,16 +44,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -82,7 +72,7 @@ impl TextTable {
     }
 
     /// Serialises to CSV (naive quoting: cells with commas are quoted).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let quote = |cell: &str| {
             if cell.contains(',') || cell.contains('"') {
                 format!("\"{}\"", cell.replace('"', "\"\""))
@@ -161,7 +151,7 @@ impl BenchRecord {
     }
 
     /// Speedup of the candidate over the baseline.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         self.baseline_ms / self.candidate_ms.max(1e-9)
     }
 }

@@ -20,7 +20,7 @@ use crate::split::{best_split, SplitSearch};
 
 /// Which model a Table 2 row refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ModelKind {
+pub(crate) enum ModelKind {
     /// 4-layer residual MLP.
     Mlp,
     /// Pix2Pix conditional GAN.
@@ -33,7 +33,7 @@ pub enum ModelKind {
 
 impl ModelKind {
     /// Display name matching the paper's table.
-    pub fn display(&self) -> &'static str {
+    pub(crate) fn display(&self) -> &'static str {
         match self {
             ModelKind::Mlp => "4-layer MLP",
             ModelKind::Pix2Pix => "Pix2Pix",
@@ -43,7 +43,7 @@ impl ModelKind {
     }
 
     /// All models in the paper's row order.
-    pub fn all() -> [ModelKind; 4] {
+    pub(crate) fn all() -> [ModelKind; 4] {
         [ModelKind::Mlp, ModelKind::Pix2Pix, ModelKind::UNet, ModelKind::Lhnn]
     }
 }
@@ -119,7 +119,7 @@ impl PreparedDataset {
     }
 
     /// Test-set image samples under a channel mode.
-    pub fn test_images(&self, mode: ChannelMode) -> Vec<ImageSample> {
+    pub(crate) fn test_images(&self, mode: ChannelMode) -> Vec<ImageSample> {
         self.search.split.test.iter().map(|&i| self.designs[i].image_sample(mode)).collect()
     }
 
@@ -166,7 +166,7 @@ fn aggregate(model: String, per_seed: Vec<SeedScore>) -> ModelScore {
 
 /// Per-design evaluation of an image model, averaged like
 /// [`lhnn::evaluate`].
-pub fn evaluate_image_model(model: &dyn ImageModel, samples: &[ImageSample]) -> (f64, f64) {
+pub(crate) fn evaluate_image_model(model: &dyn ImageModel, samples: &[ImageSample]) -> (f64, f64) {
     let mut f1 = 0.0;
     let mut acc = 0.0;
     for s in samples {
@@ -198,7 +198,7 @@ pub fn run_lhnn_seed(
 }
 
 /// Trains + evaluates one baseline for one seed.
-pub fn run_baseline_seed(
+pub(crate) fn run_baseline_seed(
     kind: ModelKind,
     prep: &PreparedDataset,
     cfg: &ExperimentConfig,
@@ -222,7 +222,7 @@ pub fn run_baseline_seed(
 }
 
 /// Runs one model across all seeds (parallel threads, one per seed).
-pub fn run_model(
+pub(crate) fn run_model(
     kind: ModelKind,
     prep: &PreparedDataset,
     cfg: &ExperimentConfig,
@@ -265,7 +265,7 @@ pub struct AblationScore {
 }
 
 /// The ablation specs of Table 3, in the paper's column order.
-pub fn table3_specs() -> Vec<AblationSpec> {
+pub(crate) fn table3_specs() -> Vec<AblationSpec> {
     vec![
         AblationSpec::full(),
         AblationSpec::without_featuregen(),

@@ -31,7 +31,7 @@ pub fn ascii_map(values: &[f32], nx: usize, ny: usize) -> String {
 
 /// Serialises a map as an ASCII PGM (P2) image with 255 grey levels,
 /// normalised to the map maximum. `gy = 0` is the bottom row of the image.
-pub fn to_pgm(values: &[f32], nx: usize, ny: usize) -> String {
+pub(crate) fn to_pgm(values: &[f32], nx: usize, ny: usize) -> String {
     assert_eq!(values.len(), nx * ny, "map size mismatch");
     let max = values.iter().fold(0.0f32, |m, &v| m.max(v)).max(1e-9);
     let mut out = format!("P2\n{nx} {ny}\n255\n");

@@ -25,7 +25,7 @@ pub enum LhGraphError {
 
 impl LhGraphError {
     /// Builds the grid-shape mismatch error from the two grids' extents.
-    pub fn grid_shape(expected: (usize, usize), actual: (usize, usize)) -> Self {
+    pub(crate) fn grid_shape(expected: (usize, usize), actual: (usize, usize)) -> Self {
         LhGraphError::GridShape { expected, actual }
     }
 }

@@ -20,13 +20,13 @@ use crate::graph::{GraphPatch, LhGraph};
 /// Column layout of the G-net feature matrix.
 pub mod gnet_channel {
     /// Vertical span in G-cells.
-    pub const SPAN_V: usize = 0;
+    pub(crate) const SPAN_V: usize = 0;
     /// Horizontal span in G-cells.
-    pub const SPAN_H: usize = 1;
+    pub(crate) const SPAN_H: usize = 1;
     /// Number of pins of the underlying net.
-    pub const NPIN: usize = 2;
+    pub(crate) const NPIN: usize = 2;
     /// Number of G-cells covered (`spanH · spanV`).
-    pub const AREA: usize = 3;
+    pub(crate) const AREA: usize = 3;
     /// Total number of G-net channels.
     pub const COUNT: usize = 4;
 }
@@ -36,11 +36,11 @@ pub mod gcell_channel {
     /// Horizontal net density.
     pub const NET_DENSITY_H: usize = 0;
     /// Vertical net density.
-    pub const NET_DENSITY_V: usize = 1;
+    pub(crate) const NET_DENSITY_V: usize = 1;
     /// Pin density (pins per G-cell).
     pub const PIN_DENSITY: usize = 2;
     /// Terminal coverage mask (1 if any terminal overlaps the G-cell).
-    pub const TERMINAL_MASK: usize = 3;
+    pub(crate) const TERMINAL_MASK: usize = 3;
     /// Total number of G-cell channels.
     pub const COUNT: usize = 4;
 }

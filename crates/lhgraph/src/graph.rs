@@ -61,7 +61,7 @@ impl Default for LhGraphConfig {
 impl LhGraphConfig {
     /// The G-net size filter threshold, in G-cells, for a grid with
     /// `num_gcells` cells: nets covering more are dropped.
-    pub fn max_gnet_area(&self, num_gcells: usize) -> usize {
+    pub(crate) fn max_gnet_area(&self, num_gcells: usize) -> usize {
         ((num_gcells as f32) * self.max_gnet_fraction).max(1.0) as usize
     }
 }
@@ -624,7 +624,8 @@ impl LhGraph {
     }
 
     /// Number of live (non-tombstoned) G-net columns.
-    pub fn live_gnets(&self) -> usize {
+    #[cfg(test)]
+    fn live_gnets(&self) -> usize {
         self.kept_nets.len() - self.tombstones
     }
 
@@ -710,11 +711,6 @@ impl LhGraph {
     /// Panics if `col >= num_gnets()`.
     pub fn span_of(&self, col: usize) -> GcellSpan {
         self.spans[col]
-    }
-
-    /// The covered span per G-net column (stale for tombstones).
-    pub fn spans(&self) -> &[GcellSpan] {
-        &self.spans
     }
 
     /// Number of circuit nets without a G-net column.

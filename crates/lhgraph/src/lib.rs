@@ -43,5 +43,5 @@ pub use error::{LhGraphError, Result};
 pub use features::{
     gcell_channel, gnet_channel, recover_net_density, recover_pin_density, recover_rudy, FeatureSet,
 };
-pub use graph::{DeltaOutcome, GraphPatch, LhGraph, LhGraphConfig, StructuralReason};
+pub use graph::{DeltaOutcome, LhGraph, LhGraphConfig, StructuralReason};
 pub use targets::{ChannelMode, Targets};

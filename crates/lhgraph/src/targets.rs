@@ -59,16 +59,6 @@ impl Targets {
         Self { demand, congestion }
     }
 
-    /// Number of G-cells.
-    pub fn len(&self) -> usize {
-        self.demand.rows()
-    }
-
-    /// Whether there are no G-cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The demand target restricted to a channel mode (`N_c × 1` or `× 2`).
     pub fn demand_channels(&self, mode: ChannelMode) -> Matrix {
         match mode {

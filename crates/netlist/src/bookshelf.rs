@@ -14,7 +14,7 @@
 //! * pin offsets are relative to cell centres, as in the contest files.
 
 use std::fs;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 use crate::circuit::{Cell, CellId, CellKind, Circuit, Net, Pin, Placement};
@@ -29,7 +29,7 @@ use crate::geometry::{Point, Rect};
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_nodes<W: Write>(circuit: &Circuit, mut w: W) -> Result<()> {
+pub(crate) fn write_nodes<W: Write>(circuit: &Circuit, mut w: W) -> Result<()> {
     writeln!(w, "UCLA nodes 1.0")?;
     writeln!(w, "# generated by vlsi-netlist")?;
     writeln!(w)?;
@@ -50,7 +50,7 @@ pub fn write_nodes<W: Write>(circuit: &Circuit, mut w: W) -> Result<()> {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_nets<W: Write>(circuit: &Circuit, mut w: W) -> Result<()> {
+pub(crate) fn write_nets<W: Write>(circuit: &Circuit, mut w: W) -> Result<()> {
     writeln!(w, "UCLA nets 1.0")?;
     writeln!(w, "# generated by vlsi-netlist")?;
     writeln!(w)?;
@@ -71,7 +71,7 @@ pub fn write_nets<W: Write>(circuit: &Circuit, mut w: W) -> Result<()> {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_pl<W: Write>(circuit: &Circuit, placement: &Placement, mut w: W) -> Result<()> {
+pub(crate) fn write_pl<W: Write>(circuit: &Circuit, placement: &Placement, mut w: W) -> Result<()> {
     writeln!(w, "UCLA pl 1.0")?;
     let d = circuit.die;
     writeln!(w, "# Die : {} {} {} {}", d.lx, d.ly, d.ux, d.uy)?;
@@ -92,7 +92,7 @@ pub fn write_pl<W: Write>(circuit: &Circuit, placement: &Placement, mut w: W) ->
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_aux<W: Write>(design: &str, mut w: W) -> Result<()> {
+pub(crate) fn write_aux<W: Write>(design: &str, mut w: W) -> Result<()> {
     writeln!(w, "RowBasedPlacement : {design}.nodes {design}.nets {design}.pl")?;
     Ok(())
 }
@@ -417,23 +417,6 @@ pub fn read_design(dir: &Path, design: &str) -> Result<(Circuit, Placement)> {
     Ok((circuit, placement))
 }
 
-/// Convenience: serialise `circuit` + `placement` to strings
-/// `(nodes, nets, pl)` without touching the filesystem.
-///
-/// # Errors
-///
-/// Propagates formatting failures (practically infallible for `Vec<u8>`).
-pub fn to_strings(circuit: &Circuit, placement: &Placement) -> Result<(String, String, String)> {
-    let mut nodes = Vec::new();
-    let mut nets = Vec::new();
-    let mut pl = Vec::new();
-    write_nodes(circuit, &mut nodes)?;
-    write_nets(circuit, &mut nets)?;
-    write_pl(circuit, placement, &mut pl)?;
-    let s = |v: Vec<u8>| String::from_utf8(v).map_err(|e| io::Error::other(e.to_string()));
-    Ok((s(nodes)?, s(nets)?, s(pl)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,7 +427,10 @@ mod tests {
         let a = c.add_cell(Cell::movable("a", 1.0, 1.0));
         let b = c.add_cell(Cell::movable("b", 2.0, 1.0));
         let t = c.add_cell(Cell::terminal("pad0", 1.0, 1.0));
-        c.add_net(Net::new("n0", vec![Pin::at_center(a), Pin::with_offset(b, 0.5, -0.25)]));
+        c.add_net(Net::new(
+            "n0",
+            vec![Pin::at_center(a), Pin { cell: b, offset: Point::new(0.5, -0.25) }],
+        ));
         c.add_net(Net::new("n1", vec![Pin::at_center(b), Pin::at_center(t), Pin::at_center(a)]));
         let mut p = Placement::zeroed(3);
         p.set_position(a, Point::new(3.0, 4.0));
@@ -581,14 +567,5 @@ mod tests {
         let nets = read_nets(text.as_bytes(), &cells).unwrap();
         assert_eq!(nets[0].pins[0].offset, Point::default());
         assert_eq!(nets[0].pins[1].offset, Point::new(0.25, 0.5));
-    }
-
-    #[test]
-    fn to_strings_produces_all_three_files() {
-        let (c, p) = sample();
-        let (nodes, nets, pl) = to_strings(&c, &p).unwrap();
-        assert!(nodes.contains("NumNodes : 3"));
-        assert!(nets.contains("NetDegree : 3 n1"));
-        assert!(pl.contains("/FIXED"));
     }
 }

@@ -28,7 +28,7 @@ impl CellId {
 
 impl NetId {
     /// The raw index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -87,11 +87,6 @@ impl Pin {
     pub fn at_center(cell: CellId) -> Self {
         Self { cell, offset: Point::default() }
     }
-
-    /// Creates a pin with an offset from the cell centre.
-    pub fn with_offset(cell: CellId, dx: f32, dy: f32) -> Self {
-        Self { cell, offset: Point::new(dx, dy) }
-    }
 }
 
 /// A net: a set of pins to be connected by one routed wire.
@@ -149,7 +144,7 @@ impl Circuit {
         &self.cells
     }
 
-    /// All nets, indexable by [`NetId::index`].
+    /// All nets, indexable by `NetId::index`.
     pub fn nets(&self) -> &[Net] {
         &self.nets
     }
@@ -193,18 +188,8 @@ impl Circuit {
     }
 
     /// Total number of pins across all nets.
-    pub fn num_pins(&self) -> usize {
+    pub(crate) fn num_pins(&self) -> usize {
         self.nets.iter().map(Net::degree).sum()
-    }
-
-    /// Looks up a cell id by name (O(n); build a map for bulk lookups).
-    pub fn find_cell(&self, name: &str) -> Option<CellId> {
-        self.cells.iter().position(|c| c.name == name).map(|i| CellId(i as u32))
-    }
-
-    /// Builds a name → id map for all cells.
-    pub fn cell_name_map(&self) -> HashMap<&str, CellId> {
-        self.cells.iter().enumerate().map(|(i, c)| (c.name.as_str(), CellId(i as u32))).collect()
     }
 
     /// For each cell, the list of nets touching it.
@@ -271,12 +256,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Creates a placement from per-cell centre positions (indexed by
-    /// [`CellId::index`]).
-    pub fn new(positions: Vec<Point>) -> Self {
-        Self { positions }
-    }
-
     /// Creates an all-origin placement for `n` cells.
     pub fn zeroed(n: usize) -> Self {
         Self { positions: vec![Point::default(); n] }
@@ -346,7 +325,10 @@ mod tests {
         let b = c.add_cell(Cell::movable("b", 1.0, 1.0));
         let t = c.add_cell(Cell::terminal("t", 2.0, 2.0));
         c.add_net(Net::new("n1", vec![Pin::at_center(a), Pin::at_center(b)]));
-        c.add_net(Net::new("n2", vec![Pin::at_center(b), Pin::with_offset(t, 0.5, -0.5)]));
+        c.add_net(Net::new(
+            "n2",
+            vec![Pin::at_center(b), Pin { cell: t, offset: Point::new(0.5, -0.5) }],
+        ));
         let mut p = Placement::zeroed(3);
         p.set_position(a, Point::new(1.0, 1.0));
         p.set_position(b, Point::new(4.0, 5.0));
@@ -417,18 +399,14 @@ mod tests {
         // net touches cell a with two pins
         c.add_net(Net::new(
             "n",
-            vec![Pin::with_offset(a, 0.1, 0.0), Pin::with_offset(a, -0.1, 0.0), Pin::at_center(b)],
+            vec![
+                Pin { cell: a, offset: Point::new(0.1, 0.0) },
+                Pin { cell: a, offset: Point::new(-0.1, 0.0) },
+                Pin::at_center(b),
+            ],
         ));
         let map = c.cell_to_nets();
         assert_eq!(map[a.index()].len(), 1);
         assert_eq!(map[b.index()].len(), 1);
-    }
-
-    #[test]
-    fn find_cell_and_name_map_agree() {
-        let (c, _) = tiny();
-        let id = c.find_cell("b").unwrap();
-        assert_eq!(c.cell_name_map()["b"], id);
-        assert!(c.find_cell("zz").is_none());
     }
 }

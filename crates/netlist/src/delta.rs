@@ -72,7 +72,7 @@ impl PlacementDelta {
     }
 
     /// The distinct cells this delta moves, ascending.
-    pub fn moved_cells(&self) -> Vec<CellId> {
+    pub(crate) fn moved_cells(&self) -> Vec<CellId> {
         let mut cells: Vec<CellId> = self.moves.iter().map(|&(c, _)| c).collect();
         cells.sort_unstable();
         cells.dedup();

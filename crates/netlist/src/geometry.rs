@@ -18,18 +18,13 @@ impl Point {
     }
 
     /// Componentwise sum.
-    pub fn offset(self, dx: f32, dy: f32) -> Point {
+    pub(crate) fn offset(self, dx: f32, dy: f32) -> Point {
         Point::new(self.x + dx, self.y + dy)
     }
 
     /// Euclidean distance to `other`.
     pub fn distance(self, other: Point) -> f32 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-
-    /// Manhattan (rectilinear) distance to `other`, the wirelength metric.
-    pub fn manhattan(self, other: Point) -> f32 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 }
 
@@ -58,11 +53,11 @@ impl Rect {
     }
 
     /// The empty rectangle used as a bounding-box seed.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self { lx: f32::INFINITY, ly: f32::INFINITY, ux: f32::NEG_INFINITY, uy: f32::NEG_INFINITY }
     }
 
-    /// Whether this is the [`Rect::empty`] seed (no point absorbed yet).
+    /// Whether this is the `Rect::empty` seed (no point absorbed yet).
     pub fn is_empty(&self) -> bool {
         self.lx > self.ux || self.ly > self.uy
     }
@@ -88,7 +83,7 @@ impl Rect {
     }
 
     /// Grows the rectangle to include `p`.
-    pub fn absorb(&mut self, p: Point) {
+    pub(crate) fn absorb(&mut self, p: Point) {
         self.lx = self.lx.min(p.x);
         self.ly = self.ly.min(p.y);
         self.ux = self.ux.max(p.x);
@@ -101,7 +96,7 @@ impl Rect {
     }
 
     /// Whether two rectangles overlap (inclusive of shared edges).
-    pub fn intersects(&self, other: &Rect) -> bool {
+    pub(crate) fn intersects(&self, other: &Rect) -> bool {
         self.lx <= other.ux && other.lx <= self.ux && self.ly <= other.uy && other.ly <= self.uy
     }
 
@@ -143,7 +138,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
-        assert_eq!(a.manhattan(b), 7.0);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl GcellGrid {
         Self { die, nx, ny }
     }
 
-    /// The die outline.
-    pub fn die(&self) -> Rect {
-        self.die
-    }
-
     /// Number of columns.
     pub fn nx(&self) -> u32 {
         self.nx
@@ -187,7 +182,7 @@ mod tests {
         let r = g.gcell_rect(GcellCoord { gx: 1, gy: 1 });
         assert_eq!(r, Rect::new(2.0, 2.0, 4.0, 4.0));
         let total: f32 = (0..g.num_gcells()).map(|i| g.gcell_rect(g.coord(i)).area()).sum();
-        assert!((total - g.die().area()).abs() < 1e-4);
+        assert!((total - g.die.area()).abs() < 1e-4);
     }
 
     #[test]

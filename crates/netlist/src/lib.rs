@@ -39,10 +39,10 @@ pub mod synth;
 pub use circuit::{Cell, CellId, CellKind, Circuit, Net, NetId, Pin, Placement};
 pub use delta::{
     rebin_delta, rebin_delta_in_place, span_cells, DirtyReport, FilterCrossing, GcellSpan,
-    NetRebin, PinMove, PlacementDelta,
+    PlacementDelta,
 };
 pub use error::{NetlistError, Result};
 pub use geometry::{Point, Rect};
 pub use grid::{GcellCoord, GcellGrid};
-pub use stats::{netlist_stats, rent_exponent, NetlistStats};
+pub use stats::{netlist_stats, rent_exponent};
 pub use synth::{generate, superblue_suite, SynthCircuit, SynthConfig};

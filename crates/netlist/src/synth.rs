@@ -83,7 +83,7 @@ impl Default for SynthConfig {
 
 impl SynthConfig {
     /// The die implied by the grid configuration.
-    pub fn die(&self) -> Rect {
+    pub(crate) fn die(&self) -> Rect {
         Rect::new(
             0.0,
             0.0,
@@ -102,7 +102,7 @@ impl SynthConfig {
     /// # Errors
     ///
     /// Returns [`NetlistError::InvalidConfig`] when a knob is out of range.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.n_cells < 2 {
             return Err(NetlistError::InvalidConfig("n_cells must be >= 2".into()));
         }

@@ -1,5 +1,5 @@
-//! Image-style operators: conv2d (im2col), max-pooling, nearest upsampling
-//! and instance normalisation.
+//! Image-style operators: conv2d (im2col), max-pooling and nearest
+//! upsampling.
 //!
 //! Feature maps are stored as `(channels, height·width)` matrices — one
 //! sample at a time, which matches the paper's per-circuit training. All
@@ -29,7 +29,8 @@ pub struct Conv2dCfg {
 
 impl Conv2dCfg {
     /// A stride-1 "same" convolution for odd kernels (`padding = k/2`).
-    pub fn same(
+    #[cfg(test)]
+    fn same(
         in_channels: usize,
         out_channels: usize,
         height: usize,
@@ -50,7 +51,7 @@ impl Conv2dCfg {
     }
 
     /// Expected weight shape `(out_channels, in_channels·k·k)`.
-    pub fn weight_shape(&self) -> (usize, usize) {
+    pub(crate) fn weight_shape(&self) -> (usize, usize) {
         (self.out_channels, self.in_channels * self.kernel * self.kernel)
     }
 }
@@ -264,77 +265,6 @@ pub(crate) fn upsample_nearest2_backward(grad_out: &Matrix, h: usize, w: usize) 
     gx
 }
 
-const INSTANCE_NORM_EPS: f32 = 1e-5;
-
-/// Instance norm forward. Returns `(output, x̂, 1/σ per channel)`.
-///
-/// # Panics
-///
-/// Panics if `gamma`/`beta` are not `(C, 1)`.
-pub(crate) fn instance_norm_forward(
-    input: &Matrix,
-    gamma: &Matrix,
-    beta: &Matrix,
-) -> (Matrix, Matrix, Vec<f32>) {
-    let (c, n) = input.shape();
-    assert_eq!(gamma.shape(), (c, 1), "instance_norm gamma shape mismatch");
-    assert_eq!(beta.shape(), (c, 1), "instance_norm beta shape mismatch");
-    assert!(n > 0, "instance_norm over empty spatial dims");
-    let mut xhat = Matrix::zeros(c, n);
-    let mut out = Matrix::zeros(c, n);
-    let mut inv_std = vec![0.0f32; c];
-    for ch in 0..c {
-        let row = input.row(ch);
-        let mean = row.iter().sum::<f32>() / n as f32;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
-        let is = 1.0 / (var + INSTANCE_NORM_EPS).sqrt();
-        inv_std[ch] = is;
-        let (g, b) = (gamma[(ch, 0)], beta[(ch, 0)]);
-        for i in 0..n {
-            let xh = (row[i] - mean) * is;
-            xhat[(ch, i)] = xh;
-            out[(ch, i)] = g * xh + b;
-        }
-    }
-    (out, xhat, inv_std)
-}
-
-/// Instance norm backward. Returns `(d_input?, d_gamma, d_beta)`.
-pub(crate) fn instance_norm_backward(
-    grad_out: &Matrix,
-    xhat: &Matrix,
-    inv_std: &[f32],
-    gamma: &Matrix,
-    need_input: bool,
-) -> (Option<Matrix>, Matrix, Matrix) {
-    let (c, n) = grad_out.shape();
-    let mut d_gamma = Matrix::zeros(c, 1);
-    let mut d_beta = Matrix::zeros(c, 1);
-    for ch in 0..c {
-        let g = grad_out.row(ch);
-        let xh = xhat.row(ch);
-        d_gamma[(ch, 0)] = g.iter().zip(xh).map(|(&a, &b)| a * b).sum();
-        d_beta[(ch, 0)] = g.iter().sum();
-    }
-    let d_input = need_input.then(|| {
-        let mut gx = Matrix::zeros(c, n);
-        let nf = n as f32;
-        for ch in 0..c {
-            let g = grad_out.row(ch);
-            let xh = xhat.row(ch);
-            let gam = gamma[(ch, 0)];
-            let mean_dy: f32 = g.iter().sum::<f32>() / nf;
-            let mean_dy_xhat: f32 = g.iter().zip(xh).map(|(&a, &b)| a * b).sum::<f32>() / nf;
-            let row = gx.row_mut(ch);
-            for i in 0..n {
-                row[i] = gam * inv_std[ch] * (g[i] - mean_dy - xh[i] * mean_dy_xhat);
-            }
-        }
-        gx
-    });
-    (d_input, d_gamma, d_beta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,7 +358,7 @@ mod tests {
         };
         let x = Matrix::zeros(1, 4);
         let w = Matrix::zeros(2, 1);
-        let b = Matrix::col_vector(&[1.5, -2.5]);
+        let b = Matrix::from_rows(&[&[1.5], &[-2.5]]);
         let (y, _) = conv2d_forward(&x, &w, &b, cfg);
         assert_eq!(y.row(0), &[1.5; 4]);
         assert_eq!(y.row(1), &[-2.5; 4]);
@@ -438,7 +368,7 @@ mod tests {
     fn grad_conv2d_input() {
         let cfg = Conv2dCfg::same(1, 2, 3, 3, 3);
         let w = Matrix::from_vec(2, 9, (0..18).map(|i| (i as f32 - 9.0) * 0.1).collect()).unwrap();
-        let b = Matrix::col_vector(&[0.1, -0.1]);
+        let b = Matrix::from_rows(&[&[0.1], &[-0.1]]);
         let x0 = Matrix::from_vec(1, 9, (0..9).map(|i| i as f32 * 0.3 - 1.0).collect()).unwrap();
         check_grad(
             move |t, x| {
@@ -501,52 +431,5 @@ mod tests {
         let up = tape.upsample_nearest2(x, 2, 2); // 4x4
         let down = tape.max_pool2d(up, 4, 4); // back to 2x2
         assert!(tape.value(down).approx_eq(tape.value(x), 0.0));
-    }
-
-    #[test]
-    fn instance_norm_normalises_each_channel() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[10.0, 10.0, 10.0, 10.0]]);
-        let gamma = Matrix::col_vector(&[1.0, 1.0]);
-        let beta = Matrix::col_vector(&[0.0, 0.0]);
-        let (y, _, _) = instance_norm_forward(&x, &gamma, &beta);
-        let mean0: f32 = y.row(0).iter().sum::<f32>() / 4.0;
-        assert!(mean0.abs() < 1e-5);
-        // constant channel maps to 0
-        assert!(y.row(1).iter().all(|v| v.abs() < 1e-3));
-    }
-
-    #[test]
-    fn grad_instance_norm_input() {
-        let gamma = Matrix::col_vector(&[1.3]);
-        let beta = Matrix::col_vector(&[-0.2]);
-        let x0 = Matrix::from_rows(&[&[0.5, -1.0, 2.0, 0.1, 0.7, -0.3]]);
-        check_grad(
-            move |t, x| {
-                let g = t.leaf(gamma.clone());
-                let b = t.leaf(beta.clone());
-                let y = t.instance_norm(x, g, b);
-                let y2 = t.mul(y, y);
-                t.sum_all(y2)
-            },
-            &x0,
-            5e-2,
-        );
-    }
-
-    #[test]
-    fn grad_instance_norm_gamma_beta() {
-        let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0, 0.1]]);
-        let g0 = Matrix::col_vector(&[0.9]);
-        check_grad(
-            move |t, gv| {
-                let xv = t.leaf(x.clone());
-                let bv = t.leaf(Matrix::col_vector(&[0.3]));
-                let y = t.instance_norm(xv, gv, bv);
-                let y2 = t.mul(y, y);
-                t.sum_all(y2)
-            },
-            &g0,
-            5e-2,
-        );
     }
 }

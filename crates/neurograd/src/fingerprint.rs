@@ -7,7 +7,7 @@
 //! `std::hash::DefaultHasher` whose keys are randomised per process.
 //!
 //! Floats are hashed by a *canonicalised* IEEE-754 bit pattern
-//! ([`canonical_f32_bits`]): `-0.0` folds onto `+0.0` and every NaN folds
+//! (`canonical_f32_bits`): `-0.0` folds onto `+0.0` and every NaN folds
 //! onto the single quiet-NaN pattern. That makes the fingerprint a function
 //! of the tensor's *observable* value — two tensors that compare equal
 //! under `Matrix`/`CsrMatrix` `PartialEq` (where `-0.0 == 0.0`) always
@@ -53,7 +53,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 ///   unusable regardless of payload, so the fingerprint collapses them);
 /// * every other value → its exact [`f32::to_bits`] pattern.
 #[inline]
-pub fn canonical_f32_bits(v: f32) -> u32 {
+pub(crate) fn canonical_f32_bits(v: f32) -> u32 {
     if v.is_nan() {
         0x7fc0_0000
     } else if v == 0.0 {
@@ -107,12 +107,12 @@ impl Fnv64 {
 
     /// Absorbs one `f32` by its canonical bit pattern (see
     /// [`canonical_f32_bits`]: `-0.0` folds onto `+0.0`, NaNs collapse).
-    pub fn write_f32(&mut self, v: f32) {
+    pub(crate) fn write_f32(&mut self, v: f32) {
         self.write_u64(u64::from(canonical_f32_bits(v)));
     }
 
     /// Absorbs an `f32` slice by canonical bit pattern, one word per step.
-    pub fn write_f32s(&mut self, values: &[f32]) {
+    pub(crate) fn write_f32s(&mut self, values: &[f32]) {
         for &v in values {
             self.write_f32(v);
         }
@@ -150,7 +150,7 @@ impl Matrix {
 
 impl CsrMatrix {
     /// Hashes shape, sparsity pattern and values into `h`.
-    pub fn hash_into(&self, h: &mut Fnv64) {
+    pub(crate) fn hash_into(&self, h: &mut Fnv64) {
         h.write_usize(self.rows());
         h.write_usize(self.cols());
         h.write_usize(self.nnz());

@@ -40,7 +40,7 @@
 //! buffers holding stale data without a pre-zeroing pass.
 //!
 //! Small operands run serially: chunking only engages when a chunk gets at
-//! least [`MIN_CHUNK_FLOPS`] worth of work, so tiny matrices skip the
+//! least `MIN_CHUNK_FLOPS` worth of work, so tiny matrices skip the
 //! dispatch overhead entirely (with, by the contract above, no observable
 //! difference in results).
 
@@ -50,10 +50,10 @@ use crate::simd;
 use crate::sparse::CsrMatrix;
 
 /// Minimum per-chunk work (≈ multiply-adds) before a kernel parallelises.
-pub const MIN_CHUNK_FLOPS: usize = 16 * 1024;
+pub(crate) const MIN_CHUNK_FLOPS: usize = 16 * 1024;
 
 /// Minimum per-chunk element count for elementwise kernels.
-pub const MIN_CHUNK_ELEMS: usize = 4 * 1024;
+pub(crate) const MIN_CHUNK_ELEMS: usize = 4 * 1024;
 
 /// Raw mutable base pointer that may cross thread boundaries.
 ///
@@ -161,7 +161,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if `a.rows != b.rows` or `out` is missized.
-pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
+pub(crate) fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     let (rows, m) = a.shape();
     let n = b.cols();
     assert_eq!(
@@ -187,7 +187,7 @@ pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if `a.cols != b.cols` or `out` is missized.
-pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
+pub(crate) fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     let (m, k) = a.shape();
     let n = b.rows();
     assert_eq!(
@@ -391,7 +391,7 @@ pub fn zip_rows_into(
 /// # Panics
 ///
 /// Panics if lengths mismatch or a row index is out of bounds.
-pub fn zip_rows_inplace(
+pub(crate) fn zip_rows_inplace(
     a: &[f32],
     rows: Rows<'_>,
     row_len: usize,
@@ -450,7 +450,7 @@ pub fn map_rows_inplace(
 // ---- elementwise kernels ----
 
 /// `out[i] = f(src[i])`, chunk-partitioned. Lengths must match.
-pub fn map_into(src: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
+pub(crate) fn map_into(src: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
     assert_eq!(src.len(), out.len(), "map length mismatch");
     for_each_range(out, |start, chunk| {
         let end = start + chunk.len();
@@ -461,7 +461,7 @@ pub fn map_into(src: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
 }
 
 /// `data[i] = f(data[i])` in place, chunk-partitioned.
-pub fn map_inplace(data: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
+pub(crate) fn map_inplace(data: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
     for_each_range(data, |_, chunk| {
         for v in chunk {
             *v = f(*v);
@@ -470,7 +470,7 @@ pub fn map_inplace(data: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
 }
 
 /// `out[i] = f(a[i], b[i])`, chunk-partitioned. Lengths must match.
-pub fn zip_into(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32 + Sync) {
+pub(crate) fn zip_into(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32 + Sync) {
     assert_eq!(a.len(), out.len(), "zip length mismatch");
     assert_eq!(b.len(), out.len(), "zip length mismatch");
     for_each_range(out, |start, chunk| {

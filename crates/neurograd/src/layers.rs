@@ -31,7 +31,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation on the tape.
-    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
+    pub(crate) fn apply(self, tape: &mut Tape, x: Var) -> Var {
         match self {
             Activation::Identity => x,
             Activation::Relu => tape.relu(x),
@@ -44,7 +44,7 @@ impl Activation {
     /// Evaluates the activation on a scalar, using the *same* float
     /// expressions as the tape ops so tape-free forwards stay bitwise
     /// identical to taped ones.
-    pub fn eval(self, v: f32) -> f32 {
+    pub(crate) fn eval(self, v: f32) -> f32 {
         match self {
             Activation::Identity => v,
             Activation::Relu => v.max(0.0),
@@ -114,7 +114,7 @@ impl Linear {
     /// b)` for each, every other row of `out` untouched. Bitwise identical
     /// to the same rows of [`Linear::forward`] (the fused kernel preserves
     /// the per-element operation sequence: accumulate in `k` order, add
-    /// bias, apply the activation via [`Activation::eval`]).
+    /// bias, apply the activation via `Activation::eval`).
     ///
     /// # Panics
     ///
@@ -172,21 +172,6 @@ impl Mlp {
             layers.push(Linear::new(store, &format!("{name}.l{l}"), i, o, act, rng));
         }
         Self { layers }
-    }
-
-    /// Input dimension of the first layer.
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Output dimension of the last layer.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("depth > 0").out_dim()
-    }
-
-    /// Number of linear layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
     }
 
     /// Runs the MLP.
@@ -318,7 +303,7 @@ impl ResBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -340,9 +325,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mlp = Mlp::new(&mut store, "m", 6, 16, 2, 4, Activation::Identity, &mut rng);
-        assert_eq!(mlp.depth(), 4);
-        assert_eq!(mlp.in_dim(), 6);
-        assert_eq!(mlp.out_dim(), 2);
+        assert_eq!(store.len(), 8, "4 layers of weight + bias");
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::zeros(3, 6));
         let y = mlp.forward(&mut tape, &store, x);
@@ -380,7 +363,7 @@ mod tests {
         let mlp = Mlp::new(&mut store, "xor", 2, 12, 1, 3, Activation::Identity, &mut rng);
         let mut opt = Adam::new(0.02);
         let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
-        let y = Arc::new(Matrix::col_vector(&[0.0, 1.0, 1.0, 0.0]));
+        let y = Arc::new(Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]));
         let w = Arc::new(Matrix::full(4, 1, 1.0));
         let mut last = f32::INFINITY;
         for _ in 0..400 {

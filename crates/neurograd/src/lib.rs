@@ -13,18 +13,18 @@
 //! * [`Tape`] — tape-based reverse-mode autodiff with fused losses
 //!   (MSE, γ-weighted BCE-with-logits — Eq. 4/5 of the paper) and a
 //!   recycled buffer pool for allocation-free steady-state forwards,
-//! * image ops for the CNN baselines (conv2d / max-pool / upsample /
-//!   instance-norm) in [`conv`],
+//! * image ops for the CNN baselines (conv2d / max-pool / upsample) in
+//!   [`conv`],
 //! * [`layers`] — `Linear`, `Mlp`, `ResBlock` building blocks,
-//! * [`optim`] — `ParamStore`, `Sgd`, `Adam`,
+//! * [`optim`] — `ParamStore`, `Adam`,
 //! * [`metrics`] — confusion counts, F1, accuracy,
-//! * [`init`] — seeded Xavier/Kaiming initialisation.
+//! * [`init`] — seeded Kaiming/normal initialisation.
 //!
 //! # Example: one training step
 //!
 //! ```
 //! use std::sync::Arc;
-//! use neurograd::{Activation, Adam, Matrix, Mlp, Optimizer, ParamStore, Tape};
+//! use neurograd::{Activation, Adam, Matrix, Mlp, ParamStore, Tape};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -36,7 +36,7 @@
 //! let mut tape = Tape::new();
 //! let x = tape.leaf(Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]));
 //! let pred = model.forward(&mut tape, &store, x);
-//! let loss = tape.mse_loss(pred, Arc::new(Matrix::col_vector(&[1.0, 1.0])));
+//! let loss = tape.mse_loss(pred, Arc::new(Matrix::from_rows(&[&[1.0], &[1.0]])));
 //! tape.backward(loss);
 //! store.absorb_grads(&mut tape);
 //! opt.step(&mut store);
@@ -62,12 +62,11 @@ pub mod tape;
 
 pub use conv::Conv2dCfg;
 pub use error::{NeuroError, Result};
-pub use fingerprint::{canonical_f32_bits, Fnv64};
+pub use fingerprint::Fnv64;
 pub use layers::{Activation, Linear, Mlp, ResBlock};
 pub use matrix::Matrix;
 pub use metrics::{mean_std, Confusion};
-pub use optim::{Adam, Optimizer, Param, ParamStore, Sgd};
-pub use pool::ThreadPool;
+pub use optim::{Adam, ParamStore};
 pub use sparse::CsrMatrix;
 pub use tape::{stable_sigmoid, ParamId, Tape, Var};
 
@@ -83,8 +82,8 @@ const _: () = {
     assert_send_sync::<CsrMatrix>();
     assert_send_sync::<Tape>();
     assert_send_sync::<ParamStore>();
-    assert_send_sync::<Param>();
+    assert_send_sync::<optim::Param>();
     assert_send_sync::<Linear>();
     assert_send_sync::<ResBlock>();
-    assert_send_sync::<ThreadPool>();
+    assert_send_sync::<pool::ThreadPool>();
 };

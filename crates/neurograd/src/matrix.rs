@@ -25,7 +25,8 @@ use crate::kernels;
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// assert_eq!(m[(1, 0)], 3.0);
-/// assert_eq!(m.matmul(&Matrix::eye(2)), m);
+/// let id = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+/// assert_eq!(m.matmul(&id), m);
 /// ```
 #[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
@@ -43,15 +44,6 @@ impl Matrix {
     /// Creates a `rows × cols` matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
         Self { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from a row-major data vector.
@@ -86,18 +78,8 @@ impl Matrix {
         Self { rows: r, cols: c, data }
     }
 
-    /// Creates a single-row matrix from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self { rows: 1, cols: values.len(), data: values.to_vec() }
-    }
-
-    /// Creates a single-column matrix from a slice.
-    pub fn col_vector(values: &[f32]) -> Self {
-        Self { rows: values.len(), cols: 1, data: values.to_vec() }
-    }
-
     /// Creates a `1 × 1` matrix holding `value`.
-    pub fn scalar(value: f32) -> Self {
+    pub(crate) fn scalar(value: f32) -> Self {
         Self { rows: 1, cols: 1, data: vec![value] }
     }
 
@@ -236,7 +218,7 @@ impl Matrix {
     }
 
     /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
         kernels::map_inplace(&mut self.data, f);
     }
 
@@ -252,27 +234,13 @@ impl Matrix {
         out
     }
 
-    /// `self + rhs` elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        self.zip_map(rhs, |a, b| a + b)
-    }
-
     /// `self - rhs` elementwise.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
+    pub(crate) fn sub(&self, rhs: &Matrix) -> Matrix {
         self.zip_map(rhs, |a, b| a - b)
-    }
-
-    /// `self * s` elementwise.
-    pub fn scale(&self, s: f32) -> Matrix {
-        self.map(|x| x * s)
     }
 
     /// Accumulates `rhs * s` into `self` in place.
@@ -285,22 +253,6 @@ impl Matrix {
         for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b * s;
         }
-    }
-
-    /// Adds a `1 × cols` row vector to every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 × cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.shape(), (1, self.cols), "row broadcast shape mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(bias.as_slice()) {
-                *o += b;
-            }
-        }
-        out
     }
 
     /// Concatenates columns: `[self | rhs]`.
@@ -372,16 +324,6 @@ impl Matrix {
         }
     }
 
-    /// Maximum absolute element (0 for an empty matrix).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Returns `true` if every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -451,8 +393,9 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matmul(&Matrix::eye(2)), a);
-        assert_eq!(Matrix::eye(2).matmul(&a), a);
+        let id = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        assert_eq!(a.matmul(&id), a);
+        assert_eq!(id.matmul(&a), a);
     }
 
     #[test]
@@ -481,16 +424,6 @@ mod tests {
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn row_broadcast_adds_bias_to_each_row() {
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::row_vector(&[1.0, -1.0]);
-        let c = a.add_row_broadcast(&b);
-        for r in 0..3 {
-            assert_eq!(c.row(r), &[1.0, -1.0]);
-        }
     }
 
     #[test]
@@ -524,8 +457,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, -4.0]]);
         assert_eq!(a.sum(), -2.0);
         assert_eq!(a.mean(), -0.5);
-        assert_eq!(a.max_abs(), 4.0);
-        assert!((a.frobenius_norm() - 30.0_f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]
@@ -566,13 +497,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zip_map shape mismatch")]
     fn elementwise_add_rejects_shape_mismatch() {
-        let _ = Matrix::zeros(2, 2).add(&Matrix::zeros(2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "row broadcast shape mismatch")]
-    fn add_row_broadcast_rejects_wrong_bias_shape() {
-        let _ = Matrix::zeros(2, 3).add_row_broadcast(&Matrix::zeros(1, 2));
+        let _ = Matrix::zeros(2, 2).zip_map(&Matrix::zeros(2, 3), |a, b| a + b);
     }
 
     #[test]

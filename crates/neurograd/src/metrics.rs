@@ -50,7 +50,7 @@ impl Confusion {
     }
 
     /// Total number of counted samples.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.tp + self.fp + self.tn + self.fn_
     }
 

@@ -1,4 +1,4 @@
-//! Persistent parameter storage and optimisers (SGD, Adam).
+//! Persistent parameter storage and the Adam optimiser.
 //!
 //! Parameters live in a [`ParamStore`] that outlives the per-step
 //! [`crate::tape::Tape`]. Each training step:
@@ -6,7 +6,7 @@
 //! 1. build a fresh tape, inserting parameters with [`ParamStore::var`],
 //! 2. compute the loss and call [`Tape::backward`](crate::tape::Tape::backward),
 //! 3. route gradients back with [`ParamStore::absorb_grads`],
-//! 4. call [`Optimizer::step`] and then [`ParamStore::zero_grad`].
+//! 4. call [`Adam::step`] and then [`ParamStore::zero_grad`].
 
 use crate::matrix::Matrix;
 use crate::tape::{ParamId, Tape, Var};
@@ -158,107 +158,46 @@ impl ParamStore {
     }
 }
 
-/// A gradient-descent update rule over a [`ParamStore`].
-pub trait Optimizer: std::fmt::Debug {
-    /// Applies one update using the gradients currently in the store.
-    fn step(&mut self, store: &mut ParamStore);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient in `[0, 1)`; 0 disables momentum.
-    pub momentum: f32,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0 }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        for p in &mut store.params {
-            if self.momentum > 0.0 {
-                // reuse Adam's m buffer as the momentum buffer
-                let momentum = self.momentum;
-                p.m.map_inplace(|m| m * momentum);
-                p.m.add_scaled_inplace(&p.grad, 1.0);
-                p.value.add_scaled_inplace(&p.m, -self.lr);
-            } else {
-                p.value.add_scaled_inplace(&p.grad, -self.lr);
-            }
-        }
-    }
-}
+/// Adam's first-moment decay.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay.
+const BETA2: f32 = 0.999;
+/// Adam's numerical stabiliser.
+const EPS: f32 = 1e-8;
 
 /// Adam optimiser (Kingma & Ba), the optimiser used by the paper.
 #[derive(Debug, Clone)]
 pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical stabiliser.
-    pub eps: f32,
-    /// Decoupled weight decay (0 disables).
-    pub weight_decay: f32,
+    lr: f32,
     t: u64,
 }
 
 impl Adam {
     /// Adam with standard betas (0.9, 0.999).
     pub fn new(lr: f32) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, t: 0 }
-    }
-
-    /// Adam with decoupled weight decay (AdamW-style).
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        Self { weight_decay, ..Self::new(lr) }
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
+        Self { lr, t: 0 }
     }
 
     /// Sets a new learning rate (for schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Applies one update using the gradients currently in the store.
+    pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for p in &mut store.params {
-            if self.weight_decay > 0.0 {
-                let wd = self.weight_decay * self.lr;
-                let value = p.value.clone();
-                p.value.add_scaled_inplace(&value, -wd);
-            }
             for i in 0..p.value.len() {
                 let g = p.grad.as_slice()[i];
-                let m = self.beta1 * p.m.as_slice()[i] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * p.v.as_slice()[i] + (1.0 - self.beta2) * g * g;
+                let m = BETA1 * p.m.as_slice()[i] + (1.0 - BETA1) * g;
+                let v = BETA2 * p.v.as_slice()[i] + (1.0 - BETA2) * g * g;
                 p.m.as_mut_slice()[i] = m;
                 p.v.as_mut_slice()[i] = v;
                 let m_hat = m / b1t;
                 let v_hat = v / b2t;
-                p.value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                p.value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }
@@ -270,7 +209,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Minimises f(w) = (w - 3)² and checks convergence to 3.
-    fn optimise_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn optimise_quadratic(opt: &mut Adam, steps: usize) -> f32 {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::scalar(0.0));
         for _ in 0..steps {
@@ -286,20 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = optimise_quadratic(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let w = optimise_quadratic(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         let w = optimise_quadratic(&mut opt, 400);
@@ -311,20 +236,10 @@ mod tests {
         let mut opt = Adam::new(0.01);
         let mut store = ParamStore::new();
         store.register("w", Matrix::scalar(1.0));
-        assert_eq!(opt.steps(), 0);
+        assert_eq!(opt.t, 0);
         opt.step(&mut store);
         opt.step(&mut store);
-        assert_eq!(opt.steps(), 2);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Matrix::scalar(1.0));
-        let mut opt = Adam::with_weight_decay(0.1, 0.5);
-        // zero gradient: only decay applies
-        opt.step(&mut store);
-        assert!(store.param(w).value.item() < 1.0);
+        assert_eq!(opt.t, 2);
     }
 
     #[test]

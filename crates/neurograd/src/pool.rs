@@ -14,7 +14,7 @@
 //!   bitwise identical at any thread count (see the `parallel_kernels`
 //!   property tests).
 //! * **Nested calls run inline** — a task that itself calls
-//!   [`ThreadPool::run`] executes serially on its worker. This keeps the
+//!   `ThreadPool::run` executes serially on its worker. This keeps the
 //!   data-parallel trainer (one shard per worker, serial kernels inside)
 //!   and the serving engine (one request per worker) free of deadlocks and
 //!   oversubscription by construction.
@@ -113,7 +113,7 @@ impl std::fmt::Debug for ThreadPool {
 impl ThreadPool {
     /// Creates a pool of `threads` compute lanes (the calling thread plus
     /// `threads - 1` workers). `threads` is clamped to at least 1.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let inner = Arc::new(Inner {
             queue: Mutex::new((VecDeque::new(), false)),
@@ -132,7 +132,7 @@ impl ThreadPool {
     }
 
     /// Number of compute lanes (including the calling thread).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -148,7 +148,7 @@ impl ThreadPool {
     /// # Panics
     ///
     /// Propagates (as a fresh panic) if any chunk panicked.
-    pub fn run(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) {
         if chunks == 0 {
             return;
         }

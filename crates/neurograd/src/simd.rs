@@ -4,7 +4,7 @@
 //! row-level entry points of [`LaneEngine`], which come in two kinds:
 //!
 //! - **Accumulating rows** ([`LaneEngine::gemm_row`],
-//!   [`LaneEngine::gemm_row_strided`], [`LaneEngine::spmm_row`]) — `out[j]
+//!   `LaneEngine::gemm_row_strided`, [`LaneEngine::spmm_row`]) — `out[j]
 //!   = Σ_t c_t · s_t[j]`. All three run one register-blocked loop: the
 //!   row is walked in `4 × LANES`-column blocks whose accumulators stay in
 //!   registers across the whole reduction and are stored once. The loop
@@ -12,10 +12,10 @@
 //!   only ever touches element j and sees `0.0 + c₀·s₀ + c₁·s₁ + …` in
 //!   term order. The vector, portable and scalar paths therefore produce
 //!   the *same float per element* by construction.
-//! - [`LaneEngine::dot`] (and [`LaneEngine::dot_row`]) — a lane-parallel
-//!   dot product with a **fixed reduction shape**: [`LANES`] independent
+//! - [`LaneEngine::dot`] (and `LaneEngine::dot_row`) — a lane-parallel
+//!   dot product with a **fixed reduction shape**: `LANES` independent
 //!   accumulators walk the inputs in `LANES`-wide chunks, are combined by
-//!   the fixed pairwise tree in [`reduce_tree`], and the `len % LANES`
+//!   the fixed pairwise tree in `reduce_tree`, and the `len % LANES`
 //!   remainder is then added one element at a time in index order. The
 //!   scalar path ([`LaneEngine::Scalar`]) *emulates that exact sequence*
 //!   rather than summing left-to-right, so `dot` is bitwise identical
@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Lane count of the portable chunk loops (f32 × 8 = 256 bits, one AVX2
 /// register). Fixed — results are defined in terms of this width, so it
 /// never varies with the host ISA.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -58,7 +58,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether the lane engines are enabled (default: yes).
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -118,7 +118,7 @@ pub fn isa_report() -> String {
 /// 8→4→2→1 halving produces. Every engine funnels its accumulators
 /// through this exact tree.
 #[inline(always)]
-pub fn reduce_tree(acc: [f32; LANES]) -> f32 {
+pub(crate) fn reduce_tree(acc: [f32; LANES]) -> f32 {
     let s = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
     let t = [s[0] + s[2], s[1] + s[3]];
     t[0] + t[1]
@@ -381,7 +381,7 @@ impl LaneEngine {
     /// [`LaneEngine::gemm_row`] with the coefficients read at stride
     /// `stride` from `a` (one column of a row-major matrix).
     #[inline]
-    pub fn gemm_row_strided(self, out: &mut [f32], a: &[f32], stride: usize, b: &[f32]) {
+    pub(crate) fn gemm_row_strided(self, out: &mut [f32], a: &[f32], stride: usize, b: &[f32]) {
         match self {
             LaneEngine::Avx2 => {
                 avx2_call!(gemm_row_strided(out, a, stride, b), gemm_row_strided_lanes)
@@ -395,7 +395,7 @@ impl LaneEngine {
     /// (rows of `b` are `a_row.len()` wide) — an [`LaneEngine::dot`] per
     /// element, fused behind one ISA boundary.
     #[inline]
-    pub fn dot_row(self, out: &mut [f32], a_row: &[f32], b: &[f32]) {
+    pub(crate) fn dot_row(self, out: &mut [f32], a_row: &[f32], b: &[f32]) {
         match self {
             LaneEngine::Avx2 => avx2_call!(dot_row(out, a_row, b), dot_row_lanes),
             LaneEngine::Portable => dot_row_lanes(out, a_row, b),

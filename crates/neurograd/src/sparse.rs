@@ -8,7 +8,6 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::error::{NeuroError, Result};
 use crate::kernels;
 use crate::matrix::Matrix;
 
@@ -110,48 +109,6 @@ impl CsrMatrix {
             transpose_cache: OnceLock::new(),
             fingerprint_cache: OnceLock::new(),
         }
-    }
-
-    /// Builds a CSR matrix directly from raw CSR arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if array lengths are inconsistent, `indptr` is not
-    /// monotone, or a column index is out of bounds.
-    pub fn from_raw(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<usize>,
-        values: Vec<f32>,
-    ) -> Result<Self> {
-        if indptr.len() != rows + 1 || indices.len() != values.len() {
-            return Err(NeuroError::InvalidConfig(format!(
-                "inconsistent csr arrays: indptr {} (want {}), indices {}, values {}",
-                indptr.len(),
-                rows + 1,
-                indices.len(),
-                values.len()
-            )));
-        }
-        if *indptr.first().unwrap_or(&0) != 0 || *indptr.last().unwrap_or(&0) != indices.len() {
-            return Err(NeuroError::InvalidConfig("csr indptr endpoints invalid".into()));
-        }
-        if indptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(NeuroError::InvalidConfig("csr indptr not monotone".into()));
-        }
-        if indices.iter().any(|&c| c >= cols) {
-            return Err(NeuroError::InvalidConfig("csr column index out of bounds".into()));
-        }
-        Ok(Self {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-            transpose_cache: OnceLock::new(),
-            fingerprint_cache: OnceLock::new(),
-        })
     }
 
     /// Number of rows.
@@ -359,30 +316,6 @@ impl CsrMatrix {
         m
     }
 
-    /// Keeps only the entries in rows listed in `keep` (a boolean mask per
-    /// row), dropping all entries of the other rows. Shape is preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len() != rows`.
-    pub fn mask_rows(&self, keep: &[bool]) -> CsrMatrix {
-        assert_eq!(keep.len(), self.rows, "mask_rows length mismatch");
-        let triplets: Vec<(usize, usize, f32)> = self.iter().filter(|&(r, _, _)| keep[r]).collect();
-        CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
-    }
-
-    /// Keeps only the entries whose column is listed in `keep` (a boolean
-    /// mask per column), dropping the rest. Shape is preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len() != cols`.
-    pub fn mask_cols(&self, keep: &[bool]) -> CsrMatrix {
-        assert_eq!(keep.len(), self.cols, "mask_cols length mismatch");
-        let triplets: Vec<(usize, usize, f32)> = self.iter().filter(|&(_, c, _)| keep[c]).collect();
-        CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
-    }
-
     /// An empty (all-zero) sparse matrix of the given shape.
     pub fn empty(rows: usize, cols: usize) -> CsrMatrix {
         CsrMatrix {
@@ -587,7 +520,8 @@ impl CsrMatrix {
     }
 
     /// Whether the content digest has been computed (diagnostics).
-    pub fn fingerprint_cache_warm(&self) -> bool {
+    #[cfg(test)]
+    fn fingerprint_cache_warm(&self) -> bool {
         self.fingerprint_cache.get().is_some()
     }
 }
@@ -703,33 +637,6 @@ mod tests {
         let s = example();
         assert_eq!(s.row_sums(), vec![3.0, 3.0, 0.0]);
         assert_eq!(s.col_sums(), vec![1.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn mask_rows_drops_entries_but_keeps_shape() {
-        let s = example().mask_rows(&[false, true, true]);
-        assert_eq!(s.shape(), (3, 3));
-        assert_eq!(s.nnz(), 1);
-        assert_eq!(s.to_dense()[(1, 1)], 3.0);
-    }
-
-    #[test]
-    fn mask_cols_drops_entries_but_keeps_shape() {
-        let s = example().mask_cols(&[true, false, false]);
-        assert_eq!(s.shape(), (3, 3));
-        assert_eq!(s.nnz(), 1);
-        assert_eq!(s.to_dense()[(0, 0)], 1.0);
-    }
-
-    #[test]
-    fn from_raw_validates() {
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 1.0]).is_ok());
-        // wrong indptr length
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).is_err());
-        // non-monotone indptr
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
-        // col out of bounds
-        assert!(CsrMatrix::from_raw(1, 1, vec![0, 1], vec![3], vec![1.0]).is_err());
     }
 
     #[test]

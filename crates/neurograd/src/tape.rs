@@ -39,24 +39,15 @@ pub struct Var(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
-impl ParamId {
-    /// The raw index of this parameter.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// The recorded operation that produced a node.
 #[derive(Debug)]
 pub(crate) enum Op {
     Leaf,
     Add(usize, usize),
-    Sub(usize, usize),
     Mul(usize, usize),
     MatMul(usize, usize),
     AddBias(usize, usize),
     Scale(usize, f32),
-    AddScalar(usize, #[allow(dead_code)] f32),
     Relu(usize),
     LeakyRelu(usize, f32),
     Sigmoid(usize),
@@ -64,10 +55,8 @@ pub(crate) enum Op {
     ConcatCols(usize, usize),
     ConcatRows(usize, usize),
     Transpose(usize),
-    SliceCols(usize, usize, usize),
     GatherRows(usize, Arc<Vec<usize>>),
     Spmm(Arc<CsrMatrix>, usize),
-    SpmmT(Arc<CsrMatrix>, usize),
     SumAll(usize),
     MeanAll(usize),
     MseLoss { pred: usize, target: Arc<Matrix> },
@@ -75,7 +64,6 @@ pub(crate) enum Op {
     Conv2d { input: usize, weight: usize, bias: usize, cfg: Conv2dCfg, cols: Matrix },
     MaxPool2d { input: usize, argmax: Vec<usize>, in_cols: usize },
     UpsampleNearest2 { input: usize, h: usize, w: usize },
-    InstanceNorm { input: usize, gamma: usize, beta: usize, xhat: Matrix, inv_std: Vec<f32> },
 }
 
 pub(crate) struct Node {
@@ -166,12 +154,6 @@ impl Tape {
         Self { nodes: Vec::new(), free: Vec::new() }
     }
 
-    /// Creates an empty tape with room for `nodes` recorded operations and
-    /// their value/gradient buffers (two recycled buffers per node).
-    pub fn with_capacity(nodes: usize) -> Self {
-        Self { nodes: Vec::with_capacity(nodes), free: Vec::with_capacity(2 * nodes) }
-    }
-
     /// Clears all recorded nodes while keeping the tape's allocations.
     ///
     /// This is the scratch-buffer entry point for inference servers and the
@@ -191,18 +173,9 @@ impl Tape {
     }
 
     /// Number of recycled buffers currently pooled (diagnostics).
-    pub fn pooled_buffers(&self) -> usize {
+    #[cfg(test)]
+    fn pooled_buffers(&self) -> usize {
         self.free.len()
-    }
-
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tape has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The value of a node.
@@ -248,7 +221,7 @@ impl Tape {
     /// Used by [`ParamStore::var`](crate::optim::ParamStore::var); after
     /// [`Tape::backward`], [`Tape::take_param_grads`] routes this
     /// leaf's gradient back to the store.
-    pub fn param_leaf(&mut self, id: ParamId, value: Matrix) -> Var {
+    pub(crate) fn param_leaf(&mut self, id: ParamId, value: Matrix) -> Var {
         let v = self.push(value, Op::Leaf, true);
         self.nodes[v.0].param = Some(id);
         v
@@ -304,15 +277,6 @@ impl Tape {
         self.zip_op(a, b, Op::Add(a.0, b.0), |x, y| x + y)
     }
 
-    /// Elementwise difference `a - b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.zip_op(a, b, Op::Sub(a.0, b.0), |x, y| x - y)
-    }
-
     /// Elementwise (Hadamard) product `a ⊙ b`.
     ///
     /// # Panics
@@ -341,7 +305,7 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if `bias` is not `1 × cols(x)`.
-    pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
+    pub(crate) fn add_bias(&mut self, x: Var, bias: Var) -> Var {
         let (rows, cols) = self.shape(x);
         assert_eq!(self.shape(bias), (1, cols), "row broadcast shape mismatch");
         let value = self.pooled_value(rows, cols, |t, buf| {
@@ -358,7 +322,7 @@ impl Tape {
     }
 
     /// Fully-connected layer `x · w + bias`.
-    pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
+    pub(crate) fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
         let y = self.matmul(x, w);
         self.add_bias(y, bias)
     }
@@ -366,11 +330,6 @@ impl Tape {
     /// Scalar multiple `x * s`.
     pub fn scale(&mut self, x: Var, s: f32) -> Var {
         self.map_op(x, Op::Scale(x.0, s), move |v| v * s)
-    }
-
-    /// Scalar offset `x + s` elementwise.
-    pub fn add_scalar(&mut self, x: Var, s: f32) -> Var {
-        self.map_op(x, Op::AddScalar(x.0, s), move |v| v + s)
     }
 
     /// Rectified linear unit.
@@ -445,24 +404,6 @@ impl Tape {
         self.push(value, Op::Transpose(x.0), rg)
     }
 
-    /// Selects columns `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
-        let (rows, cols) = self.shape(x);
-        assert!(start <= end && end <= cols, "slice_cols out of bounds");
-        let value = self.pooled_value(rows, end - start, |t, buf| {
-            let v = t.value(x);
-            for (r, row) in buf.chunks_mut((end - start).max(1)).enumerate().take(rows) {
-                row.copy_from_slice(&v.row(r)[start..end]);
-            }
-        });
-        let rg = self.rg(x.0);
-        self.push(value, Op::SliceCols(x.0, start, end), rg)
-    }
-
     /// Gathers rows of `x` by index (rows may repeat).
     ///
     /// # Panics
@@ -493,23 +434,6 @@ impl Tape {
         });
         let rg = self.rg(x.0);
         self.push(value, Op::Spmm(s, x.0), rg)
-    }
-
-    /// Transposed sparse aggregation `Sᵀ · x` (runs on the cached explicit
-    /// transpose — see [`CsrMatrix::transpose_cached`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `S.rows != rows(x)`.
-    pub fn spmm_t(&mut self, s: Arc<CsrMatrix>, x: Var) -> Var {
-        assert_eq!(s.rows(), self.shape(x).0, "spmm_t shape mismatch on tape");
-        let (rows, cols) = (s.cols(), self.shape(x).1);
-        let st = Arc::clone(s.transpose_cached());
-        let value = self.pooled_value(rows, cols, |t, buf| {
-            kernels::spmm_into(&st, t.value(x), buf);
-        });
-        let rg = self.rg(x.0);
-        self.push(value, Op::SpmmT(s, x.0), rg)
     }
 
     /// Sum of all elements (`1 × 1` result).
@@ -619,23 +543,6 @@ impl Tape {
         self.push(value, Op::UpsampleNearest2 { input: input.0, h, w }, rg)
     }
 
-    /// Instance normalisation over a `(C, H·W)` feature map with learnable
-    /// per-channel `gamma`/`beta` of shape `(C, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are inconsistent.
-    pub fn instance_norm(&mut self, input: Var, gamma: Var, beta: Var) -> Var {
-        let (value, xhat, inv_std) =
-            conv::instance_norm_forward(self.value(input), self.value(gamma), self.value(beta));
-        let rg = self.rg(input.0) || self.rg(gamma.0) || self.rg(beta.0);
-        self.push(
-            value,
-            Op::InstanceNorm { input: input.0, gamma: gamma.0, beta: beta.0, xhat, inv_std },
-            rg,
-        )
-    }
-
     // ---- backward ----
 
     /// Runs reverse-mode differentiation from scalar node `loss`.
@@ -685,13 +592,6 @@ impl Tape {
                 self.add_grad(*a, ga);
                 self.add_grad(*b, grad);
             }
-            Op::Sub(a, b) => {
-                let gb = pooled_with(&mut self.free, grad.rows(), grad.cols(), |buf| {
-                    kernels::map_into(grad.as_slice(), buf, |g| -g);
-                });
-                self.add_grad(*a, grad);
-                self.add_grad(*b, gb);
-            }
             Op::Mul(a, b) => {
                 let ga = pooled_zip(&mut self.free, &grad, &self.nodes[*b].value, |g, v| g * v);
                 let gb = pooled_zip(&mut self.free, &grad, &self.nodes[*a].value, |g, v| g * v);
@@ -733,7 +633,6 @@ impl Tape {
                 });
                 self.add_grad(*x, gx);
             }
-            Op::AddScalar(x, _) => self.add_grad(*x, grad),
             Op::Relu(x) => {
                 let gx = pooled_zip(&mut self.free, &grad, &self.nodes[*x].value, |g, v| {
                     if v > 0.0 {
@@ -787,14 +686,6 @@ impl Tape {
             Op::Transpose(x) => {
                 self.add_grad(*x, grad.transpose());
             }
-            Op::SliceCols(x, start, end) => {
-                let (rows, cols) = self.nodes[*x].value.shape();
-                let mut gx = Matrix::zeros(rows, cols);
-                for r in 0..rows {
-                    gx.row_mut(r)[*start..*end].copy_from_slice(grad.row(r));
-                }
-                self.add_grad(*x, gx);
-            }
             Op::GatherRows(x, idx) => {
                 let (rows, cols) = self.nodes[*x].value.shape();
                 let mut gx = Matrix::zeros(rows, cols);
@@ -811,13 +702,6 @@ impl Tape {
                 let st = Arc::clone(s.transpose_cached());
                 let gx = pooled_with(&mut self.free, st.rows(), grad.cols(), |buf| {
                     kernels::spmm_into(&st, &grad, buf);
-                });
-                self.add_grad(*x, gx);
-            }
-            Op::SpmmT(s, x) => {
-                // y = Sᵀ x  =>  dx = S dy
-                let gx = pooled_with(&mut self.free, s.rows(), grad.cols(), |buf| {
-                    kernels::spmm_into(s, &grad, buf);
                 });
                 self.add_grad(*x, gx);
             }
@@ -881,24 +765,6 @@ impl Tape {
             Op::UpsampleNearest2 { input, h, w } => {
                 let gx = conv::upsample_nearest2_backward(&grad, *h, *w);
                 self.add_grad(*input, gx);
-            }
-            Op::InstanceNorm { input, gamma, beta, xhat, inv_std } => {
-                let (gi, gg, gb) = conv::instance_norm_backward(
-                    &grad,
-                    xhat,
-                    inv_std,
-                    &self.nodes[*gamma].value,
-                    self.rg(*input),
-                );
-                if let Some(gi) = gi {
-                    self.add_grad(*input, gi);
-                }
-                if self.rg(*gamma) {
-                    self.add_grad(*gamma, gg);
-                }
-                if self.rg(*beta) {
-                    self.add_grad(*beta, gb);
-                }
             }
         }
         self.nodes[i].op = op;
@@ -1038,9 +904,11 @@ mod tests {
         check_grad(
             |t, x| {
                 let a = t.scale(x, 3.0);
-                let b = t.add_scalar(x, 1.0);
+                let one = t.leaf(Matrix::full(2, 3, 1.0));
+                let b = t.add(x, one);
                 let c = t.mul(a, b);
-                let d = t.sub(c, x);
+                let neg = t.scale(x, -1.0);
+                let d = t.add(c, neg);
                 t.mean_all(d)
             },
             &test_input(),
@@ -1052,7 +920,7 @@ mod tests {
     fn grad_add_bias_routes_to_both() {
         let mut tape = Tape::new();
         let x = tape.leaf_grad(Matrix::zeros(3, 2));
-        let b = tape.leaf_grad(Matrix::row_vector(&[1.0, 2.0]));
+        let b = tape.leaf_grad(Matrix::from_rows(&[&[1.0, 2.0]]));
         let y = tape.add_bias(x, b);
         let loss = tape.sum_all(y);
         tape.backward(loss);
@@ -1061,12 +929,11 @@ mod tests {
     }
 
     #[test]
-    fn grad_concat_and_slice() {
+    fn grad_concat_cols() {
         check_grad(
             |t, x| {
                 let y = t.concat_cols(x, x);
-                let z = t.slice_cols(y, 1, 4);
-                let z2 = t.mul(z, z);
+                let z2 = t.mul(y, y);
                 t.sum_all(z2)
             },
             &test_input(),
@@ -1136,11 +1003,14 @@ mod tests {
 
     #[test]
     fn grad_spmm_t_matches_finite_diff() {
-        let s = Arc::new(CsrMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (1, 0, 1.0), (2, 1, 0.7)]));
+        // Aggregating by Sᵀ, the operator's cached transpose, as the
+        // G-cell → G-net message passing does.
+        let s = CsrMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (1, 0, 1.0), (2, 1, 0.7)]);
+        let st = Arc::clone(s.transpose_cached());
         let x0 = Matrix::from_rows(&[&[1.0, 2.0], &[0.5, -0.5], &[1.5, 0.1]]);
         check_grad(
             move |t, x| {
-                let y = t.spmm_t(Arc::clone(&s), x);
+                let y = t.spmm(Arc::clone(&st), x);
                 let y2 = t.mul(y, y);
                 t.sum_all(y2)
             },
@@ -1257,7 +1127,7 @@ mod tests {
 
     #[test]
     fn clear_recycles_value_and_grad_buffers() {
-        let mut tape = Tape::with_capacity(8);
+        let mut tape = Tape::new();
         let run = |tape: &mut Tape| {
             let x = tape.leaf_grad(Matrix::full(4, 4, 1.0));
             let y = tape.relu(x);

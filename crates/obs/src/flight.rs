@@ -132,7 +132,7 @@ impl FlightRecorder {
     /// Whether events are currently kept. Call sites formatting an
     /// expensive detail string may check this first.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -164,7 +164,7 @@ impl FlightRecorder {
     }
 
     /// Total events ever recorded (including ones the ring dropped).
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).seq
     }
 }

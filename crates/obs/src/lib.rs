@@ -37,11 +37,9 @@ pub mod expo;
 pub mod flight;
 pub mod metrics;
 
-pub use expo::{parse_prometheus, ParsedSeries};
+pub use expo::parse_prometheus;
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
-pub use metrics::{
-    Counter, Histogram, HistogramSnapshot, Registry, SeriesSnapshot, SeriesValue, Snapshot,
-};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, Snapshot};
 
 /// Canonical stage names of one served predict, in hot-path order.
 ///

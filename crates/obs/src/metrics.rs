@@ -29,7 +29,7 @@ const EXACT: u64 = 16;
 
 /// Number of histogram buckets: 16 exact ones, then 8 per octave
 /// `[2^e, 2^(e+1))` for `e` in `4..64`, which covers every `u64`.
-pub const BUCKETS: usize = EXACT as usize + 60 * 8;
+pub(crate) const BUCKETS: usize = EXACT as usize + 60 * 8;
 
 #[inline]
 fn bucket_of(v: u64) -> usize {
@@ -351,7 +351,7 @@ pub struct SeriesSnapshot {
 
 impl SeriesSnapshot {
     /// The canonical `name{k="v"}` key.
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         let labels: Vec<(&str, &str)> =
             self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
         series_key(&self.name, &labels)
@@ -375,7 +375,7 @@ pub struct HistogramSnapshot {
     /// Sum of observed values (exact; the mean is `sum / count`).
     pub sum: u64,
     /// Per-bucket observation counts in the log-linear layout of
-    /// [`BUCKETS`] (empty for an empty default).
+    /// `BUCKETS` (empty for an empty default).
     pub buckets: Vec<u64>,
 }
 

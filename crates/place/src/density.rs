@@ -16,7 +16,7 @@ pub struct DensityMap {
 
 impl DensityMap {
     /// Creates a zero map with the grid's dimensions.
-    pub fn zeros(grid: &GcellGrid) -> Self {
+    pub(crate) fn zeros(grid: &GcellGrid) -> Self {
         Self {
             nx: grid.nx() as usize,
             ny: grid.ny() as usize,
@@ -25,23 +25,13 @@ impl DensityMap {
     }
 
     /// Grid columns.
-    pub fn nx(&self) -> usize {
+    pub(crate) fn nx(&self) -> usize {
         self.nx
     }
 
     /// Grid rows.
-    pub fn ny(&self) -> usize {
+    pub(crate) fn ny(&self) -> usize {
         self.ny
-    }
-
-    /// Raw values (row-major; index `gy * nx + gx`).
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Mutable raw values.
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
     }
 
     /// Value at `(gx, gy)`.
@@ -49,7 +39,7 @@ impl DensityMap {
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn at(&self, gx: usize, gy: usize) -> f32 {
+    pub(crate) fn at(&self, gx: usize, gy: usize) -> f32 {
         self.values[gy * self.nx + gx]
     }
 
@@ -58,22 +48,13 @@ impl DensityMap {
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn at_mut(&mut self, gx: usize, gy: usize) -> &mut f32 {
+    pub(crate) fn at_mut(&mut self, gx: usize, gy: usize) -> &mut f32 {
         &mut self.values[gy * self.nx + gx]
     }
 
     /// Maximum value (0 for an empty map).
-    pub fn max(&self) -> f32 {
+    pub(crate) fn max(&self) -> f32 {
         self.values.iter().fold(0.0f32, |m, &v| m.max(v))
-    }
-
-    /// Mean value (0 for an empty map).
-    pub fn mean(&self) -> f32 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f32>() / self.values.len() as f32
-        }
     }
 
     /// Total overflow: `Σ max(0, v - target)`.
@@ -82,7 +63,7 @@ impl DensityMap {
     }
 
     /// 3×3 box blur, used to smooth gradients for the spreader.
-    pub fn box_blur(&self) -> DensityMap {
+    pub(crate) fn box_blur(&self) -> DensityMap {
         let mut out = self.clone();
         for gy in 0..self.ny {
             for gx in 0..self.nx {
@@ -109,7 +90,11 @@ impl DensityMap {
 /// Each movable cell's rectangle is clipped against every G-cell it
 /// overlaps; terminals are excluded (their blockage effect is modelled by
 /// the router's capacity map instead).
-pub fn density_map(circuit: &Circuit, placement: &Placement, grid: &GcellGrid) -> DensityMap {
+pub(crate) fn density_map(
+    circuit: &Circuit,
+    placement: &Placement,
+    grid: &GcellGrid,
+) -> DensityMap {
     let mut map = DensityMap::zeros(grid);
     let cell_area = grid.gcell_width() * grid.gcell_height();
     for (i, cell) in circuit.cells().iter().enumerate() {
@@ -150,7 +135,7 @@ mod tests {
         p.set_position(a, Point::new(1.0, 1.0)); // fully inside g-cell (0,0)
         let map = density_map(&c, &p, &grid);
         assert!((map.at(0, 0) - 0.25).abs() < 1e-6); // 1 area / 4 gcell area
-        assert_eq!(map.values().iter().filter(|&&v| v > 0.0).count(), 1);
+        assert_eq!(map.values.iter().filter(|&&v| v > 0.0).count(), 1);
     }
 
     #[test]
@@ -185,16 +170,16 @@ mod tests {
         assert!(map.overflow(0.4) > 0.0);
         assert_eq!(map.overflow(1e9), 0.0);
         // clipped at the die edge: only the on-die part of the cell counts
-        assert!(map.values().iter().sum::<f32>() < 16.0 / 4.0);
+        assert!(map.values.iter().sum::<f32>() < 16.0 / 4.0);
     }
 
     #[test]
     fn blur_preserves_mean_on_uniform_field() {
         let (_, grid) = setup();
         let mut m = DensityMap::zeros(&grid);
-        m.values_mut().iter_mut().for_each(|v| *v = 2.0);
+        m.values.iter_mut().for_each(|v| *v = 2.0);
         let b = m.box_blur();
-        assert!(b.values().iter().all(|&v| (v - 2.0).abs() < 1e-6));
+        assert!(b.values.iter().all(|&v| (v - 2.0).abs() < 1e-6));
     }
 
     #[test]

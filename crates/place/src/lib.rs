@@ -10,8 +10,7 @@
 //!    retaining realistic hotspots,
 //! 3. [`density`] — the density maps and overflow metrics used by both.
 //!
-//! [`GlobalPlacer`] chains the steps; [`RandomPlacer`] is a degenerate
-//! baseline.
+//! [`GlobalPlacer`] chains the steps.
 //!
 //! # Example
 //!
@@ -37,8 +36,6 @@ pub mod placer;
 pub mod quadratic;
 pub mod spreading;
 
-pub use density::{density_map, DensityMap};
 pub use error::{PlaceError, Result};
-pub use placer::{GlobalPlacer, GlobalPlacerConfig, PlacementResult, PlacementTrace, RandomPlacer};
-pub use quadratic::{solve_quadratic, QuadraticConfig};
-pub use spreading::{spread, spread_with, SpreadConfig};
+pub use placer::{GlobalPlacer, GlobalPlacerConfig};
+pub use spreading::{spread, SpreadConfig};

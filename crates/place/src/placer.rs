@@ -2,11 +2,8 @@
 //!
 //! [`GlobalPlacer`] chains the quadratic solve and the density spreader —
 //! the standard analytic-placement recipe (the DREAMPlace stand-in used to
-//! produce every placement in the reproduction). [`RandomPlacer`] provides
-//! a degenerate baseline for tests and ablations.
+//! produce every placement in the reproduction).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use vlsi_netlist::{CellId, Circuit, GcellGrid, Placement, PlacementDelta, Point, SynthCircuit};
 
 use crate::density::DensityMap;
@@ -58,7 +55,8 @@ pub struct PlacementTrace {
 
 impl PlacementTrace {
     /// Replays all deltas onto a copy of the initial placement.
-    pub fn replay(&self) -> Placement {
+    #[cfg(test)]
+    fn replay(&self) -> Placement {
         let mut p = self.initial.clone();
         for d in &self.deltas {
             d.apply(&mut p);
@@ -78,7 +76,7 @@ impl GlobalPlacer {
     /// # Errors
     ///
     /// Propagates quadratic-solve failures.
-    pub fn place(
+    pub(crate) fn place(
         &self,
         circuit: &Circuit,
         fixed: &[(CellId, Point)],
@@ -102,7 +100,7 @@ impl GlobalPlacer {
     /// # Errors
     ///
     /// Propagates quadratic-solve failures.
-    pub fn place_traced(
+    pub(crate) fn place_traced(
         &self,
         circuit: &Circuit,
         fixed: &[(CellId, Point)],
@@ -137,7 +135,7 @@ impl GlobalPlacer {
         self.place(&synth.circuit, &synth.fixed_positions, grid)
     }
 
-    /// [`GlobalPlacer::place_traced`] for a synthetic design.
+    /// `GlobalPlacer::place_traced` for a synthetic design.
     ///
     /// # Errors
     ///
@@ -151,22 +149,17 @@ impl GlobalPlacer {
     }
 }
 
-/// Places every movable cell uniformly at random (terminals at `fixed`).
-#[derive(Debug, Clone)]
-pub struct RandomPlacer {
-    /// RNG seed.
-    pub seed: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use vlsi_netlist::synth::{generate, SynthConfig};
+    use vlsi_netlist::Point;
 
-impl RandomPlacer {
-    /// Creates a random placer with a seed.
-    pub fn new(seed: u64) -> Self {
-        Self { seed }
-    }
-
-    /// Produces a random placement.
-    pub fn place(&self, circuit: &Circuit, fixed: &[(CellId, Point)]) -> Placement {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+    /// Places every movable cell uniformly at random (terminals at `fixed`).
+    fn random_placement(circuit: &Circuit, fixed: &[(CellId, Point)]) -> Placement {
+        let mut rng = StdRng::seed_from_u64(1);
         let die = circuit.die;
         let mut placement = Placement::zeroed(circuit.num_cells());
         for i in 0..circuit.num_cells() {
@@ -178,12 +171,6 @@ impl RandomPlacer {
         }
         placement
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vlsi_netlist::synth::{generate, SynthConfig};
 
     fn small_synth() -> (vlsi_netlist::SynthCircuit, GcellGrid) {
         let cfg = SynthConfig { n_cells: 300, grid_nx: 16, grid_ny: 16, ..SynthConfig::default() };
@@ -197,7 +184,7 @@ mod tests {
         let (synth, grid) = small_synth();
         let placer = GlobalPlacer::default();
         let result = placer.place_synth(&synth, &grid).unwrap();
-        let random = RandomPlacer::new(1).place(&synth.circuit, &synth.fixed_positions);
+        let random = random_placement(&synth.circuit, &synth.fixed_positions);
         let random_hpwl = random.total_hpwl(&synth.circuit);
         assert!(
             result.hpwl < random_hpwl * 0.8,
@@ -253,15 +240,5 @@ mod tests {
         assert!(!trace.deltas.is_empty(), "quadratic solve must emit a delta");
         // quadratic delta first, spreading iterations after
         assert!(trace.deltas[0].len() >= synth.circuit.num_movable());
-    }
-
-    #[test]
-    fn random_placer_is_seed_deterministic() {
-        let (synth, _) = small_synth();
-        let a = RandomPlacer::new(3).place(&synth.circuit, &synth.fixed_positions);
-        let b = RandomPlacer::new(3).place(&synth.circuit, &synth.fixed_positions);
-        let c = RandomPlacer::new(4).place(&synth.circuit, &synth.fixed_positions);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -76,7 +76,7 @@ fn conjugate_gradient(a: &Laplacian, b: &[f64], x: &mut [f64], iters: usize, tol
     rs_old.sqrt() / b_norm
 }
 
-/// Configuration for [`solve_quadratic`].
+/// Configuration for `solve_quadratic`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuadraticConfig {
     /// Maximum conjugate-gradient iterations per axis.
@@ -109,7 +109,7 @@ impl Default for QuadraticConfig {
 ///
 /// Returns [`PlaceError::Unplaceable`] if the circuit has no movable cells
 /// and [`PlaceError::SolveFailed`] if CG stalls at a large residual.
-pub fn solve_quadratic(
+pub(crate) fn solve_quadratic(
     circuit: &Circuit,
     fixed: &[(CellId, Point)],
     initial: Option<&Placement>,

@@ -64,7 +64,7 @@ pub fn spread(
 /// `lhnn`'s `LatticePipeline` or a serving session) and land on exactly
 /// the state a batch rebuild would produce. Iterations that move no cell
 /// emit no delta.
-pub fn spread_with(
+pub(crate) fn spread_with(
     circuit: &Circuit,
     placement: &mut Placement,
     grid: &GcellGrid,

@@ -9,7 +9,7 @@ use vlsi_netlist::{GcellGrid, Rect};
 
 use crate::maps::EdgeField;
 
-/// Configuration for [`build_capacity`].
+/// Configuration for `build_capacity`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacityConfig {
     /// Horizontal tracks per edge (unblocked).
@@ -45,7 +45,11 @@ fn coverage(grid: &GcellGrid, idx: usize, blockages: &[Rect]) -> f32 {
 /// The capacity of an edge is the unblocked track count scaled by the mean
 /// free fraction of its two adjacent G-cells:
 /// `cap = tracks · (1 - blockage_factor · coverage)`.
-pub fn build_capacity(grid: &GcellGrid, blockages: &[Rect], cfg: &CapacityConfig) -> EdgeField {
+pub(crate) fn build_capacity(
+    grid: &GcellGrid,
+    blockages: &[Rect],
+    cfg: &CapacityConfig,
+) -> EdgeField {
     let (nx, ny) = (grid.nx() as usize, grid.ny() as usize);
     let cover: Vec<f32> = (0..grid.num_gcells()).map(|i| coverage(grid, i, blockages)).collect();
     let free = |x: usize, y: usize| 1.0 - cfg.blockage_factor * cover[y * nx + x];

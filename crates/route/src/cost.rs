@@ -25,7 +25,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Cost of pushing one more wire across an edge with the given state.
-    pub fn edge_cost(&self, usage: f32, capacity: f32, history: f32) -> f32 {
+    pub(crate) fn edge_cost(&self, usage: f32, capacity: f32, history: f32) -> f32 {
         let over = (usage + 1.0 - capacity).max(0.0);
         let util = if capacity > 0.0 { (usage / capacity).min(1.0) } else { 1.0 };
         1.0 + history + self.pressure * util + self.overflow_penalty * over
@@ -36,7 +36,7 @@ impl CostModel {
     /// # Panics
     ///
     /// Panics if consecutive path cells are not adjacent.
-    pub fn path_cost(
+    pub(crate) fn path_cost(
         &self,
         path: &[vlsi_netlist::GcellCoord],
         usage: &EdgeField,
@@ -56,7 +56,7 @@ impl CostModel {
     }
 
     /// Convenience for code that has `(dir, x, y)` addressing.
-    pub fn edge_cost_at(
+    pub(crate) fn edge_cost_at(
         &self,
         dir: Dir,
         x: usize,

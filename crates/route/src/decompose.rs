@@ -24,7 +24,7 @@ impl Segment {
 
 /// The distinct G-cells containing the net's pins, in deterministic
 /// (sorted) order.
-pub fn net_terminals(net: &Net, placement: &Placement, grid: &GcellGrid) -> Vec<GcellCoord> {
+pub(crate) fn net_terminals(net: &Net, placement: &Placement, grid: &GcellGrid) -> Vec<GcellCoord> {
     let mut cells: Vec<GcellCoord> =
         net.pins.iter().map(|pin| grid.locate(placement.pin_position(pin))).collect();
     cells.sort_unstable_by_key(|c| (c.gy, c.gx));
@@ -80,7 +80,7 @@ pub fn mst_segments(terminals: &[GcellCoord]) -> Vec<Segment> {
 }
 
 /// Convenience: terminals + MST in one call.
-pub fn decompose_net(net: &Net, placement: &Placement, grid: &GcellGrid) -> Vec<Segment> {
+pub(crate) fn decompose_net(net: &Net, placement: &Placement, grid: &GcellGrid) -> Vec<Segment> {
     mst_segments(&net_terminals(net, placement, grid))
 }
 

@@ -44,12 +44,11 @@ pub mod pattern;
 pub mod router;
 pub mod rudy;
 
-pub use capacity::{build_capacity, CapacityConfig};
+pub use capacity::CapacityConfig;
 pub use cost::CostModel;
-pub use decompose::{decompose_net, mst_segments, net_terminals, Segment};
+pub use decompose::{mst_segments, Segment};
 pub use error::{Result, RouteError};
 pub use maps::{Dir, EdgeField, LabelMaps};
-pub use maze::maze_route;
-pub use pattern::{candidate_paths, pattern_route};
+pub use pattern::candidate_paths;
 pub use router::{route, RouteResult, RouterConfig};
-pub use rudy::{rudy_maps, RudyMaps};
+pub use rudy::rudy_maps;

@@ -6,7 +6,7 @@
 //! *vertical edge*. Wires crossing an edge consume one track of demand.
 //!
 //! The paper's labels are per-G-cell horizontal/vertical routing-demand
-//! maps and their thresholded congestion masks; [`EdgeField::to_gcell_map`]
+//! maps and their thresholded congestion masks; `EdgeField::to_gcell_map`
 //! projects edge quantities onto G-cells by averaging a cell's incident
 //! edges in the respective direction (boundary cells have one incident
 //! edge).
@@ -43,7 +43,8 @@ impl EdgeField {
     }
 
     /// Creates a constant field over the grid.
-    pub fn constant(grid: &GcellGrid, h_value: f32, v_value: f32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn constant(grid: &GcellGrid, h_value: f32, v_value: f32) -> Self {
         let mut f = Self::zeros(grid);
         f.h.iter_mut().for_each(|x| *x = h_value);
         f.v.iter_mut().for_each(|x| *x = v_value);
@@ -51,21 +52,13 @@ impl EdgeField {
     }
 
     /// Grid columns.
-    pub fn nx(&self) -> usize {
+    pub(crate) fn nx(&self) -> usize {
         self.nx
     }
 
     /// Grid rows.
-    pub fn ny(&self) -> usize {
+    pub(crate) fn ny(&self) -> usize {
         self.ny
-    }
-
-    /// Number of edges in a direction.
-    pub fn num_edges(&self, dir: Dir) -> usize {
-        match dir {
-            Dir::H => self.h.len(),
-            Dir::V => self.v.len(),
-        }
     }
 
     fn h_idx(&self, x: usize, y: usize) -> usize {
@@ -79,23 +72,23 @@ impl EdgeField {
     }
 
     /// Value of the horizontal edge joining `(x, y)` and `(x+1, y)`.
-    pub fn h(&self, x: usize, y: usize) -> f32 {
+    pub(crate) fn h(&self, x: usize, y: usize) -> f32 {
         self.h[self.h_idx(x, y)]
     }
 
     /// Value of the vertical edge joining `(x, y)` and `(x, y+1)`.
-    pub fn v(&self, x: usize, y: usize) -> f32 {
+    pub(crate) fn v(&self, x: usize, y: usize) -> f32 {
         self.v[self.v_idx(x, y)]
     }
 
     /// Mutable horizontal edge value.
-    pub fn h_mut(&mut self, x: usize, y: usize) -> &mut f32 {
+    pub(crate) fn h_mut(&mut self, x: usize, y: usize) -> &mut f32 {
         let i = self.h_idx(x, y);
         &mut self.h[i]
     }
 
     /// Mutable vertical edge value.
-    pub fn v_mut(&mut self, x: usize, y: usize) -> &mut f32 {
+    pub(crate) fn v_mut(&mut self, x: usize, y: usize) -> &mut f32 {
         let i = self.v_idx(x, y);
         &mut self.v[i]
     }
@@ -105,7 +98,7 @@ impl EdgeField {
     /// # Panics
     ///
     /// Panics if the cells are not 4-adjacent.
-    pub fn edge_between(a: GcellCoord, b: GcellCoord) -> (Dir, usize, usize) {
+    pub(crate) fn edge_between(a: GcellCoord, b: GcellCoord) -> (Dir, usize, usize) {
         let dx = b.gx as i64 - a.gx as i64;
         let dy = b.gy as i64 - a.gy as i64;
         match (dx, dy) {
@@ -117,16 +110,16 @@ impl EdgeField {
         }
     }
 
-    /// Value of the edge addressed by [`EdgeField::edge_between`].
-    pub fn get(&self, dir: Dir, x: usize, y: usize) -> f32 {
+    /// Value of the edge addressed by `EdgeField::edge_between`.
+    pub(crate) fn get(&self, dir: Dir, x: usize, y: usize) -> f32 {
         match dir {
             Dir::H => self.h(x, y),
             Dir::V => self.v(x, y),
         }
     }
 
-    /// Mutable value of the edge addressed by [`EdgeField::edge_between`].
-    pub fn get_mut(&mut self, dir: Dir, x: usize, y: usize) -> &mut f32 {
+    /// Mutable value of the edge addressed by `EdgeField::edge_between`.
+    pub(crate) fn get_mut(&mut self, dir: Dir, x: usize, y: usize) -> &mut f32 {
         match dir {
             Dir::H => self.h_mut(x, y),
             Dir::V => self.v_mut(x, y),
@@ -155,14 +148,14 @@ impl EdgeField {
     }
 
     /// Number of edges where `self > other` (e.g. demand over capacity).
-    pub fn count_exceeding(&self, other: &EdgeField) -> usize {
+    pub(crate) fn count_exceeding(&self, other: &EdgeField) -> usize {
         assert_eq!((self.nx, self.ny), (other.nx, other.ny), "grid mismatch");
         self.h.iter().zip(&other.h).filter(|(a, b)| a > b).count()
             + self.v.iter().zip(&other.v).filter(|(a, b)| a > b).count()
     }
 
     /// Total overflow `Σ max(0, self - other)` over both directions.
-    pub fn total_overflow(&self, other: &EdgeField) -> f32 {
+    pub(crate) fn total_overflow(&self, other: &EdgeField) -> f32 {
         assert_eq!((self.nx, self.ny), (other.nx, other.ny), "grid mismatch");
         self.h.iter().zip(&other.h).map(|(a, b)| (a - b).max(0.0)).sum::<f32>()
             + self.v.iter().zip(&other.v).map(|(a, b)| (a - b).max(0.0)).sum::<f32>()
@@ -171,7 +164,7 @@ impl EdgeField {
     /// Projects the field onto G-cells: per cell, the mean over its
     /// incident edges in the given direction (1 edge on the boundary, 2
     /// inside). Returns a row-major `ny × nx` vector.
-    pub fn to_gcell_map(&self, dir: Dir) -> Vec<f32> {
+    pub(crate) fn to_gcell_map(&self, dir: Dir) -> Vec<f32> {
         let mut out = vec![0.0f32; self.nx * self.ny];
         match dir {
             Dir::H => {
@@ -275,8 +268,8 @@ mod tests {
     #[test]
     fn edge_counts() {
         let f = EdgeField::zeros(&grid3());
-        assert_eq!(f.num_edges(Dir::H), 6); // 2 per row * 3 rows
-        assert_eq!(f.num_edges(Dir::V), 6);
+        assert_eq!(f.h.len(), 6); // 2 per row * 3 rows
+        assert_eq!(f.v.len(), 6);
     }
 
     #[test]

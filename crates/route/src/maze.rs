@@ -39,7 +39,7 @@ impl PartialOrd for HeapEntry {
 /// capacity and history fields; the heuristic is the Manhattan distance
 /// (admissible because every edge costs at least 1). Returns `None` only
 /// if the grid is degenerate (cannot happen on a connected lattice).
-pub fn maze_route(
+pub(crate) fn maze_route(
     grid: &GcellGrid,
     from: GcellCoord,
     to: GcellCoord,

@@ -89,7 +89,7 @@ pub fn candidate_paths(seg: &Segment) -> Vec<Vec<GcellCoord>> {
 
 /// Routes a segment with pattern routing: returns the cheapest candidate
 /// path under the cost model (deterministic: first minimum wins).
-pub fn pattern_route(
+pub(crate) fn pattern_route(
     seg: &Segment,
     usage: &EdgeField,
     capacity: &EdgeField,

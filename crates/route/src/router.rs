@@ -35,9 +35,8 @@ pub struct RouterConfig {
     pub history_increment: f32,
     /// Upper bound on segments maze-rerouted per round (runtime guard).
     pub max_reroutes_per_round: usize,
-    /// Keep the final per-net paths in the result (enables
-    /// [`RouteResult::net_paths`] and congestion attribution; costs
-    /// memory proportional to total wirelength).
+    /// Keep the final per-net paths in the result (enables congestion
+    /// attribution; costs memory proportional to total wirelength).
     pub keep_paths: bool,
 }
 
@@ -88,7 +87,8 @@ impl RouteResult {
     /// The routed paths of each segment, tagged with the owning net id.
     ///
     /// Empty unless the router ran with [`RouterConfig::keep_paths`].
-    pub fn net_paths(&self) -> &[(u32, Vec<GcellCoord>)] {
+    #[cfg(test)]
+    fn net_paths(&self) -> &[(u32, Vec<GcellCoord>)] {
         &self.net_paths
     }
 

@@ -16,7 +16,7 @@ use lhnn::Prediction;
 
 /// Cache key: content fingerprints of everything a forward pass reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Model version ([`lhnn::CongestionModel::weights_fingerprint`]).
     /// Fingerprints hash the architecture kind too, so two kinds can
     /// never collide on one key.
@@ -40,7 +40,7 @@ struct Entry {
 /// megabyte-scale, so the scan is noise next to one forward pass. Capacity
 /// 0 disables the cache entirely.
 #[derive(Debug)]
-pub struct PredictionCache {
+pub(crate) struct PredictionCache {
     capacity: usize,
     tick: u64,
     map: HashMap<CacheKey, Entry>,
@@ -48,12 +48,12 @@ pub struct PredictionCache {
 
 impl PredictionCache {
     /// Creates a cache holding at most `capacity` predictions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self { capacity, tick: 0, map: HashMap::with_capacity(capacity.min(1024)) }
     }
 
     /// Looks up a key, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Prediction>> {
+    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<Arc<Prediction>> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|e| {
@@ -64,7 +64,7 @@ impl PredictionCache {
 
     /// Inserts (or refreshes) a prediction, evicting the least recently
     /// used entry if the cache is full.
-    pub fn insert(&mut self, key: CacheKey, value: Arc<Prediction>) {
+    pub(crate) fn insert(&mut self, key: CacheKey, value: Arc<Prediction>) {
         if self.capacity == 0 {
             return;
         }
@@ -79,13 +79,8 @@ impl PredictionCache {
     }
 
     /// Number of cached predictions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Drops every entry computed by model `version`, returning how many
@@ -96,7 +91,7 @@ impl PredictionCache {
     /// and push out live predictions until enough traffic ages them off.
     /// The engine calls this on [`crate::ServeHandle::replace_model`] so a
     /// swap reclaims the dead capacity immediately.
-    pub fn evict_model(&mut self, version: u64) -> usize {
+    pub(crate) fn evict_model(&mut self, version: u64) -> usize {
         let before = self.map.len();
         self.map.retain(|k, _| k.model != version);
         before - self.map.len()
@@ -155,7 +150,7 @@ mod tests {
     fn zero_capacity_disables() {
         let mut c = PredictionCache::new(0);
         c.insert(key(0), pred(0.0));
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert!(c.get(&key(0)).is_none());
     }
 

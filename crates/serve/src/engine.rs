@@ -22,7 +22,7 @@
 //! Sharding gives many concurrent placement loops isolation: a hot design
 //! hammering one shard cannot evict another design's cache entries,
 //! because requests route by a *stable* hash of the design's identity
-//! (sessions and [`PredictRequest::with_design`]: the design id;
+//! (sessions and [`PredictRequest::design`]: the design id;
 //! anonymous stateless requests: the operator fingerprint, which keeps
 //! repeats of one state on one shard but spreads a design's successive
 //! states) — the same state always lands on the same shard, so its
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use lh_graph::FeatureSet;
 use lhnn::{CongestionModel, GraphOps, Prediction, ScratchSet};
-use lhnn_obs::{FlightEvent, FlightEventKind, Registry, Snapshot};
+use lhnn_obs::{FlightEvent, FlightEventKind, Snapshot};
 use neurograd::Fnv64;
 
 use crate::cache::{CacheKey, PredictionCache};
@@ -149,7 +149,8 @@ impl PredictRequest {
     /// Pins the request to the shard owning `design` (stable hash), like
     /// a session over that design would be.
     #[must_use]
-    pub fn with_design(mut self, design: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_design(mut self, design: impl Into<String>) -> Self {
         self.design = Some(design.into());
         self
     }
@@ -307,7 +308,7 @@ impl ServeHandle {
     /// forward computes and its result lands in the shard's cache.
     ///
     /// Routing: a request carrying a design id
-    /// ([`PredictRequest::with_design`]) goes to that design's shard —
+    /// ([`PredictRequest::design`]) goes to that design's shard —
     /// the same per-design affinity sessions get. Without one, the shard
     /// is a stable hash of the operator fingerprint: repeats of the same
     /// state always meet their own cache entry, but
@@ -399,12 +400,6 @@ impl ServeHandle {
         (h.finish() % self.shared.shards.len() as u64) as usize
     }
 
-    /// Width of the shared intra-op compute pool every predict's forward
-    /// fans out over (the process-wide `neurograd` pool).
-    pub fn compute_threads(&self) -> usize {
-        neurograd::pool::current_threads()
-    }
-
     /// Number of predictions currently cached, across all shards.
     pub fn cache_len(&self) -> usize {
         self.shared.shards.iter().map(|s| lock::recover(s).len()).sum()
@@ -424,10 +419,9 @@ impl ServeHandle {
     /// Hot-swaps the model registered under `name` and evicts the
     /// displaced version's predictions from every shard cache.
     ///
-    /// Prefer this over [`ModelRegistry::replace`] on a live engine: the
-    /// versioned cache keys make the old entries unreachable either way,
-    /// but a bare registry swap leaves them squatting in the shard LRUs,
-    /// evicting live predictions until traffic ages them off.
+    /// The versioned cache keys make the old entries unreachable; evicting
+    /// them here keeps them from squatting in the shard LRUs, evicting
+    /// live predictions until traffic ages them off.
     ///
     /// The replacement may be a **different architecture**. An open
     /// session serving `name` needs no notice: its incremental forward
@@ -444,22 +438,8 @@ impl ServeHandle {
         name: &str,
         model: M,
     ) -> Result<Arc<ModelEntry>> {
-        self.replace_model_boxed(name, Box::new(model))
-    }
-
-    /// [`ServeHandle::replace_model`] for an already-boxed model (e.g.
-    /// straight out of [`lhnn::load_model`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeHandle::replace_model`].
-    pub fn replace_model_boxed(
-        &self,
-        name: &str,
-        model: Box<dyn CongestionModel>,
-    ) -> Result<Arc<ModelEntry>> {
         let displaced = self.shared.registry.get(name);
-        let entry = self.shared.registry.replace_boxed(name, model)?;
+        let entry = self.shared.registry.replace_boxed(name, Box::new(model))?;
         if let Some(old) = displaced.filter(|old| old.version != entry.version) {
             for s in &self.shared.shards {
                 lock::recover(s).evict_model(old.version);
@@ -477,13 +457,6 @@ impl ServeHandle {
     /// session pinned to that shard counts each update it applies.
     pub(crate) fn session_update_sinks(&self, shard_idx: usize) -> lhnn_obs::Counter {
         self.shared.obs.shards[shard_idx].session_updates.clone()
-    }
-
-    /// The engine's metrics registry: counters and stage/latency
-    /// histograms for everything the engine and its sessions record.
-    /// Shared — handles cloned from one engine all see the same registry.
-    pub fn metrics(&self) -> Arc<Registry> {
-        Arc::clone(&self.shared.obs.registry)
     }
 
     /// A point-in-time snapshot of every registered series (render it with

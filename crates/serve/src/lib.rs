@@ -20,7 +20,7 @@
 //!   the number of client threads. Designs route to shards by a stable
 //!   hash, so one hot placement loop cannot evict another design's cache
 //!   entries.
-//! * [`PredictionCache`] — a per-shard LRU keyed by content fingerprints
+//! * `PredictionCache` — a per-shard LRU keyed by content fingerprints
 //!   of `(model weights, graph operators, features)`, so repeated queries
 //!   on an unchanged placement cost only hashing.
 //! * [`ServeHandle`] — the synchronous client API
@@ -90,7 +90,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod error;
 pub(crate) mod lock;
@@ -99,12 +99,11 @@ pub mod registry;
 pub mod session;
 pub mod stats;
 
-pub use cache::{CacheKey, PredictionCache};
-pub use engine::{EngineConfig, PredictRequest, ServeEngine, ServeHandle, ServeReply};
+pub use engine::{EngineConfig, PredictRequest, ServeEngine, ServeHandle};
 pub use error::{Result, ServeError};
 pub use registry::{ModelEntry, ModelRegistry};
-pub use session::{Session, SessionConfig, SessionObservability};
-pub use stats::{ServeStats, ShardStats};
+pub use session::{Session, SessionConfig};
+pub use stats::ServeStats;
 
 /// The observability vocabulary (registry, snapshots, exposition, flight
 /// events), re-exported so engine clients need no separate dependency.

@@ -61,7 +61,7 @@ impl ModelRegistry {
     }
 
     /// A registry for a non-standard feature pipeline.
-    pub fn with_expected_dims(gcell_dim: usize, gnet_dim: usize) -> Self {
+    pub(crate) fn with_expected_dims(gcell_dim: usize, gnet_dim: usize) -> Self {
         Self {
             expected_gcell_dim: gcell_dim,
             expected_gnet_dim: gnet_dim,
@@ -73,7 +73,7 @@ impl ModelRegistry {
     /// Attaches a metrics registry; from now on every successful model
     /// (re-)registration increments
     /// `lhnn_model_registrations_total{kind="<kind>"}`.
-    pub fn attach_metrics(&self, metrics: Arc<MetricsRegistry>) {
+    pub(crate) fn attach_metrics(&self, metrics: Arc<MetricsRegistry>) {
         *lock::write_recover(&self.metrics) = Some(metrics);
     }
 
@@ -104,7 +104,7 @@ impl ModelRegistry {
     ///
     /// [`ServeError::Incompatible`] if validation fails,
     /// [`ServeError::AlreadyRegistered`] if the name is taken (use
-    /// [`ModelRegistry::replace`] to hot-swap).
+    /// [`ServeHandle::replace_model`](crate::ServeHandle::replace_model) to hot-swap).
     pub fn register<M: CongestionModel + 'static>(
         &self,
         name: &str,
@@ -136,20 +136,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// [`ServeError::Incompatible`] if validation fails.
-    pub fn replace<M: CongestionModel + 'static>(
-        &self,
-        name: &str,
-        model: M,
-    ) -> Result<Arc<ModelEntry>> {
-        self.insert(name, Box::new(model), true)
-    }
-
-    /// [`ModelRegistry::replace`] for an already-boxed model.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::replace`].
-    pub fn replace_boxed(
+    pub(crate) fn replace_boxed(
         &self,
         name: &str,
         model: Box<dyn CongestionModel>,
@@ -212,30 +199,27 @@ impl ModelRegistry {
     }
 
     /// Resolves a name to its current entry.
-    pub fn get(&self, name: &str) -> Option<Arc<ModelEntry>> {
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<ModelEntry>> {
         lock::read_recover(&self.models).get(name).cloned()
     }
 
-    /// Removes a model; returns whether it existed. In-flight requests
-    /// holding the `Arc` finish normally.
-    pub fn remove(&self, name: &str) -> bool {
-        lock::write_recover(&self.models).remove(name).is_some()
-    }
-
     /// Registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = lock::read_recover(&self.models).keys().cloned().collect();
         v.sort();
         v
     }
 
     /// Number of registered models.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         lock::read_recover(&self.models).len()
     }
 
     /// Whether no model is registered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -246,7 +230,7 @@ mod tests {
     use lhnn::{HybridNet, HybridNetConfig, Lhnn, LhnnConfig};
 
     #[test]
-    fn register_get_remove() {
+    fn register_then_get() {
         let reg = ModelRegistry::new();
         assert!(reg.is_empty());
         let entry = reg.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
@@ -255,8 +239,6 @@ mod tests {
         let got = reg.get("default").expect("registered");
         assert_eq!(got.version, entry.version);
         assert!(reg.get("missing").is_none());
-        assert!(reg.remove("default"));
-        assert!(!reg.remove("default"));
     }
 
     #[test]
@@ -265,7 +247,8 @@ mod tests {
         let v1 = reg.register("m", Lhnn::new(LhnnConfig::default(), 0)).unwrap().version;
         let err = reg.register("m", Lhnn::new(LhnnConfig::default(), 1)).unwrap_err();
         assert!(matches!(err, ServeError::AlreadyRegistered(_)));
-        let v2 = reg.replace("m", Lhnn::new(LhnnConfig::default(), 1)).unwrap().version;
+        let v2 =
+            reg.replace_boxed("m", Box::new(Lhnn::new(LhnnConfig::default(), 1))).unwrap().version;
         assert_ne!(v1, v2, "hot-swap must change the serving version");
         assert_eq!(reg.len(), 1);
     }
@@ -274,7 +257,10 @@ mod tests {
     fn replace_accepts_a_different_architecture() {
         let reg = ModelRegistry::new();
         let v1 = reg.register("m", Lhnn::new(LhnnConfig::default(), 0)).unwrap().version;
-        let v2 = reg.replace("m", HybridNet::new(HybridNetConfig::default(), 0)).unwrap().version;
+        let v2 = reg
+            .replace_boxed("m", Box::new(HybridNet::new(HybridNetConfig::default(), 0)))
+            .unwrap()
+            .version;
         assert_ne!(v1, v2, "cross-kind swap must change the serving version");
         assert_eq!(reg.get("m").unwrap().model.kind(), "hybridnet");
     }
@@ -337,9 +323,37 @@ mod tests {
         reg.attach_metrics(Arc::clone(&metrics));
         reg.register("a", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
         reg.register("b", HybridNet::new(HybridNetConfig::default(), 0)).unwrap();
-        reg.replace("a", HybridNet::new(HybridNetConfig::default(), 1)).unwrap();
+        reg.replace_boxed("a", Box::new(HybridNet::new(HybridNetConfig::default(), 1))).unwrap();
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("lhnn_model_registrations_total{kind=\"lhnn\"}"), 1);
         assert_eq!(snap.counter("lhnn_model_registrations_total{kind=\"hybridnet\"}"), 2);
+    }
+
+    #[test]
+    fn oversized_header_dims_are_refused_before_building() {
+        let mut buf = Vec::new();
+        Lhnn::new(LhnnConfig::default(), 0).save(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let header: Vec<&str> = text.lines().take_while(|l| !l.starts_with("params ")).collect();
+        let reg = ModelRegistry::new();
+        for (key, value) in [("hidden", "2305843009213693952"), ("hypermp_layers", "100000000")] {
+            let mut lines: Vec<String> = header
+                .iter()
+                .map(|l| {
+                    if l.split(' ').next() == Some(key) {
+                        format!("{key} {value}")
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .collect();
+            lines.push("params 0".into());
+            let err = reg.load_reader("m", lines.join("\n").as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Model(lhnn::ModelIoError::Format(_))),
+                "{key}: {err}"
+            );
+        }
+        assert!(reg.is_empty());
     }
 }

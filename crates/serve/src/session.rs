@@ -91,16 +91,10 @@ impl SessionConfig {
         }
     }
 
-    /// Sets the congestion threshold.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f32) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Sets the LH-graph build options.
     #[must_use]
-    pub fn with_graph_config(mut self, graph: LhGraphConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_graph_config(mut self, graph: LhGraphConfig) -> Self {
         self.graph = graph;
         self
     }
@@ -522,7 +516,8 @@ impl Session {
     }
 
     /// The session's configuration.
-    pub fn config(&self) -> &SessionConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &SessionConfig {
         &self.cfg
     }
 }
