@@ -186,6 +186,12 @@ pub(crate) fn predict(args: &Args) -> CmdResult {
     let model_path = args.opt("model").ok_or("missing --model")?;
     let threshold = args.num("threshold", 0.5f32);
     let compute_threads = args.num("threads", 0usize);
+    // The one-shot CLI rides the same path a long-running service uses: a
+    // registry entry, an engine (the forward runs on this thread) and a
+    // per-request threshold. The checkpoint loads first, so a missing or
+    // refused model fails before any design is read.
+    let registry = Arc::new(ModelRegistry::new());
+    registry.load_file("default", model_path)?;
     let (circuit, placement) = load_design(args)?;
     let grid = grid_for(args, &circuit);
     let graph = LhGraph::build(&circuit, &placement, &grid, &LhGraphConfig::default())?;
@@ -194,11 +200,6 @@ pub(crate) fn predict(args: &Args) -> CmdResult {
         Arc::new(FeatureSet::build(&graph, &circuit, &placement, &grid)?.scaled_fixed(&gd, &nd));
     let ops = lhnn::GraphOps::from_graph(&graph, &AblationSpec::full());
 
-    // The one-shot CLI rides the same path a long-running service uses: a
-    // registry entry, an engine (the forward runs on this thread) and a
-    // per-request threshold.
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load_file("default", model_path)?;
     let engine = ServeEngine::new(
         Arc::clone(&registry),
         EngineConfig { compute_threads, ..EngineConfig::default() },

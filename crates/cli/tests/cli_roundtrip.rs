@@ -134,3 +134,27 @@ fn predict_rejects_missing_model() {
         .expect("predict");
     assert!(!out.status.success());
 }
+
+/// The checkpoint loads before the design: a refused model fails with its
+/// own error even when `--dir` holds no design at all.
+#[test]
+fn predict_refuses_a_bad_checkpoint_before_reading_the_design() {
+    let dir = temp_dir("refused_checkpoint");
+    let model = dir.join("hostile.lhnn");
+    std::fs::write(
+        &model,
+        "lhnn-model v2\nkind lhnn\nhidden 32\nhypermp_layers 100000000\n\
+         latticemp_encode_layers 1\nlatticemp_joint_layers 2\ngcell_in_dim 4\ngnet_in_dim 4\n\
+         channel_mode uni\nparams 0\n",
+    )
+    .expect("write checkpoint");
+    let out = bin()
+        .args(["predict", "--model", model.to_str().unwrap(), "--dir", dir.to_str().unwrap()])
+        .args(["--design", "absent", "--grid", "10"])
+        .output()
+        .expect("predict");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("invalid model file"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -85,21 +85,6 @@ pub fn span_cells((lo, hi): GcellSpan) -> usize {
     ((hi.gx - lo.gx + 1) as usize) * ((hi.gy - lo.gy + 1) as usize)
 }
 
-/// How a re-binned net moved relative to a size filter that keeps nets
-/// covering at most `max_area` G-cells (the LH-graph G-net filter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterCrossing {
-    /// Inside the filter before and after: a plain span move.
-    StaysInside,
-    /// Outside (oversized or spanless) before and after: invisible to
-    /// filter-derived structures.
-    StaysOutside,
-    /// Entered the filter: a column must be revived or appended.
-    Enters,
-    /// Left the filter: its column must be tombstoned.
-    Leaves,
-}
-
 /// A net whose G-cell span changed under a delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetRebin {
@@ -109,22 +94,6 @@ pub struct NetRebin {
     pub old_span: Option<GcellSpan>,
     /// Span after the delta.
     pub new_span: Option<GcellSpan>,
-}
-
-impl NetRebin {
-    /// Classifies this rebin against a size filter of `max_area` covered
-    /// G-cells, from the spans alone (downstream consumers with stateful
-    /// column spaces classify against their own liveness instead, which
-    /// agrees with this whenever their state tracks the placement).
-    pub fn filter_crossing(&self, max_area: usize) -> FilterCrossing {
-        let inside = |s: Option<GcellSpan>| s.is_some_and(|sp| span_cells(sp) <= max_area);
-        match (inside(self.old_span), inside(self.new_span)) {
-            (true, true) => FilterCrossing::StaysInside,
-            (false, false) => FilterCrossing::StaysOutside,
-            (false, true) => FilterCrossing::Enters,
-            (true, false) => FilterCrossing::Leaves,
-        }
-    }
 }
 
 /// A pin whose G-cell changed under a delta.
@@ -351,26 +320,6 @@ mod tests {
         let nets: Vec<NetId> = report.net_rebins.iter().map(|r| r.net).collect();
         assert_eq!(nets, vec![NetId(0), NetId(1)]);
         assert_eq!(report.pin_moves.len(), 2, "one pin move per net on the shared cell");
-    }
-
-    #[test]
-    fn filter_crossing_classifies_all_four_ways() {
-        let lo = GcellCoord { gx: 0, gy: 0 };
-        let small = (lo, GcellCoord { gx: 1, gy: 0 }); // 2 cells
-        let big = (lo, GcellCoord { gx: 2, gy: 2 }); // 9 cells
-        assert_eq!(span_cells(small), 2);
-        assert_eq!(span_cells(big), 9);
-        let rb = |old, new| NetRebin { net: NetId(0), old_span: old, new_span: new };
-        assert_eq!(rb(Some(small), Some(small)).filter_crossing(4), FilterCrossing::StaysInside);
-        assert_eq!(rb(Some(big), Some(big)).filter_crossing(4), FilterCrossing::StaysOutside);
-        assert_eq!(rb(Some(big), Some(small)).filter_crossing(4), FilterCrossing::Enters);
-        assert_eq!(rb(Some(small), Some(big)).filter_crossing(4), FilterCrossing::Leaves);
-        // spanless counts as outside on either side
-        assert_eq!(rb(None, Some(small)).filter_crossing(4), FilterCrossing::Enters);
-        assert_eq!(rb(Some(small), None).filter_crossing(4), FilterCrossing::Leaves);
-        assert_eq!(rb(None, None).filter_crossing(4), FilterCrossing::StaysOutside);
-        // the boundary is inclusive
-        assert_eq!(rb(Some(big), Some(big)).filter_crossing(9), FilterCrossing::StaysInside);
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub mod synth;
 
 pub use circuit::{Cell, CellId, CellKind, Circuit, Net, NetId, Pin, Placement};
 pub use delta::{
-    rebin_delta, rebin_delta_in_place, span_cells, DirtyReport, FilterCrossing, GcellSpan,
-    PlacementDelta,
+    rebin_delta, rebin_delta_in_place, span_cells, DirtyReport, GcellSpan, PlacementDelta,
 };
 pub use error::{NetlistError, Result};
 pub use geometry::{Point, Rect};

@@ -270,19 +270,6 @@ impl Matrix {
         out
     }
 
-    /// Stacks rows: `[self ; rhs]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ.
-    pub fn concat_rows(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "concat_rows col mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + rhs.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&rhs.data);
-        Matrix { rows: self.rows + rhs.rows, cols: self.cols, data }
-    }
-
     /// Returns the columns `[start, end)` as a new matrix.
     ///
     /// # Panics
@@ -293,19 +280,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, end - start);
         for r in 0..self.rows {
             out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
-        }
-        out
-    }
-
-    /// Gathers the given rows into a new matrix (duplicates allowed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
-        for (r, &i) in idx.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(self.row(i));
         }
         out
     }
@@ -437,22 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_rows_stacks() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = a.concat_rows(&b);
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn gather_rows_selects_and_duplicates() {
-        let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let g = a.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.into_vec(), vec![3.0, 1.0, 3.0]);
-    }
-
-    #[test]
     fn reductions() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, -4.0]]);
         assert_eq!(a.sum(), -2.0);
@@ -498,12 +456,6 @@ mod tests {
     #[should_panic(expected = "zip_map shape mismatch")]
     fn elementwise_add_rejects_shape_mismatch() {
         let _ = Matrix::zeros(2, 2).zip_map(&Matrix::zeros(2, 3), |a, b| a + b);
-    }
-
-    #[test]
-    #[should_panic(expected = "concat_rows col mismatch")]
-    fn concat_rows_rejects_column_mismatch() {
-        let _ = Matrix::zeros(1, 2).concat_rows(&Matrix::zeros(1, 3));
     }
 
     #[test]

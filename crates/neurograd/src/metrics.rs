@@ -41,14 +41,6 @@ impl Confusion {
         c
     }
 
-    /// Merges another confusion into this one.
-    pub fn merge(&mut self, other: &Confusion) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.tn += other.tn;
-        self.fn_ += other.fn_;
-    }
-
     /// Total number of counted samples.
     pub(crate) fn total(&self) -> u64 {
         self.tp + self.fp + self.tn + self.fn_
@@ -145,15 +137,6 @@ mod tests {
         let targets = [1.0, 1.0];
         assert_eq!(Confusion::from_scores(&scores, &targets, 0.5).tp, 1);
         assert_eq!(Confusion::from_scores(&scores, &targets, 0.3).tp, 2);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Confusion { tp: 1, fp: 2, tn: 3, fn_: 4 };
-        let b = Confusion { tp: 10, fp: 20, tn: 30, fn_: 40 };
-        a.merge(&b);
-        assert_eq!(a, Confusion { tp: 11, fp: 22, tn: 33, fn_: 44 });
-        assert_eq!(a.total(), 110);
     }
 
     #[test]

@@ -138,24 +138,6 @@ impl ParamStore {
             }
         }
     }
-
-    /// Serialises all parameter values (order = registration order).
-    pub fn snapshot(&self) -> Vec<Matrix> {
-        self.params.iter().map(|p| p.value.clone()).collect()
-    }
-
-    /// Restores parameter values from a [`ParamStore::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not match the store layout.
-    pub fn restore(&mut self, snapshot: &[Matrix]) {
-        assert_eq!(snapshot.len(), self.params.len(), "snapshot length mismatch");
-        for (p, s) in self.params.iter_mut().zip(snapshot) {
-            assert_eq!(p.value.shape(), s.shape(), "snapshot shape mismatch");
-            p.value = s.clone();
-        }
-    }
 }
 
 /// Adam's first-moment decay.
@@ -267,16 +249,6 @@ mod tests {
         store.param_mut(w).grad = Matrix::scalar(10.0);
         store.clip_grad_norm(1.0);
         assert!((store.grad_norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Matrix::scalar(5.0));
-        let snap = store.snapshot();
-        store.param_mut(w).value = Matrix::scalar(0.0);
-        store.restore(&snap);
-        assert_eq!(store.param(w).value.item(), 5.0);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub struct FlightEvent {
     pub at_us: u64,
     /// Incident kind.
     pub kind: FlightEventKind,
-    /// What the event is about — a design name, `shard N`, or a model
-    /// name, depending on the kind.
+    /// What the event is about — a design name or a model name,
+    /// depending on the kind.
     pub scope: String,
     /// Free-form detail (reason, counts).
     pub detail: String,

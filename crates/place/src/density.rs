@@ -57,11 +57,6 @@ impl DensityMap {
         self.values.iter().fold(0.0f32, |m, &v| m.max(v))
     }
 
-    /// Total overflow: `Σ max(0, v - target)`.
-    pub fn overflow(&self, target: f32) -> f32 {
-        self.values.iter().map(|&v| (v - target).max(0.0)).sum()
-    }
-
     /// 3×3 box blur, used to smooth gradients for the spreader.
     pub(crate) fn box_blur(&self) -> DensityMap {
         let mut out = self.clone();
@@ -148,6 +143,11 @@ mod tests {
         for (gx, gy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
             assert!((map.at(gx, gy) - 0.25).abs() < 1e-6);
         }
+        // centred on the die corner: only the on-die quarter counts
+        p.set_position(a, Point::new(0.0, 0.0));
+        let map = density_map(&c, &p, &grid);
+        assert!((map.at(0, 0) - 0.25).abs() < 1e-6);
+        assert!((map.values.iter().sum::<f32>() - 0.25).abs() < 1e-6);
     }
 
     #[test]
@@ -158,19 +158,6 @@ mod tests {
         p.set_position(t, Point::new(4.0, 4.0));
         let map = density_map(&c, &p, &grid);
         assert_eq!(map.max(), 0.0);
-    }
-
-    #[test]
-    fn overflow_counts_excess_only() {
-        let (mut c, grid) = setup();
-        let a = c.add_cell(Cell::movable("a", 4.0, 4.0)); // area 16 = 4 gcells
-        let mut p = Placement::zeroed(1);
-        p.set_position(a, Point::new(1.0, 1.0)); // clipped at the corner
-        let map = density_map(&c, &p, &grid);
-        assert!(map.overflow(0.4) > 0.0);
-        assert_eq!(map.overflow(1e9), 0.0);
-        // clipped at the die edge: only the on-die part of the cell counts
-        assert!(map.values.iter().sum::<f32>() < 16.0 / 4.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The inference engine: a front over N shards, each with its own
-//! prediction cache and count cells. Every predict resolves on the
-//! caller's thread; the engine runs no thread of its own.
+//! The inference engine: one prediction cache and one set of count cells
+//! in front of the model registry. Every predict resolves on the caller's
+//! thread; the engine runs no thread of its own.
 //!
 //! # Architecture
 //!
@@ -8,10 +8,7 @@
 //!         ServeHandle::predict          Session::predict
 //!                   │                           │
 //!                   └─────────┬─────────────────┘
-//!                             │ stable hash: design → shard
-//!                  ┌──────────┼──────────┐
-//!                  ▼          ▼          ▼
-//!               shard 0    shard 1  …  shard N-1
+//!                             ▼
 //!         ┌────────────────────────────┐
 //!         │ resolve (caller's thread)  │
 //!         │ LRU cache                  │
@@ -19,22 +16,13 @@
 //!         └────────────────────────────┘
 //! ```
 //!
-//! Sharding gives many concurrent placement loops isolation: a hot design
-//! hammering one shard cannot evict another design's cache entries,
-//! because requests route by a *stable* hash of the design's identity
-//! (sessions and [`PredictRequest::design`]: the design id;
-//! anonymous stateless requests: the operator fingerprint, which keeps
-//! repeats of one state on one shard but spreads a design's successive
-//! states) — the same state always lands on the same shard, so its
-//! repeats meet their cache entry.
-//!
 //! Every prediction goes through one routine: check shutdown, admit the
-//! request, then `resolve` it on its shard — look the key up in the
-//! shard's LRU cache (keyed by content fingerprints) and, on a miss, run
-//! the forward and cache its result. A stateless request's forward runs
-//! from scratch on the calling thread's reusable [`ScratchSet`]; a session
-//! predict runs the session's own bounded-radius forward, a splice over
-//! the dirty halo. Session updates apply on the caller's thread too (see
+//! request, then `resolve` it — look the key up in the LRU cache (keyed
+//! by content fingerprints) and, on a miss, run the forward and cache its
+//! result. A stateless request's forward runs from scratch on the calling
+//! thread's reusable [`ScratchSet`]; a session predict runs the session's
+//! own bounded-radius forward, a splice over the dirty halo. Session
+//! updates apply on the caller's thread too (see
 //! [`crate::Session::update`]). Stateless requests and sessions share the
 //! cache, so a state either of them computed answers the other. Nothing
 //! waits on another caller's forward: two concurrent misses on one key
@@ -60,7 +48,6 @@ use std::time::{Duration, Instant};
 use lh_graph::FeatureSet;
 use lhnn::{CongestionModel, GraphOps, Prediction, ScratchSet};
 use lhnn_obs::{FlightEvent, FlightEventKind, Snapshot};
-use neurograd::Fnv64;
 
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{Result, ServeError};
@@ -76,12 +63,11 @@ pub struct EngineConfig {
     /// parallelism is the number of client threads. The field exists only
     /// until the benchmark, which sets it, stops doing so.
     pub workers: usize,
-    /// Independent shards (default 1). Each shard has its own prediction
-    /// cache and count cells; designs map to shards by a stable hash, so
-    /// one hot design cannot evict another design's cache entries.
+    /// Unused (default 1): the engine keeps one prediction cache. The
+    /// field exists only until the benchmark, which sets it, stops doing
+    /// so; it goes with `workers` (ROADMAP item 1).
     pub shards: usize,
-    /// LRU prediction-cache capacity in entries **per shard** (0 disables
-    /// caching).
+    /// LRU prediction-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Intra-op compute threads: 0 (default) leaves the shared
     /// `neurograd` pool as configured; a positive value rebuilds it with
@@ -122,12 +108,6 @@ pub struct PredictRequest {
     pub ops: Arc<GraphOps>,
     /// Input features of the design.
     pub features: Arc<FeatureSet>,
-    /// Optional design identity for shard routing. `Some` pins every
-    /// state of the design to one shard (the per-design affinity sessions
-    /// get automatically); `None` routes by the operator fingerprint, so
-    /// repeats of the *same state* still meet their cache entry, but
-    /// successive states of one design spread across shards.
-    pub design: Option<String>,
     /// Per-request congestion threshold applied to channel-0
     /// probabilities for [`ServeReply::congested_fraction`].
     pub threshold: f32,
@@ -136,22 +116,13 @@ pub struct PredictRequest {
 impl PredictRequest {
     /// A request against `model` with the conventional 0.5 threshold.
     pub fn new(model: &str, ops: Arc<GraphOps>, features: Arc<FeatureSet>) -> Self {
-        Self { model: model.to_string(), ops, features, design: None, threshold: 0.5 }
+        Self { model: model.to_string(), ops, features, threshold: 0.5 }
     }
 
     /// Sets the congestion threshold.
     #[must_use]
     pub fn with_threshold(mut self, threshold: f32) -> Self {
         self.threshold = threshold;
-        self
-    }
-
-    /// Pins the request to the shard owning `design` (stable hash), like
-    /// a session over that design would be.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn with_design(mut self, design: impl Into<String>) -> Self {
-        self.design = Some(design.into());
         self
     }
 }
@@ -180,9 +151,9 @@ thread_local! {
 
 pub(crate) struct Shared {
     registry: Arc<ModelRegistry>,
-    /// One LRU prediction cache per shard, isolated from every other
-    /// shard. The shards' count cells live in `EngineObs::shards`.
-    shards: Vec<Mutex<PredictionCache>>,
+    /// The one LRU prediction cache, shared by stateless requests and
+    /// sessions. The count cells live in `EngineObs::counts`.
+    cache: Mutex<PredictionCache>,
     started: Instant,
     obs: EngineObs,
     /// Set by [`ServeEngine::shutdown`] and on drop; every later predict
@@ -192,9 +163,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Answers `key` on shard `shard_idx` — from the shard's cache, or by
-    /// running `forward` and caching its result — and reports whether the
-    /// prediction came from the cache.
+    /// Answers `key` — from the cache, or by running `forward` and caching
+    /// its result — and reports whether the prediction came from the
+    /// cache.
     ///
     /// Two concurrent misses on one key each run their forward; the
     /// bitwise contract makes both results equal, so the second insert
@@ -203,14 +174,12 @@ impl Shared {
     /// recorded and the caller gets [`ServeError::WorkerLost`].
     fn resolve(
         &self,
-        shard_idx: usize,
         entry: &ModelEntry,
         key: CacheKey,
         forward: impl FnOnce() -> Prediction,
     ) -> Result<(Arc<Prediction>, bool)> {
-        let cache = &self.shards[shard_idx];
         let t_cache = self.obs.stage_cache.start();
-        let hit = lock::recover(cache).get(&key);
+        let hit = lock::recover(&self.cache).get(&key);
         self.obs.stage_cache.stop_us(t_cache);
         if let Some(hit) = hit {
             return Ok((hit, true));
@@ -224,13 +193,13 @@ impl Shared {
                 );
                 ServeError::WorkerLost
             })?;
-        self.obs.shards[shard_idx].computed.inc();
-        lock::recover(cache).insert(key, Arc::clone(&p));
+        self.obs.counts.computed.inc();
+        lock::recover(&self.cache).insert(key, Arc::clone(&p));
         Ok((p, false))
     }
 }
 
-/// The engine: owns the shards and the model registry; hand out
+/// The engine: owns the prediction cache and the model registry; hand out
 /// [`ServeHandle`]s to use it.
 ///
 /// Dropping it (or [`ServeEngine::shutdown`]) stops accepting work: every
@@ -242,13 +211,13 @@ pub struct ServeEngine {
 
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ServeEngine({} shards)", self.shared.shards.len())
+        f.write_str("ServeEngine")
     }
 }
 
 impl ServeEngine {
-    /// Builds `cfg.shards` shards over `registry`. No thread is started:
-    /// each predict runs on its caller's thread.
+    /// Builds an engine over `registry`. No thread is started: each
+    /// predict runs on its caller's thread.
     ///
     /// With `cfg.compute_threads > 0` the shared intra-op compute pool is
     /// rebuilt to that width first (process-wide — see
@@ -257,14 +226,11 @@ impl ServeEngine {
         if cfg.compute_threads > 0 {
             neurograd::pool::configure_threads(cfg.compute_threads);
         }
-        let shards: Vec<_> = (0..cfg.shards.max(1))
-            .map(|_| Mutex::new(PredictionCache::new(cfg.cache_capacity)))
-            .collect();
-        let obs = EngineObs::new(cfg.metrics, shards.len());
+        let obs = EngineObs::new(cfg.metrics);
         registry.attach_metrics(Arc::clone(&obs.registry));
         let shared = Arc::new(Shared {
             registry,
-            shards,
+            cache: Mutex::new(PredictionCache::new(cfg.cache_capacity)),
             started: Instant::now(),
             obs,
             shutdown: AtomicBool::new(false),
@@ -297,23 +263,14 @@ pub struct ServeHandle {
 
 impl std::fmt::Debug for ServeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ServeHandle({} shards)", self.shared.shards.len())
+        f.write_str("ServeHandle")
     }
 }
 
 impl ServeHandle {
     /// Serves one request on the caller's thread, blocking until the
-    /// prediction is available: the shard's cache answers if it can,
-    /// otherwise a from-scratch
-    /// forward computes and its result lands in the shard's cache.
-    ///
-    /// Routing: a request carrying a design id
-    /// ([`PredictRequest::design`]) goes to that design's shard —
-    /// the same per-design affinity sessions get. Without one, the shard
-    /// is a stable hash of the operator fingerprint: repeats of the same
-    /// state always meet their own cache entry, but
-    /// successive states of an anonymous design spread across shards, so
-    /// pass a design id when one placement loop should stay isolated.
+    /// prediction is available: the cache answers if it can, otherwise a
+    /// from-scratch forward computes and its result lands in the cache.
     ///
     /// # Errors
     ///
@@ -323,31 +280,20 @@ impl ServeHandle {
     /// [`ServeError::ShuttingDown`] once the engine shut down,
     /// [`ServeError::WorkerLost`] if the forward panicked.
     pub fn predict(&self, request: &PredictRequest) -> Result<ServeReply> {
-        self.predict_here(self.shard_of_request(request), request, |entry| {
+        self.predict_here(request, |entry| {
             SCRATCH.with(|scratch| {
                 scratch.borrow_mut().predict(entry.model.as_ref(), &request.ops, &request.features)
             })
         })
     }
 
-    /// The shard a request routes to: its design id when it has one, the
-    /// operator fingerprint otherwise.
-    fn shard_of_request(&self, request: &PredictRequest) -> usize {
-        match &request.design {
-            Some(design) => self.shard_of_design(design),
-            None => self.shard_of_ops_fingerprint(request.ops.fingerprint()),
-        }
-    }
-
-    /// Serves `request` on the caller's thread, on shard `shard_idx`: the
-    /// one path of both [`ServeHandle::predict`] and
-    /// [`crate::Session::predict`]. The shard's cache answers if it can,
-    /// otherwise `forward` (a
-    /// from-scratch forward, or a session's bounded-radius one) computes,
-    /// and its result lands in the shard's cache.
+    /// Serves `request` on the caller's thread: the one path of both
+    /// [`ServeHandle::predict`] and [`crate::Session::predict`]. The cache
+    /// answers if it can, otherwise `forward` (a from-scratch forward, or
+    /// a session's bounded-radius one) computes, and its result lands in
+    /// the cache.
     pub(crate) fn predict_here(
         &self,
-        shard_idx: usize,
         request: &PredictRequest,
         forward: impl FnOnce(&ModelEntry) -> Prediction,
     ) -> Result<ServeReply> {
@@ -356,10 +302,9 @@ impl ServeHandle {
             return Err(ServeError::ShuttingDown);
         }
         let (entry, key) = self.admit(request)?;
-        let (prediction, cached) =
-            self.shared.resolve(shard_idx, &entry, key, || forward(&entry))?;
+        let (prediction, cached) = self.shared.resolve(&entry, key, || forward(&entry))?;
         let latency = submitted.elapsed();
-        self.shared.obs.shards[shard_idx].record_request(latency, cached);
+        self.shared.obs.counts.record_request(latency, cached);
         Ok(reply_from(prediction, cached, request.threshold, latency))
     }
 
@@ -372,43 +317,29 @@ impl ServeHandle {
         requests.iter().map(|request| self.predict(request)).collect()
     }
 
-    /// A snapshot of the engine's counters and latency percentiles,
-    /// aggregated across shards ([`ServeStats::per_shard`] has the
-    /// breakdown): a lock-free read of the shards' registry cells.
+    /// A snapshot of the engine's counters and latency percentiles: a
+    /// lock-free read of its registry cells.
     pub fn stats(&self) -> ServeStats {
-        ServeStats::read(&self.shared.obs.shards, self.shared.started.elapsed())
+        ServeStats::read(&self.shared.obs.counts, self.shared.started.elapsed())
     }
 
-    /// Number of shards.
+    /// Always 1: the engine keeps one prediction cache. Exists only until
+    /// the benchmark, which calls it, stops doing so; it goes with
+    /// `EngineConfig::workers` (ROADMAP item 1).
     pub fn shards(&self) -> usize {
-        self.shared.shards.len()
+        1
     }
 
-    /// The shard a design id routes to (stable FNV hash, so the same
-    /// design always lands on the same shard).
-    pub fn shard_of_design(&self, design_id: &str) -> usize {
-        let mut h = Fnv64::new();
-        h.write_str(design_id);
-        (h.finish() % self.shared.shards.len() as u64) as usize
+    /// Always 0: the engine keeps one prediction cache. Exists only until
+    /// the benchmark, which calls it, stops doing so; it goes with
+    /// `EngineConfig::workers` (ROADMAP item 1).
+    pub fn shard_of_design(&self, _design_id: &str) -> usize {
+        0
     }
 
-    fn shard_of_ops_fingerprint(&self, fp: u64) -> usize {
-        // The fingerprint is already well-mixed; fold it through FNV once
-        // more so shard routing is independent of cache-key equality.
-        let mut h = Fnv64::new();
-        h.write_u64(fp);
-        (h.finish() % self.shared.shards.len() as u64) as usize
-    }
-
-    /// Number of predictions currently cached, across all shards.
+    /// Number of predictions currently cached.
     pub fn cache_len(&self) -> usize {
-        self.shared.shards.iter().map(|s| lock::recover(s).len()).sum()
-    }
-
-    /// Number of predictions cached on one shard (0 for a shard that does
-    /// not exist).
-    pub fn shard_cache_len(&self, shard: usize) -> usize {
-        self.shared.shards.get(shard).map_or(0, |s| lock::recover(s).len())
+        lock::recover(&self.shared.cache).len()
     }
 
     /// The registry this engine serves from.
@@ -417,11 +348,11 @@ impl ServeHandle {
     }
 
     /// Hot-swaps the model registered under `name` and evicts the
-    /// displaced version's predictions from every shard cache.
+    /// displaced version's predictions from the cache.
     ///
     /// The versioned cache keys make the old entries unreachable; evicting
-    /// them here keeps them from squatting in the shard LRUs, evicting
-    /// live predictions until traffic ages them off.
+    /// them here keeps them from squatting in the LRU, evicting live
+    /// predictions until traffic ages them off.
     ///
     /// The replacement may be a **different architecture**. An open
     /// session serving `name` needs no notice: its incremental forward
@@ -441,9 +372,7 @@ impl ServeHandle {
         let displaced = self.shared.registry.get(name);
         let entry = self.shared.registry.replace_boxed(name, Box::new(model))?;
         if let Some(old) = displaced.filter(|old| old.version != entry.version) {
-            for s in &self.shared.shards {
-                lock::recover(s).evict_model(old.version);
-            }
+            lock::recover(&self.shared.cache).evict_model(old.version);
             self.shared.obs.flight.record(
                 FlightEventKind::HotSwap,
                 name,
@@ -451,12 +380,6 @@ impl ServeHandle {
             );
         }
         Ok(entry)
-    }
-
-    /// Shard `shard_idx`'s `lhnn_session_updates_total` cell: where a
-    /// session pinned to that shard counts each update it applies.
-    pub(crate) fn session_update_sinks(&self, shard_idx: usize) -> lhnn_obs::Counter {
-        self.shared.obs.shards[shard_idx].session_updates.clone()
     }
 
     /// A point-in-time snapshot of every registered series (render it with
@@ -720,64 +643,10 @@ mod tests {
         engine.shutdown();
     }
 
-    #[test]
-    fn sharded_engine_serves_and_isolates_routing() {
-        let registry = Arc::new(ModelRegistry::new());
-        registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-        let engine = ServeEngine::new(
-            Arc::clone(&registry),
-            EngineConfig { shards: 3, cache_capacity: 8, ..Default::default() },
-        );
-        let handle = engine.handle();
-        assert_eq!(handle.shards(), 3);
-        // distinct designs spread over the shards; every request lands on
-        // a deterministic shard, so repeats always hit their own cache
-        let designs: Vec<_> = (0..6).map(|s| design(40 + s, 70, 6)).collect();
-        for (ops, feats) in &designs {
-            let req = PredictRequest::new("default", Arc::clone(ops), Arc::clone(feats));
-            assert!(!handle.predict(&req).unwrap().cached);
-            assert!(handle.predict(&req).unwrap().cached, "repeat must hit the same shard");
-        }
-        let stats = handle.stats();
-        assert_eq!(stats.requests, 12);
-        assert_eq!(stats.computed, 6);
-        assert_eq!(stats.per_shard.len(), 3);
-        let spread: u64 = stats.per_shard.iter().map(|s| s.requests).sum();
-        assert_eq!(spread, 12, "per-shard requests must sum to the aggregate");
-        assert_eq!(handle.cache_len(), 6);
-        assert_eq!((0..3).map(|s| handle.shard_cache_len(s)).sum::<usize>(), 6);
-        // a shard that does not exist holds nothing
-        assert_eq!(handle.shard_cache_len(3), 0);
-        assert_eq!(handle.shard_cache_len(7), 0);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn stateless_requests_with_a_design_id_pin_their_shard() {
-        let registry = Arc::new(ModelRegistry::new());
-        registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-        let engine = ServeEngine::new(
-            Arc::clone(&registry),
-            EngineConfig { shards: 2, cache_capacity: 8, ..Default::default() },
-        );
-        let handle = engine.handle();
-        let expected = handle.shard_of_design("pinned");
-        // two different states of the same named design land on one shard
-        for seed in [20, 21] {
-            let (ops, feats) = design(seed, 80, 6);
-            let req = PredictRequest::new("default", ops, feats).with_design("pinned");
-            handle.predict(&req).unwrap();
-        }
-        assert_eq!(handle.shard_cache_len(expected), 2, "both states cached on the pinned shard");
-        assert_eq!(handle.cache_len(), 2);
-        engine.shutdown();
-    }
-
     /// Regression: a hot-swap through the bare registry left the displaced
-    /// version's predictions squatting in the shard LRUs — unreachable
-    /// (versioned keys) but still evicting live entries. `replace_model`
-    /// must reclaim them immediately, on every shard, and leave other
-    /// models' entries alone.
+    /// version's predictions squatting in the LRU — unreachable (versioned
+    /// keys) but still evicting live entries. `replace_model` must reclaim
+    /// them immediately and leave other models' entries alone.
     #[test]
     fn hot_swap_evicts_displaced_versions_cache_entries() {
         let registry = Arc::new(ModelRegistry::new());
@@ -785,10 +654,10 @@ mod tests {
         registry.register("other", Lhnn::new(LhnnConfig::default(), 7)).unwrap();
         let engine = ServeEngine::new(
             Arc::clone(&registry),
-            EngineConfig { shards: 2, cache_capacity: 8, ..Default::default() },
+            EngineConfig { cache_capacity: 8, ..Default::default() },
         );
         let handle = engine.handle();
-        // fill both shards with predictions from both models
+        // fill the cache with predictions from both models
         for seed in 0..4 {
             let (ops, feats) = design(60 + seed, 70, 6);
             handle
@@ -800,11 +669,7 @@ mod tests {
         let old = registry.get("default").unwrap().version;
         let entry = handle.replace_model("default", Lhnn::new(LhnnConfig::default(), 99)).unwrap();
         assert_ne!(entry.version, old, "swap must change the serving version");
-        assert_eq!(
-            handle.cache_len(),
-            4,
-            "displaced version evicted from every shard, other model untouched"
-        );
+        assert_eq!(handle.cache_len(), 4, "displaced version evicted, other model untouched");
         // the swapped-in model serves (and re-fills the cache) normally
         let (ops, feats) = design(60, 70, 6);
         let reply = handle.predict(&PredictRequest::new("default", ops, feats)).unwrap();
@@ -861,7 +726,7 @@ mod tests {
     }
 
     /// Poisoned re-derivable locks recover instead of cascading panics:
-    /// deliberately poison a shard's cache mutex and confirm every surface
+    /// deliberately poison the cache mutex and confirm every surface
     /// that crosses it still works.
     #[test]
     fn poisoned_cache_mutex_recovers() {
@@ -869,11 +734,11 @@ mod tests {
         let handle = engine.handle();
         let shared = Arc::clone(&handle.shared);
         let _ = std::thread::spawn(move || {
-            let _guard = shared.shards[0].lock().unwrap();
+            let _guard = shared.cache.lock().unwrap();
             panic!("poison the cache mutex");
         })
         .join();
-        assert!(handle.shared.shards[0].lock().is_err(), "mutex really poisoned");
+        assert!(handle.shared.cache.lock().is_err(), "mutex really poisoned");
         let (ops, feats) = design(9, 80, 6);
         let ok = handle.predict(&PredictRequest::new("default", ops, feats)).unwrap();
         assert!(ok.prediction.cls_prob.is_finite());

@@ -1,5 +1,5 @@
-//! `lhnn-serve` — a sharded congestion-inference engine that answers each
-//! predict on its caller's thread.
+//! `lhnn-serve` — a congestion-inference engine that answers each predict
+//! on its caller's thread.
 //!
 //! The paper's end goal is congestion feedback *inside* placement loops: a
 //! placer queries "where will routing congest?" thousands of times per
@@ -12,29 +12,27 @@
 //! * [`ModelRegistry`] — loads `.lhnn` checkpoints once, validates them
 //!   against the feature pipeline, hands out shared entries; bad
 //!   checkpoints are rejected without touching serving state.
-//! * [`ServeEngine`] — a front over [`EngineConfig::shards`] independent
-//!   shards; each owns its own prediction cache and its own count
-//!   cells. The engine starts no thread: a predict runs on its caller's
-//!   thread (a stateless one as a tape-free forward on that thread's
-//!   reusable per-kind [`lhnn::ScratchSet`]), so request parallelism is
-//!   the number of client threads. Designs route to shards by a stable
-//!   hash, so one hot placement loop cannot evict another design's cache
-//!   entries.
-//! * `PredictionCache` — a per-shard LRU keyed by content fingerprints
-//!   of `(model weights, graph operators, features)`, so repeated queries
-//!   on an unchanged placement cost only hashing.
+//! * [`ServeEngine`] — one prediction cache and one set of count cells
+//!   in front of the registry. The engine starts no thread: a predict
+//!   runs on its caller's thread (a stateless one as a tape-free forward
+//!   on that thread's reusable per-kind [`lhnn::ScratchSet`]), so request
+//!   parallelism is the number of client threads.
+//! * `PredictionCache` — an LRU keyed by content fingerprints of
+//!   `(model weights, graph operators, features)`, so repeated queries on
+//!   an unchanged placement cost only hashing. Stateless requests and
+//!   sessions share it, so a state either of them computed answers the
+//!   other.
 //! * [`ServeHandle`] — the synchronous client API
 //!   ([`ServeHandle::predict`], [`ServeHandle::predict_batch`],
-//!   [`ServeHandle::stats`]) with latency percentiles, throughput, cache
-//!   hit rate and a per-shard breakdown ([`ServeStats::per_shard`]).
+//!   [`ServeHandle::stats`]) with latency percentiles, throughput and
+//!   cache hit rate.
 //! * [`Session`] — the stateful placement-loop surface
 //!   ([`ServeHandle::open_session`] / [`Session::update`] /
 //!   [`Session::predict`]): keeps an incremental
-//!   [`lhnn::LatticePipeline`] hot per design, pinned to the design's
-//!   shard. Both calls run on the caller's thread: `update` patches the
-//!   pipeline in place; `predict` goes through the shard's cache and,
-//!   on a miss, splices over the region the
-//!   updates dirtied instead of recomputing every G-cell.
+//!   [`lhnn::LatticePipeline`] hot per design. Both calls run on the
+//!   caller's thread: `update` patches the pipeline in place; `predict`
+//!   goes through the engine's cache and, on a miss, splices over the
+//!   region the updates dirtied instead of recomputing every G-cell.
 //!
 //! Failures stay contained: a panicking forward costs its requester a
 //! [`ServeError::WorkerLost`] and nothing else; engine locks guard
@@ -43,8 +41,8 @@
 //! calls with [`ServeError::Poisoned`] while the engine keeps serving.
 //!
 //! Served predictions are **bitwise identical** to direct
-//! [`lhnn::CongestionModel::predict`] calls regardless of client count,
-//! shard count or cache state (property-tested in `tests/determinism.rs`).
+//! [`lhnn::CongestionModel::predict`] calls regardless of client count or
+//! cache state (property-tested in `tests/determinism.rs`).
 //!
 //! # Example
 //!

@@ -1,15 +1,15 @@
-//! Engine-wide observability: the metrics registry, the per-shard count
+//! Engine-wide observability: the metrics registry, the engine's count
 //! cells, pre-registered handles for the hot-path spans, and the flight
 //! recorder.
 //!
 //! One [`EngineObs`] per engine, built when the engine starts and shared
-//! (via `Arc`s inside the handles) with every shard and session.
+//! (via `Arc`s inside the handles) with every session.
 //! The registry is the engine's only count store: each count lives in
-//! one cell labelled where it happened — `{shard="i"}` for the engine's
-//! counts here, `{design,model}` or `{design}` for the session, splice
-//! and pipeline counts sessions register — and [`crate::ServeStats`] is a
-//! read of the shard cells. A bare-name snapshot lookup
-//! (`counter("lhnn_requests_total")`) sums every label set.
+//! one cell — unlabelled for the engine's counts here, `{design,model}`
+//! or `{design}` for the session, splice and pipeline counts sessions
+//! register — and [`crate::ServeStats`] is a read of the engine's cells.
+//! A bare-name snapshot lookup (`counter("lhnn_requests_total")`) sums
+//! every label set.
 //!
 //! With `EngineConfig::metrics` off the registry and recorder are built
 //! disabled: cells still count, so the stats stay exact, but span timers
@@ -24,12 +24,12 @@ use lhnn_obs::{Counter, FlightRecorder, Histogram, Registry, PREDICT_STAGES, UPD
 /// How many flight events an engine retains (newest win).
 pub(crate) const FLIGHT_CAPACITY: usize = 256;
 
-/// One shard's count cells, each labelled `{shard="i"}`.
+/// The engine's count cells, unlabelled.
 #[derive(Debug, Clone)]
-pub(crate) struct ShardObs {
+pub(crate) struct EngineCounts {
     /// Requests answered (cache hits included).
     pub(crate) requests: Counter,
-    /// Requests answered from the shard cache.
+    /// Requests answered from the prediction cache.
     pub(crate) cache_hits: Counter,
     /// Forward passes executed.
     pub(crate) computed: Counter,
@@ -39,16 +39,14 @@ pub(crate) struct ShardObs {
     pub(crate) request_us: Histogram,
 }
 
-impl ShardObs {
-    pub(crate) fn new(registry: &Registry, shard: usize) -> Self {
-        let shard = shard.to_string();
-        let l = &[("shard", shard.as_str())][..];
+impl EngineCounts {
+    pub(crate) fn new(registry: &Registry) -> Self {
         Self {
-            requests: registry.counter_with("lhnn_requests_total", l),
-            cache_hits: registry.counter_with("lhnn_cache_hits_total", l),
-            computed: registry.counter_with("lhnn_computed_total", l),
-            session_updates: registry.counter_with("lhnn_session_updates_total", l),
-            request_us: registry.histogram_with("lhnn_request_us", l),
+            requests: registry.counter("lhnn_requests_total"),
+            cache_hits: registry.counter("lhnn_cache_hits_total"),
+            computed: registry.counter("lhnn_computed_total"),
+            session_updates: registry.counter("lhnn_session_updates_total"),
+            request_us: registry.histogram("lhnn_request_us"),
         }
     }
 
@@ -62,24 +60,23 @@ impl ShardObs {
     }
 }
 
-/// The engine's registry, flight recorder, per-shard cells and
-/// pre-resolved handles for everything the request hot path records.
+/// The engine's registry, flight recorder, count cells and pre-resolved
+/// handles for everything the request hot path records.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineObs {
     pub(crate) registry: Arc<Registry>,
     pub(crate) flight: Arc<FlightRecorder>,
-    /// Indexed by shard.
-    pub(crate) shards: Vec<ShardObs>,
+    pub(crate) counts: EngineCounts,
     /// Cache-lookup span: each lookup a resolve makes before it claims
     /// the key.
     pub(crate) stage_cache: Histogram,
 }
 
 impl EngineObs {
-    /// Builds the engine's observability plane for `shards` shards.
-    /// `enabled = false` builds the disabled registry/recorder pair (the
-    /// `EngineConfig::metrics` off-switch).
-    pub(crate) fn new(enabled: bool, shards: usize) -> Self {
+    /// Builds the engine's observability plane. `enabled = false` builds
+    /// the disabled registry/recorder pair (the `EngineConfig::metrics`
+    /// off-switch).
+    pub(crate) fn new(enabled: bool) -> Self {
         let registry = Arc::new(if enabled { Registry::new() } else { Registry::disabled() });
         let flight = Arc::new(if enabled {
             FlightRecorder::new(FLIGHT_CAPACITY)
@@ -93,7 +90,7 @@ impl EngineObs {
             registry.stage(stage);
         }
         Self {
-            shards: (0..shards).map(|i| ShardObs::new(&registry, i)).collect(),
+            counts: EngineCounts::new(&registry),
             stage_cache: registry.stage("cache"),
             registry,
             flight,
@@ -107,10 +104,9 @@ mod tests {
 
     #[test]
     fn catalog_is_preregistered() {
-        let obs = EngineObs::new(true, 2);
+        let obs = EngineObs::new(true);
         let snap = obs.registry.snapshot();
-        // every canonical series is present on every shard before any
-        // traffic
+        // every canonical series is present before any traffic
         for name in [
             "lhnn_requests_total",
             "lhnn_cache_hits_total",
@@ -118,10 +114,7 @@ mod tests {
             "lhnn_session_updates_total",
             "lhnn_request_us",
         ] {
-            for shard in ["0", "1"] {
-                let key = format!("{name}{{shard=\"{shard}\"}}");
-                assert!(snap.get(&key).is_some(), "missing {key}");
-            }
+            assert!(snap.get(name).is_some(), "missing {name}");
         }
         for stage in PREDICT_STAGES.iter().chain(UPDATE_STAGES.iter()) {
             let key = format!("lhnn_stage_us{{stage=\"{stage}\"}}");
@@ -132,8 +125,8 @@ mod tests {
     #[test]
     fn disabled_obs_records_nothing() {
         // Off records no span and no flight event, yet still counts.
-        let obs = EngineObs::new(false, 1);
-        obs.shards[0].record_request(Duration::from_micros(10), false);
+        let obs = EngineObs::new(false);
+        obs.counts.record_request(Duration::from_micros(10), false);
         assert!(obs.stage_cache.start().is_none());
         obs.flight.record(lhnn_obs::FlightEventKind::HotSwap, "m", "v1 -> v2");
         let snap = obs.registry.snapshot();

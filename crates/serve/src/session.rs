@@ -6,10 +6,10 @@
 //! thousands of times. A [`Session`] keeps a [`LatticePipeline`] hot per
 //! design: an update patches it in place, and a predict splices over the
 //! dirty halo, both on the caller's thread. A predict goes through the
-//! design's shard cache, so a state seen before costs no forward.
+//! engine's prediction cache, so a state seen before costs no forward.
 //!
 //! ```text
-//! open_session(circuit, placement)      // one full build; design → shard
+//! open_session(circuit, placement)      // one full build
 //!   loop {
 //!     session.update(&delta)            // patches the pipeline in place
 //!     session.predict()                 // spliced forward, same thread
@@ -21,9 +21,9 @@
 //! Updates apply under the session's state lock, in call order, and a
 //! predict snapshots the state under the same lock, so it describes every
 //! update applied before it. Combined with the bitwise-deterministic
-//! kernel backend, any interleaving of sessions across any shard count
-//! yields predictions bitwise identical to serial single-shard execution
-//! (proptest-enforced in `tests/sharded_sessions.rs`).
+//! kernel backend, any interleaving of sessions across any client count
+//! yields predictions bitwise identical to serial execution (the
+//! interleaved-session replay proptest enforces it).
 //!
 //! # Failure discipline
 //!
@@ -57,38 +57,28 @@ use crate::engine::{PredictRequest, ServeHandle, ServeReply};
 use crate::error::{Result, ServeError};
 
 /// Options for [`ServeHandle::open_session`].
+///
+/// A session's predictions use the conventional 0.5 threshold and the
+/// reproduction's fixed feature divisors
+/// ([`FeatureSet::default_divisors`]).
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Registry name of the model to serve with.
     pub model: String,
-    /// Design identity used for shard affinity (stable hash of this id
-    /// picks the shard). `None` (the default) uses the circuit's name, so
-    /// two sessions over the same design share a shard — and its cache.
+    /// Design id that labels the session's metrics and flight events.
+    /// `None` (the default) uses the circuit's name.
     pub design: Option<String>,
-    /// Congestion threshold applied to predictions.
-    pub threshold: f32,
-    /// LH-graph build options.
+    /// LH-graph build options (default [`LhGraphConfig::default`]). Only
+    /// tests change them, to reach paths a default graph does not: a
+    /// fallback rebuild that fails and poisons the pipeline, and a
+    /// compaction that invalidates the activation cache.
     pub graph: LhGraphConfig,
-    /// Fixed per-channel G-cell feature divisors (see
-    /// [`FeatureSet::scaled_fixed`]).
-    pub gcell_divisors: Vec<f32>,
-    /// Fixed per-channel G-net feature divisors.
-    pub gnet_divisors: Vec<f32>,
 }
 
 impl SessionConfig {
-    /// Defaults: 0.5 threshold, default graph config, the reproduction's
-    /// fixed feature divisors, shard affinity by circuit name.
+    /// Defaults: default graph config, design id from the circuit's name.
     pub fn new(model: impl Into<String>) -> Self {
-        let (gcell_divisors, gnet_divisors) = FeatureSet::default_divisors();
-        Self {
-            model: model.into(),
-            design: None,
-            threshold: 0.5,
-            graph: LhGraphConfig::default(),
-            gcell_divisors,
-            gnet_divisors,
-        }
+        Self { model: model.into(), design: None, graph: LhGraphConfig::default() }
     }
 
     /// Sets the LH-graph build options.
@@ -99,7 +89,8 @@ impl SessionConfig {
         self
     }
 
-    /// Sets an explicit design id for shard affinity.
+    /// Sets an explicit design id for the session's metrics and flight
+    /// events.
     #[must_use]
     pub fn with_design(mut self, design: impl Into<String>) -> Self {
         self.design = Some(design.into());
@@ -126,16 +117,16 @@ struct SessionCore {
     /// Bounded-radius forward state for this design: cached per-layer
     /// activations plus the dirty sets noted by applied updates. Updates
     /// note every outcome here (under the state lock, so notes follow
-    /// apply order); `predict` runs it as the forward on a shard-cache
-    /// miss, splicing instead of recomputing every G-cell.
+    /// apply order); `predict` runs it as the forward on a cache miss,
+    /// splicing instead of recomputing every G-cell.
     incr: IncrementalForward,
-    /// The design id the session routes (and labels its metrics) by.
+    /// The design id the session labels its metrics and flight events by.
     design: String,
     /// The engine's flight recorder: fallback/poison/wedge events carry
     /// the design as scope (dropped on a metrics-off engine).
     flight: Arc<FlightRecorder>,
-    /// The pinned shard's `lhnn_session_updates_total` cell: every
-    /// applied update counts once.
+    /// The engine's `lhnn_session_updates_total` cell: every applied
+    /// update counts once.
     updates: Counter,
 }
 
@@ -276,44 +267,38 @@ fn reject_reason(delta: &PlacementDelta, num_cells: usize) -> Option<String> {
 
 /// One session's merged observability view ([`Session::observability`]):
 /// the pipeline and incremental-forward counters side by side, tagged
-/// with the design id and shard they describe. Both are reads of the
-/// engine registry's `{design}` and `{design,model}` cells.
+/// with the design id they describe. Both are reads of the engine
+/// registry's `{design}` and `{design,model}` cells.
 #[derive(Debug, Clone)]
 pub struct SessionObservability {
-    /// The design id the session routes (and labels its metrics) by.
+    /// The design id the session labels its metrics by.
     pub design: String,
-    /// The shard the session is pinned to.
-    pub shard: usize,
     /// Update-path counters: noops, incremental patches, fallbacks.
     pub pipeline: PipelineStats,
     /// Forward-path counters: reused, spliced, full, invalidations.
     pub incremental: IncrementalStats,
 }
 
-/// A hot placement-loop session over one design, pinned to one shard.
+/// A hot placement-loop session over one design.
 ///
 /// Owned by the placer thread driving it, which also runs its forwards;
-/// the shard's prediction cache is shared with every other client of the
+/// the engine's prediction cache is shared with every other client of the
 /// [`ServeHandle`].
 #[derive(Debug)]
 pub struct Session {
     handle: ServeHandle,
     cfg: SessionConfig,
     core: SessionCore,
-    shard: usize,
 }
 
 impl ServeHandle {
-    /// Opens a placement-loop session: builds the full pipeline once,
-    /// pins the session to its design's shard (stable hash of the design
-    /// id) and keeps it hot for incremental updates.
+    /// Opens a placement-loop session: builds the full pipeline once and
+    /// keeps it hot for incremental updates.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownModel`] if `cfg.model` is not registered;
-    /// [`ServeError::Session`] if the initial pipeline build fails, or if
-    /// a divisor list's length differs from the pipeline's feature columns
-    /// or holds a divisor that is not finite and positive.
+    /// [`ServeError::Session`] if the initial pipeline build fails.
     pub fn open_session(
         &self,
         cfg: SessionConfig,
@@ -327,13 +312,9 @@ impl ServeHandle {
             .ok_or_else(|| ServeError::UnknownModel(cfg.model.clone()))?;
         let model_kind = entry.model.kind();
         let design_id = cfg.design.clone().unwrap_or_else(|| circuit.name.clone());
-        let shard = self.shard_of_design(&design_id);
         let mut pipeline =
             LatticePipeline::new(circuit, placement, grid, cfg.graph.clone(), AblationSpec::full())
                 .map_err(|e| ServeError::Session(e.to_string()))?;
-        let features = pipeline.features();
-        check_divisors("gcell", &cfg.gcell_divisors, features.gcell.cols())?;
-        check_divisors("gnet", &cfg.gnet_divisors, features.gnet.cols())?;
         // Wire the design's counts and spans into the engine's registry
         // and flight recorder (a metrics-off engine keeps the counts and
         // drops the spans and events).
@@ -345,26 +326,9 @@ impl ServeHandle {
             incr,
             design: design_id,
             flight: Arc::clone(&engine_obs.flight),
-            updates: self.session_update_sinks(shard),
+            updates: engine_obs.counts.session_updates.clone(),
         };
-        Ok(Session { handle: self.clone(), cfg, core, shard })
-    }
-}
-
-/// Refuses a divisor list that [`FeatureSet::scaled_fixed`] would assert
-/// on: a wrong count, or a divisor that is not finite and positive.
-fn check_divisors(block: &str, divisors: &[f32], columns: usize) -> Result<()> {
-    if divisors.len() != columns {
-        return Err(ServeError::Session(format!(
-            "{} {block} divisors for {columns} {block} feature columns",
-            divisors.len()
-        )));
-    }
-    match divisors.iter().find(|d| !(d.is_finite() && **d > 0.0)) {
-        Some(d) => {
-            Err(ServeError::Session(format!("{block} divisor {d} is not finite and positive")))
-        }
-        None => Ok(()),
+        Ok(Session { handle: self.clone(), cfg, core })
     }
 }
 
@@ -390,9 +354,9 @@ impl Session {
     /// Predicts congestion for the current placement, on the caller's
     /// thread.
     ///
-    /// The session's shard cache answers a state seen before; otherwise
-    /// the session's bounded-radius forward splices over the region the
-    /// updates dirtied, and the result lands in the shard's cache.
+    /// The engine's cache answers a state seen before; otherwise the
+    /// session's bounded-radius forward splices over the region the
+    /// updates dirtied, and the result lands in the cache.
     ///
     /// # Errors
     ///
@@ -405,10 +369,9 @@ impl Session {
     /// ([`ServeError::UnknownModel`], [`ServeError::Incompatible`]).
     pub fn predict(&mut self) -> Result<ServeReply> {
         let (ops, features, seq) = self.inputs_with_seq()?;
-        let request = PredictRequest::new(&self.cfg.model, Arc::clone(&ops), Arc::clone(&features))
-            .with_threshold(self.cfg.threshold);
+        let request = PredictRequest::new(&self.cfg.model, Arc::clone(&ops), Arc::clone(&features));
         let incr = &self.core.incr;
-        let reply = self.handle.predict_here(self.shard, &request, |entry| {
+        let reply = self.handle.predict_here(&request, |entry| {
             incr.predict(entry.model.as_ref(), entry.version, &ops, &features, seq).0
         })?;
         // A predict answered without reaching the forward still counts
@@ -450,8 +413,8 @@ impl Session {
         }
         if state.snapshot.is_none() {
             let ops = state.pipeline.ops();
-            let (gcell_div, gnet_div) = (&self.cfg.gcell_divisors, &self.cfg.gnet_divisors);
-            let features = Arc::new(state.pipeline.features().scaled_fixed(gcell_div, gnet_div));
+            let (gcell_div, gnet_div) = FeatureSet::default_divisors();
+            let features = Arc::new(state.pipeline.features().scaled_fixed(&gcell_div, &gnet_div));
             state.snapshot = Some((ops, features));
         }
         let seq = self.core.incr.seq();
@@ -475,7 +438,7 @@ impl Session {
     }
 
     /// The incremental-forward counters: how many predictions were served
-    /// without a forward (activation or shard cache), spliced over a dirty
+    /// without a forward (activation or prediction cache), spliced over a dirty
     /// halo, or recomputed in full, and how often structural events
     /// invalidated the cache. Sessions sharing a design id and model share
     /// these cells.
@@ -497,22 +460,15 @@ impl Session {
 
     /// One merged observability view of the session: the pipeline's
     /// lifetime counters and the incremental-forward counters, captured
-    /// together with the design id and shard. Both are reads of
+    /// together with the design id. Both are reads of
     /// the `{design}`-labelled series in the engine's registry snapshot
     /// ([`crate::ServeHandle::metrics_snapshot`]).
     pub fn observability(&self) -> SessionObservability {
         SessionObservability {
             design: self.core.design.clone(),
-            shard: self.shard,
             pipeline: self.stats(),
             incremental: self.incremental_stats(),
         }
-    }
-
-    /// The shard whose cache and count cells this session's updates and
-    /// predictions use.
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 
     /// The session's configuration.
@@ -536,12 +492,6 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new());
         registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
         ServeEngine::new(registry, EngineConfig::default())
-    }
-
-    fn sharded_engine(shards: usize) -> ServeEngine {
-        let registry = Arc::new(ModelRegistry::new());
-        registry.register("default", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
-        ServeEngine::new(registry, EngineConfig { shards, ..EngineConfig::default() })
     }
 
     fn design(seed: u64) -> (Arc<Circuit>, Placement, GcellGrid) {
@@ -624,9 +574,9 @@ mod tests {
         cfg: &SessionConfig,
     ) -> (GraphOps, FeatureSet) {
         let graph = lh_graph::LhGraph::build(circuit, placement, grid, &cfg.graph).unwrap();
-        let features = FeatureSet::build(&graph, circuit, placement, grid)
-            .unwrap()
-            .scaled_fixed(&cfg.gcell_divisors, &cfg.gnet_divisors);
+        let (gd, nd) = FeatureSet::default_divisors();
+        let features =
+            FeatureSet::build(&graph, circuit, placement, grid).unwrap().scaled_fixed(&gd, &nd);
         (GraphOps::from_graph(&graph, &AblationSpec::full()), features)
     }
 
@@ -639,50 +589,6 @@ mod tests {
             .open_session(SessionConfig::new("nope"), circuit, placement, grid)
             .unwrap_err();
         assert!(matches!(err, ServeError::UnknownModel(_)));
-        engine.shutdown();
-    }
-
-    /// Divisors come from the client: a wrong count or a divisor that is
-    /// zero, negative or NaN must be refused at open with a typed error,
-    /// not panic the first predict while it holds the session lock.
-    #[test]
-    fn bad_divisors_are_rejected_at_open() {
-        let engine = engine();
-        let handle = engine.handle();
-        let (circuit, placement, grid) = design(4);
-        let (gcell, gnet) = FeatureSet::default_divisors();
-        let mut short = gnet.clone();
-        short.pop();
-        let with = |i: usize, v: f32| {
-            let mut d = gcell.clone();
-            d[i] = v;
-            d
-        };
-        let cases = [
-            (gcell.clone(), short),
-            (with(0, 0.0), gnet.clone()),
-            (with(1, -8.0), gnet.clone()),
-            (with(3, f32::NAN), gnet.clone()),
-            (gcell.clone(), vec![8.0, 8.0, 8.0, f32::INFINITY]),
-        ];
-        for (gcell_divisors, gnet_divisors) in cases {
-            let cfg = SessionConfig {
-                gcell_divisors: gcell_divisors.clone(),
-                gnet_divisors: gnet_divisors.clone(),
-                ..SessionConfig::new("default")
-            };
-            let err = handle
-                .open_session(cfg, Arc::clone(&circuit), placement.clone(), grid.clone())
-                .unwrap_err();
-            assert!(
-                matches!(err, ServeError::Session(_)),
-                "{gcell_divisors:?} / {gnet_divisors:?}: got {err:?}"
-            );
-        }
-        // the default divisors still open a session that serves
-        let mut session =
-            handle.open_session(SessionConfig::new("default"), circuit, placement, grid).unwrap();
-        assert!(session.predict().is_ok());
         engine.shutdown();
     }
 
@@ -998,37 +904,6 @@ mod tests {
             before.full_forwards + 1,
             "the first post-swap forward must recompute everything"
         );
-        engine.shutdown();
-    }
-
-    #[test]
-    fn sessions_pin_their_design_shard() {
-        let engine = sharded_engine(3);
-        let handle = engine.handle();
-        let (circuit, placement, grid) = design(5);
-        let expected = handle.shard_of_design(&circuit.name);
-        let mut session = handle
-            .open_session(
-                SessionConfig::new("default"),
-                Arc::clone(&circuit),
-                placement.clone(),
-                grid.clone(),
-            )
-            .unwrap();
-        assert_eq!(session.shard(), expected);
-        assert!(session.predict().is_ok());
-        // the prediction landed in the pinned shard's cache
-        assert_eq!(handle.shard_cache_len(expected), 1);
-        // an explicit design id overrides the circuit name
-        let named = handle
-            .open_session(
-                SessionConfig::new("default").with_design("other-design"),
-                circuit,
-                placement,
-                grid,
-            )
-            .unwrap();
-        assert_eq!(named.shard(), handle.shard_of_design("other-design"));
         engine.shutdown();
     }
 }

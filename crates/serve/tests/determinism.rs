@@ -35,7 +35,7 @@ fn build_model(kind: usize, seed: u64) -> Box<dyn CongestionModel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Cold cache, warm cache and every client AND shard count agree
+    /// Cold cache, warm cache and every client count agree
     /// bitwise with the direct forward — for BOTH architectures.
     #[test]
     fn served_prediction_is_bitwise_identical(
@@ -45,7 +45,6 @@ proptest! {
         n_cells in 60usize..140,
         grid in 6u32..10,
         clients in 1usize..5,
-        shards in 1usize..4,
         cache_capacity in 0usize..8,
     ) {
         let (ops, features) = design(design_seed, n_cells, grid);
@@ -56,7 +55,7 @@ proptest! {
         registry.register_boxed("m", model).expect("register");
         let engine = ServeEngine::new(
             registry,
-            EngineConfig { shards, cache_capacity, ..Default::default() },
+            EngineConfig { cache_capacity, ..Default::default() },
         );
         let handle = engine.handle();
         let req = PredictRequest::new("m", ops, features);
@@ -247,10 +246,8 @@ fn piled_up_requests_reply_bitwise() {
     let (gated, started, go) = gated_model();
     let registry = Arc::new(ModelRegistry::new());
     registry.register("m", gated).expect("register");
-    let engine = ServeEngine::new(
-        registry,
-        EngineConfig { shards: 1, cache_capacity: 64, ..Default::default() },
-    );
+    let engine =
+        ServeEngine::new(registry, EngineConfig { cache_capacity: 64, ..Default::default() });
     let handle = engine.handle();
 
     // Same ops, perturbed features: identical shapes, distinct
@@ -323,10 +320,8 @@ fn predicts_return_while_another_forward_is_held() {
     let registry = Arc::new(ModelRegistry::new());
     registry.register("gated", gated).expect("register");
     registry.register("free", Lhnn::new(LhnnConfig::default(), 3)).expect("register");
-    let engine = ServeEngine::new(
-        registry,
-        EngineConfig { shards: 1, cache_capacity: 16, ..Default::default() },
-    );
+    let engine =
+        ServeEngine::new(registry, EngineConfig { cache_capacity: 16, ..Default::default() });
     let handle = engine.handle();
 
     let (ops, feats) = design(5, 90, 6);

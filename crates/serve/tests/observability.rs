@@ -59,17 +59,16 @@ proptest! {
 
     /// The instrumentation off-switch is bitwise invisible: placement
     /// loops served with full metrics equal the same loops served with
-    /// metrics off, at every client/shard count.
+    /// metrics off, at every client count.
     #[test]
     fn metrics_do_not_change_predictions(
         seed in 0u64..500,
         clients in 1usize..5,
-        shards in 1usize..3,
         steps in 1u32..4,
     ) {
-        let base = EngineConfig { shards, ..EngineConfig::default() };
-        let on = ServeEngine::new(registry(), EngineConfig { metrics: true, ..base.clone() });
-        let off = ServeEngine::new(registry(), EngineConfig { metrics: false, ..base });
+        let on = ServeEngine::new(registry(), EngineConfig { metrics: true, ..EngineConfig::default() });
+        let off =
+            ServeEngine::new(registry(), EngineConfig { metrics: false, ..EngineConfig::default() });
         prop_assert!(on.handle().metrics_enabled());
         prop_assert!(!off.handle().metrics_enabled());
         // `clients` loops at once, one thread each, over designs
@@ -113,7 +112,7 @@ proptest! {
 fn snapshot_under_load_never_deadlocks_or_tears() {
     let engine = ServeEngine::new(
         registry(),
-        EngineConfig { shards: 2, cache_capacity: 64, ..EngineConfig::default() },
+        EngineConfig { cache_capacity: 64, ..EngineConfig::default() },
     );
     let handle = engine.handle();
     let designs: Vec<_> = (0..4).map(|s| serving_design(70 + s, 70, 6)).collect();
@@ -159,7 +158,7 @@ fn snapshot_under_load_never_deadlocks_or_tears() {
 /// rejected.
 #[test]
 fn every_session_update_counts_once() {
-    let engine = ServeEngine::new(registry(), EngineConfig { shards: 2, ..Default::default() });
+    let engine = ServeEngine::new(registry(), EngineConfig::default());
     let handle = engine.handle();
     let (circuit, placement, grid) = session_design(3);
     let die = circuit.die;
@@ -188,8 +187,7 @@ fn every_session_update_counts_once() {
 /// greps for, and round-trips through the parser.
 #[test]
 fn exposition_contains_canonical_series() {
-    let engine =
-        ServeEngine::new(registry(), EngineConfig { shards: 2, ..EngineConfig::default() });
+    let engine = ServeEngine::new(registry(), EngineConfig::default());
     let handle = engine.handle();
     // one session loop so the update/forward stages all record
     let _ = drive_loop(&engine, 3, 2);
@@ -199,13 +197,12 @@ fn exposition_contains_canonical_series() {
     {
         assert!(text.contains(needle), "exposition must carry {needle}:\n{text}");
     }
-    // one series per shard; they sum to the bare-name total
+    // one unlabelled requests series, equal to the snapshot's count
     let parsed = parse_prometheus(&text);
     let requests: Vec<_> = parsed.iter().filter(|s| s.name == "lhnn_requests_total").collect();
-    assert_eq!(requests.len(), 2, "one requests series per shard");
-    assert!(requests.iter().all(|s| s.label("shard").is_some()));
-    let total: f64 = requests.iter().map(|s| s.value).sum();
-    assert_eq!(total as u64, snap.counter("lhnn_requests_total"));
+    assert_eq!(requests.len(), 1, "one requests series");
+    assert!(requests[0].labels.is_empty());
+    assert_eq!(requests[0].value as u64, snap.counter("lhnn_requests_total"));
     engine.shutdown();
 }
 
@@ -257,7 +254,6 @@ fn flight_recorder_captures_session_wedges() {
         // the merged per-session view reports either way
         let view = session.observability();
         assert_eq!(view.design, "wedge-me");
-        assert_eq!(view.shard, session.shard());
         engine.shutdown();
     }
 }

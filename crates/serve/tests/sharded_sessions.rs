@@ -1,23 +1,24 @@
-//! Properties of the sharded session layer.
+//! Properties of the session layer.
 //!
 //! 1. **Interleaving parity**: any interleaving of
-//!    `open_session`/`update`/`predict` across D designs and S
-//!    shards, driven by C concurrent client threads, yields predictions
-//!    and final pipeline states bitwise identical to a serial replay on a
-//!    single-shard engine and to a fresh rebuild at the final placement.
+//!    `open_session`/`update`/`predict` across D designs, driven by C
+//!    concurrent client threads, yields predictions and final pipeline
+//!    states bitwise identical to a serial replay and to a fresh rebuild
+//!    at the final placement.
 //! 2. **Exact accounting**: after either run, every count the engine and
 //!    its sessions report equals what the clients issued.
-//! 3. **Cache isolation**: a hot design hammering its shard cannot evict
-//!    another design's cached prediction on a different shard.
+//! 3. **One cache**: a state a session computed answers a stateless
+//!    request, and a state a stateless request computed answers a
+//!    session.
 
 use std::sync::Arc;
 
 use lh_graph::{FeatureSet, LhGraph, LhGraphConfig};
 use lhnn::{
-    AblationSpec, CongestionModel, GraphOps, HybridNet, HybridNetConfig, IncrementalStats, Lhnn,
-    LhnnConfig, Prediction,
+    AblationSpec, CongestionModel, GraphOps, HybridNet, HybridNetConfig, IncrementalStats,
+    LatticePipeline, Lhnn, LhnnConfig, Prediction,
 };
-use lhnn_serve::{EngineConfig, ModelRegistry, ServeEngine, SessionConfig};
+use lhnn_serve::{EngineConfig, ModelRegistry, PredictRequest, ServeEngine, SessionConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,9 +125,9 @@ fn drive(engine: &ServeEngine, design: &Design) -> Replay {
     (predictions, fingerprints, columns, session.incremental_stats())
 }
 
-/// Every count equals what the clients issued: requests and session
-/// updates engine-wide and per shard, the request-latency histogram, and
-/// each design's forward paths (full + spliced + reused).
+/// Every count equals what the clients issued: requests, session updates,
+/// hits plus forwards, the request-latency histogram, and each design's
+/// forward paths (full + spliced + reused).
 fn assert_exact_accounting(engine: &ServeEngine, designs: &[Design], replays: &[Replay]) {
     let handle = engine.handle();
     let stats = handle.stats();
@@ -134,10 +135,7 @@ fn assert_exact_accounting(engine: &ServeEngine, designs: &[Design], replays: &[
     let updates: u64 = designs.iter().map(|d| d.script.len() as u64).sum();
     assert_eq!(stats.requests, predicts, "requests");
     assert_eq!(stats.session_updates, updates, "session updates");
-    assert_eq!(stats.per_shard.iter().map(|s| s.requests).sum::<u64>(), stats.requests);
-    assert_eq!(stats.per_shard.iter().map(|s| s.session_updates).sum::<u64>(), updates);
-    assert_eq!(stats.per_shard.iter().map(|s| s.computed).sum::<u64>(), stats.computed);
-    assert_eq!(stats.per_shard.iter().map(|s| s.cache_hits).sum::<u64>(), stats.cache_hits);
+    assert_eq!(stats.cache_hits + stats.computed, stats.requests, "hits plus forwards");
     let latency = handle.metrics_snapshot().histogram("lhnn_request_us").expect("latency");
     assert_eq!(latency.count, stats.requests, "one latency sample per request");
     for (design, (preds, _, _, inc)) in designs.iter().zip(replays) {
@@ -171,7 +169,6 @@ proptest! {
         base_seed in 0u64..500,
         model_kind in 0usize..2,
         n_designs in 2usize..5,
-        shards in 1usize..4,
         clients in 1usize..5,
         n_deltas in 2usize..5,
     ) {
@@ -179,10 +176,9 @@ proptest! {
             .map(|d| scripted_design(d, base_seed + d as u64 * 101, n_deltas))
             .collect();
 
-        // Concurrent and sharded: `clients` threads, client c driving
-        // designs c, c + clients, … one after another.
-        let cfg = EngineConfig { shards, ..EngineConfig::default() };
-        let engine = ServeEngine::new(registry(model_kind), cfg);
+        // Concurrent: `clients` threads, client c driving designs c,
+        // c + clients, … one after another.
+        let engine = ServeEngine::new(registry(model_kind), EngineConfig::default());
         let mut concurrent: Vec<(usize, Replay)> = std::thread::scope(|scope| {
             let joins: Vec<_> = (0..clients)
                 .map(|c| {
@@ -202,9 +198,8 @@ proptest! {
         assert_exact_accounting(&engine, &designs, &concurrent);
         engine.shutdown();
 
-        // Serial replay: single shard, one design at a time.
-        let cfg = EngineConfig { shards: 1, ..EngineConfig::default() };
-        let serial_engine = ServeEngine::new(registry(model_kind), cfg);
+        // Serial replay: one design at a time.
+        let serial_engine = ServeEngine::new(registry(model_kind), EngineConfig::default());
         let mut serial = Vec::new();
         for (design, (got_preds, got_fps, columns, _)) in designs.iter().zip(&concurrent) {
             let replay = drive(&serial_engine, design);
@@ -237,71 +232,59 @@ proptest! {
     }
 }
 
-/// Finds a design name that maps to a different shard than `other` maps to.
-fn name_on_other_shard(handle: &lhnn_serve::ServeHandle, other: &str) -> String {
-    let taken = handle.shard_of_design(other);
-    (0..)
-        .map(|i| format!("cold-design-{i}"))
-        .find(|name| handle.shard_of_design(name) != taken)
-        .expect("some name lands on another shard")
-}
-
+/// Sessions and stateless requests share one cache, in both directions:
+/// a session's state answers a stateless request built from its inputs,
+/// and a state a stateless request computed answers the session's later
+/// predict of it.
 #[test]
-fn hot_design_cannot_evict_another_shards_cache() {
-    let hot = scripted_design(0, 7, 0);
-    let engine = ServeEngine::new(
-        registry(0),
-        // tiny per-shard cache so the hot design's states overflow it
-        EngineConfig { shards: 2, cache_capacity: 2, ..EngineConfig::default() },
-    );
+fn one_cache_serves_sessions_and_stateless_requests_alike() {
+    let design = scripted_design(0, 9, 0);
+    let engine = ServeEngine::new(registry(0), EngineConfig::default());
     let handle = engine.handle();
-    let cold_name = name_on_other_shard(&handle, &hot.name);
-    let cold = Design { name: cold_name.clone(), ..scripted_design(1, 8, 0) };
-    let hot_shard = handle.shard_of_design(&hot.name);
-    let cold_shard = handle.shard_of_design(&cold.name);
-    assert_ne!(hot_shard, cold_shard);
-
-    // cold design: one prediction, cached on its own shard
-    let mut cold_session = handle
+    let mut session = handle
         .open_session(
-            SessionConfig::new("m").with_design(&cold.name),
-            Arc::clone(&cold.circuit),
-            cold.placement.clone(),
-            cold.grid.clone(),
+            SessionConfig::new("m"),
+            Arc::clone(&design.circuit),
+            design.placement.clone(),
+            design.grid.clone(),
         )
-        .expect("open cold session");
-    assert!(!cold_session.predict().expect("cold predict").cached);
-    assert_eq!(handle.shard_cache_len(cold_shard), 1);
+        .expect("open session");
 
-    // hot design: churn through many distinct placements — far more than
-    // the per-shard cache holds — all on the hot shard
-    let mut hot_session = handle
-        .open_session(
-            SessionConfig::new("m").with_design(&hot.name),
-            Arc::clone(&hot.circuit),
-            hot.placement.clone(),
-            hot.grid.clone(),
-        )
-        .expect("open hot session");
-    let die = hot.circuit.die;
-    let mut computed = 0;
-    for i in 0..8u32 {
-        let id = CellId(i);
-        let p = hot_session.with_pipeline(|pl| pl.placement().position(id));
-        let np = die.clamp(Point::new(
-            p.x + 1.25 * hot.grid.gcell_width(),
-            p.y + 1.25 * hot.grid.gcell_height(),
-        ));
-        hot_session.update(&PlacementDelta::single(id, np)).expect("hot update");
-        if !hot_session.predict().expect("hot predict").cached {
-            computed += 1;
-        }
-    }
-    assert!(computed > 2, "the hot design must overflow its own shard's cache ({computed})");
-    assert!(handle.shard_cache_len(hot_shard) <= 2, "hot shard respects its own capacity");
+    // session first: its state answers a stateless request
+    let computed = session.predict().expect("session predict");
+    assert!(!computed.cached);
+    let (ops, features) = session.inputs().expect("inputs");
+    let stateless = handle.predict(&PredictRequest::new("m", ops, features)).expect("stateless");
+    assert!(stateless.cached, "the session's state must answer a stateless request");
+    let (got, want) = (&stateless.prediction, &computed.prediction);
+    assert!(got.cls_prob.approx_eq(&want.cls_prob, 0.0) && got.reg.approx_eq(&want.reg, 0.0));
 
-    // the cold design's entry was untouchable: still a cache hit
-    let warm = cold_session.predict().expect("cold re-predict");
-    assert!(warm.cached, "hot design A must not evict design B's cache entry on another shard");
+    // stateless first: a twin pipeline applies the session's next delta,
+    // and its state, computed statelessly, answers the session's predict
+    let id = CellId(0);
+    let p = design.placement.position(id);
+    let to = design.circuit.die.clamp(Point::new(p.x + 1.5 * design.grid.gcell_width(), p.y));
+    let delta = &PlacementDelta::single(id, to);
+    let mut twin = LatticePipeline::new(
+        Arc::clone(&design.circuit),
+        design.placement.clone(),
+        design.grid.clone(),
+        LhGraphConfig::default(),
+        AblationSpec::full(),
+    )
+    .expect("twin pipeline");
+    twin.apply(delta).expect("twin update");
+    let (gd, nd) = FeatureSet::default_divisors();
+    let twin_features = Arc::new(twin.features().scaled_fixed(&gd, &nd));
+    let first = handle
+        .predict(&PredictRequest::new("m", twin.ops(), twin_features))
+        .expect("stateless predict");
+    assert!(!first.cached);
+    session.update(delta).expect("session update");
+    let answered = session.predict().expect("session predict after update");
+    assert!(answered.cached, "the stateless request's state must answer the session");
+    let (got, want) = (&answered.prediction, &first.prediction);
+    assert!(got.cls_prob.approx_eq(&want.cls_prob, 0.0) && got.reg.approx_eq(&want.reg, 0.0));
+    assert_eq!(handle.cache_len(), 2);
     engine.shutdown();
 }

@@ -12,7 +12,7 @@
 //! * [`model`] — the LHNN architecture and training (paper §4),
 //! * [`baselines`] — MLP / U-Net / Pix2Pix comparators (paper §5),
 //! * [`data`] — dataset assembly and the experiment harness,
-//! * [`serve`] — the sharded inference engine (model registry, LRU
+//! * [`serve`] — the inference engine (model registry, one LRU
 //!   prediction cache, placement-loop sessions; each forward runs on its
 //!   caller's thread),
 //! * [`obs`] — the zero-dependency metrics registry, stage tracing and
