@@ -1,10 +1,12 @@
 //! The compute backend: every dense and sparse kernel in one place.
 //!
 //! [`Matrix`], [`CsrMatrix`] and the [`Tape`](crate::tape::Tape) dispatch
-//! their hot loops through this module instead of open-coding them. Each
-//! kernel partitions its **output rows** (or element range) into contiguous
-//! chunks via [`pool::chunk_ranges`] and runs the chunks on the process
-//! pool ([`pool::global`]).
+//! their hot loops through this module instead of open-coding them. Every
+//! row kernel runs through one row loop (`for_each_row`): it takes the
+//! selected **output rows** ([`Rows::All`] or a [`Rows::List`]), checks
+//! them, and runs them serially or in contiguous chunks
+//! ([`pool::chunk_ranges`]) on the process pool ([`pool::global`]). The
+//! elementwise kernels chunk by element count instead.
 //!
 //! # Determinism contract
 //!
@@ -22,12 +24,12 @@
 //! hold each output row's accumulators in registers while they sum the
 //! terms in `k`/entry order — vectorizing across the *row*, never across
 //! the reduction — so each element still sees `0.0 + c₀·s₀ + c₁·s₁ + …`:
-//! the float sequences are unchanged from the scalar seed kernels and
-//! unchanged by SIMD on/off. `matmul_nt` reduces along `k` and therefore
-//! uses the fixed lane schedule (eight independent accumulators, a fixed
-//! pairwise tree, in-order remainder); its [`reference`](mod@reference)
-//! twin emulates that exact schedule, so SIMD on/off is bitwise invisible
-//! there too.
+//! the float sequences are unchanged from the scalar seed kernels, on the
+//! AVX2 and the portable engine alike. `matmul_nt` reduces along `k` and
+//! therefore uses the fixed lane schedule (eight independent
+//! accumulators, a fixed pairwise tree, in-order remainder); its
+//! [`reference`](mod@reference) twin spells out that exact schedule, so
+//! the engine is bitwise invisible there too.
 //! The historical `av == 0.0` zero-skips were dropped from the dense
 //! kernels: for finite data a skipped `+= 0.0 * bv` step is bitwise
 //! unobservable (a `+0.0` accumulator never becomes `-0.0` under
@@ -71,45 +73,83 @@ impl SendPtr {
     }
 }
 
-/// Runs `per_row(r, out_row)` for every row, chunked over the pool.
+/// The output rows a row kernel computes.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// Every row, chunked contiguously over the pool.
+    All,
+    /// The listed rows only. The list must be strictly ascending and name
+    /// rows of the buffer; every kernel panics on any other list before it
+    /// writes a row.
+    List(&'a [usize]),
+}
+
+/// The one row loop behind every row kernel: runs `per_row(r, out_row)`
+/// for every row `rows` selects in `out`, a buffer of `n_rows` rows of
+/// `row_len`, serially or chunked over the pool.
 ///
+/// `Rows::All` splits `0..n_rows` into contiguous chunks; `Rows::List`
+/// splits the list, so chunk position `i` computes row `list[i]`.
 /// `cost_per_row` is an estimate of multiply-adds per row used to pick the
 /// chunk size; correctness never depends on it.
+///
+/// # Panics
+///
+/// Panics, before any row is written, if `out` is not `n_rows * row_len`
+/// long, or if a row list is not strictly ascending or names a row past
+/// `n_rows`. Those checks are what make the pooled path's row slices
+/// disjoint and in bounds.
 fn for_each_row(
     out: &mut [f32],
-    rows: usize,
+    rows: Rows<'_>,
+    n_rows: usize,
     row_len: usize,
     cost_per_row: usize,
     per_row: impl Fn(usize, &mut [f32]) + Sync,
 ) {
-    debug_assert_eq!(out.len(), rows * row_len);
+    assert_eq!(out.len(), n_rows * row_len, "buffer is not {n_rows} rows of {row_len}");
+    let count = match rows {
+        Rows::All => n_rows,
+        Rows::List(list) => {
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "row list must be strictly ascending");
+            if let Some(&last) = list.last() {
+                assert!(last < n_rows, "row index {last} out of bounds for {n_rows} rows");
+            }
+            list.len()
+        }
+    };
+    let row_at = |i: usize| match rows {
+        Rows::All => i,
+        Rows::List(list) => list[i],
+    };
     let min_rows = (MIN_CHUNK_FLOPS / cost_per_row.max(1)).max(1);
-    // Sub-threshold fast path: too small to ever split in two — run
-    // serially without touching the (locked) global pool at all.
-    if rows < 2 * min_rows {
-        for (r, out_row) in out.chunks_mut(row_len.max(1)).enumerate().take(rows) {
-            per_row(r, out_row);
+    // Below two chunks' worth of work (the expected case for small dirty
+    // halos) the global pool is not even looked up.
+    if count >= 2 * min_rows {
+        let pool = pool::global();
+        let ranges = pool::chunk_ranges(count, min_rows, pool.threads());
+        if ranges.len() > 1 {
+            let base = SendPtr(out.as_mut_ptr());
+            pool.run(ranges.len(), &|ci| {
+                for i in ranges[ci].clone() {
+                    let r = row_at(i);
+                    // SAFETY: the checks above put every selected row inside
+                    // `out` and map distinct positions to distinct rows;
+                    // chunk ranges are disjoint, so each row slice is
+                    // exclusive, and `out` outlives the blocking `run` call.
+                    let out_row = unsafe {
+                        std::slice::from_raw_parts_mut(base.get().add(r * row_len), row_len)
+                    };
+                    per_row(r, out_row);
+                }
+            });
+            return;
         }
-        return;
     }
-    let pool = pool::global();
-    let ranges = pool::chunk_ranges(rows, min_rows, pool.threads());
-    if ranges.len() <= 1 {
-        for (r, out_row) in out.chunks_mut(row_len.max(1)).enumerate().take(rows) {
-            per_row(r, out_row);
-        }
-        return;
+    for i in 0..count {
+        let r = row_at(i);
+        per_row(r, &mut out[r * row_len..(r + 1) * row_len]);
     }
-    let base = SendPtr(out.as_mut_ptr());
-    pool.run(ranges.len(), &|ci| {
-        for r in ranges[ci].clone() {
-            // SAFETY: chunk ranges are disjoint and `out` outlives the
-            // blocking `run` call, so each row slice is exclusive.
-            let out_row =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(r * row_len), row_len) };
-            per_row(r, out_row);
-        }
-    });
 }
 
 /// Runs `per_elem` over disjoint element ranges, chunked over the pool.
@@ -150,7 +190,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "matmul output buffer mismatch");
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
     let eng = simd::active();
-    for_each_row(out, m, n, k * n, |i, out_row| {
+    for_each_row(out, Rows::All, m, n, k * n, |i, out_row| {
         eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], b_data);
     });
 }
@@ -176,7 +216,7 @@ pub(crate) fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "matmul_tn output buffer mismatch");
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
     let eng = simd::active();
-    for_each_row(out, m, n, rows * n, |i, out_row| {
+    for_each_row(out, Rows::All, m, n, rows * n, |i, out_row| {
         eng.gemm_row_strided(out_row, &a_data[i..], m, b_data);
     });
 }
@@ -202,7 +242,7 @@ pub(crate) fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "matmul_nt output buffer mismatch");
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
     let eng = simd::active();
-    for_each_row(out, m, n, k * n, |i, out_row| {
+    for_each_row(out, Rows::All, m, n, k * n, |i, out_row| {
         eng.dot_row(out_row, &a_data[i * k..(i + 1) * k], b_data);
     });
 }
@@ -228,75 +268,6 @@ pub fn spmm_into(s: &CsrMatrix, x: &Matrix, out: &mut [f32]) {
 // bitwise identical to the same row of the all-rows run — the foundation
 // of the bounded-radius incremental forward in `lhnn`.
 
-/// The output rows a row-subset kernel computes.
-#[derive(Debug, Clone, Copy)]
-pub enum Rows<'a> {
-    /// Every row, chunked contiguously over the pool.
-    All,
-    /// The listed rows only; the list must be sorted and duplicate-free.
-    List(&'a [usize]),
-}
-
-/// Runs `per_row(r, out_row)` for every selected row of the `n_rows`-row
-/// buffer `out`, chunked over the pool.
-fn for_rows(
-    out: &mut [f32],
-    rows: Rows<'_>,
-    n_rows: usize,
-    row_len: usize,
-    cost_per_row: usize,
-    per_row: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    match rows {
-        Rows::All => for_each_row(out, n_rows, row_len, cost_per_row, per_row),
-        Rows::List(list) => for_each_listed_row(out, list, row_len, cost_per_row, per_row),
-    }
-}
-
-/// Runs `per_row(r, out_row)` for every row index in `rows`, chunked over
-/// the pool. `rows` must be sorted and duplicate-free so the listed rows
-/// address disjoint slices of `out`.
-fn for_each_listed_row(
-    out: &mut [f32],
-    rows: &[usize],
-    row_len: usize,
-    cost_per_row: usize,
-    per_row: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "row list must be sorted and unique");
-    if let Some(&last) = rows.last() {
-        assert!((last + 1) * row_len <= out.len(), "row index {} out of bounds", last);
-    }
-    let min_rows = (MIN_CHUNK_FLOPS / cost_per_row.max(1)).max(1);
-    // Sub-threshold fast path — the expected case for small dirty halos.
-    if rows.len() < 2 * min_rows {
-        for &r in rows {
-            per_row(r, &mut out[r * row_len..(r + 1) * row_len]);
-        }
-        return;
-    }
-    let pool = pool::global();
-    let ranges = pool::chunk_ranges(rows.len(), min_rows, pool.threads());
-    if ranges.len() <= 1 {
-        for &r in rows {
-            per_row(r, &mut out[r * row_len..(r + 1) * row_len]);
-        }
-        return;
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    pool.run(ranges.len(), &|ci| {
-        for li in ranges[ci].clone() {
-            let r = rows[li];
-            // SAFETY: `rows` is duplicate-free and chunk ranges of the list
-            // are disjoint, so each row slice is exclusive; `out` outlives
-            // the blocking `run` call.
-            let out_row =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(r * row_len), row_len) };
-            per_row(r, out_row);
-        }
-    });
-}
-
 /// `out[r] = act((a · w)[r] + bias)` for every selected row — the fused
 /// form of `Tape::linear` plus an activation map, and the workhorse of
 /// the tape-free forwards. Bitwise identical to matmul → add-bias → map
@@ -305,7 +276,7 @@ fn for_each_listed_row(
 ///
 /// # Panics
 ///
-/// Panics if shapes mismatch or a row index is out of bounds.
+/// Panics if shapes mismatch or `rows` is an invalid [`Rows::List`].
 pub fn linear_act_rows_into(
     a: &Matrix,
     w: &Matrix,
@@ -321,7 +292,7 @@ pub fn linear_act_rows_into(
     assert_eq!(out.len(), m * n, "linear output buffer mismatch");
     let (a_data, w_data) = (a.as_slice(), w.as_slice());
     let eng = simd::active();
-    for_rows(out, rows, m, n, k * n, |i, out_row| {
+    for_each_row(out, rows, m, n, k * n, |i, out_row| {
         eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], w_data);
         for (o, &bv) in out_row.iter_mut().zip(bias) {
             *o = act(*o + bv);
@@ -334,8 +305,8 @@ pub fn linear_act_rows_into(
 ///
 /// # Panics
 ///
-/// Panics if `s.cols != x.rows`, `out` is missized, or a row index is out
-/// of bounds.
+/// Panics if `s.cols != x.rows`, `out` is missized, or `rows` is an
+/// invalid [`Rows::List`].
 pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: Rows<'_>, out: &mut [f32]) {
     let m = s.rows();
     let n = x.cols();
@@ -352,7 +323,7 @@ pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: Rows<'_>, out: &mut [f32]
     let x_data = x.as_slice();
     let cost = (s.nnz() / m.max(1)).max(1) * n;
     let eng = simd::active();
-    for_rows(out, rows, m, n, cost, |r, out_row| {
+    for_each_row(out, rows, m, n, cost, |r, out_row| {
         let (cols, vals) = s.row_slices(r);
         eng.spmm_row(out_row, cols, vals, x_data);
     });
@@ -363,7 +334,8 @@ pub fn spmm_rows_into(s: &CsrMatrix, x: &Matrix, rows: Rows<'_>, out: &mut [f32]
 ///
 /// # Panics
 ///
-/// Panics if lengths mismatch or a row index is out of bounds.
+/// Panics if lengths mismatch, `out` is not whole `row_len` rows, or
+/// `rows` is an invalid [`Rows::List`].
 pub fn zip_rows_into(
     a: &[f32],
     b: &[f32],
@@ -375,7 +347,7 @@ pub fn zip_rows_into(
     assert_eq!(a.len(), out.len(), "zip length mismatch");
     assert_eq!(b.len(), out.len(), "zip length mismatch");
     let n_rows = out.len() / row_len.max(1);
-    for_rows(out, rows, n_rows, row_len, row_len.max(1), |r, out_row| {
+    for_each_row(out, rows, n_rows, row_len, row_len.max(1), |r, out_row| {
         let start = r * row_len;
         let end = start + row_len;
         for ((o, &x), &y) in out_row.iter_mut().zip(&a[start..end]).zip(&b[start..end]) {
@@ -390,7 +362,8 @@ pub fn zip_rows_into(
 ///
 /// # Panics
 ///
-/// Panics if lengths mismatch or a row index is out of bounds.
+/// Panics if lengths mismatch, `out` is not whole `row_len` rows, or
+/// `rows` is an invalid [`Rows::List`].
 pub(crate) fn zip_rows_inplace(
     a: &[f32],
     rows: Rows<'_>,
@@ -400,7 +373,7 @@ pub(crate) fn zip_rows_inplace(
 ) {
     assert_eq!(a.len(), out.len(), "zip length mismatch");
     let n_rows = out.len() / row_len.max(1);
-    for_rows(out, rows, n_rows, row_len, row_len.max(1), |r, out_row| {
+    for_each_row(out, rows, n_rows, row_len, row_len.max(1), |r, out_row| {
         let start = r * row_len;
         let end = start + row_len;
         for (o, &x) in out_row.iter_mut().zip(&a[start..end]) {
@@ -414,14 +387,15 @@ pub(crate) fn zip_rows_inplace(
 ///
 /// # Panics
 ///
-/// Panics if row counts differ or `out` is missized.
+/// Panics if row counts differ, `out` is missized, or `rows` is an
+/// invalid [`Rows::List`].
 pub fn concat_rows_into(a: &Matrix, b: &Matrix, rows: Rows<'_>, out: &mut [f32]) {
     assert_eq!(a.rows(), b.rows(), "concat row mismatch");
     let (an, bn) = (a.cols(), b.cols());
     let n = an + bn;
     assert_eq!(out.len(), a.rows() * n, "concat output buffer mismatch");
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
-    for_rows(out, rows, a.rows(), n, n.max(1), |r, out_row| {
+    for_each_row(out, rows, a.rows(), n, n.max(1), |r, out_row| {
         out_row[..an].copy_from_slice(&a_data[r * an..(r + 1) * an]);
         out_row[an..].copy_from_slice(&b_data[r * bn..(r + 1) * bn]);
     });
@@ -432,7 +406,8 @@ pub fn concat_rows_into(a: &Matrix, b: &Matrix, rows: Rows<'_>, out: &mut [f32])
 ///
 /// # Panics
 ///
-/// Panics if a row index is out of bounds.
+/// Panics if `data` is not whole `row_len` rows or `rows` is an invalid
+/// [`Rows::List`].
 pub fn map_rows_inplace(
     data: &mut [f32],
     rows: Rows<'_>,
@@ -440,7 +415,7 @@ pub fn map_rows_inplace(
     f: impl Fn(f32) -> f32 + Sync,
 ) {
     let n_rows = data.len() / row_len.max(1);
-    for_rows(data, rows, n_rows, row_len, row_len.max(1), |_, row| {
+    for_each_row(data, rows, n_rows, row_len, row_len.max(1), |_, row| {
         for v in row {
             *v = f(*v);
         }
@@ -484,7 +459,8 @@ pub(crate) fn zip_into(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f3
 /// Serial reference implementations, kept loop-for-loop identical to the
 /// pre-parallel seed kernels.
 ///
-/// The `parallel_kernels` property tests pin the pooled kernels to these
+/// The `parallel_kernels` and `simd_kernels` property tests and the lane
+/// engines' unit tests pin the pooled kernels and every engine to these
 /// bitwise; they are not meant for production use.
 ///
 /// The accumulating references deliberately **keep** the historical
@@ -539,7 +515,7 @@ pub mod reference {
     /// eight independent accumulators walking 8-wide chunks, combined by
     /// the fixed pairwise tree `((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))`,
     /// then the `k % 8` remainder added in index order. This is the
-    /// scalar twin the SIMD `dot` is pinned against.
+    /// oracle the lane engines' `dot_row` is pinned against.
     pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
         const LANES: usize = 8;
         let mut out = Matrix::zeros(a.rows(), b.rows());

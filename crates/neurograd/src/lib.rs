@@ -9,7 +9,7 @@
 //! * [`kernels`] + [`pool`] + [`simd`] — the parallel compute backend every
 //!   dense and sparse op dispatches through: chunked over a shared thread
 //!   pool, inner loops on explicit f32 lanes, with bitwise results invariant
-//!   to thread count and to SIMD on/off,
+//!   to thread count and to the lane engine (AVX2 or portable),
 //! * [`Tape`] — tape-based reverse-mode autodiff with fused losses
 //!   (MSE, γ-weighted BCE-with-logits — Eq. 4/5 of the paper) and a
 //!   recycled buffer pool for allocation-free steady-state forwards,

@@ -10,22 +10,22 @@
 //!   registers across the whole reduction and are stored once. The loop
 //!   vectorizes across the *row*, never across the reduction, so lane j
 //!   only ever touches element j and sees `0.0 + c₀·s₀ + c₁·s₁ + …` in
-//!   term order. The vector, portable and scalar paths therefore produce
-//!   the *same float per element* by construction.
-//! - [`LaneEngine::dot`] (and `LaneEngine::dot_row`) — a lane-parallel
-//!   dot product with a **fixed reduction shape**: `LANES` independent
+//!   term order — the float sequence of the serial loops in
+//!   [`crate::kernels::reference`].
+//! - `LaneEngine::dot_row` — one lane-parallel dot product per output
+//!   element with a **fixed reduction shape**: `LANES` independent
 //!   accumulators walk the inputs in `LANES`-wide chunks, are combined by
 //!   the fixed pairwise tree in `reduce_tree`, and the `len % LANES`
-//!   remainder is then added one element at a time in index order. The
-//!   scalar path ([`LaneEngine::Scalar`]) *emulates that exact sequence*
-//!   rather than summing left-to-right, so `dot` is bitwise identical
-//!   whether it ran on AVX2, on the portable auto-vectorized loop, or one
+//!   remainder is then added one element at a time in index order.
+//!   `kernels::reference::matmul_nt` spells out that same sequence one
 //!   element at a time.
 //!
-//! The contract, relied on by the kernel proptests and the serving
-//! stack's parity pins: for the same inputs, every engine returns the
-//! same bits. SIMD on/off (and lane width, and ISA) are performance
-//! knobs, never numerics knobs.
+//! The engine is a platform choice only: [`active`] picks the AVX2
+//! clones when the host has AVX2 and the portable loops otherwise. The
+//! contract, relied on by the kernel proptests and the serving stack's
+//! parity pins: for the same inputs, both engines return the bits of
+//! `kernels::reference`. Lane width and ISA are performance knobs, never
+//! numerics knobs.
 //!
 //! Why it holds on real hardware: the chunk loops contain only
 //! independent multiplies and adds (no horizontal ops), rustc never
@@ -33,59 +33,35 @@
 //! `avx2` — **not** `fma` — so LLVM lowers `acc + a * x` to separate
 //! `vmulps`/`vaddps`, matching scalar `f32` semantics exactly.
 //!
-//! SIMD can be disabled process-wide with [`set_enabled`] (the benches'
-//! `--simd off`); kernels snapshot [`active`] once per call, so a kernel
-//! invocation never mixes engines mid-row.
-//!
 //! The row entry points run a whole output row behind one ISA boundary.
 //! `#[target_feature]` functions cannot be inlined into their callers, so
 //! the boundary sits at the row, where its opaque call is amortized
 //! across the whole inner loop.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Lane count of the portable chunk loops (f32 × 8 = 256 bits, one AVX2
 /// register). Fixed — results are defined in terms of this width, so it
 /// never varies with the host ISA.
 pub(crate) const LANES: usize = 8;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Process-wide SIMD switch. `false` routes every kernel through the
-/// scalar lane-emulation path (same bits, element-at-a-time).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the lane engines are enabled (default: yes).
-pub(crate) fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Which implementation a kernel invocation will run its inner loops on.
 ///
-/// Snapshot once per kernel call via [`active`] and reuse for every row,
-/// so a concurrent [`set_enabled`] flip can't mix engines inside one
-/// output (harmless for bits, confusing for profiles).
+/// Kernels snapshot [`active`] once per call and reuse it for every row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneEngine {
     /// `#[target_feature(enable = "avx2")]` clones of the portable
-    /// loops; selected only after runtime detection on x86-64.
+    /// loops; selected only after runtime detection on x86-64. Only
+    /// [`active`] builds it (the variant cannot be constructed outside
+    /// this crate), so safe code never runs AVX2 on a host without it.
+    #[non_exhaustive]
     Avx2,
     /// The portable `LANES`-wide chunk loops at the baseline target ISA
-    /// (LLVM auto-vectorizes the fixed-width inner loops).
+    /// (LLVM auto-vectorizes the fixed-width inner loops); the only path
+    /// on a host without AVX2.
     Portable,
-    /// Scalar emulation of the lane schedule — identical float sequence,
-    /// one element at a time. Used when SIMD is switched off, and as the
-    /// reference twin in the bitwise proptests.
-    Scalar,
 }
 
-/// The engine the current process/ISA/switch state selects.
+/// The engine this host selects: AVX2 when detected, else portable.
 pub fn active() -> LaneEngine {
-    if !enabled() {
-        return LaneEngine::Scalar;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -102,15 +78,8 @@ pub fn isa_report() -> String {
     let engine = match active() {
         LaneEngine::Avx2 => "avx2 (runtime-detected)",
         LaneEngine::Portable => "portable (baseline ISA, auto-vectorized)",
-        LaneEngine::Scalar => "scalar lane emulation (simd off)",
     };
-    format!(
-        "simd: {} lanes={} arch={} enabled={}",
-        engine,
-        LANES,
-        std::env::consts::ARCH,
-        enabled()
-    )
+    format!("simd: {} lanes={} arch={}", engine, LANES, std::env::consts::ARCH)
 }
 
 /// The fixed pairwise reduction tree over the `LANES` accumulators:
@@ -133,7 +102,7 @@ pub(crate) fn reduce_tree(acc: [f32; LANES]) -> f32 {
 /// local array across the whole reduction and are stored once at the
 /// end, so the row is not reloaded and re-stored per term. Per element
 /// the float sequence is still `0.0 + c₀·s₀ + c₁·s₁ + …` with separate
-/// mul and add, the same as the element-wise scalar twins.
+/// mul and add, the same as the serial reference loops.
 #[inline(always)]
 fn accumulate_lanes(
     out: &mut [f32],
@@ -177,16 +146,6 @@ fn accumulate_block<const W: usize>(
     out.copy_from_slice(&acc);
 }
 
-/// Element-wise `acc[j] += a * x[j]` for the scalar twins: plain
-/// iteration, one element at a time.
-#[inline(always)]
-fn axpy_scalar(acc: &mut [f32], a: f32, x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    for (o, &v) in acc.iter_mut().zip(x) {
-        *o += a * v;
-    }
-}
-
 /// Portable lane loop for the fixed-shape dot product.
 #[inline(always)]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
@@ -206,29 +165,6 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     total
 }
 
-/// Scalar twin of [`dot_lanes`]: walks the same `LANES` independent
-/// accumulators in the same order, reduces through the same tree, then
-/// adds the remainder in index order — the identical float sequence,
-/// one element at a time.
-#[inline(always)]
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let chunks = n / LANES;
-    let mut acc = [0.0f32; LANES];
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            acc[l] += a[base + l] * b[base + l];
-        }
-    }
-    let mut total = reduce_tree(acc);
-    for i in chunks * LANES..n {
-        total += a[i] * b[i];
-    }
-    total
-}
-
 /// Portable row kernel: `out = Σ_k a_row[k] · b[k]` (rows of `b` are
 /// `out.len()` wide), overwriting `out` — the row-major GEMM inner pair,
 /// accumulated in `k` order.
@@ -236,16 +172,6 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 fn gemm_row_lanes(out: &mut [f32], a_row: &[f32], b: &[f32]) {
     let n = out.len();
     accumulate_lanes(out, a_row.len(), |k| (a_row[k], k * n), b);
-}
-
-/// Scalar twin of [`gemm_row_lanes`] — same `k` order, element-wise adds.
-#[inline(always)]
-fn gemm_row_scalar(out: &mut [f32], a_row: &[f32], b: &[f32]) {
-    out.fill(0.0);
-    let n = out.len();
-    for (k, &av) in a_row.iter().enumerate() {
-        axpy_scalar(out, av, &b[k * n..(k + 1) * n]);
-    }
 }
 
 /// Portable row kernel for the transposed-A product: coefficients are
@@ -258,17 +184,6 @@ fn gemm_row_strided_lanes(out: &mut [f32], a: &[f32], stride: usize, b: &[f32]) 
     accumulate_lanes(out, k, |kk| (a[kk * stride], kk * n), b);
 }
 
-/// Scalar twin of [`gemm_row_strided_lanes`].
-#[inline(always)]
-fn gemm_row_strided_scalar(out: &mut [f32], a: &[f32], stride: usize, b: &[f32]) {
-    out.fill(0.0);
-    let n = out.len();
-    let k = if n == 0 { 0 } else { b.len() / n };
-    for kk in 0..k {
-        axpy_scalar(out, a[kk * stride], &b[kk * n..(kk + 1) * n]);
-    }
-}
-
 /// Portable row kernel for the B-transposed product: `out[j] =
 /// dot(a_row, b[j])` where rows of `b` are `a_row.len()` wide.
 #[inline(always)]
@@ -276,16 +191,6 @@ fn dot_row_lanes(out: &mut [f32], a_row: &[f32], b: &[f32]) {
     let k = a_row.len();
     for (j, o) in out.iter_mut().enumerate() {
         *o = dot_lanes(a_row, &b[j * k..(j + 1) * k]);
-    }
-}
-
-/// Scalar twin of [`dot_row_lanes`] — every element runs the scalar
-/// emulation of the fixed lane schedule.
-#[inline(always)]
-fn dot_row_scalar(out: &mut [f32], a_row: &[f32], b: &[f32]) {
-    let k = a_row.len();
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = dot_scalar(a_row, &b[j * k..(j + 1) * k]);
     }
 }
 
@@ -298,28 +203,13 @@ fn spmm_row_lanes(out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
     accumulate_lanes(out, cols.len(), |e| (vals[e], cols[e] * n), x);
 }
 
-/// Scalar twin of [`spmm_row_lanes`].
-#[inline(always)]
-fn spmm_row_scalar(out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
-    out.fill(0.0);
-    let n = out.len();
-    for (&c, &v) in cols.iter().zip(vals) {
-        axpy_scalar(out, v, &x[c * n..(c + 1) * n]);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     // AVX2 clones of the portable loops. Enabling only `avx2` (never
     // `fma`) keeps mul/add as separate rounding steps, so these are
-    // bit-exact with the portable and scalar paths. The clones wrap whole
+    // bit-exact with the portable path. The clones wrap whole
     // rows because `#[target_feature]` functions can't inline into plain
     // callers: one opaque call per row, none inside the reduction.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        super::dot_lanes(a, b)
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) fn gemm_row(out: &mut [f32], a_row: &[f32], b: &[f32]) {
         super::gemm_row_lanes(out, a_row, b);
@@ -346,7 +236,8 @@ mod x86 {
 macro_rules! avx2_call {
     ($name:ident ( $($arg:expr),* ), $fallback:ident) => {{
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` only yields `Avx2` after
+        // SAFETY: `Avx2` is built only by `active()` (the variant is
+        // `#[non_exhaustive]`, so no other crate can build it), after
         // `is_x86_feature_detected!("avx2")` succeeded in this process.
         unsafe { x86::$name($($arg),*) }
         #[cfg(not(target_arch = "x86_64"))]
@@ -355,17 +246,6 @@ macro_rules! avx2_call {
 }
 
 impl LaneEngine {
-    /// Fixed-shape dot product of `a` and `b`. Bitwise identical on
-    /// every engine (same lane schedule, same reduction tree).
-    #[inline]
-    pub fn dot(self, a: &[f32], b: &[f32]) -> f32 {
-        match self {
-            LaneEngine::Avx2 => avx2_call!(dot(a, b), dot_lanes),
-            LaneEngine::Portable => dot_lanes(a, b),
-            LaneEngine::Scalar => dot_scalar(a, b),
-        }
-    }
-
     /// One GEMM output row: `out = Σ_k a_row[k] · b[k]` (rows of `b` are
     /// `out.len()` wide), `out` overwritten. Each element is accumulated
     /// in `k` order from `0.0` in a register, behind one ISA boundary.
@@ -374,7 +254,6 @@ impl LaneEngine {
         match self {
             LaneEngine::Avx2 => avx2_call!(gemm_row(out, a_row, b), gemm_row_lanes),
             LaneEngine::Portable => gemm_row_lanes(out, a_row, b),
-            LaneEngine::Scalar => gemm_row_scalar(out, a_row, b),
         }
     }
 
@@ -387,19 +266,17 @@ impl LaneEngine {
                 avx2_call!(gemm_row_strided(out, a, stride, b), gemm_row_strided_lanes)
             }
             LaneEngine::Portable => gemm_row_strided_lanes(out, a, stride, b),
-            LaneEngine::Scalar => gemm_row_strided_scalar(out, a, stride, b),
         }
     }
 
     /// One B-transposed GEMM output row: `out[j] = dot(a_row, b[j])`
-    /// (rows of `b` are `a_row.len()` wide) — an [`LaneEngine::dot`] per
-    /// element, fused behind one ISA boundary.
+    /// (rows of `b` are `a_row.len()` wide) — one fixed-shape dot product
+    /// per element, fused behind one ISA boundary.
     #[inline]
     pub(crate) fn dot_row(self, out: &mut [f32], a_row: &[f32], b: &[f32]) {
         match self {
             LaneEngine::Avx2 => avx2_call!(dot_row(out, a_row, b), dot_row_lanes),
             LaneEngine::Portable => dot_row_lanes(out, a_row, b),
-            LaneEngine::Scalar => dot_row_scalar(out, a_row, b),
         }
     }
 
@@ -411,7 +288,6 @@ impl LaneEngine {
         match self {
             LaneEngine::Avx2 => avx2_call!(spmm_row(out, cols, vals, x), spmm_row_lanes),
             LaneEngine::Portable => spmm_row_lanes(out, cols, vals, x),
-            LaneEngine::Scalar => spmm_row_scalar(out, cols, vals, x),
         }
     }
 }
@@ -419,9 +295,12 @@ impl LaneEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::reference;
+    use crate::{CsrMatrix, Matrix};
 
+    /// Every engine this host can run: portable always, AVX2 when detected.
     fn engines() -> Vec<LaneEngine> {
-        let mut e = vec![LaneEngine::Portable, LaneEngine::Scalar];
+        let mut e = vec![LaneEngine::Portable];
         if active() == LaneEngine::Avx2 {
             e.push(LaneEngine::Avx2);
         }
@@ -440,42 +319,53 @@ mod tests {
             .collect()
     }
 
+    fn matrix(rows: usize, cols: usize, salt: u32) -> Matrix {
+        Matrix::from_vec(rows, cols, data(rows * cols, salt)).expect("sized")
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn row_kernel_engines_agree_bitwise_across_lengths() {
-        // n covers every mix of 4×LANES blocks, LANES blocks and tail
-        // columns; the terms include zero coefficients and repeated
-        // source rows
-        let (k, cols, vals) = (5, [3, 0, 3, 4], data(4, 5));
+        // each engine is held to the serial reference, so the check means
+        // something on a host with only the portable engine; n covers every
+        // mix of 4×LANES blocks, LANES blocks and tail columns, and the
+        // terms include zero coefficients
+        let k = 5;
+        let s = CsrMatrix::from_triplets(1, k, &[(0, 3, 0.5), (0, 0, -1.25), (0, 4, 2.0)]);
+        let (cols, vals) = s.row_slices(0);
         for n in [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 47, 64, 100] {
-            let a = data(k * 2, 1);
-            let b = data(k * n, 2);
-            let mut want: Option<[Vec<u32>; 3]> = None;
+            let (a, at, b) = (matrix(1, k, 1), matrix(k, 2, 1), matrix(k, n, 2));
+            let want = [
+                bits(reference::matmul(&a, &b).as_slice()),
+                bits(reference::matmul_tn(&at, &b).row(0)),
+                bits(reference::spmm(&s, &b).as_slice()),
+            ];
             for eng in engines() {
                 let mut rows = [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
-                eng.gemm_row(&mut rows[0], &a[..k], &b);
-                eng.gemm_row_strided(&mut rows[1], &a, 2, &b);
-                eng.spmm_row(&mut rows[2], &cols, &vals, &b);
-                let bits = rows.map(|r| r.iter().map(|v| v.to_bits()).collect::<Vec<u32>>());
-                match &want {
-                    None => want = Some(bits),
-                    Some(w) => assert_eq!(w, &bits, "row kernels diverged at n={n} on {eng:?}"),
-                }
+                eng.gemm_row(&mut rows[0], a.as_slice(), b.as_slice());
+                eng.gemm_row_strided(&mut rows[1], at.as_slice(), 2, b.as_slice());
+                eng.spmm_row(&mut rows[2], cols, vals, b.as_slice());
+                assert_eq!(
+                    rows.map(|r| bits(&r)),
+                    want,
+                    "row kernels left the reference at n={n} on {eng:?}"
+                );
             }
         }
     }
 
     #[test]
     fn dot_engines_agree_bitwise_across_lengths() {
-        for n in [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
-            let a = data(n, 3);
-            let b = data(n, 4);
-            let mut want: Option<u32> = None;
+        for k in [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
+            let (a, b) = (matrix(1, k, 3), matrix(3, k, 4));
+            let want = bits(reference::matmul_nt(&a, &b).as_slice());
             for eng in engines() {
-                let got = eng.dot(&a, &b).to_bits();
-                match want {
-                    None => want = Some(got),
-                    Some(w) => assert_eq!(w, got, "dot diverged at n={n} on {eng:?}"),
-                }
+                let mut out = [f32::NAN; 3];
+                eng.dot_row(&mut out, a.as_slice(), b.as_slice());
+                assert_eq!(bits(&out), want, "dot_row left the reference at k={k} on {eng:?}");
             }
         }
     }
@@ -483,9 +373,8 @@ mod tests {
     #[test]
     fn dot_is_the_fixed_tree_not_sequential_sum() {
         // With 8 or more elements the lane schedule differs from a plain
-        // left-to-right sum for generic data; this pins that the scalar
-        // twin really emulates the tree rather than falling back to the
-        // naive order.
+        // left-to-right sum for generic data; this pins that the portable
+        // engine really runs the tree rather than the naive order.
         let a = data(24, 5);
         let b = data(24, 6);
         let mut acc = [0.0f32; LANES];
@@ -495,23 +384,15 @@ mod tests {
             }
         }
         let want = reduce_tree(acc).to_bits();
-        assert_eq!(LaneEngine::Scalar.dot(&a, &b).to_bits(), want);
-        assert_eq!(LaneEngine::Portable.dot(&a, &b).to_bits(), want);
+        let sequential = a.iter().zip(&b).fold(0.0f32, |s, (x, y)| s + x * y).to_bits();
+        assert_ne!(sequential, want, "the data no longer tells the two orders apart");
+        let mut out = [f32::NAN];
+        LaneEngine::Portable.dot_row(&mut out, &a, &b);
+        assert_eq!(out[0].to_bits(), want);
     }
 
     #[test]
     fn isa_report_mentions_lane_width() {
         assert!(isa_report().contains("lanes=8"), "{}", isa_report());
-    }
-
-    #[test]
-    fn disable_routes_to_scalar() {
-        // `set_enabled` is process-global; restore before returning so
-        // concurrently running tests only ever observe a bit-identical
-        // engine swap (the whole point of the contract).
-        set_enabled(false);
-        assert_eq!(active(), LaneEngine::Scalar);
-        set_enabled(true);
-        assert_ne!(active(), LaneEngine::Scalar);
     }
 }

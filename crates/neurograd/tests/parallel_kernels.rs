@@ -8,9 +8,10 @@
 //! reconfigures the process pool on the fly — which the pool supports
 //! while in use.
 
-use neurograd::kernels::reference;
+use neurograd::kernels::{self, reference, Rows};
 use neurograd::{pool, CsrMatrix, Matrix, Tape};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn matrix_from(rows: usize, cols: usize, seed: &[f32]) -> Matrix {
     let data: Vec<f32> = (0..rows * cols)
@@ -138,5 +139,54 @@ proptest! {
         prop_assert!(l1.to_bits() == ln.to_bits());
         prop_assert!(bitwise_eq(&gx1, &gxn));
         prop_assert!(bitwise_eq(&gw1, &gwn));
+    }
+}
+
+/// The row kernels refuse a bad `Rows::List` (a duplicate, an unsorted
+/// list, a row past the end) and a buffer that is not whole rows before
+/// they write anything, in release builds too. The lists are long enough
+/// to take the pooled path at 2 threads, where a duplicate would let two
+/// chunks write one row at once and an unchecked row index would let a
+/// chunk write outside the buffer.
+#[test]
+fn row_kernels_refuse_bad_row_lists() {
+    pool::configure_threads(2);
+    // 4096 multiply-adds per row, so 8 listed rows make two pool chunks
+    const ROWS: usize = 10;
+    const ROW_LEN: usize = 4096;
+    let bad_lists: [(&str, Vec<usize>); 4] = [
+        ("duplicate", vec![0, 1, 2, 3, 3, 4, 5, 6]),
+        ("unsorted", vec![1, 0, 2, 3, 4, 5, 6, 7]),
+        ("past-the-end", vec![2, 3, 4, 5, 6, 7, 8, ROWS]),
+        ("unsorted past-the-end", vec![100_000, 1, 2, 3, 4, 5, 6, 7]),
+    ];
+    let diagonal: Vec<(usize, usize, f32)> = (0..ROWS).map(|r| (r, r, 2.0)).collect();
+    let s = CsrMatrix::from_triplets(ROWS, ROWS, &diagonal);
+    let x = matrix_from(ROWS, ROW_LEN, &[0.5, -1.0, 1.5]);
+    for (what, list) in &bad_lists {
+        let mut data = vec![0.0f32; ROWS * ROW_LEN];
+        let mapped = catch_unwind(AssertUnwindSafe(|| {
+            kernels::map_rows_inplace(&mut data, Rows::List(list), ROW_LEN, |v| v + 1.0);
+        }));
+        assert!(mapped.is_err(), "map_rows_inplace accepted the {what} list {list:?}");
+        let mut out = vec![0.0f32; ROWS * ROW_LEN];
+        let spmm = catch_unwind(AssertUnwindSafe(|| {
+            kernels::spmm_rows_into(&s, &x, Rows::List(list), &mut out);
+        }));
+        assert!(spmm.is_err(), "spmm_rows_into accepted the {what} list {list:?}");
+    }
+    let mut ragged = vec![0.0f32; ROWS * ROW_LEN + 1];
+    let mapped = catch_unwind(AssertUnwindSafe(|| {
+        kernels::map_rows_inplace(&mut ragged, Rows::All, ROW_LEN, |v| v + 1.0);
+    }));
+    assert!(mapped.is_err(), "map_rows_inplace accepted a buffer that is not whole rows");
+
+    // a good list of the same length runs and writes exactly its rows
+    let good: Vec<usize> = (1..ROWS - 1).collect();
+    let mut data = vec![0.0f32; ROWS * ROW_LEN];
+    kernels::map_rows_inplace(&mut data, Rows::List(&good), ROW_LEN, |v| v + 1.0);
+    for (r, row) in data.chunks(ROW_LEN).enumerate() {
+        let want = if good.contains(&r) { 1.0 } else { 0.0 };
+        assert!(row.iter().all(|&v| v == want), "row {r} of the good list run");
     }
 }

@@ -156,7 +156,8 @@ pub struct ParsedSeries {
 
 impl ParsedSeries {
     /// The value of label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn label(&self, key: &str) -> Option<&str> {
         self.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 }
