@@ -108,8 +108,8 @@ pub enum InvalidationCause {
     FilterCrossing,
     /// Lazy compaction renumbered the G-net column space.
     Compaction,
-    /// The pipeline recovered from a previously failed rebuild, or a
-    /// panic mid-apply left provenance unknown.
+    /// The pipeline was poisoned (an update or rebuild did not complete)
+    /// or recovered from it by a rebuild.
     Poisoned,
 }
 

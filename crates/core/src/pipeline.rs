@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use lh_graph::{DeltaOutcome, FeatureSet, LhGraph, LhGraphConfig, StructuralReason};
+use lh_graph::{DeltaOutcome, FeatureSet, LhGraph, LhGraphConfig, LhGraphError, StructuralReason};
 use lhnn_obs::{Counter, Histogram, Registry};
 use vlsi_netlist::{rebin_delta_in_place, Circuit, GcellGrid, NetId, Placement, PlacementDelta};
 
@@ -72,8 +72,9 @@ pub enum RebuildCause {
     /// A filter crossing would leave no live G-net column — the one
     /// crossing shape that cannot be tombstone-patched.
     NoLiveColumns,
-    /// The pipeline was poisoned by a previously failed rebuild and must
-    /// rebuild before trusting any incremental state again.
+    /// The pipeline was poisoned by an earlier update or rebuild that did
+    /// not complete, and must rebuild before trusting any incremental
+    /// state again.
     PoisonedRecovery,
 }
 
@@ -87,7 +88,7 @@ impl std::fmt::Display for RebuildCause {
                 f.write_str("no g-net column would survive the size filter")
             }
             RebuildCause::PoisonedRecovery => {
-                f.write_str("recovering from a previously failed rebuild")
+                f.write_str("recovering from an update that did not complete")
             }
         }
     }
@@ -109,7 +110,8 @@ impl From<StructuralReason> for RebuildCause {
 /// [`LatticePipeline::set_metrics`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineStats {
-    /// Total `apply` calls.
+    /// `apply` calls past the delta check (a refused delta is not
+    /// counted).
     pub updates: usize,
     /// Deltas that changed nothing grid-derived.
     pub noops: usize,
@@ -126,8 +128,8 @@ pub struct PipelineStats {
     /// ([`RebuildCause::Compaction`]) — the only event that renumbers
     /// G-net columns.
     pub rebuilds_compaction: usize,
-    /// Rebuilds forced while recovering from a previously failed rebuild
-    /// ([`RebuildCause::PoisonedRecovery`]).
+    /// Rebuilds forced while recovering from an update that did not
+    /// complete ([`RebuildCause::PoisonedRecovery`]).
     pub rebuilds_poisoned: usize,
     /// Size-filter crossings absorbed by the incremental path
     /// (tombstoned + revived/appended columns, summed over updates).
@@ -143,7 +145,7 @@ pub struct PipelineStats {
 }
 
 /// Error returned by [`LatticePipeline::fingerprints`] while the pipeline
-/// is poisoned: graph/features/ops describe the pre-failure placement, so
+/// is poisoned: graph/features/ops may describe an older placement, so
 /// handing out their fingerprints as current would let a caller key a
 /// cache (or claim parity) on stale state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +155,8 @@ impl std::fmt::Display for StalePipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pipeline is poisoned (a fallback rebuild failed): fingerprints describe the \
-             pre-failure placement; apply a delta that admits a rebuild first"
+            "pipeline is poisoned (an update did not complete): fingerprints describe an \
+             older placement; apply a delta that admits a rebuild first"
         )
     }
 }
@@ -220,26 +222,28 @@ impl PipelineObs {
 
 /// The stateful construction pipeline for one design on one grid.
 ///
-/// Owns its [`Placement`] copy; callers mutate it exclusively through
-/// [`LatticePipeline::apply`]. Snapshots ([`LatticePipeline::ops`],
-/// [`LatticePipeline::features`]) are `Arc`-shared, so an in-flight
-/// prediction keeps its inputs alive while the pipeline moves on.
+/// Builds with the default [`LhGraphConfig`] and the full (un-ablated)
+/// operator set — the serving configuration. Owns its [`Placement`] copy;
+/// callers mutate it exclusively through [`LatticePipeline::apply`].
+/// Snapshots ([`LatticePipeline::ops`], [`LatticePipeline::features`]) are
+/// `Arc`-shared, so an in-flight prediction keeps its inputs alive while
+/// the pipeline moves on.
 #[derive(Debug)]
 pub struct LatticePipeline {
     circuit: Arc<Circuit>,
     grid: GcellGrid,
-    graph_cfg: LhGraphConfig,
-    ablation: AblationSpec,
     cell_to_nets: Vec<Vec<NetId>>,
     placement: Placement,
     graph: LhGraph,
     features: Arc<FeatureSet>,
     ops: Arc<GraphOps>,
     obs: PipelineObs,
-    /// Set when a fallback rebuild failed: the placement has advanced but
-    /// graph/features/ops still describe an older one. Every later
-    /// `apply` forces a rebuild until one succeeds, so the stale state
-    /// can never leak through the incremental path.
+    /// The one failure state: set on entry to every `apply` and `rebuild`
+    /// and cleared only when they succeed. An early exit (an error or a
+    /// panic) may leave the placement advanced while graph/features/ops
+    /// still describe an older one, so every later `apply` rebuilds
+    /// ([`RebuildCause::PoisonedRecovery`]) until one succeeds, and the
+    /// stale state never leaks through the incremental path.
     poisoned: bool,
 }
 
@@ -251,23 +255,19 @@ impl LatticePipeline {
     ///
     /// Propagates [`lh_graph`] build failures (empty graph, dimension or
     /// grid-shape mismatches).
-    pub fn new(
+    pub fn for_serving(
         circuit: Arc<Circuit>,
         placement: Placement,
         grid: GcellGrid,
-        graph_cfg: LhGraphConfig,
-        ablation: AblationSpec,
     ) -> lh_graph::Result<Self> {
-        let graph = LhGraph::build(&circuit, &placement, &grid, &graph_cfg)?;
+        let graph = LhGraph::build(&circuit, &placement, &grid, &LhGraphConfig::default())?;
         let features = FeatureSet::build(&graph, &circuit, &placement, &grid)?;
-        let ops = GraphOps::from_graph(&graph, &ablation);
+        let ops = GraphOps::from_graph(&graph, &AblationSpec::full());
         let cell_to_nets = circuit.cell_to_nets();
         Ok(Self {
             cell_to_nets,
             circuit,
             grid,
-            graph_cfg,
-            ablation,
             placement,
             graph,
             features: Arc::new(features),
@@ -289,33 +289,38 @@ impl LatticePipeline {
         self.obs = PipelineObs::new(registry, design);
     }
 
-    /// Convenience constructor with the default graph config and the full
-    /// (un-ablated) operator set — the serving configuration.
-    pub fn for_serving(
-        circuit: Arc<Circuit>,
-        placement: Placement,
-        grid: GcellGrid,
-    ) -> lh_graph::Result<Self> {
-        Self::new(circuit, placement, grid, LhGraphConfig::default(), AblationSpec::full())
-    }
-
     /// Applies a placement delta, patching graph, features and operators
     /// incrementally where possible.
     ///
     /// # Errors
     ///
-    /// Propagates build failures from the full-rebuild fallback (e.g. the
-    /// delta moved every net past the size filter). The placement is
-    /// already advanced when that happens, so the pipeline marks itself
-    /// poisoned: every later `apply` forces a rebuild (never the
-    /// incremental path against the stale graph) until one succeeds —
-    /// e.g. after a delta that moves nets back below the filter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta references a cell outside the circuit.
+    /// [`LhGraphError::InvalidDelta`] if a move names a cell outside the
+    /// circuit or a non-finite position: nothing is applied or counted,
+    /// and the pipeline stays as it was. Otherwise propagates failures of
+    /// the graph patch, the feature patch and the full-rebuild fallback
+    /// (e.g. the delta moved every net past the size filter). The
+    /// placement may already be advanced then, so the pipeline stays
+    /// poisoned ([`LatticePipeline::is_poisoned`]): every later `apply`
+    /// forces a rebuild (never the incremental path against the stale
+    /// graph) until one succeeds — e.g. after a delta that moves nets back
+    /// below the filter. A panic mid-apply leaves it poisoned the same way.
     pub fn apply(&mut self, delta: &PlacementDelta) -> lh_graph::Result<PipelineUpdate> {
+        check_delta(delta, self.circuit.num_cells())?;
         self.obs.updates.inc();
+        let recovering = std::mem::replace(&mut self.poisoned, true);
+        let update = self.patch(delta, recovering)?;
+        self.poisoned = false;
+        Ok(update)
+    }
+
+    /// [`LatticePipeline::apply`] past the delta check, with `poisoned`
+    /// already set: rebin, then patch or fall back. `recovering` says the
+    /// pipeline was poisoned before this delta, so it must rebuild.
+    fn patch(
+        &mut self,
+        delta: &PlacementDelta,
+        recovering: bool,
+    ) -> lh_graph::Result<PipelineUpdate> {
         let t_rebin = self.obs.rebin.start();
         let report = rebin_delta_in_place(
             &self.circuit,
@@ -325,7 +330,7 @@ impl LatticePipeline {
             &self.cell_to_nets,
         );
         self.obs.rebin.stop_us(t_rebin);
-        if self.poisoned {
+        if recovering {
             return self.fall_back(RebuildCause::PoisonedRecovery);
         }
         if report.is_clean() {
@@ -333,7 +338,7 @@ impl LatticePipeline {
             return Ok(PipelineUpdate::Noop);
         }
         let t_graph = self.obs.graph_patch.start();
-        let outcome = self.graph.apply_delta(&self.grid, &self.graph_cfg, &report);
+        let outcome = self.graph.apply_delta(&self.grid, &LhGraphConfig::default(), &report);
         self.obs.graph_patch.stop_us(t_graph);
         match outcome? {
             DeltaOutcome::Patched(patch) => {
@@ -369,7 +374,7 @@ impl LatticePipeline {
                 dirty_nets.extend_from_slice(&patch.tombstoned_cols);
                 let dirty_nets = lh_graph::halo::canonicalize(dirty_nets);
                 let crossings = patch.crossed_out.len() + patch.crossed_in.len();
-                self.ops = Arc::new(self.ops.patch_from(&patch.graph, &self.ablation));
+                self.ops = Arc::new(self.ops.patch_from(&patch.graph, &AblationSpec::full()));
                 self.graph = patch.graph;
                 self.features = Arc::new(features);
                 self.obs.feature_patch.stop_us(t_feat);
@@ -403,9 +408,10 @@ impl LatticePipeline {
     pub fn rebuild(&mut self) -> lh_graph::Result<()> {
         let t_rebuild = self.obs.rebuild.start();
         self.poisoned = true;
-        let graph = LhGraph::build(&self.circuit, &self.placement, &self.grid, &self.graph_cfg)?;
+        let cfg = LhGraphConfig::default();
+        let graph = LhGraph::build(&self.circuit, &self.placement, &self.grid, &cfg)?;
         let features = FeatureSet::build(&graph, &self.circuit, &self.placement, &self.grid)?;
-        self.ops = Arc::new(GraphOps::from_graph(&graph, &self.ablation));
+        self.ops = Arc::new(GraphOps::from_graph(&graph, &AblationSpec::full()));
         self.graph = graph;
         self.features = Arc::new(features);
         self.poisoned = false;
@@ -443,11 +449,12 @@ impl LatticePipeline {
         &self.grid
     }
 
-    /// Whether a failed fallback rebuild left graph/features/ops behind
-    /// the placement. Reads of [`LatticePipeline::ops`] /
-    /// [`LatticePipeline::features`] / [`LatticePipeline::fingerprints`]
-    /// describe the *pre-failure* placement until a rebuild succeeds;
-    /// serving surfaces must refuse to answer from a poisoned pipeline.
+    /// Whether an `apply` or `rebuild` that did not succeed may have left
+    /// graph/features/ops behind the placement. Reads of
+    /// [`LatticePipeline::ops`] / [`LatticePipeline::features`] /
+    /// [`LatticePipeline::fingerprints`] may describe an older placement
+    /// until a rebuild succeeds; serving surfaces must refuse to answer
+    /// from a poisoned pipeline.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -492,6 +499,26 @@ impl LatticePipeline {
     }
 }
 
+/// Refuses a delta that names a cell outside a `num_cells`-cell circuit
+/// or moves a cell to a non-finite position.
+fn check_delta(delta: &PlacementDelta, num_cells: usize) -> lh_graph::Result<()> {
+    for &(cell, to) in delta.moves() {
+        let cell = cell.index();
+        if cell >= num_cells {
+            return Err(LhGraphError::InvalidDelta(format!(
+                "cell {cell} is outside the {num_cells}-cell circuit"
+            )));
+        }
+        if !(to.x.is_finite() && to.y.is_finite()) {
+            return Err(LhGraphError::InvalidDelta(format!(
+                "cell {cell} moves to non-finite ({}, {})",
+                to.x, to.y
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +547,15 @@ mod tests {
             p.graph().kept_nets(),
         )
         .unwrap();
+        let features = FeatureSet::build(&graph, p.circuit(), p.placement(), p.grid()).unwrap();
+        (GraphOps::from_graph(&graph, &AblationSpec::full()).fingerprint(), features.fingerprint())
+    }
+
+    /// Fingerprints of a canonical from-scratch `build` at the pipeline's
+    /// placement.
+    fn scratch_fingerprints(p: &LatticePipeline) -> (u64, u64) {
+        let graph = LhGraph::build(p.circuit(), p.placement(), p.grid(), &LhGraphConfig::default())
+            .unwrap();
         let features = FeatureSet::build(&graph, p.circuit(), p.placement(), p.grid()).unwrap();
         (GraphOps::from_graph(&graph, &AblationSpec::full()).fingerprint(), features.fingerprint())
     }
@@ -584,9 +620,10 @@ mod tests {
     #[test]
     fn failed_fallback_rebuild_poisons_until_a_rebuild_succeeds() {
         use vlsi_netlist::{Cell, Net, Pin, Rect};
-        // Two 2-pin nets on a 4x4 grid with a 1-g-cell size filter: any
-        // net stretched across g-cells crosses the filter (structural),
-        // and stretching *every* net makes the fallback rebuild fail.
+        // One 2-pin net on a 4x4 grid, where the default 5% size filter
+        // keeps nets of at most 1 g-cell: stretching the only net across
+        // the die leaves no live column (structural), and the fallback
+        // rebuild fails.
         let die = Rect::new(0.0, 0.0, 8.0, 8.0);
         let grid = GcellGrid::new(die, 4, 4);
         let mut c = Circuit::new("tiny", die);
@@ -596,11 +633,7 @@ mod tests {
         let mut placement = Placement::zeroed(2);
         placement.set_position(a, Point::new(1.0, 1.0));
         placement.set_position(b, Point::new(1.2, 1.2));
-        // max area = 1 g-cell
-        let cfg = LhGraphConfig { max_gnet_fraction: 1e-9, ..LhGraphConfig::default() };
-        let mut p =
-            LatticePipeline::new(Arc::new(c), placement, grid, cfg.clone(), AblationSpec::full())
-                .unwrap();
+        let mut p = LatticePipeline::for_serving(Arc::new(c), placement, grid).unwrap();
 
         // Stretch the net across the die: structural, and the rebuild
         // fails because the only net is filtered out.
@@ -618,15 +651,85 @@ mod tests {
         let heal = PlacementDelta::single(b, Point::new(1.3, 1.3));
         let update = p.apply(&heal).unwrap();
         assert!(matches!(update, PipelineUpdate::FullRebuild { .. }));
-        let graph = LhGraph::build(p.circuit(), p.placement(), p.grid(), &cfg).unwrap();
-        let features = FeatureSet::build(&graph, p.circuit(), p.placement(), p.grid()).unwrap();
-        let batch_ops = GraphOps::from_graph(&graph, &AblationSpec::full());
-        assert_eq!(p.fingerprints().unwrap(), (batch_ops.fingerprint(), features.fingerprint()));
+        assert_eq!(p.fingerprints().unwrap(), scratch_fingerprints(&p));
 
         // and the pipeline is healthy again: further small moves are
         // incremental
         let follow = p.apply(&PlacementDelta::single(b, Point::new(1.4, 1.4))).unwrap();
         assert!(matches!(follow, PipelineUpdate::Noop | PipelineUpdate::Incremental { .. }));
+    }
+
+    /// An `apply` that exits early after rebinning advanced the placement
+    /// leaves the pipeline poisoned, whether the exit is an `Err` from the
+    /// graph patch (a grid of another shape: `GridShape`) or a panic (no
+    /// cell-to-net adjacency: rebinning indexes out of bounds). Once the
+    /// cause is gone, the next `apply` rebuilds and matches a from-scratch
+    /// build.
+    #[test]
+    fn early_exit_mid_apply_poisons_until_a_rebuild() {
+        for panic in [false, true] {
+            let mut p = pipeline(5, 120, 8);
+            let die = p.circuit().die;
+            let id = CellId(3);
+            let far = Point::new(die.ux - 0.01, die.uy - 0.01);
+            let exit = if panic {
+                let cell_to_nets = std::mem::take(&mut p.cell_to_nets);
+                let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    p.apply(&PlacementDelta::single(id, far))
+                }));
+                assert!(crash.is_err(), "rebinning without the adjacency must panic");
+                p.cell_to_nets = cell_to_nets;
+                None
+            } else {
+                let grid = std::mem::replace(&mut p.grid, GcellGrid::new(die, 5, 5));
+                let err = p.apply(&PlacementDelta::single(id, far)).unwrap_err();
+                assert!(matches!(err, LhGraphError::GridShape { .. }), "got {err:?}");
+                assert_eq!(p.placement().position(id), far, "rebinning advanced the placement");
+                p.grid = grid;
+                Some(err)
+            };
+            assert!(p.is_poisoned(), "early exit (error: {exit:?}) must poison");
+            assert_eq!(p.fingerprints(), Err(StalePipeline));
+            assert!(p.stats().stale);
+            let heal = PlacementDelta::single(CellId(4), p.placement().position(CellId(4)));
+            assert_eq!(
+                p.apply(&heal).unwrap(),
+                PipelineUpdate::FullRebuild { cause: RebuildCause::PoisonedRecovery }
+            );
+            assert!(!p.is_poisoned());
+            assert_eq!(p.fingerprints().unwrap(), scratch_fingerprints(&p));
+        }
+    }
+
+    /// A delta naming a cell outside the circuit or a non-finite position
+    /// is refused with the typed error before anything applies or counts,
+    /// one bad move among good ones included.
+    #[test]
+    fn invalid_deltas_are_refused_before_anything_applies() {
+        let mut p = pipeline(6, 120, 8);
+        let n = p.circuit().num_cells() as u32;
+        let placement = p.placement().clone();
+        let fingerprints = p.fingerprints().unwrap();
+        let updates = p.stats().updates;
+        let ok = Point::new(1.0, 1.0);
+        for bad in [
+            PlacementDelta::single(CellId(n), ok),
+            PlacementDelta::single(CellId(0), Point::new(f32::NAN, 1.0)),
+            PlacementDelta::single(CellId(0), Point::new(1.0, f32::INFINITY)),
+            PlacementDelta::single(CellId(0), Point::new(f32::NEG_INFINITY, 1.0)),
+            PlacementDelta::from_moves(vec![(CellId(1), ok), (CellId(2), ok), (CellId(n + 7), ok)]),
+            PlacementDelta::from_moves(vec![
+                (CellId(1), ok),
+                (CellId(2), Point::new(ok.x, f32::NAN)),
+            ]),
+        ] {
+            let err = p.apply(&bad).unwrap_err();
+            assert!(matches!(err, LhGraphError::InvalidDelta(_)), "got {err:?}");
+            assert!(!p.is_poisoned());
+            assert_eq!(p.placement(), &placement);
+            assert_eq!(p.fingerprints().unwrap(), fingerprints);
+            assert_eq!(p.stats().updates, updates);
+        }
     }
 
     #[test]

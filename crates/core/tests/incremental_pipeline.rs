@@ -2,16 +2,18 @@
 //! placement-delta sequences (including no-ops and whole-design shifts)
 //! must leave operators, features, fingerprints — and the model's
 //! predictions — **bitwise identical** to a from-scratch rebuild, at any
-//! compute-pool thread count.
+//! compute-pool thread count. Hostile moves (cells past the circuit,
+//! non-finite positions) must be refused with the typed error and change
+//! nothing.
 
 use std::sync::Arc;
 
-use lh_graph::{FeatureSet, LhGraph, LhGraphConfig};
+use lh_graph::{FeatureSet, LhGraph, LhGraphConfig, LhGraphError};
 use lhnn::{AblationSpec, CongestionModel, GraphOps, LatticePipeline, Lhnn, LhnnConfig};
 use neurograd::pool;
 use proptest::prelude::*;
 use vlsi_netlist::synth::{generate, SynthConfig};
-use vlsi_netlist::{CellId, PlacementDelta, Point};
+use vlsi_netlist::{CellId, PlacementDelta, Point, Rect};
 use vlsi_place::GlobalPlacer;
 
 fn pipeline(seed: u64, n_cells: usize, side: u32) -> LatticePipeline {
@@ -39,6 +41,41 @@ fn batch_state(p: &LatticePipeline) -> (GraphOps, FeatureSet) {
     (GraphOps::from_graph(&graph, &AblationSpec::full()), features)
 }
 
+/// Cell codes at or past this name a cell past the circuit.
+const PAST_THE_CIRCUIT: usize = 3900;
+
+/// Decodes a cell code: most land on a real cell, the rest past the
+/// circuit's `n_cells` cells.
+fn decode_cell(code: usize, n_cells: usize) -> CellId {
+    let index =
+        if code >= PAST_THE_CIRCUIT { n_cells + code - PAST_THE_CIRCUIT } else { code % n_cells };
+    CellId(index as u32)
+}
+
+/// Decodes one coordinate along `[lo, lo + span]`: most codes land inside
+/// the die, the rest on NaN, ±inf, ±1e30, `f32::MAX`/`MIN` or past the
+/// die's far edge.
+fn decode_coord(code: u8, frac: f32, lo: f32, span: f32) -> f32 {
+    match code {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => 1e30,
+        4 => -1e30,
+        5 => f32::MAX,
+        6 => f32::MIN,
+        7 => lo + span * (1.0 + 2.0 * frac),
+        _ => lo + frac * span,
+    }
+}
+
+fn decode_point(die: &Rect, (cx, fx, cy, fy): (u8, f32, u8, f32)) -> Point {
+    Point::new(
+        decode_coord(cx, fx, die.lx, die.width()),
+        decode_coord(cy, fy, die.ly, die.height()),
+    )
+}
+
 fn bitwise_eq(a: &neurograd::Matrix, b: &neurograd::Matrix) -> bool {
     a.shape() == b.shape()
         && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -51,12 +88,14 @@ proptest! {
     /// sequence, the incremental pipeline fingerprints equal a batch
     /// rebuild's, and `Lhnn::predict` on the incremental state is bitwise
     /// identical to predict on the batch state — at 1 and N compute
-    /// threads.
+    /// threads. A delta with a move past the circuit or to a non-finite
+    /// position is instead refused with the typed error, leaving the
+    /// fingerprints, the counters and the pipeline's health as they were.
     #[test]
     fn pipeline_state_and_predictions_match_batch_rebuild(
         seed in 0u64..3,
         moves in proptest::collection::vec(
-            (0usize..4096, 0.0f32..1.0, 0.0f32..1.0), 1..12),
+            (0usize..4096, (0u8..32, 0.0f32..1.0, 0u8..32, 0.0f32..1.0)), 1..12),
         chunk in 1usize..5,
         threads in 1usize..4,
     ) {
@@ -66,11 +105,23 @@ proptest! {
         let n_cells = p.circuit().num_cells();
         for group in moves.chunks(chunk) {
             let mut delta = PlacementDelta::new();
-            for &(cell, fx, fy) in group {
-                delta.push(
-                    CellId((cell % n_cells) as u32),
-                    Point::new(die.lx + fx * die.width(), die.ly + fy * die.height()),
+            for &(cell, point) in group {
+                delta.push(decode_cell(cell, n_cells), decode_point(&die, point));
+            }
+            let hostile = delta.moves().iter().any(|&(cell, to)| {
+                cell.index() >= n_cells || !(to.x.is_finite() && to.y.is_finite())
+            });
+            if hostile {
+                let (fingerprints, stats) = (p.fingerprints(), p.stats());
+                let refused = p.apply(&delta);
+                prop_assert!(
+                    matches!(refused, Err(LhGraphError::InvalidDelta(_))),
+                    "hostile delta not refused: {:?}", refused
                 );
+                prop_assert_eq!(p.fingerprints(), fingerprints);
+                prop_assert_eq!(p.stats(), stats);
+                prop_assert!(!p.is_poisoned());
+                continue;
             }
             if p.apply(&delta).is_err() {
                 // every net dropped by the filter: a batch build fails

@@ -21,6 +21,9 @@ pub enum LhGraphError {
         /// `(nx, ny)` of the grid it was used with.
         actual: (usize, usize),
     },
+    /// A placement delta names a cell outside the circuit or moves a cell
+    /// to a non-finite position; it was refused before anything applied.
+    InvalidDelta(String),
 }
 
 impl LhGraphError {
@@ -42,6 +45,7 @@ impl fmt::Display for LhGraphError {
                 enx * eny,
                 anx * any
             ),
+            LhGraphError::InvalidDelta(m) => write!(f, "invalid placement delta: {m}"),
         }
     }
 }
@@ -56,6 +60,7 @@ mod tests {
     fn display_is_informative() {
         assert!(LhGraphError::EmptyGraph("no cells".into()).to_string().contains("no cells"));
         assert!(LhGraphError::DimensionMismatch("x".into()).to_string().contains("x"));
+        assert!(LhGraphError::InvalidDelta("cell 9".into()).to_string().contains("cell 9"));
     }
 
     #[test]

@@ -72,12 +72,11 @@ impl LhGraphConfig {
 pub struct LhGraph {
     nx: usize,
     ny: usize,
-    /// `H`: `N_c × N_n` incidence.
+    /// `H`: `N_c × N_n` incidence, which is also `G_nc` — the sum
+    /// aggregation G-net → G-cell (Eq. 1).
     incidence: Arc<CsrMatrix>,
     /// `A`: `N_c × N_c` lattice adjacency.
     lattice: Arc<CsrMatrix>,
-    /// `G_nc = H` — sum aggregation G-net → G-cell (Eq. 1).
-    gnc_sum: Arc<CsrMatrix>,
     /// `D⁻¹H` — mean aggregation G-net → G-cell (HyperMP).
     gnc_mean: Arc<CsrMatrix>,
     /// `B⁻¹Hᵀ` — mean aggregation G-cell → G-net (HyperMP).
@@ -317,7 +316,6 @@ impl LhGraph {
         }
         let lattice = CsrMatrix::from_triplets(n_c, n_c, &lat_triplets);
 
-        let gnc_sum = incidence.clone();
         let gnc_mean = incidence.row_normalized();
         // tombstoned columns have no incidence entries, so their Hᵀ rows
         // are empty and `row_normalized` leaves them masked (all-zero)
@@ -329,7 +327,6 @@ impl LhGraph {
             ny: grid.ny() as usize,
             incidence: Arc::new(incidence),
             lattice: Arc::new(lattice),
-            gnc_sum: Arc::new(gnc_sum),
             gnc_mean: Arc::new(gnc_mean),
             gcn_mean: Arc::new(gcn_mean),
             lattice_mean: Arc::new(lattice_mean),
@@ -343,7 +340,7 @@ impl LhGraph {
     }
 
     /// Patches this graph for a placement delta, given the re-binning
-    /// report of [`vlsi_netlist::rebin_delta`].
+    /// report of [`vlsi_netlist::rebin_delta_in_place`].
     ///
     /// Only the incidence-derived rows touched by the dirty nets are
     /// rebuilt; the lattice operators and every untouched CSR row carry
@@ -580,7 +577,6 @@ impl LhGraph {
         let graph = LhGraph {
             nx: self.nx,
             ny: self.ny,
-            gnc_sum: Arc::clone(&incidence),
             incidence,
             lattice: Arc::clone(&self.lattice),
             gnc_mean,
@@ -664,9 +660,10 @@ impl LhGraph {
         &self.lattice
     }
 
-    /// Sum aggregation G-net → G-cell (`G_nc = H`, Eq. 1).
+    /// Sum aggregation G-net → G-cell (`G_nc = H`, Eq. 1): the incidence
+    /// matrix itself, shared.
     pub fn gnc_sum(&self) -> &Arc<CsrMatrix> {
-        &self.gnc_sum
+        &self.incidence
     }
 
     /// Mean aggregation G-net → G-cell (`D⁻¹H`).
@@ -722,7 +719,9 @@ impl LhGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlsi_netlist::{rebin_delta, Cell, CellId, Circuit, Net, Pin, PlacementDelta, Point, Rect};
+    use vlsi_netlist::{
+        rebin_delta_in_place, Cell, CellId, Circuit, Net, Pin, PlacementDelta, Point, Rect,
+    };
 
     /// 4×4 grid, 2 nets: one small (2×1 g-cells), one large (3×3).
     fn sample() -> (Circuit, Placement, GcellGrid) {
@@ -747,7 +746,7 @@ mod tests {
         LhGraphConfig { max_gnet_fraction, ..LhGraphConfig::default() }
     }
 
-    /// Routes one delta through `rebin_delta` + `apply_delta`.
+    /// Routes one delta through `rebin_delta_in_place` + `apply_delta`.
     fn step(
         g: &LhGraph,
         c: &Circuit,
@@ -756,11 +755,7 @@ mod tests {
         cfg: &LhGraphConfig,
         delta: &PlacementDelta,
     ) -> DeltaOutcome {
-        let before = p.clone();
-        let mut after = before.clone();
-        delta.apply(&mut after);
-        let report = rebin_delta(c, grid, &before, &after, delta, &c.cell_to_nets());
-        *p = after;
+        let report = rebin_delta_in_place(c, grid, p, delta, &c.cell_to_nets());
         g.apply_delta(grid, cfg, &report).expect("same grid")
     }
 

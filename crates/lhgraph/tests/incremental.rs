@@ -1,5 +1,5 @@
 //! Bitwise-equality proptests for the incremental LH-graph path: any
-//! sequence of placement deltas routed through `rebin_delta` →
+//! sequence of placement deltas routed through `rebin_delta_in_place` →
 //! `LhGraph::apply_delta` → `FeatureSet::apply_delta` (with a full
 //! rebuild on `Structural` outcomes) must leave graph and features
 //! **bitwise identical** to a from-scratch build at the final placement —
@@ -11,7 +11,7 @@ use lh_graph::{DeltaOutcome, FeatureSet, LhGraph, LhGraphConfig, StructuralReaso
 use proptest::prelude::*;
 use vlsi_netlist::synth::{generate, SynthConfig};
 use vlsi_netlist::{
-    rebin_delta, CellId, Circuit, GcellGrid, NetId, Placement, PlacementDelta, Point,
+    rebin_delta_in_place, CellId, Circuit, GcellGrid, NetId, Placement, PlacementDelta, Point,
 };
 use vlsi_place::GlobalPlacer;
 
@@ -70,12 +70,13 @@ impl Harness {
     /// when the placement became unbuildable (every net filtered), which
     /// a from-scratch build rejects identically.
     fn apply(&mut self, delta: &PlacementDelta) -> bool {
-        let before = self.placement.clone();
-        let mut after = before.clone();
-        delta.apply(&mut after);
-        let report =
-            rebin_delta(&self.circuit, &self.grid, &before, &after, delta, &self.cell_to_nets);
-        self.placement = after;
+        let report = rebin_delta_in_place(
+            &self.circuit,
+            &self.grid,
+            &mut self.placement,
+            delta,
+            &self.cell_to_nets,
+        );
         if report.is_clean() {
             return true;
         }

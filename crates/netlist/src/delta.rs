@@ -2,11 +2,12 @@
 //!
 //! A placer perturbs a handful of cells per iteration; rebuilding every
 //! grid-derived structure from scratch for each query throws that locality
-//! away. [`PlacementDelta`] names the cells that moved, and [`rebin_delta`]
-//! re-bins only the affected nets and pins against the G-cell grid,
-//! reporting exactly which G-nets changed their covered span and which
-//! pins changed their G-cell — the dirty sets every downstream incremental
-//! consumer (LH-graph, features, operators) patches from.
+//! away. [`PlacementDelta`] names the cells that moved, and
+//! [`rebin_delta_in_place`] applies the moves and re-bins only the
+//! affected nets and pins against the G-cell grid, reporting exactly which
+//! G-nets changed their covered span and which pins changed their G-cell —
+//! the dirty sets every downstream incremental consumer (LH-graph,
+//! features, operators) patches from.
 
 use crate::circuit::{CellId, Circuit, NetId, Placement};
 use crate::geometry::Point;
@@ -132,34 +133,12 @@ impl DirtyReport {
     }
 }
 
-/// Re-bins the nets and pins affected by `delta` against `grid`.
-///
-/// `before` and `after` are the placements on either side of the delta
-/// (`after` must be `before` with the delta applied); `cell_to_nets` is
-/// the adjacency from [`Circuit::cell_to_nets`] (built once per design,
-/// reused across deltas).
-///
-/// # Panics
-///
-/// Panics if the delta references a cell outside the circuit.
-pub fn rebin_delta(
-    circuit: &Circuit,
-    grid: &GcellGrid,
-    before: &Placement,
-    after: &Placement,
-    delta: &PlacementDelta,
-    cell_to_nets: &[Vec<NetId>],
-) -> DirtyReport {
-    let mut placement = before.clone();
-    let report = rebin_delta_in_place(circuit, grid, &mut placement, delta, cell_to_nets);
-    debug_assert_eq!(&placement, after, "`after` must be `before` + `delta`");
-    report
-}
-
-/// [`rebin_delta`] that applies the delta to `placement` itself: the
-/// pre-move state is read out before mutation, so no placement copy is
-/// made — the per-update cost stays proportional to the delta, which is
-/// what a hot placement loop needs.
+/// Applies `delta` to `placement` and re-bins the nets and pins it
+/// affected against `grid`. The pre-move state is read out before
+/// mutation, so no placement copy is made — the per-update cost stays
+/// proportional to the delta, which is what a hot placement loop needs.
+/// `cell_to_nets` is the adjacency from [`Circuit::cell_to_nets`] (built
+/// once per design, reused across deltas).
 ///
 /// # Panics
 ///
@@ -274,34 +253,30 @@ mod tests {
 
     #[test]
     fn noop_move_is_clean() {
-        let (c, before, grid, map) = fixture();
-        let after = before.clone();
-        let d = PlacementDelta::single(CellId(0), before.position(CellId(0)));
-        let report = rebin_delta(&c, &grid, &before, &after, &d, &map);
+        let (c, mut p, grid, map) = fixture();
+        let d = PlacementDelta::single(CellId(0), p.position(CellId(0)));
+        let report = rebin_delta_in_place(&c, &grid, &mut p, &d, &map);
         assert!(report.is_clean());
         assert_eq!(report.moved_cells, 0);
     }
 
     #[test]
     fn move_within_gcell_dirties_nothing() {
-        let (c, before, grid, map) = fixture();
-        let mut after = before.clone();
+        let (c, mut p, grid, map) = fixture();
         // a sits at (1,1) inside g-cell (0,0) spanning [0,2)x[0,2): nudge
         // it without leaving the cell
         let d = PlacementDelta::single(CellId(0), Point::new(1.5, 1.5));
-        d.apply(&mut after);
-        let report = rebin_delta(&c, &grid, &before, &after, &d, &map);
+        let report = rebin_delta_in_place(&c, &grid, &mut p, &d, &map);
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.moved_cells, 1);
     }
 
     #[test]
     fn crossing_a_gcell_reports_net_and_pin() {
-        let (c, before, grid, map) = fixture();
-        let mut after = before.clone();
+        let (c, mut p, grid, map) = fixture();
         let d = PlacementDelta::single(CellId(0), Point::new(1.0, 5.0)); // (0,0) -> (0,2)
-        d.apply(&mut after);
-        let report = rebin_delta(&c, &grid, &before, &after, &d, &map);
+        let report = rebin_delta_in_place(&c, &grid, &mut p, &d, &map);
+        assert_eq!(p.position(CellId(0)), Point::new(1.0, 5.0), "the move is applied");
         assert_eq!(report.net_rebins.len(), 1);
         assert_eq!(report.net_rebins[0].net, NetId(0));
         assert_eq!(report.pin_moves.len(), 1);
@@ -312,11 +287,9 @@ mod tests {
 
     #[test]
     fn shared_cell_dirties_both_nets_once_each() {
-        let (c, before, grid, map) = fixture();
-        let mut after = before.clone();
+        let (c, mut p, grid, map) = fixture();
         let d = PlacementDelta::single(CellId(1), Point::new(5.0, 5.0));
-        d.apply(&mut after);
-        let report = rebin_delta(&c, &grid, &before, &after, &d, &map);
+        let report = rebin_delta_in_place(&c, &grid, &mut p, &d, &map);
         let nets: Vec<NetId> = report.net_rebins.iter().map(|r| r.net).collect();
         assert_eq!(nets, vec![NetId(0), NetId(1)]);
         assert_eq!(report.pin_moves.len(), 2, "one pin move per net on the shared cell");
@@ -324,11 +297,9 @@ mod tests {
 
     #[test]
     fn terminal_move_is_flagged() {
-        let (c, before, grid, map) = fixture();
-        let mut after = before.clone();
+        let (c, mut p, grid, map) = fixture();
         let d = PlacementDelta::single(CellId(2), Point::new(1.0, 7.0));
-        d.apply(&mut after);
-        let report = rebin_delta(&c, &grid, &before, &after, &d, &map);
+        let report = rebin_delta_in_place(&c, &grid, &mut p, &d, &map);
         assert!(report.moved_terminal);
     }
 }

@@ -37,9 +37,7 @@ pub mod stats;
 pub mod synth;
 
 pub use circuit::{Cell, CellId, CellKind, Circuit, Net, NetId, Pin, Placement};
-pub use delta::{
-    rebin_delta, rebin_delta_in_place, span_cells, DirtyReport, GcellSpan, PlacementDelta,
-};
+pub use delta::{rebin_delta_in_place, span_cells, DirtyReport, GcellSpan, PlacementDelta};
 pub use error::{NetlistError, Result};
 pub use geometry::{Point, Rect};
 pub use grid::{GcellCoord, GcellGrid};

@@ -1,4 +1,5 @@
-//! Content fingerprints for dense and sparse tensors.
+//! Content fingerprints for dense and sparse tensors (the sparse digest is
+//! [`crate::CsrMatrix::content_fingerprint`], built from the same hasher).
 //!
 //! The serving layer caches predictions keyed by *what went into the
 //! forward pass*: the model weights, the graph operators and the input
@@ -38,7 +39,6 @@
 //! ```
 
 use crate::matrix::Matrix;
-use crate::sparse::CsrMatrix;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -148,30 +148,10 @@ impl Matrix {
     }
 }
 
-impl CsrMatrix {
-    /// Hashes shape, sparsity pattern and values into `h`.
-    pub(crate) fn hash_into(&self, h: &mut Fnv64) {
-        h.write_usize(self.rows());
-        h.write_usize(self.cols());
-        h.write_usize(self.nnz());
-        for (r, c, v) in self.iter() {
-            h.write_usize(r);
-            h.write_usize(c);
-            h.write_f32(v);
-        }
-    }
-
-    /// A content fingerprint over shape, pattern and values.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        self.hash_into(&mut h);
-        h.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::CsrMatrix;
 
     #[test]
     fn known_fnv_vector() {
@@ -205,7 +185,6 @@ mod tests {
         let s = CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.0), (1, 1, 2.0)]);
         let sn = CsrMatrix::from_triplets(2, 2, &[(0, 0, -0.0), (1, 1, 2.0)]);
         assert_eq!(s, sn);
-        assert_eq!(s.fingerprint(), sn.fingerprint());
         assert_eq!(s.content_fingerprint(), sn.content_fingerprint());
 
         // ...and the other direction: observably different values keep
@@ -241,18 +220,18 @@ mod tests {
     fn csr_fingerprint_tracks_pattern_and_values() {
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 2.0)]);
         let same = CsrMatrix::from_triplets(2, 2, &[(1, 1, 2.0), (0, 0, 1.0)]);
-        assert_eq!(a.fingerprint(), same.fingerprint());
+        assert_eq!(a.content_fingerprint(), same.content_fingerprint());
         let moved = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 1, 2.0)]);
-        assert_ne!(a.fingerprint(), moved.fingerprint());
+        assert_ne!(a.content_fingerprint(), moved.content_fingerprint());
         let rescaled = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.5), (1, 1, 2.0)]);
-        assert_ne!(a.fingerprint(), rescaled.fingerprint());
+        assert_ne!(a.content_fingerprint(), rescaled.content_fingerprint());
     }
 
     #[test]
     fn empty_and_zero_distinguished() {
         let empty = CsrMatrix::empty(2, 2);
         let explicit_zero = CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.0)]);
-        assert_ne!(empty.fingerprint(), explicit_zero.fingerprint());
+        assert_ne!(empty.content_fingerprint(), explicit_zero.content_fingerprint());
     }
 
     #[test]

@@ -29,11 +29,10 @@ pub enum FlightEventKind {
     /// the fallback rebuild compacted it, renumbering columns and
     /// invalidating downstream activation caches.
     Compaction,
-    /// A structural fallback's rebuild failed; the session pipeline is
-    /// poisoned and will refuse further traffic.
+    /// A session update failed past the delta check (e.g. its fallback
+    /// rebuild failed); the session pipeline is poisoned and refuses to
+    /// predict until a later update rebuilds it.
     Poisoned,
-    /// A session update panicked mid-application; the session is wedged.
-    Wedged,
     /// A model version was hot-swapped in the registry, evicting the
     /// displaced version's cache entries.
     HotSwap,
@@ -48,7 +47,6 @@ impl std::fmt::Display for FlightEventKind {
             FlightEventKind::Fallback => "fallback",
             FlightEventKind::Compaction => "compaction",
             FlightEventKind::Poisoned => "poisoned",
-            FlightEventKind::Wedged => "wedged",
             FlightEventKind::HotSwap => "hot-swap",
             FlightEventKind::WorkerLost => "worker-lost",
         };
@@ -206,7 +204,7 @@ mod tests {
     fn disabled_recorder_drops_everything() {
         let r = FlightRecorder::disabled();
         assert!(!r.is_enabled());
-        r.record(FlightEventKind::Wedged, "d0", "panic");
+        r.record(FlightEventKind::Poisoned, "d0", "update failed");
         assert!(r.snapshot().is_empty());
         assert_eq!(r.total(), 0);
     }
@@ -217,7 +215,6 @@ mod tests {
         assert_eq!(FlightEventKind::Fallback.to_string(), "fallback");
         assert_eq!(FlightEventKind::Compaction.to_string(), "compaction");
         assert_eq!(FlightEventKind::Poisoned.to_string(), "poisoned");
-        assert_eq!(FlightEventKind::Wedged.to_string(), "wedged");
         assert_eq!(FlightEventKind::HotSwap.to_string(), "hot-swap");
         assert_eq!(FlightEventKind::WorkerLost.to_string(), "worker-lost");
     }

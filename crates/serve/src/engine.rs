@@ -389,8 +389,8 @@ impl ServeHandle {
     }
 
     /// The flight recorder's retained events, oldest first: fallbacks,
-    /// poisonings, wedges, hot-swaps and panicked forwards (bounded ring —
-    /// newest win).
+    /// compactions, poisonings, hot-swaps and panicked forwards (bounded
+    /// ring — newest win).
     pub fn flight_events(&self) -> Vec<FlightEvent> {
         self.shared.obs.flight.snapshot()
     }

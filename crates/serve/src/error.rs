@@ -14,16 +14,12 @@ pub enum ServeError {
     Model(ModelIoError),
     /// A name is already registered (use `replace` to hot-swap).
     AlreadyRegistered(String),
-    /// A placement-loop session could not build or rebuild its pipeline
-    /// (e.g. every net filtered out at the current placement), or refused
-    /// a delta naming a cell outside its circuit or a non-finite position.
+    /// A placement-loop session could not build or update its pipeline
+    /// (e.g. every net filtered out at the current placement, which
+    /// poisons it until a rebuild succeeds), refused a delta naming a cell
+    /// outside its circuit or a non-finite position, or refused to answer
+    /// from a poisoned pipeline.
     Session(String),
-    /// State behind a lock was lost to a panic and cannot be re-derived
-    /// (e.g. a session pipeline wedged mid-update). Unlike re-derivable
-    /// engine state — caches, stats, the registry map — which
-    /// recovers from mutex poisoning transparently, this error is
-    /// permanent for the surface that returns it: drop and reopen it.
-    Poisoned(String),
     /// The engine is shutting down; the request was not accepted.
     ShuttingDown,
     /// The forward pass serving this request panicked on the caller's
@@ -41,7 +37,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "model `{name}` is already registered")
             }
             ServeError::Session(msg) => write!(f, "session pipeline failed: {msg}"),
-            ServeError::Poisoned(msg) => write!(f, "state lost to a panic: {msg}"),
             ServeError::ShuttingDown => write!(f, "inference engine is shutting down"),
             ServeError::WorkerLost => write!(f, "forward panicked before replying"),
         }

@@ -37,8 +37,10 @@
 //! Failures stay contained: a panicking forward costs its requester a
 //! [`ServeError::WorkerLost`] and nothing else; engine locks guard
 //! re-derivable state and recover from mutex poisoning instead of
-//! cascading panics; a session wedged by a panic mid-update fails its own
-//! calls with [`ServeError::Poisoned`] while the engine keeps serving.
+//! cascading panics; a session whose update did not complete (an error
+//! past the delta check, or a panic that reached its owner) refuses to
+//! predict with [`ServeError::Session`] until a later update rebuilds its
+//! pipeline, while the engine keeps serving.
 //!
 //! Served predictions are **bitwise identical** to direct
 //! [`lhnn::CongestionModel::predict`] calls regardless of client count or

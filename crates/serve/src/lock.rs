@@ -1,20 +1,14 @@
 //! Poison-tolerant locking for the serving layer.
 //!
 //! `std::sync::Mutex` poisons itself when a thread panics while holding
-//! the guard. The serving layer holds its locks around state that falls
-//! into two classes:
-//!
-//! * **Re-derivable / advisory** — the prediction cache (worst case: a
-//!   recompute) and the registry map (models are validated *before*
-//!   insertion). For
-//!   these, cascading the poison into every later caller turns one
-//!   panicking forward into a total outage —
-//!   exactly the failure mode a multi-tenant engine must not have — so
-//!   the helpers here recover the guard and carry on.
-//! * **Not re-derivable** — a session's pipeline state mid-update. Those
-//!   paths do NOT use these helpers blindly: they track coherence
-//!   explicitly (see `session::SessionCore`) and surface
-//!   [`crate::ServeError::Poisoned`] instead of guessing.
+//! the guard. The serving layer's locks guard only re-derivable or
+//! advisory state: the prediction cache (worst case: a recompute) and the
+//! registry map (models are validated *before* insertion). Cascading the
+//! poison into every later caller would turn one panicking forward into a
+//! total outage — exactly the failure mode a multi-tenant engine must not
+//! have — so the helpers here recover the guard and carry on. A session
+//! holds no lock: it is one value owned by its caller, and its pipeline
+//! tracks its own coherence ([`lhnn::LatticePipeline::is_poisoned`]).
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

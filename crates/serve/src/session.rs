@@ -18,24 +18,25 @@
 //!
 //! # Ordering and determinism
 //!
-//! Updates apply under the session's state lock, in call order, and a
-//! predict snapshots the state under the same lock, so it describes every
-//! update applied before it. Combined with the bitwise-deterministic
-//! kernel backend, any interleaving of sessions across any client count
-//! yields predictions bitwise identical to serial execution (the
-//! interleaved-session replay proptest enforces it).
+//! A session is one owned value: both calls take `&mut self`, so updates
+//! apply in call order and a predict describes every update applied
+//! before it. Combined with the bitwise-deterministic kernel backend, any
+//! interleaving of sessions across any client count yields predictions
+//! bitwise identical to serial execution (the interleaved-session replay
+//! proptest enforces it).
 //!
 //! # Failure discipline
 //!
-//! A failed structural fallback rebuild poisons the pipeline: the update
-//! that triggered it *and every later call* fail until a delta admits a
-//! successful rebuild. A delta naming a cell outside the circuit or a
-//! non-finite position never reaches the pipeline: it fails with
-//! [`ServeError::Session`] and changes nothing. A *panic* mid-apply or
-//! while the session state is held (distinct from a clean error) wedges
-//! the session permanently: the placement may have advanced while graph
-//! state did not, so every later call surfaces [`ServeError::Poisoned`];
-//! the engine itself keeps serving every other session.
+//! The session has one failure state, the pipeline's own poisoning
+//! ([`LatticePipeline::is_poisoned`]). A delta naming a cell outside the
+//! circuit or a non-finite position is refused by the pipeline with
+//! [`ServeError::Session`] and changes nothing. An update that fails past
+//! that check (e.g. a structural fallback rebuild that leaves no net)
+//! poisons the pipeline: the update *and every later predict* fail until
+//! a delta admits a successful rebuild. A panic mid-update propagates to
+//! the session's owner like any panic in a value they own, and leaves the
+//! pipeline poisoned the same way; the engine keeps serving every other
+//! session.
 //!
 //! Because incremental updates are bitwise identical to full rebuilds,
 //! the engine's fingerprint-keyed prediction cache composes
@@ -43,11 +44,11 @@
 //! that returns to a previously seen placement) hits the cache exactly
 //! as if the inputs had been batch-built.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use lh_graph::{FeatureSet, LhGraphConfig};
+use lh_graph::FeatureSet;
 use lhnn::{
-    AblationSpec, ForwardDirty, GraphOps, IncrementalForward, IncrementalStats, InvalidationCause,
+    ForwardDirty, GraphOps, IncrementalForward, IncrementalStats, InvalidationCause,
     LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause,
 };
 use lhnn_obs::{Counter, FlightEventKind, FlightRecorder};
@@ -58,9 +59,9 @@ use crate::error::{Result, ServeError};
 
 /// Options for [`ServeHandle::open_session`].
 ///
-/// A session's predictions use the conventional 0.5 threshold and the
-/// reproduction's fixed feature divisors
-/// ([`FeatureSet::default_divisors`]).
+/// A session's pipeline uses the default LH-graph config, and its
+/// predictions the conventional 0.5 threshold and the reproduction's fixed
+/// feature divisors ([`FeatureSet::default_divisors`]).
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Registry name of the model to serve with.
@@ -68,25 +69,12 @@ pub struct SessionConfig {
     /// Design id that labels the session's metrics and flight events.
     /// `None` (the default) uses the circuit's name.
     pub design: Option<String>,
-    /// LH-graph build options (default [`LhGraphConfig::default`]). Only
-    /// tests change them, to reach paths a default graph does not: a
-    /// fallback rebuild that fails and poisons the pipeline, and a
-    /// compaction that invalidates the activation cache.
-    pub graph: LhGraphConfig,
 }
 
 impl SessionConfig {
-    /// Defaults: default graph config, design id from the circuit's name.
+    /// Defaults: design id from the circuit's name.
     pub fn new(model: impl Into<String>) -> Self {
-        Self { model: model.into(), design: None, graph: LhGraphConfig::default() }
-    }
-
-    /// Sets the LH-graph build options.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn with_graph_config(mut self, graph: LhGraphConfig) -> Self {
-        self.graph = graph;
-        self
+        Self { model: model.into(), design: None }
     }
 
     /// Sets an explicit design id for the session's metrics and flight
@@ -96,173 +84,6 @@ impl SessionConfig {
         self.design = Some(design.into());
         self
     }
-}
-
-struct SessionState {
-    pipeline: LatticePipeline,
-    /// Scaled snapshot of the pipeline state, rebuilt lazily after a
-    /// non-noop update. Holding `Arc`s means repeated `predict` calls on
-    /// an unchanged placement submit pointer-identical inputs.
-    snapshot: Option<(Arc<GraphOps>, Arc<FeatureSet>)>,
-    /// Set when an apply *panicked* (not merely errored): the placement
-    /// may have advanced while graph state did not, and unlike a failed
-    /// rebuild the divergence is unknowable. Every later call fails with
-    /// [`ServeError::Poisoned`].
-    wedged: Option<String>,
-}
-
-/// A [`Session`]'s hot pipeline and the handles it records into.
-struct SessionCore {
-    state: Mutex<SessionState>,
-    /// Bounded-radius forward state for this design: cached per-layer
-    /// activations plus the dirty sets noted by applied updates. Updates
-    /// note every outcome here (under the state lock, so notes follow
-    /// apply order); `predict` runs it as the forward on a cache miss,
-    /// splicing instead of recomputing every G-cell.
-    incr: IncrementalForward,
-    /// The design id the session labels its metrics and flight events by.
-    design: String,
-    /// The engine's flight recorder: fallback/poison/wedge events carry
-    /// the design as scope (dropped on a metrics-off engine).
-    flight: Arc<FlightRecorder>,
-    /// The engine's `lhnn_session_updates_total` cell: every applied
-    /// update counts once.
-    updates: Counter,
-}
-
-impl std::fmt::Debug for SessionCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SessionCore")
-    }
-}
-
-impl SessionCore {
-    /// Wedges the session for good: the cached forward dies with it and
-    /// the flight recorder gets the reason.
-    fn wedge(&self, state: &mut SessionState, why: String) {
-        state.snapshot = None;
-        self.incr.note_structural(InvalidationCause::Poisoned);
-        self.flight.record(FlightEventKind::Wedged, &self.design, why.clone());
-        state.wedged = Some(why);
-    }
-
-    /// Recovers a session-state guard from mutex poisoning, recording
-    /// that coherence is gone: the holder panicked outside
-    /// `apply_locked`'s catch (e.g. in a [`Session::with_pipeline`]
-    /// closure), so unlike the engine's re-derivable locks this state
-    /// cannot be trusted again.
-    fn wedge_on_poison<'a>(
-        &self,
-        poison: std::sync::PoisonError<std::sync::MutexGuard<'a, SessionState>>,
-    ) -> std::sync::MutexGuard<'a, SessionState> {
-        let mut guard = poison.into_inner();
-        if guard.wedged.is_none() {
-            self.wedge(&mut guard, "a thread panicked while holding the session state".into());
-        }
-        guard
-    }
-
-    /// Locks the session state, converting poison into a wedge.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, SessionState> {
-        self.state.lock().unwrap_or_else(|poison| self.wedge_on_poison(poison))
-    }
-
-    /// Applies one delta under the state lock, enforcing the wedge/poison
-    /// discipline.
-    fn apply_locked(
-        &self,
-        state: &mut SessionState,
-        delta: &PlacementDelta,
-    ) -> Result<PipelineUpdate> {
-        self.updates.inc();
-        if let Some(why) = &state.wedged {
-            return Err(ServeError::Poisoned(format!("session wedged: {why}")));
-        }
-        if let Some(why) = reject_reason(delta, state.pipeline.circuit().num_cells()) {
-            return Err(ServeError::Session(format!("delta rejected: {why}")));
-        }
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.pipeline.apply(delta)))
-        {
-            Ok(Ok(update)) => {
-                // Feed the incremental-forward notes (still under the
-                // state lock, so notes land in apply order). A noop
-                // touches nothing; an incremental patch contributes its
-                // dirty sets (including tombstoned/revived/appended
-                // filter-crossing columns — stable columns keep those on
-                // the splice path); a full rebuild may have renumbered
-                // G-net columns, so the activation cache must die with it.
-                match &update {
-                    PipelineUpdate::Noop => {}
-                    PipelineUpdate::Incremental { dirty_nets, dirty_gcells } => {
-                        self.incr.note_incremental(&ForwardDirty::new(
-                            dirty_gcells.clone(),
-                            dirty_nets.clone(),
-                        ));
-                    }
-                    PipelineUpdate::FullRebuild { cause } => {
-                        self.incr.note_structural(InvalidationCause::from(cause));
-                        match cause {
-                            RebuildCause::Compaction { tombstones, live } => self.flight.record(
-                                FlightEventKind::Compaction,
-                                &self.design,
-                                format!(
-                                    "compacted {tombstones} tombstoned g-net columns ({live} live)"
-                                ),
-                            ),
-                            _ => self.flight.record(
-                                FlightEventKind::Fallback,
-                                &self.design,
-                                format!("full rebuild: {cause}"),
-                            ),
-                        }
-                    }
-                }
-                if !matches!(update, PipelineUpdate::Noop) {
-                    state.snapshot = None;
-                }
-                Ok(update)
-            }
-            Ok(Err(e)) => {
-                // Failed fallback rebuild: the pipeline is poisoned and
-                // every later call fails until a rebuild succeeds (the
-                // pipeline retries on each subsequent apply).
-                state.snapshot = None;
-                self.incr.note_structural(InvalidationCause::Poisoned);
-                self.flight.record(
-                    FlightEventKind::Poisoned,
-                    &self.design,
-                    format!("fallback rebuild failed: {e}"),
-                );
-                Err(ServeError::Session(e.to_string()))
-            }
-            Err(panic) => {
-                let why = panic
-                    .downcast_ref::<&str>()
-                    .map(ToString::to_string)
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic mid-apply".into());
-                let err = ServeError::Poisoned(format!("session wedged: {why}"));
-                self.wedge(state, why);
-                Err(err)
-            }
-        }
-    }
-}
-
-/// Why `delta` cannot apply to a circuit of `num_cells` cells — a move
-/// names a cell outside it or a non-finite position — or `None` if it can.
-/// Checked before the pipeline runs, so such a delta never wedges the
-/// session.
-fn reject_reason(delta: &PlacementDelta, num_cells: usize) -> Option<String> {
-    delta.moves().iter().find_map(|&(cell, to)| {
-        if cell.index() >= num_cells {
-            Some(format!("cell {} is outside the {num_cells}-cell circuit", cell.index()))
-        } else if !(to.x.is_finite() && to.y.is_finite()) {
-            Some(format!("cell {} moves to non-finite ({}, {})", cell.index(), to.x, to.y))
-        } else {
-            None
-        }
-    })
 }
 
 /// One session's merged observability view ([`Session::observability`]):
@@ -287,8 +108,27 @@ pub struct SessionObservability {
 #[derive(Debug)]
 pub struct Session {
     handle: ServeHandle,
-    cfg: SessionConfig,
-    core: SessionCore,
+    /// Registry name of the model the session serves with.
+    model: String,
+    pipeline: LatticePipeline,
+    /// Scaled snapshot of the pipeline state, rebuilt lazily after a
+    /// non-noop update. Holding `Arc`s means repeated `predict` calls on
+    /// an unchanged placement submit pointer-identical inputs.
+    snapshot: Option<(Arc<GraphOps>, Arc<FeatureSet>)>,
+    /// Bounded-radius forward state for this design: cached per-layer
+    /// activations plus the dirty sets noted by applied updates. Updates
+    /// note every outcome here, in apply order; `predict` runs it as the
+    /// forward on a cache miss, splicing instead of recomputing every
+    /// G-cell.
+    incr: IncrementalForward,
+    /// The design id the session labels its metrics and flight events by.
+    design: String,
+    /// The engine's flight recorder: fallback/compaction/poison events
+    /// carry the design as scope (dropped on a metrics-off engine).
+    flight: Arc<FlightRecorder>,
+    /// The engine's `lhnn_session_updates_total` cell: every update call
+    /// counts once.
+    updates: Counter,
 }
 
 impl ServeHandle {
@@ -310,25 +150,26 @@ impl ServeHandle {
             .registry()
             .get(&cfg.model)
             .ok_or_else(|| ServeError::UnknownModel(cfg.model.clone()))?;
-        let model_kind = entry.model.kind();
-        let design_id = cfg.design.clone().unwrap_or_else(|| circuit.name.clone());
-        let mut pipeline =
-            LatticePipeline::new(circuit, placement, grid, cfg.graph.clone(), AblationSpec::full())
-                .map_err(|e| ServeError::Session(e.to_string()))?;
+        let design = cfg.design.unwrap_or_else(|| circuit.name.clone());
+        let mut pipeline = LatticePipeline::for_serving(circuit, placement, grid)
+            .map_err(|e| ServeError::Session(e.to_string()))?;
         // Wire the design's counts and spans into the engine's registry
         // and flight recorder (a metrics-off engine keeps the counts and
         // drops the spans and events).
         let engine_obs = self.obs();
-        pipeline.set_metrics(&engine_obs.registry, &design_id);
-        let incr = IncrementalForward::with_metrics(&engine_obs.registry, &design_id, model_kind);
-        let core = SessionCore {
-            state: Mutex::new(SessionState { pipeline, snapshot: None, wedged: None }),
+        pipeline.set_metrics(&engine_obs.registry, &design);
+        let incr =
+            IncrementalForward::with_metrics(&engine_obs.registry, &design, entry.model.kind());
+        Ok(Session {
+            handle: self.clone(),
+            model: cfg.model,
+            pipeline,
+            snapshot: None,
             incr,
-            design: design_id,
+            design,
             flight: Arc::clone(&engine_obs.flight),
             updates: engine_obs.counts.session_updates.clone(),
-        };
-        Ok(Session { handle: self.clone(), cfg, core })
+        })
     }
 }
 
@@ -343,12 +184,57 @@ impl Session {
     /// # Errors
     ///
     /// [`ServeError::Session`] if the delta names a cell outside the
-    /// circuit or a non-finite position (nothing is applied), or if a
-    /// structural fallback rebuild fails (e.g. the delta pushed every net
-    /// past the size filter); [`ServeError::Poisoned`] if the session
-    /// wedged.
+    /// circuit or a non-finite position (nothing is applied), or if the
+    /// update fails past that check and poisons the pipeline (e.g. a
+    /// structural fallback rebuild after the delta pushed every net past
+    /// the size filter).
     pub fn update(&mut self, delta: &PlacementDelta) -> Result<PipelineUpdate> {
-        self.core.apply_locked(&mut self.core.lock_state(), delta)
+        self.updates.inc();
+        let update = match self.pipeline.apply(delta) {
+            Ok(update) => update,
+            Err(e) => {
+                // A refused delta left the pipeline as it was. Anything
+                // else poisoned it: graph and features may lag the
+                // placement until a later update rebuilds, so the snapshot
+                // and the cached forward die with them.
+                if self.pipeline.is_poisoned() {
+                    self.snapshot = None;
+                    self.incr.note_structural(InvalidationCause::Poisoned);
+                    self.flight.record(
+                        FlightEventKind::Poisoned,
+                        &self.design,
+                        format!("update failed: {e}"),
+                    );
+                }
+                return Err(ServeError::Session(e.to_string()));
+            }
+        };
+        // Feed the incremental-forward notes, in apply order. A noop
+        // touches nothing; an incremental patch contributes its dirty sets
+        // (including tombstoned/revived/appended filter-crossing columns —
+        // stable columns keep those on the splice path); a full rebuild
+        // may have renumbered G-net columns, so the activation cache must
+        // die with it.
+        match &update {
+            PipelineUpdate::Noop => return Ok(update),
+            PipelineUpdate::Incremental { dirty_nets, dirty_gcells } => {
+                self.incr
+                    .note_incremental(&ForwardDirty::new(dirty_gcells.clone(), dirty_nets.clone()));
+            }
+            PipelineUpdate::FullRebuild { cause } => {
+                self.incr.note_structural(InvalidationCause::from(cause));
+                let (kind, detail) = match cause {
+                    RebuildCause::Compaction { tombstones, live } => (
+                        FlightEventKind::Compaction,
+                        format!("compacted {tombstones} tombstoned g-net columns ({live} live)"),
+                    ),
+                    _ => (FlightEventKind::Fallback, format!("full rebuild: {cause}")),
+                };
+                self.flight.record(kind, &self.design, detail);
+            }
+        }
+        self.snapshot = None;
+        Ok(update)
     }
 
     /// Predicts congestion for the current placement, on the caller's
@@ -360,17 +246,17 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Session`] if the pipeline is poisoned (a fallback
-    /// rebuild failed, so graph/features lag the placement — answering
-    /// would serve a stale map as current); [`ServeError::Poisoned`] if
-    /// the session wedged; [`ServeError::ShuttingDown`] once the engine
-    /// shut down; [`ServeError::WorkerLost`] if the forward panicked;
-    /// otherwise the engine's admission errors
-    /// ([`ServeError::UnknownModel`], [`ServeError::Incompatible`]).
+    /// [`ServeError::Session`] if the pipeline is poisoned (an update did
+    /// not complete, so graph/features may lag the placement — answering
+    /// would serve a stale map as current);
+    /// [`ServeError::ShuttingDown`] once the engine shut down;
+    /// [`ServeError::WorkerLost`] if the forward panicked; otherwise the
+    /// engine's admission errors ([`ServeError::UnknownModel`],
+    /// [`ServeError::Incompatible`]).
     pub fn predict(&mut self) -> Result<ServeReply> {
         let (ops, features, seq) = self.inputs_with_seq()?;
-        let request = PredictRequest::new(&self.cfg.model, Arc::clone(&ops), Arc::clone(&features));
-        let incr = &self.core.incr;
+        let request = PredictRequest::new(&self.model, Arc::clone(&ops), Arc::clone(&features));
+        let incr = &self.incr;
         let reply = self.handle.predict_here(&request, |entry| {
             incr.predict(entry.model.as_ref(), entry.version, &ops, &features, seq).0
         })?;
@@ -388,53 +274,44 @@ impl Session {
     /// # Errors
     ///
     /// [`ServeError::Session`] while the pipeline is poisoned (the
-    /// snapshot would describe an older placement than the session's);
-    /// [`ServeError::Poisoned`] if the session wedged.
+    /// snapshot could describe an older placement than the session's).
     pub fn inputs(&mut self) -> Result<(Arc<GraphOps>, Arc<FeatureSet>)> {
         let (ops, features, _) = self.inputs_with_seq()?;
         Ok((ops, features))
     }
 
-    /// [`Session::inputs`] plus the incremental-forward note sequence,
-    /// captured under the same state lock as the snapshot — so dirt noted
-    /// by updates applied *after* this snapshot stays pending across the
+    /// [`Session::inputs`] plus the incremental-forward note sequence at
+    /// the snapshot, so dirt noted after it stays pending across the
     /// forward that consumes it.
     fn inputs_with_seq(&mut self) -> Result<(Arc<GraphOps>, Arc<FeatureSet>, u64)> {
-        let mut state = self.core.lock_state();
-        if let Some(why) = &state.wedged {
-            return Err(ServeError::Poisoned(format!("session wedged: {why}")));
-        }
-        if state.pipeline.is_poisoned() {
+        if self.pipeline.is_poisoned() {
             return Err(ServeError::Session(
-                "pipeline is poisoned (a rebuild failed); apply a delta that admits a \
-                 rebuild before predicting"
+                "pipeline is poisoned (an update did not complete); apply a delta that admits \
+                 a rebuild before predicting"
                     .into(),
             ));
         }
-        if state.snapshot.is_none() {
-            let ops = state.pipeline.ops();
+        let pipeline = &self.pipeline;
+        let (ops, features) = self.snapshot.get_or_insert_with(|| {
             let (gcell_div, gnet_div) = FeatureSet::default_divisors();
-            let features = Arc::new(state.pipeline.features().scaled_fixed(&gcell_div, &gnet_div));
-            state.snapshot = Some((ops, features));
-        }
-        let seq = self.core.incr.seq();
-        let (ops, features) = state.snapshot.as_ref().expect("just filled");
-        Ok((Arc::clone(ops), Arc::clone(features), seq))
+            (pipeline.ops(), Arc::new(pipeline.features().scaled_fixed(&gcell_div, &gnet_div)))
+        });
+        Ok((Arc::clone(ops), Arc::clone(features), self.incr.seq()))
     }
 
     /// Runs `f` against the hot pipeline (placement, graph, counters).
-    /// A wedged session still exposes its (last coherent-looking)
-    /// pipeline here for diagnostics; prefer [`Session::inputs`] /
-    /// [`Session::predict`] for anything that must refuse wedged state.
+    /// A poisoned pipeline is exposed here too, for diagnostics; prefer
+    /// [`Session::inputs`] / [`Session::predict`] for anything that must
+    /// refuse stale state.
     pub fn with_pipeline<T>(&self, f: impl FnOnce(&LatticePipeline) -> T) -> T {
-        f(&self.core.lock_state().pipeline)
+        f(&self.pipeline)
     }
 
     /// The pipeline's lifetime counters.
     /// [`PipelineStats::stale`] is set while the pipeline is poisoned —
-    /// the counters then describe the pre-failure placement.
+    /// the counters then describe an older placement.
     pub fn stats(&self) -> PipelineStats {
-        self.with_pipeline(LatticePipeline::stats)
+        self.pipeline.stats()
     }
 
     /// The incremental-forward counters: how many predictions were served
@@ -443,7 +320,7 @@ impl Session {
     /// invalidated the cache. Sessions sharing a design id and model share
     /// these cells.
     pub fn incremental_stats(&self) -> IncrementalStats {
-        self.core.incr.stats()
+        self.incr.stats()
     }
 
     /// `(operators, features)` content fingerprints of the current state.
@@ -451,11 +328,9 @@ impl Session {
     /// # Errors
     ///
     /// [`ServeError::Session`] while the pipeline is poisoned: the
-    /// fingerprints would describe the pre-failure placement, not the
-    /// session's.
+    /// fingerprints could describe an older placement, not the session's.
     pub fn fingerprints(&self) -> Result<(u64, u64)> {
-        self.with_pipeline(LatticePipeline::fingerprints)
-            .map_err(|e| ServeError::Session(e.to_string()))
+        self.pipeline.fingerprints().map_err(|e| ServeError::Session(e.to_string()))
     }
 
     /// One merged observability view of the session: the pipeline's
@@ -465,16 +340,10 @@ impl Session {
     /// ([`crate::ServeHandle::metrics_snapshot`]).
     pub fn observability(&self) -> SessionObservability {
         SessionObservability {
-            design: self.core.design.clone(),
+            design: self.design.clone(),
             pipeline: self.stats(),
             incremental: self.incremental_stats(),
         }
-    }
-
-    /// The session's configuration.
-    #[cfg(test)]
-    pub(crate) fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 }
 
@@ -483,7 +352,8 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, ServeEngine};
     use crate::registry::ModelRegistry;
-    use lhnn::{CongestionModel, Lhnn, LhnnConfig};
+    use lh_graph::LhGraphConfig;
+    use lhnn::{AblationSpec, CongestionModel, Lhnn, LhnnConfig};
     use vlsi_netlist::synth::{generate, SynthConfig};
     use vlsi_netlist::{CellId, Point};
     use vlsi_place::GlobalPlacer;
@@ -551,7 +421,7 @@ mod tests {
             session.update(&PlacementDelta::single(id, np)).unwrap();
             let reply = session.predict().unwrap();
             // reference: batch rebuild from scratch
-            let (ops, features) = batch_inputs(&circuit, &placement, &grid, session.config());
+            let (ops, features) = batch_inputs(&circuit, &placement, &grid);
             let direct = model.predict(&ops, &features);
             assert!(
                 reply.prediction.cls_prob.approx_eq(&direct.cls_prob, 0.0),
@@ -571,9 +441,9 @@ mod tests {
         circuit: &Circuit,
         placement: &Placement,
         grid: &GcellGrid,
-        cfg: &SessionConfig,
     ) -> (GraphOps, FeatureSet) {
-        let graph = lh_graph::LhGraph::build(circuit, placement, grid, &cfg.graph).unwrap();
+        let graph =
+            lh_graph::LhGraph::build(circuit, placement, grid, &LhGraphConfig::default()).unwrap();
         let (gd, nd) = FeatureSet::default_divisors();
         let features =
             FeatureSet::build(&graph, circuit, placement, grid).unwrap().scaled_fixed(&gd, &nd);
@@ -597,8 +467,9 @@ mod tests {
         use vlsi_netlist::{Cell, Net, Pin, Rect};
         let engine = engine();
         let handle = engine.handle();
-        // Single 2-pin net with a 1-g-cell size filter: stretching it is
-        // structural and the fallback rebuild fails (no nets survive).
+        // Single 2-pin net on a 4x4 grid, where the default size filter
+        // keeps nets of at most 1 g-cell: stretching it is structural and
+        // the fallback rebuild fails (no nets survive).
         let die = Rect::new(0.0, 0.0, 8.0, 8.0);
         let grid = GcellGrid::new(die, 4, 4);
         let mut c = Circuit::new("tiny", die);
@@ -608,11 +479,9 @@ mod tests {
         let mut placement = Placement::zeroed(2);
         placement.set_position(a, Point::new(1.0, 1.0));
         placement.set_position(b, Point::new(1.2, 1.2));
-        let cfg = SessionConfig::new("default").with_graph_config(LhGraphConfig {
-            max_gnet_fraction: 1e-9,
-            ..LhGraphConfig::default()
-        });
-        let mut session = handle.open_session(cfg, Arc::new(c), placement, grid).unwrap();
+        let mut session = handle
+            .open_session(SessionConfig::new("default"), Arc::new(c), placement, grid)
+            .unwrap();
         assert!(session.predict().is_ok());
 
         let stretch = PlacementDelta::single(b, Point::new(7.0, 7.0));
@@ -633,30 +502,44 @@ mod tests {
         engine.shutdown();
     }
 
+    /// A panic in a caller's pipeline closure is the caller's: it reaches
+    /// them, touches no session state, and the session keeps updating and
+    /// predicting bitwise equal to a direct forward.
     #[test]
-    fn wedged_session_fails_permanently_but_not_the_engine() {
+    fn pipeline_closure_panic_reaches_the_caller_and_the_session_keeps_serving() {
         let engine = engine();
         let handle = engine.handle();
         let (circuit, placement, grid) = design(11);
-        let mut session =
-            handle.open_session(SessionConfig::new("default"), circuit, placement, grid).unwrap();
+        let mut session = handle
+            .open_session(
+                SessionConfig::new("default"),
+                Arc::clone(&circuit),
+                placement.clone(),
+                grid.clone(),
+            )
+            .unwrap();
         assert!(session.predict().is_ok());
-        // a panic while the session state is held leaves it unknowable
         let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             session.with_pipeline(|_| panic!("inspector crashed"))
         }));
-        assert!(crash.is_err());
-        let err = session.update(&PlacementDelta::single(CellId(1), Point::new(1.0, 1.0)));
-        assert!(matches!(err, Err(ServeError::Poisoned(_))), "got {err:?}");
-        // every later call fails the same way — the state is unknowable
-        assert!(matches!(session.predict(), Err(ServeError::Poisoned(_))));
-        let again = session.update(&PlacementDelta::single(CellId(0), Point::new(1.0, 1.0)));
-        assert!(matches!(again, Err(ServeError::Poisoned(_))), "got {again:?}");
-        // ...but the engine is fine: a fresh session over a healthy design
-        // serves normally
-        let (c2, p2, g2) = design(12);
-        let mut healthy = handle.open_session(SessionConfig::new("default"), c2, p2, g2).unwrap();
-        assert!(healthy.predict().is_ok());
+        let payload = crash.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"inspector crashed"));
+        let model = Lhnn::new(LhnnConfig::default(), 0);
+        let mut placement = placement;
+        for step in 0..3u32 {
+            let id = CellId(step + 1);
+            let to = circuit.die.clamp(Point::new(
+                placement.position(id).x + grid.gcell_width() * 1.5,
+                placement.position(id).y,
+            ));
+            placement.set_position(id, to);
+            session.update(&PlacementDelta::single(id, to)).unwrap();
+            let reply = session.predict().unwrap();
+            let (ops, features) = batch_inputs(&circuit, &placement, &grid);
+            let direct = model.predict(&ops, &features);
+            assert!(reply.prediction.cls_prob.approx_eq(&direct.cls_prob, 0.0), "step {step}");
+            assert!(reply.prediction.reg.approx_eq(&direct.reg, 0.0), "step {step}");
+        }
         engine.shutdown();
     }
 
@@ -702,7 +585,7 @@ mod tests {
         placement.set_position(id, to);
         session.update(&PlacementDelta::single(id, to)).unwrap();
         let reply = session.predict().unwrap();
-        let (ops, features) = batch_inputs(&circuit, &placement, &grid, session.config());
+        let (ops, features) = batch_inputs(&circuit, &placement, &grid);
         let direct = Lhnn::new(LhnnConfig::default(), 0).predict(&ops, &features);
         assert!(reply.prediction.cls_prob.approx_eq(&direct.cls_prob, 0.0));
         assert!(reply.prediction.reg.approx_eq(&direct.reg, 0.0));
@@ -740,48 +623,55 @@ mod tests {
     /// A compaction rebuild (the one event that renumbers G-net columns)
     /// must invalidate the activation cache completely: the next
     /// prediction recomputes in full and still matches a from-scratch
-    /// build bitwise. A zero tombstone budget makes the very first
-    /// filter crossing compact.
+    /// build bitwise. Yanking cells to alternating far corners stretches
+    /// nets past the size filter until the tombstones exceed the default
+    /// budget.
     #[test]
     fn compaction_invalidates_the_activation_cache() {
         let engine = engine();
         let handle = engine.handle();
         let (circuit, placement, grid) = design(13);
         let die = circuit.die;
-        let cfg = SessionConfig::new("default").with_graph_config(LhGraphConfig {
-            max_tombstone_fraction: 0.0,
-            ..LhGraphConfig::default()
-        });
         let mut session = handle
-            .open_session(cfg, Arc::clone(&circuit), placement.clone(), grid.clone())
+            .open_session(
+                SessionConfig::new("default"),
+                Arc::clone(&circuit),
+                placement.clone(),
+                grid.clone(),
+            )
             .unwrap();
         assert!(session.predict().is_ok());
-        // yank cells across the die until one stretches a kept net past
-        // the size filter — with no tombstone budget, that crossing is an
-        // immediate compaction (full rebuild)
+        // yank cells to alternating far corners: each stretches kept nets
+        // past the size filter and tombstones their columns, until the
+        // tombstones exceed the budget and the crossing compacts (full
+        // rebuild)
         let mut reference = placement;
         let mut compacted = false;
         for i in 0..20u32 {
             let id = CellId(i);
-            let far = die.clamp(Point::new(die.ux - 0.01, die.uy - 0.01));
+            let far = if i % 2 == 0 {
+                Point::new(die.ux - 0.01, die.uy - 0.01)
+            } else {
+                Point::new(die.lx + 0.01, die.ly + 0.01)
+            };
             reference.set_position(id, far);
             let update = session.update(&PlacementDelta::single(id, far)).unwrap();
             if let PipelineUpdate::FullRebuild { cause } = update {
                 assert!(
                     matches!(cause, RebuildCause::Compaction { .. }),
-                    "crossing with a zero tombstone budget must compact, got {cause:?}"
+                    "a crossing past the tombstone budget must compact, got {cause:?}"
                 );
                 compacted = true;
                 break;
             }
         }
-        assert!(compacted, "no cross-die move crossed the size filter");
+        assert!(compacted, "the cross-die moves never exceeded the tombstone budget");
         let inc = session.incremental_stats();
         assert!(inc.invalidations >= 1, "compaction must invalidate the cache, got {inc:?}");
         assert!(inc.invalidations_compaction >= 1, "invalidation must book as compaction");
         let reply = session.predict().unwrap();
         let model = Lhnn::new(LhnnConfig::default(), 0);
-        let (ops, features) = batch_inputs(&circuit, &reference, &grid, session.config());
+        let (ops, features) = batch_inputs(&circuit, &reference, &grid);
         let direct = model.predict(&ops, &features);
         assert!(
             reply.prediction.cls_prob.approx_eq(&direct.cls_prob, 0.0),
@@ -892,7 +782,7 @@ mod tests {
         // direct HybridNet forward on freshly built inputs
         let reply = session.predict().unwrap();
         assert!(!reply.cached, "old kind's cache entries must not answer");
-        let (ops, features) = batch_inputs(&circuit, &reference, &grid, session.config());
+        let (ops, features) = batch_inputs(&circuit, &reference, &grid);
         let direct = reference_model.predict(&ops, &features);
         assert!(
             reply.prediction.cls_prob.approx_eq(&direct.cls_prob, 0.0),

@@ -220,40 +220,51 @@ fn flight_recorder_captures_hot_swaps() {
     engine.shutdown();
 }
 
-/// A wedging session panic lands in the flight recorder with the design
-/// as scope — and a metrics-off engine records no event for the same
-/// crash. The panic here is a caller's pipeline closure crashing while it
-/// holds the session state.
+/// A failed fallback rebuild poisons the session and lands in the flight
+/// recorder once, with the design as scope — and a metrics-off engine
+/// records no event for the same failure. The design is a single 2-pin
+/// net on a 4x4 grid, where the default size filter keeps nets of at most
+/// 1 g-cell: stretching it across the die leaves no net to rebuild from.
 #[test]
-fn flight_recorder_captures_session_wedges() {
+fn flight_recorder_captures_session_poisoning() {
+    use vlsi_netlist::{Cell, Net, Pin, Rect};
     for metrics in [true, false] {
         let engine =
             ServeEngine::new(registry(), EngineConfig { metrics, ..EngineConfig::default() });
         let handle = engine.handle();
-        let (circuit, placement, grid) = session_design(21);
+        let die = Rect::new(0.0, 0.0, 8.0, 8.0);
+        let mut circuit = Circuit::new("tiny", die);
+        let a = circuit.add_cell(Cell::movable("a", 0.2, 0.2));
+        let b = circuit.add_cell(Cell::movable("b", 0.2, 0.2));
+        circuit.add_net(Net::new("n", vec![Pin::at_center(a), Pin::at_center(b)]));
+        let mut placement = Placement::zeroed(2);
+        placement.set_position(a, Point::new(1.0, 1.0));
+        placement.set_position(b, Point::new(1.2, 1.2));
         let mut session = handle
-            .open_session(SessionConfig::new("m").with_design("wedge-me"), circuit, placement, grid)
+            .open_session(
+                SessionConfig::new("m").with_design("poison-me"),
+                Arc::new(circuit),
+                placement,
+                GcellGrid::new(die, 4, 4),
+            )
             .expect("open session");
-        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.with_pipeline(|_| panic!("inspector crashed"))
-        }));
-        assert!(crash.is_err());
-        let delta = PlacementDelta::single(CellId(1), Point::new(1.0, 1.0));
-        assert!(session.update(&delta).is_err());
-        let wedges: Vec<_> = handle
+        assert!(session.update(&PlacementDelta::single(b, Point::new(7.0, 7.0))).is_err());
+        assert!(session.predict().is_err(), "a poisoned session must not predict");
+        let poisonings: Vec<_> = handle
             .flight_events()
             .into_iter()
-            .filter(|e| e.kind == FlightEventKind::Wedged)
+            .filter(|e| e.kind == FlightEventKind::Poisoned)
             .collect();
         if metrics {
-            assert_eq!(wedges.len(), 1, "exactly one wedge event");
-            assert_eq!(wedges[0].scope, "wedge-me");
+            assert_eq!(poisonings.len(), 1, "exactly one poisoning event");
+            assert_eq!(poisonings[0].scope, "poison-me");
         } else {
-            assert!(wedges.is_empty(), "metrics off must drop flight events");
+            assert!(poisonings.is_empty(), "metrics off must drop flight events");
         }
         // the merged per-session view reports either way
         let view = session.observability();
-        assert_eq!(view.design, "wedge-me");
+        assert_eq!(view.design, "poison-me");
+        assert!(view.pipeline.stale);
         engine.shutdown();
     }
 }

@@ -265,12 +265,10 @@ fn one_cache_serves_sessions_and_stateless_requests_alike() {
     let p = design.placement.position(id);
     let to = design.circuit.die.clamp(Point::new(p.x + 1.5 * design.grid.gcell_width(), p.y));
     let delta = &PlacementDelta::single(id, to);
-    let mut twin = LatticePipeline::new(
+    let mut twin = LatticePipeline::for_serving(
         Arc::clone(&design.circuit),
         design.placement.clone(),
         design.grid.clone(),
-        LhGraphConfig::default(),
-        AblationSpec::full(),
     )
     .expect("twin pipeline");
     twin.apply(delta).expect("twin update");
