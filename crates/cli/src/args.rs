@@ -42,9 +42,16 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
-    /// Parsed numeric flag with a default (falls back on parse failure).
-    pub(crate) fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// Parsed numeric flag, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// [`BadNumber`] when the flag is present but its value does not parse.
+    pub(crate) fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, BadNumber> {
+        match self.flags.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| BadNumber { flag: key.to_string(), value: v.clone() }),
+        }
     }
 
     /// Whether a boolean flag is present.
@@ -52,6 +59,21 @@ impl Args {
         self.flags.contains_key(key)
     }
 }
+
+/// A numeric flag whose value does not parse.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct BadNumber {
+    flag: String,
+    value: String,
+}
+
+impl std::fmt::Display for BadNumber {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "--{} expects a number, got `{}`", self.flag, self.value)
+    }
+}
+
+impl std::error::Error for BadNumber {}
 
 #[cfg(test)]
 mod tests {
@@ -66,7 +88,7 @@ mod tests {
         let a = Args::parse(&argv(&["route", "--dir", "/tmp", "--grid", "24", "--compare"]));
         assert_eq!(a.command, "route");
         assert_eq!(a.get("dir", ""), "/tmp");
-        assert_eq!(a.num::<u32>("grid", 0), 24);
+        assert_eq!(a.num::<u32>("grid", 0), Ok(24));
         assert!(a.has("compare"));
         assert!(!a.has("missing"));
     }
@@ -74,7 +96,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = Args::parse(&argv(&["train"]));
-        assert_eq!(a.num::<usize>("epochs", 40), 40);
+        assert_eq!(a.num::<usize>("epochs", 40), Ok(40));
         assert_eq!(a.get("out", "model.lhnn"), "model.lhnn");
         assert!(a.opt("dir").is_none());
     }
@@ -87,8 +109,12 @@ mod tests {
     }
 
     #[test]
-    fn bad_numbers_fall_back() {
-        let a = Args::parse(&argv(&["x", "--grid", "abc"]));
-        assert_eq!(a.num::<u32>("grid", 7), 7);
+    fn bad_numbers_are_refused() {
+        let a = Args::parse(&argv(&["x", "--grid", "abc", "--epochs", "6O", "--seed"]));
+        let err = a.num::<u32>("grid", 7).unwrap_err();
+        assert_eq!(err.to_string(), "--grid expects a number, got `abc`");
+        assert!(a.num::<usize>("epochs", 60).unwrap_err().to_string().contains("`6O`"));
+        // a flag given without a value reads as `true`, which is no number
+        assert!(a.num::<u64>("seed", 0).is_err());
     }
 }

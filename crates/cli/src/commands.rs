@@ -19,7 +19,7 @@ use vlsi_netlist::{bookshelf, netlist_stats, rent_exponent, Circuit, GcellGrid, 
 use vlsi_place::GlobalPlacer;
 use vlsi_route::{route as route_circuit, CapacityConfig, Dir, RouterConfig};
 
-use crate::args::Args;
+use crate::args::{Args, BadNumber};
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -27,10 +27,10 @@ type CmdResult = Result<(), Box<dyn Error>>;
 pub(crate) fn generate(args: &Args) -> CmdResult {
     let cfg = SynthConfig {
         name: args.get("name", "design"),
-        seed: args.num("seed", 1u64),
-        n_cells: args.num("cells", 800usize),
-        grid_nx: args.num("grid", 24u32),
-        grid_ny: args.num("grid", 24u32),
+        seed: args.num("seed", 1u64)?,
+        n_cells: args.num("cells", 800usize)?,
+        grid_nx: args.num("grid", 24u32)?,
+        grid_ny: args.num("grid", 24u32)?,
         ..SynthConfig::default()
     };
     let out_dir = args.get("out", ".");
@@ -58,10 +58,10 @@ fn load_design(args: &Args) -> Result<(Circuit, Placement), Box<dyn Error>> {
     Ok((circuit, placement))
 }
 
-fn grid_for(args: &Args, circuit: &Circuit) -> GcellGrid {
-    let g = args.num("grid", 24u32);
+fn grid_for(args: &Args, circuit: &Circuit) -> Result<GcellGrid, BadNumber> {
+    let g = args.num("grid", 24u32)?;
     let die = if circuit.die.area() > 0.0 { circuit.die } else { Rect::new(0.0, 0.0, 1.0, 1.0) };
-    GcellGrid::new(die, g, g)
+    Ok(GcellGrid::new(die, g, g))
 }
 
 /// Builds the architecture `lhnn train --model` selects (`lhnn` |
@@ -107,8 +107,8 @@ pub(crate) fn stats(args: &Args) -> CmdResult {
 /// `lhnn route`: global routing + congestion report.
 pub(crate) fn route(args: &Args) -> CmdResult {
     let (circuit, placement) = load_design(args)?;
-    let grid = grid_for(args, &circuit);
-    let tracks = args.num("tracks", 14.0f32);
+    let grid = grid_for(args, &circuit)?;
+    let tracks = args.num("tracks", 14.0f32)?;
     let rcfg = RouterConfig {
         capacity: CapacityConfig { h_tracks: tracks, v_tracks: tracks, ..Default::default() },
         ..Default::default()
@@ -138,17 +138,17 @@ pub(crate) fn route(args: &Args) -> CmdResult {
 /// `lhnn train`: train the selected architecture on the synthetic suite
 /// and save the model.
 pub(crate) fn train(args: &Args) -> CmdResult {
-    let scale = args.num("scale", 0.5f32);
-    let epochs = args.num("epochs", 60usize);
-    let seed = args.num("seed", 0u64);
+    let scale = args.num("scale", 0.5f32)?;
+    let epochs = args.num("epochs", 60usize)?;
+    let seed = args.num("seed", 0u64)?;
     let arch = args.get("model", "lhnn");
     let out = args.get("out", "model.lhnn");
     // --threads 0 (the default) inherits the process-wide compute pool;
     // batch defaults to 1 (the paper's per-sample stepping) so --threads
     // alone never changes the optimisation trajectory; --batch opts into
     // gradient accumulation, which the threads then shard.
-    let threads = args.num("threads", 0usize);
-    let batch_size = args.num("batch", 1usize).max(1);
+    let threads = args.num("threads", 0usize)?;
+    let batch_size = args.num("batch", 1usize)?.max(1);
     eprintln!("building training suite (scale {scale})...");
     let ds = DatasetConfig { scale, ..Default::default() };
     let prep = PreparedDataset::build(&ds)?;
@@ -184,8 +184,7 @@ pub(crate) fn train(args: &Args) -> CmdResult {
 /// serving engine (registry + prediction cache).
 pub(crate) fn predict(args: &Args) -> CmdResult {
     let model_path = args.opt("model").ok_or("missing --model")?;
-    let threshold = args.num("threshold", 0.5f32);
-    let compute_threads = args.num("threads", 0usize);
+    let threshold = args.num("threshold", 0.5f32)?;
     // The one-shot CLI rides the same path a long-running service uses: a
     // registry entry, an engine (the forward runs on this thread) and a
     // per-request threshold. The checkpoint loads first, so a missing or
@@ -193,17 +192,14 @@ pub(crate) fn predict(args: &Args) -> CmdResult {
     let registry = Arc::new(ModelRegistry::new());
     registry.load_file("default", model_path)?;
     let (circuit, placement) = load_design(args)?;
-    let grid = grid_for(args, &circuit);
+    let grid = grid_for(args, &circuit)?;
     let graph = LhGraph::build(&circuit, &placement, &grid, &LhGraphConfig::default())?;
     let (gd, nd) = FeatureSet::default_divisors();
     let features =
         Arc::new(FeatureSet::build(&graph, &circuit, &placement, &grid)?.scaled_fixed(&gd, &nd));
     let ops = lhnn::GraphOps::from_graph(&graph, &AblationSpec::full());
 
-    let engine = ServeEngine::new(
-        Arc::clone(&registry),
-        EngineConfig { compute_threads, ..EngineConfig::default() },
-    );
+    let engine = ServeEngine::new(Arc::clone(&registry), EngineConfig::default());
     let handle = engine.handle();
     let request = PredictRequest::new("default", Arc::new(ops), Arc::clone(&features))
         .with_threshold(threshold);
@@ -221,7 +217,7 @@ pub(crate) fn predict(args: &Args) -> CmdResult {
         println!("probability map written to {path}");
     }
     if args.has("compare") {
-        let tracks = args.num("tracks", 14.0f32);
+        let tracks = args.num("tracks", 14.0f32)?;
         let rcfg = RouterConfig {
             capacity: CapacityConfig { h_tracks: tracks, v_tracks: tracks, ..Default::default() },
             ..Default::default()

@@ -35,11 +35,13 @@ USAGE:
       --threads N shards each batch across N workers — for a given --batch
       the loss trajectory is bitwise identical at any thread count
   lhnn predict --model MODEL_FILE --dir DIR --design NAME --grid G
-               [--threshold T] [--threads N] [--compare] [--pgm FILE]
+               [--threshold T] [--compare] [--pgm FILE]
       predict a congestion map for a placed design (served through the
-      inference engine; the architecture is read from the checkpoint's
-      kind tag; --threshold sets the congestion cutoff, default 0.5;
-      --threads sets the intra-op compute-pool width)
+      inference engine on this thread; the architecture is read from the
+      checkpoint's kind tag; --threshold sets the congestion cutoff,
+      default 0.5)
+
+A numeric flag whose value does not parse is an error (exit 1).
 ";
 
 fn main() {

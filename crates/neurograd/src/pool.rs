@@ -16,14 +16,17 @@
 //! * **Nested calls run inline** — a task that itself calls
 //!   `ThreadPool::run` executes serially on its worker. This keeps the
 //!   data-parallel trainer (one shard per worker, serial kernels inside)
-//!   and the serving engine (one request per worker) free of deadlocks and
-//!   oversubscription by construction.
+//!   free of deadlocks and oversubscription by construction.
+//! * **Callers can opt out** — [`serial`] runs a closure with every pool
+//!   call on the current thread executed inline. The serving engine wraps
+//!   each predict, session update and session build in it: its clients
+//!   are the parallelism, so their kernels stay on their own threads.
 //!
 //! A process-wide pool is available through [`global`]; [`configure_threads`]
-//! rebuilds it (the `--threads` CLI knob, `TrainConfig::threads` and
-//! `EngineConfig::compute_threads` all end up here). Replacing the global
-//! pool is safe while it is in use: existing users keep their `Arc` to the
-//! old pool, which drains and joins when the last reference drops.
+//! rebuilds it (the `lhnn train --threads` knob and `TrainConfig::threads`
+//! end up here). Replacing the global pool is safe while it is in use:
+//! existing users keep their `Arc` to the old pool, which drains and joins
+//! when the last reference drops.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -33,7 +36,8 @@ use std::thread::JoinHandle;
 
 thread_local! {
     /// Whether the current thread is executing a pool task (worker threads
-    /// while running a chunk, and callers while running their own chunks).
+    /// while running a chunk, and callers while running their own chunks)
+    /// or runs inside [`serial`]: either way its pool calls run inline.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -288,6 +292,22 @@ pub fn configure_threads(threads: usize) {
     *global_slot().write().expect("pool registry lock") = new_pool;
 }
 
+/// Runs `f` with every pool call made on the current thread executed
+/// inline, whatever the pool's width, and returns its result. Nested
+/// `serial` calls stay inline; the previous mode is restored when `f`
+/// returns or unwinds. Results are the same bits as on the pool (chunk
+/// boundaries do not depend on who runs the chunks).
+pub fn serial<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_TASK.with(|t| t.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_TASK.with(|t| t.replace(true)));
+    f()
+}
+
 /// Number of compute lanes of the current process-wide pool.
 pub fn current_threads() -> usize {
     global().threads()
@@ -467,6 +487,44 @@ mod tests {
     fn chunk_ranges_respect_min_size() {
         let ranges = chunk_ranges(10, 8, 8);
         assert_eq!(ranges.len(), 1, "10 elements at min 8 per chunk: one chunk");
+    }
+
+    /// Runs `chunks` chunks of 200 µs on `pool` and returns the threads
+    /// that ran them.
+    fn chunk_threads(pool: &ThreadPool, chunks: usize) -> Vec<std::thread::ThreadId> {
+        let ids = Mutex::new(Vec::new());
+        pool.run(chunks, &|_| {
+            std::thread::sleep(Duration::from_micros(200));
+            ids.lock().unwrap().push(std::thread::current().id());
+        });
+        ids.into_inner().unwrap()
+    }
+
+    #[test]
+    fn serial_runs_every_chunk_on_the_caller() {
+        let pool = ThreadPool::new(2);
+        let me = std::thread::current().id();
+        let ids = serial(|| chunk_threads(&pool, 8));
+        assert_eq!(ids, vec![me; 8]);
+        // nested `serial` stays inline, and so does the rest of the outer one
+        let ids = serial(|| {
+            let mut ids = serial(|| chunk_threads(&pool, 8));
+            ids.extend(chunk_threads(&pool, 8));
+            ids
+        });
+        assert_eq!(ids, vec![me; 16]);
+    }
+
+    #[test]
+    fn serial_restores_fan_out_after_a_panic() {
+        let pool = ThreadPool::new(2);
+        let r = std::panic::catch_unwind(|| serial(|| panic!("boom")));
+        assert!(r.is_err());
+        assert!(!IN_TASK.with(Cell::get), "the panic left the thread serial");
+        let me = std::thread::current().id();
+        let ids = chunk_threads(&pool, 64);
+        assert_eq!(ids.len(), 64);
+        assert!(ids.iter().any(|&id| id != me), "no chunk reached the worker");
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //! each compute, and the bitwise contract makes their results equal.
 //!
 //! Request parallelism is the caller's: each client thread runs its own
-//! forwards, which fan their kernels out over the shared `neurograd`
-//! compute pool. `predict` blocks the calling thread until its reply is
-//! ready. After [`ServeEngine::shutdown`] (or drop) every predict,
-//! stateless or session, fails with [`ServeError::ShuttingDown`]; a
-//! predict already past that check finishes.
+//! forwards, and their kernels run inline on that thread
+//! ([`neurograd::pool::serial`]), never on the shared `neurograd` compute
+//! pool's workers; the engine leaves the pool's width alone. `predict`
+//! blocks the calling thread until its reply is ready. After
+//! [`ServeEngine::shutdown`] (or drop) every predict, stateless or
+//! session, fails with [`ServeError::ShuttingDown`]; a predict already
+//! past that check finishes.
 //!
 //! Lock discipline: every engine lock guards re-derivable state and
 //! recovers from poisoning (see the `lock` module); a panicking forward is
@@ -69,15 +71,10 @@ pub struct EngineConfig {
     pub shards: usize,
     /// LRU prediction-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Intra-op compute threads: 0 (default) leaves the shared
-    /// `neurograd` pool as configured; a positive value rebuilds it with
-    /// that many lanes when the engine starts.
-    ///
-    /// All callers *share* one compute pool rather than each assuming a
-    /// serial forward: a caller's forward fans its kernels out across the
-    /// pool, and because the kernel backend is bitwise
-    /// thread-count-invariant this never changes a prediction (the
-    /// `served_prediction_is_bitwise_identical` proptest covers it).
+    /// Unused (default 0): served kernels run inline on the caller's
+    /// thread, and the engine leaves the shared `neurograd` pool as it
+    /// is. The field exists only until the benchmark, which sets it,
+    /// stops doing so; it goes with `workers` (ROADMAP item 1).
     pub compute_threads: usize,
     /// Stage tracing and the flight recorder (default on).
     ///
@@ -218,14 +215,7 @@ impl std::fmt::Debug for ServeEngine {
 impl ServeEngine {
     /// Builds an engine over `registry`. No thread is started: each
     /// predict runs on its caller's thread.
-    ///
-    /// With `cfg.compute_threads > 0` the shared intra-op compute pool is
-    /// rebuilt to that width first (process-wide — see
-    /// [`neurograd::pool::configure_threads`]).
     pub fn new(registry: Arc<ModelRegistry>, cfg: EngineConfig) -> Self {
-        if cfg.compute_threads > 0 {
-            neurograd::pool::configure_threads(cfg.compute_threads);
-        }
         let obs = EngineObs::new(cfg.metrics);
         registry.attach_metrics(Arc::clone(&obs.registry));
         let shared = Arc::new(Shared {
@@ -290,8 +280,8 @@ impl ServeHandle {
     /// Serves `request` on the caller's thread: the one path of both
     /// [`ServeHandle::predict`] and [`crate::Session::predict`]. The cache
     /// answers if it can, otherwise `forward` (a from-scratch forward, or
-    /// a session's bounded-radius one) computes, and its result lands in
-    /// the cache.
+    /// a session's bounded-radius one) computes, its kernels inline on
+    /// this thread, and its result lands in the cache.
     pub(crate) fn predict_here(
         &self,
         request: &PredictRequest,
@@ -302,7 +292,8 @@ impl ServeHandle {
             return Err(ServeError::ShuttingDown);
         }
         let (entry, key) = self.admit(request)?;
-        let (prediction, cached) = self.shared.resolve(&entry, key, || forward(&entry))?;
+        let (prediction, cached) =
+            neurograd::pool::serial(|| self.shared.resolve(&entry, key, || forward(&entry)))?;
         let latency = submitted.elapsed();
         self.shared.obs.counts.record_request(latency, cached);
         Ok(reply_from(prediction, cached, request.threshold, latency))

@@ -15,8 +15,9 @@
 //! * [`ServeEngine`] — one prediction cache and one set of count cells
 //!   in front of the registry. The engine starts no thread: a predict
 //!   runs on its caller's thread (a stateless one as a tape-free forward
-//!   on that thread's reusable per-kind [`lhnn::ScratchSet`]), so request
-//!   parallelism is the number of client threads.
+//!   on that thread's reusable per-kind [`lhnn::ScratchSet`]) with its
+//!   kernels inline, so request parallelism is the number of client
+//!   threads.
 //! * `PredictionCache` — an LRU keyed by content fingerprints of
 //!   `(model weights, graph operators, features)`, so repeated queries on
 //!   an unchanged placement cost only hashing. Stateless requests and

@@ -5,8 +5,9 @@
 //! CLIs, wasteful for a placer that perturbs a few cells and re-queries
 //! thousands of times. A [`Session`] keeps a [`LatticePipeline`] hot per
 //! design: an update patches it in place, and a predict splices over the
-//! dirty halo, both on the caller's thread. A predict goes through the
-//! engine's prediction cache, so a state seen before costs no forward.
+//! dirty halo, both on the caller's thread with their kernels inline. A
+//! predict goes through the engine's prediction cache, so a state seen
+//! before costs no forward.
 //!
 //! ```text
 //! open_session(circuit, placement)      // one full build
@@ -151,8 +152,9 @@ impl ServeHandle {
             .get(&cfg.model)
             .ok_or_else(|| ServeError::UnknownModel(cfg.model.clone()))?;
         let design = cfg.design.unwrap_or_else(|| circuit.name.clone());
-        let mut pipeline = LatticePipeline::for_serving(circuit, placement, grid)
-            .map_err(|e| ServeError::Session(e.to_string()))?;
+        let mut pipeline =
+            neurograd::pool::serial(|| LatticePipeline::for_serving(circuit, placement, grid))
+                .map_err(|e| ServeError::Session(e.to_string()))?;
         // Wire the design's counts and spans into the engine's registry
         // and flight recorder (a metrics-off engine keeps the counts and
         // drops the spans and events).
@@ -190,7 +192,7 @@ impl Session {
     /// the size filter).
     pub fn update(&mut self, delta: &PlacementDelta) -> Result<PipelineUpdate> {
         self.updates.inc();
-        let update = match self.pipeline.apply(delta) {
+        let update = match neurograd::pool::serial(|| self.pipeline.apply(delta)) {
             Ok(update) => update,
             Err(e) => {
                 // A refused delta left the pipeline as it was. Anything

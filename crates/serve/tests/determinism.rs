@@ -4,6 +4,7 @@
 //! direct [`CongestionModel::predict`] call.
 
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use lh_graph::{ChannelMode, FeatureSet};
@@ -156,16 +157,21 @@ proptest! {
     }
 }
 
-/// An LHNN whose first forward tells the test it started, then waits
-/// for the test's go-ahead: that forward is provably held while the test
-/// sends more requests.
-#[derive(Debug)]
-struct Gated {
+/// An LHNN that runs `hook` at the start of every forward it serves:
+/// stateless predicts reach the model through `predict_with`, a session's
+/// forward through `program`.
+struct Hooked {
     inner: Lhnn,
-    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    hook: Box<dyn Fn() + Send + Sync>,
 }
 
-impl CongestionModel for Gated {
+impl std::fmt::Debug for Hooked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Hooked")
+    }
+}
+
+impl CongestionModel for Hooked {
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }
@@ -191,6 +197,7 @@ impl CongestionModel for Gated {
         self.inner.weights_fingerprint()
     }
     fn program(&self) -> &Program {
+        (self.hook)();
         self.inner.program()
     }
     fn save_to(&self, w: &mut dyn std::io::Write) -> Result<(), ModelIoError> {
@@ -202,26 +209,28 @@ impl CongestionModel for Gated {
         features: &FeatureSet,
         scratch: &mut ModelScratch,
     ) -> Prediction {
-        // The guard drops at the end of this statement, so other forwards
-        // of this model run while the gated one waits.
-        let gate = self.gate.lock().expect("gate lock").take();
-        if let Some((started, go)) = gate {
-            started.send(()).expect("test listens");
-            go.recv().expect("go-ahead");
-        }
+        (self.hook)();
         self.inner.predict_with(ops, features, scratch)
     }
 }
 
-/// A gated LHNN (seed 7) whose gate the test holds: `(model, started, go)`.
-fn gated_model() -> (Gated, mpsc::Receiver<()>, mpsc::Sender<()>) {
+/// An LHNN (seed 7) whose first forward tells the test it started, then
+/// waits for the test's go-ahead: that forward is provably held while the
+/// test sends more requests. Returns `(model, started, go)`.
+fn gated_model() -> (Hooked, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (started_tx, started) = mpsc::channel();
     let (go, go_rx) = mpsc::channel();
-    let gated = Gated {
-        inner: Lhnn::new(LhnnConfig::default(), 7),
-        gate: Mutex::new(Some((started_tx, go_rx))),
+    let gate = Mutex::new(Some((started_tx, go_rx)));
+    let hook = move || {
+        // The guard drops at the end of this statement, so other forwards
+        // of this model run while the gated one waits.
+        let gate = gate.lock().expect("gate lock").take();
+        if let Some((started, go)) = gate {
+            started.send(()).expect("test listens");
+            go.recv().expect("go-ahead");
+        }
     };
-    (gated, started, go)
+    (Hooked { inner: Lhnn::new(LhnnConfig::default(), 7), hook: Box::new(hook) }, started, go)
 }
 
 /// Waits up to 20 s for `rx`, then opens the gate either way, so a
@@ -371,4 +380,53 @@ fn predicts_return_while_another_forward_is_held() {
     assert!(matches!(err, ServeError::ShuttingDown), "got {err:?}");
     let err = handle.predict(&stateless).expect_err("engine is shut down");
     assert!(matches!(err, ServeError::ShuttingDown), "got {err:?}");
+}
+
+/// An LHNN (seed 3) whose every forward first runs 64 slots of about
+/// 200 µs through the global compute pool; each slot records the thread
+/// that ran it into the returned list.
+fn pool_probe_model() -> (Hooked, Arc<Mutex<Vec<ThreadId>>>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let record = Arc::clone(&seen);
+    let hook = move || {
+        let mut slots = vec![None; 64];
+        neurograd::pool::global().run_mut(&mut slots, |_, slot| {
+            std::thread::sleep(Duration::from_micros(200));
+            *slot = Some(std::thread::current().id());
+        });
+        record.lock().expect("probe lock").extend(slots.into_iter().flatten());
+    };
+    (Hooked { inner: Lhnn::new(LhnnConfig::default(), 3), hook: Box::new(hook) }, seen)
+}
+
+/// Served kernels run inline on the caller's thread, even on a 2-thread
+/// compute pool: every pool slot of a stateless predict's forward and of
+/// a session predict's forward runs on the thread that called predict.
+#[test]
+fn served_forwards_keep_pool_work_on_the_callers_thread() {
+    neurograd::pool::configure_threads(2);
+    let (probe, seen) = pool_probe_model();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("probe", probe).expect("register");
+    let engine = ServeEngine::new(registry, EngineConfig::default());
+    let handle = engine.handle();
+    let me = std::thread::current().id();
+    let take_seen = || std::mem::take(&mut *seen.lock().expect("probe lock"));
+
+    let (ops, feats) = design(5, 90, 6);
+    let reply = handle.predict(&PredictRequest::new("probe", ops, feats)).expect("predict");
+    assert!(!reply.cached);
+    assert_eq!(take_seen(), vec![me; 64], "a stateless predict's pool slots left the caller");
+
+    let cfg = SynthConfig { seed: 11, n_cells: 90, grid_nx: 6, grid_ny: 6, ..Default::default() };
+    let synth = generate(&cfg).expect("synth");
+    let grid = cfg.grid();
+    let placed = GlobalPlacer::default().place_synth(&synth, &grid).expect("place");
+    let mut session = handle
+        .open_session(SessionConfig::new("probe"), Arc::new(synth.circuit), placed.placement, grid)
+        .expect("open session");
+    let reply = session.predict().expect("session predict");
+    assert!(!reply.cached);
+    assert_eq!(take_seen(), vec![me; 64], "a session predict's pool slots left the caller");
+    engine.shutdown();
 }
